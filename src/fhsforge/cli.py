@@ -49,7 +49,19 @@ def _enum_cap(args) -> int:
     if getattr(args, "cap", None):
         return args.cap
     env = os.environ.get("FHSFORGE_CAP")
-    return int(env) if env else ENUMERATION_CAP
+    if not env:
+        return ENUMERATION_CAP
+    try:
+        return int(env)
+    except ValueError as exc:
+        raise ParseError(f"FHSFORGE_CAP must be an integer, got {env!r}") from exc
+
+
+def _budget(args) -> int | None:
+    """The correlation budget; 0 lifts it."""
+    if args.budget < 0:
+        raise ParseError(f"--budget must be >= 0, got {args.budget}")
+    return args.budget or None
 
 
 def _dump(obj) -> str:
@@ -172,9 +184,11 @@ def cmd_pf_identity(args) -> int:
 def cmd_build(args) -> int:
     start = time.monotonic()
     cap = _enum_cap(args)
-    budget = args.budget if args.budget > 0 else None
+    budget = _budget(args)
     if args.samples is not None and args.seed is None:
         raise ParseError("--samples requires --seed")
+    if args.samples is not None and args.samples < 1:
+        raise ParseError(f"--samples must be >= 1, got {args.samples}")
     kwargs = dict(
         params_only=args.params_only,
         enum_cap=cap,
@@ -252,6 +266,9 @@ def cmd_build(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    budget = _budget(args)
+    if args.samples < 1:
+        raise ParseError(f"--samples must be >= 1, got {args.samples}")
     try:
         data = json.loads(Path(args.path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
@@ -260,7 +277,6 @@ def cmd_verify(args) -> int:
     stored = fset.max_correlation
     if stored is None:
         raise ParseError("stored record has no lambda to verify against")
-    budget = args.budget if args.budget > 0 else None
     try:
         survey = max_nontrivial(fset, budget=budget)
     except BudgetExceeded:

@@ -20,6 +20,7 @@ from .errors import (
     DoesNotContainAllOnes,
     EnumerationTooLarge,
     GcdConditionViolated,
+    NonPositiveLength,
     NotCoprime,
     NotCosetClosed,
     ZeroCode,
@@ -58,7 +59,7 @@ class CyclotomicCoset:
 def cyclotomic_cosets(n: int, q: int) -> list[CyclotomicCoset]:
     """All distinct q-cyclotomic cosets mod n, sorted by representative."""
     if n < 1:
-        raise ValueError(f"length must be positive, got {n}")
+        raise NonPositiveLength(f"length must be positive, got {n}")
     if math.gcd(n, q) != 1:
         raise NotCoprime(f"gcd({n}, {q}) != 1")
     seen = [False] * n
@@ -346,45 +347,38 @@ class EquivalenceClass:
         return self.size
 
 
-def _least_rotation_partition(mat: np.ndarray, q: int):
+def _least_rotation_partition(mat: np.ndarray, q: int, k: int):
     """Unique least rotations of the rows with multiplicities.
 
-    Every row's full orbit is present in `mat` (the code is cyclic), so the
-    multiplicity of a least rotation equals its orbit size.
+    The rows must be all the codewords of a cyclic [n, k] code over GF(q).
+    Then every row's full orbit is present in `mat`, so the multiplicity of
+    a least rotation equals its orbit size.  Any k cyclically consecutive
+    positions of a cyclic code form an information set, so the width-k
+    window key sum_{i<k} c[t+i] q^(k-1-i) orders the rotations exactly as
+    the full words do, and one multiply-add per shift rolls it along.
     """
-    n = mat.shape[1]
-    if n == 1:
-        reps, counts = np.unique(mat, axis=0, return_counts=True)
-        return reps, counts
-    if n * max(q - 1, 1).bit_length() <= 62:
-        qq = np.uint64(q)
-        best = None
-        for t in range(n):
-            rolled = np.roll(mat, -t, axis=1)
-            key = np.zeros(mat.shape[0], dtype=np.uint64)
-            for i in range(n):
-                key = key * qq + rolled[:, i]
-            best = key if best is None else np.minimum(best, key)
-        keys, counts = np.unique(best, return_counts=True)
-        reps = np.empty((len(keys), n), dtype=np.uint32)
-        rem = keys.copy()
-        for i in range(n - 1, -1, -1):
-            reps[:, i] = (rem % qq).astype(np.uint32)
-            rem //= qq
-        return reps, counts
-    best = mat.copy()
+    rows, n = mat.shape
+    w = max(k, 1)
+    qq = np.uint64(q)
+    lead = np.uint64(q ** (w - 1))
+    key = np.zeros(rows, dtype=np.uint64)
+    for i in range(w):
+        key = key * qq + mat[:, i]
+    if len(np.unique(key)) != rows:
+        raise AssertionError(
+            f"width-{w} window keys collide: the rows are not the codewords "
+            f"of a cyclic code of dimension {k}"
+        )
+    best = key.copy()
+    best_t = np.zeros(rows, dtype=np.intp)
     for t in range(1, n):
-        rolled = np.roll(mat, -t, axis=1)
-        less = np.zeros(mat.shape[0], dtype=bool)
-        decided = np.zeros(mat.shape[0], dtype=bool)
-        for i in range(n):
-            lt = rolled[:, i] < best[:, i]
-            gt = rolled[:, i] > best[:, i]
-            less |= lt & ~decided
-            decided |= lt | gt
-        if less.any():
-            best[less] = rolled[less]
-    return np.unique(best, axis=0, return_counts=True)
+        key = (key - mat[:, t - 1] * lead) * qq + mat[:, (t + w - 1) % n]
+        less = key < best
+        best[less] = key[less]
+        best_t[less] = t
+    _, first, sizes = np.unique(best, return_index=True, return_counts=True)
+    shifts = (best_t[first, None] + np.arange(n)) % n
+    return mat[first[:, None], shifts], sizes
 
 
 def class_partition(
@@ -393,12 +387,14 @@ def class_partition(
     """Shift-orbit partition of the codewords as (representatives, sizes).
 
     exclude: "none", "zero" (drop the zero word) or "constants" (drop the
-    constant-word subcode).  Representatives are sorted lexicographically.
+    constant-word subcode).  Representatives are least rotations, sorted
+    lexicographically.  The partition runs on all the codewords, which is
+    what the window key in `_least_rotation_partition` requires.
     """
     if exclude not in ("none", "zero", "constants"):
         raise ValueError(f"unknown exclude mode {exclude!r}")
     mat = codeword_matrix(code, cap)
-    reps, sizes = _least_rotation_partition(mat, code.field.order)
+    reps, sizes = _least_rotation_partition(mat, code.field.order, code.dimension)
     if exclude == "zero":
         keep = reps.any(axis=1)
         reps, sizes = reps[keep], sizes[keep]

@@ -33,6 +33,10 @@ class DivisionByZeroPolynomial(FhsForgeError):
 
 # -- cyclic codes -----------------------------------------------------------
 
+class NonPositiveLength(FhsForgeError):
+    pass
+
+
 class NotCoprime(FhsForgeError):
     pass
 

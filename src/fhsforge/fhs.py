@@ -11,6 +11,7 @@ N^2 * n^2 symbol-comparison count.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,6 +56,13 @@ def auto_peak(x) -> int:
 def cross_peak(x, y) -> int:
     """H(X, Y): the largest cross-correlation over all shifts."""
     return max(correlation(x, y, t) for t in range(len(x)))
+
+
+def _json_int(value, what: str) -> int:
+    """`value` if it is a JSON integer; bools and floats are refused."""
+    if type(value) is not int:
+        raise ParseError(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 class FhsSet:
@@ -111,19 +119,34 @@ class FhsSet:
     def from_json_dict(cls, data: dict) -> "FhsSet":
         try:
             seqs = data["sequences"]
-            ell = int(data["ell"])
-            n = int(data["n"])
-            count = int(data["N"])
+            ell = _json_int(data["ell"], "ell")
+            n = _json_int(data["n"], "n")
+            count = _json_int(data["N"], "N")
             lam = data.get("lambda")
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError) as exc:
             raise ParseError(f"malformed FHS set record: {exc}") from exc
+        if lam is not None:
+            _json_int(lam, "lambda")
+        if not isinstance(seqs, list) or any(not isinstance(s, list) for s in seqs):
+            raise ParseError("sequences must be a list of lists")
         if len(seqs) != count:
             raise ParseError(f"N = {count} but {len(seqs)} sequences present")
         if any(len(s) != n for s in seqs):
             raise ParseError("sequence length differs from declared n")
+        # numpy would truncate 1.7 and coerce True or "3", so the set of
+        # symbol types is checked first, at C speed, then the range.
+        kinds = set(map(type, itertools.chain.from_iterable(seqs))) - {int}
+        if kinds:
+            names = ", ".join(sorted(k.__name__ for k in kinds))
+            raise ParseError(f"symbols must be integers, found {names}")
         try:
-            obj = cls(seqs, ell, data.get("provenance"),
-                      int(lam) if lam is not None else None)
+            arr = np.asarray(seqs, dtype=np.int64)
+        except OverflowError as exc:
+            raise ParseError(f"symbol out of range: {exc}") from exc
+        if arr.size and (arr.min() < 0 or arr.max() >= min(ell, 1 << 32)):
+            raise ParseError(f"symbols must lie in 0..{ell - 1}")
+        try:
+            obj = cls(arr, ell, data.get("provenance"), lam)
         except (ValueError, LengthAlphabetViolation, EmptySet) as exc:
             raise ParseError(str(exc)) from exc
         return obj

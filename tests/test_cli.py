@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from fhsforge.cli import main
 
 
@@ -196,3 +198,67 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert "C_3 = {3, 6}" in proc.stdout
+
+
+@pytest.fixture(scope="module")
+def b5_record(tmp_path_factory):
+    out_dir = tmp_path_factory.mktemp("b5")
+    assert main(["build", "--family", "B", "--q", "5", "--out", str(out_dir)]) == 0
+    return json.loads((out_dir / "fhs_set.json").read_text())
+
+
+@pytest.mark.parametrize("symbol", [1.7, -1, True, "1"],
+                         ids=["float", "negative", "bool", "string"])
+def test_verify_rejects_non_symbol(tmp_path, capsys, b5_record, symbol):
+    # at a symbol that is 1, each of 1.7, True and "1" used to be read as 1
+    data = json.loads(json.dumps(b5_record))
+    row = next(r for r in data["sequences"] if 1 in r)
+    row[row.index(1)] = symbol
+    path = tmp_path / "fhs_set.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 4
+    assert "measured" not in out and "error:" in err
+
+
+def test_verify_rejects_fractional_lambda(tmp_path, capsys, b5_record):
+    data = dict(b5_record, **{"lambda": 2.5})
+    path = tmp_path / "fhs_set.json"
+    path.write_text(json.dumps(data))
+    assert run(capsys, "verify", str(path))[0] == 4
+
+
+def test_negative_budget_is_input_error(tmp_path, capsys, b5_record):
+    path = tmp_path / "fhs_set.json"
+    path.write_text(json.dumps(b5_record))
+    code, _, err = run(capsys, "verify", str(path), "--budget", "-1")
+    assert code == 4 and "--budget" in err
+    code, _, err = run(capsys, "build", "--family", "B", "--q", "5", "--budget", "-1",
+                       "--out", str(tmp_path / "b"))
+    assert code == 4 and "--budget" in err
+    assert not (tmp_path / "b").exists()
+
+
+def test_nonpositive_samples_is_input_error(tmp_path, capsys, b5_record):
+    path = tmp_path / "fhs_set.json"
+    path.write_text(json.dumps(b5_record))
+    code, _, err = run(capsys, "verify", str(path), "--budget", "10", "--sampled",
+                       "--samples", "0", "--seed", "1")
+    assert code == 4 and "--samples" in err
+    code, _, err = run(capsys, "build", "--family", "B", "--q", "5", "--samples", "-5",
+                       "--seed", "1", "--out", str(tmp_path / "b"))
+    assert code == 4 and "--samples" in err
+
+
+def test_cosets_nonpositive_length_is_input_error(capsys):
+    code, _, err = run(capsys, "cosets", "--n", "0", "--q", "2")
+    assert code == 4
+    assert "NonPositiveLength" in err
+
+
+def test_bad_cap_env_is_input_error(capsys, monkeypatch):
+    monkeypatch.setenv("FHSFORGE_CAP", "abc")
+    code, _, err = run(capsys, "mindist", "--n", "9", "--q", "8",
+                       "--defining-set", "3,4,5,6")
+    assert code == 4
+    assert "FHSFORGE_CAP" in err

@@ -24,6 +24,7 @@ from fhsforge.errors import (
     DoesNotContainAllOnes,
     EnumerationTooLarge,
     GcdConditionViolated,
+    NonPositiveLength,
     NotCoprime,
     NotCosetClosed,
     ZeroCode,
@@ -66,6 +67,11 @@ def test_cosets_partition_property():
             size = next(j for j in range(1, n + 1) if t * pow(q, j, n) % n == t)
             assert len(c.members) == size
             assert {j * q % n for j in c.members} == set(c.members)
+
+
+def test_cosets_nonpositive_length():
+    with pytest.raises(NonPositiveLength):
+        cyclotomic_cosets(0, 2)
 
 
 def test_cosets_not_coprime():
@@ -270,25 +276,35 @@ def test_representatives_are_least_rotations():
         assert cls.size == len(orbit)
 
 
-def test_least_rotation_paths_agree():
-    rng = random.Random(99)
-
-    def closed_matrix(n, q, count):
-        words = set()
-        for _ in range(count):
-            w = tuple(rng.randrange(q) for _ in range(n))
-            words |= rotations(w)
-        return np.array(sorted(words), dtype=np.uint32)
-
-    # key path (small symbols) and array path (huge symbols) vs brute force
-    for q in (8, 1 << 16):
-        mat = closed_matrix(6, q, 12)
-        reps, sizes = _least_rotation_partition(mat, q)
+def test_least_rotation_partition_matches_brute_force():
+    # full words that fit in 62 bits (GF(8) n=9, GF(4) n=5), full words that
+    # do not (GF(64) n=13, GF(512) n=27), and length 1
+    cases = [
+        ((2, 3), 9, [1, 2, 7, 8, 4, 5]),
+        ((2, 2), 5, [0, 1, 4]),
+        ((2, 6), 13, [j for j in range(13) if j not in (1, 12)]),
+        ((2, 9), 27, list(range(1, 27))),
+        ((3, 1), 1, []),
+    ]
+    for (p, m), n, members in cases:
+        code = build_code(n, make_field(p, m), members)
+        mat = codeword_matrix(code)
+        reps, sizes = _least_rotation_partition(mat, code.field.order, code.dimension)
         expected = {}
         for row in map(tuple, mat.tolist()):
             expected[min(rotations(row))] = len(rotations(row))
-        got = {tuple(map(int, r)): int(s) for r, s in zip(reps, sizes)}
-        assert got == expected
+        assert [tuple(r) for r in reps.tolist()] == sorted(expected)
+        assert sizes.tolist() == [expected[r] for r in sorted(expected)]
+        assert reps.dtype == mat.dtype
+
+
+def test_least_rotation_partition_checks_information_sets():
+    # rotation-closed but not linear: the first position does not tell
+    # 000 from 001 and 010, so the width-1 window keys collide
+    words = sorted({(0, 0, 0)} | rotations((0, 0, 1)))
+    mat = np.array(words, dtype=np.uint32)
+    with pytest.raises(AssertionError):
+        _least_rotation_partition(mat, 2, 1)
 
 
 def test_enumeration_cap():

@@ -122,6 +122,14 @@ def test_fhs_set_parse_errors():
         lambda d: d.update(N=5),
         lambda d: d.update(sequences=[[0, 1, 1]]),
         lambda d: d.update(sequences=[[0, 9]]),
+        lambda d: d.update(sequences=[[0, 1.0]]),
+        lambda d: d.update(sequences=[[0, -1]]),
+        lambda d: d.update(sequences=[[0, True]]),
+        lambda d: d.update(sequences=[[0, "1"]]),
+        lambda d: d.update(sequences=[[0, 2**70]]),
+        lambda d: d.update(sequences=[0, 1]),
+        lambda d: d.update(ell=2.9),
+        lambda d: d.update({"lambda": 1.5}),
     ):
         data = {k: (v.copy() if isinstance(v, (dict, list)) else v) for k, v in good.items()}
         mutate(data)
