@@ -34,7 +34,6 @@ from .fhs import (
     DEFAULT_CORRELATION_BUDGET,
     FhsSet,
     max_nontrivial,
-    nominal_comparisons,
     sampled_correlation_bound,
 )
 from .galois import field_from_order
@@ -279,18 +278,16 @@ def cmd_verify(args) -> int:
         raise ParseError("stored record has no lambda to verify against")
     try:
         survey = max_nontrivial(fset, budget=budget)
-    except BudgetExceeded:
+    except BudgetExceeded as exc:
         if not args.sampled:
-            print(
-                f"nominal comparisons {nominal_comparisons(fset)} exceed budget "
-                f"{args.budget}; re-run with --sampled --samples --seed or a "
-                "higher --budget"
-            )
+            print(f"{exc}; re-run with --sampled --samples --seed or a higher --budget")
             return EXIT_BUDGET
         if args.seed is None:
             raise ParseError("--sampled requires --seed")
         survey = sampled_correlation_bound(fset, args.samples, args.seed)
     print(f"stored lambda = {stored}; measured ({survey.method}) = {survey.value}")
+    i, j, t = survey.witness
+    print(f"witness: correlation(sequences[{i}], sequences[{j}], {t}) = {survey.value}")
     if survey.method == "exhaustive":
         return EXIT_OK if survey.value == stored else EXIT_MISMATCH
     if survey.value > stored:

@@ -326,6 +326,8 @@ def codeword_matrix(code: CyclicCode, cap: int = ENUMERATION_CAP) -> np.ndarray:
     if total > cap:
         raise EnumerationTooLarge(f"{total} codewords exceed the cap {cap}")
     mat = np.zeros((1, n), dtype=np.uint32)
+    if k == 0:  # the zero code: g = x^n - 1 has n + 1 coefficients
+        return mat
     g = np.zeros(n, dtype=np.uint32)
     g[: len(code.generator.coeffs)] = code.generator.coeffs
     for i in range(k):

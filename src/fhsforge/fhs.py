@@ -3,19 +3,22 @@
 The periodic Hamming correlation of X and Y at shift t counts the positions
 where X agrees with the t-rotated Y.  The figure of merit of an N-sequence
 set is the maximum over all auto-correlations at t != 0 and all
-cross-correlations at every shift.  The exhaustive sweep here buckets the
-(position, symbol) incidences into sparse matrices, one per shift, so the
-full pairwise maximum is exact while running far below the nominal
-N^2 * n^2 symbol-comparison count.
+cross-correlations at every shift.  The exact certificate here rests on
+the pigeonhole argument behind the FHS Singleton bound: M(F) >= L exactly
+when two distinct rotations of the set's sequences agree on some L
+positions, and since the rotations are closed under rotation, on some L
+positions that include position 0.  Testing the C(n-1, L-1) such position
+sets for a key collision decides M(F) >= L, and a walk over L that jumps
+past each colliding pair's exact correlation ends at M(F).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .cyclic import (
     CyclicCode,
@@ -160,11 +163,14 @@ class FhsSet:
 
 @dataclass(frozen=True)
 class CorrelationSurvey:
-    """Outcome of a correlation sweep over an FHS set."""
+    """Outcome of a correlation sweep over an FHS set.
+
+    `witness` is a probe (i, j, t), never the trivial (i, i, 0), with
+    correlation(seqs[i], seqs[j], t) == value.
+    """
 
     value: int
-    max_auto: int
-    max_cross: int
+    witness: tuple[int, int, int]
     method: str  # "exhaustive" or "sampled"
     nominal_comparisons: int
     samples: int | None = None
@@ -175,51 +181,111 @@ def nominal_comparisons(fset: FhsSet) -> int:
     return fset.size * fset.size * fset.n * fset.n
 
 
-def _incidence(seqs: np.ndarray, ell: int) -> sparse.csr_matrix:
-    count, n = seqs.shape
-    rows = np.repeat(np.arange(count), n)
-    cols = (np.arange(n, dtype=np.int64) * ell + seqs).ravel()
-    data = np.ones(count * n, dtype=np.int32)
-    return sparse.csr_matrix((data, (rows, cols)), shape=(count, n * ell))
+# Keys stay below this: a partial key is re-ranked before a multiply that
+# could pass it.  A re-ranked key is below N * n, and symbols are below
+# 2^32, so the bound holds for any set with N * n <= 2^30.
+_KEY_LIMIT = 1 << 62
+
+
+def _repeat(key: np.ndarray, span: int) -> tuple[int, int] | None:
+    """Two flat indices of `key` (values in 0..span-1) holding the same
+    value, or None when all values are distinct."""
+    flat = key.ravel()
+    if span <= max(4 * flat.size, 1 << 20):
+        counts = np.bincount(flat)
+        value = int(counts.argmax())
+        if counts[value] < 2:
+            return None
+        first, second = np.flatnonzero(flat == value)[:2]
+        return int(first), int(second)
+    order = np.argsort(flat, kind="stable")
+    ranked = flat[order]
+    equal = np.flatnonzero(ranked[1:] == ranked[:-1])
+    if equal.size == 0:
+        return None
+    return int(order[equal[0]]), int(order[equal[0] + 1])
+
+
+def _collision(seqs: np.ndarray, size: int) -> tuple[int, int, int] | None:
+    """A probe (i, j, t), not the trivial (i, i, 0), with
+    correlation(seqs[i], seqs[j], t) >= size, or None when there is none.
+
+    Rotation s of row i is table[i, s:s + n].  For every set P of `size`
+    positions that contains 0, each rotation is keyed by its symbols at P,
+    so two equal keys are two distinct rotations that agree on P.  The
+    sets are walked depth first, so each prefix's partial key is built once.
+    """
+    n = seqs.shape[1]
+    table = np.concatenate([seqs, seqs], axis=1).astype(np.int64)
+    base = int(table.max()) + 1
+
+    def search(key, span, start, depth):
+        if depth == size:
+            return _repeat(key, span)
+        if span * base > _KEY_LIMIT:
+            values, inverse = np.unique(key.ravel(), return_inverse=True)
+            key, span = inverse.reshape(key.shape), len(values)
+        for p in range(start, n - size + depth + 1):
+            hit = search(key * base + table[:, p:p + n], span * base, p + 1, depth + 1)
+            if hit is not None:
+                return hit
+        return None
+
+    hit = search(table[:, :n], base, 1, 1)
+    if hit is None:
+        return None
+    (i, s), (j, s2) = divmod(hit[0], n), divmod(hit[1], n)
+    return i, j, (s2 - s) % n
 
 
 def max_nontrivial(
     fset: FhsSet, budget: int | None = DEFAULT_CORRELATION_BUDGET
 ) -> CorrelationSurvey:
-    """Exact M(F) over all sequence pairs and shifts.
+    """Exact M(F) over all sequence pairs and shifts, with a witness.
 
     The trivial in-phase auto-correlation (t = 0 of a sequence with itself)
-    is excluded.  Refuses with BudgetExceeded when the nominal comparison
-    count overruns the budget; pass budget=None to force the sweep.
+    is excluded.  The walk tests L = 1, 2, ... for two rotations that agree
+    on L positions.  A colliding pair's exact correlation c >= L is a lower
+    bound on M(F), so the walk jumps to L = c + 1; the first L without a
+    collision proves M(F) = c.  The test at L keys C(n-1, L-1) * N * n
+    rotations, so the walk costs about C(n-1, M(F)) * N * n in all.
+
+    Refuses with BudgetExceeded when the nominal N^2 * n^2 comparison count
+    overruns the budget, and before any test that would take the rotations
+    keyed so far past it; pass budget=None to force the certificate.
     """
     count, n = fset.size, fset.n
     if count == 1 and n < 2:
         raise EmptySet("a single length-1 sequence has no nontrivial correlation")
     nominal = nominal_comparisons(fset)
     if budget is not None and nominal > budget:
-        raise BudgetExceeded(
-            f"nominal comparisons {nominal} exceed budget {budget}; "
-            "raise the budget or use sampled verification"
-        )
-    left = _incidence(fset.seqs, fset.alphabet_size)
-    max_auto = 0
-    max_cross = 0
-    for t in range(n):
-        shifted = np.roll(fset.seqs, -t, axis=1)
-        right = _incidence(shifted, fset.alphabet_size)
-        prod = (left @ right.T).tocoo()
-        if prod.nnz == 0:
-            continue
-        diag = prod.row == prod.col
-        if t > 0 and diag.any():
-            max_auto = max(max_auto, int(prod.data[diag].max()))
-        off = ~diag
-        if off.any():
-            max_cross = max(max_cross, int(prod.data[off].max()))
+        raise BudgetExceeded(f"nominal comparisons {nominal} exceed budget {budget}")
+    seqs = fset.seqs
+    # With no collision at L = 1 every correlation is 0, this probe's too.
+    value, witness = 0, ((0, 1, 0) if count > 1 else (0, 0, 1))
+    keyed = 0
+    size = 1
+    while size <= n:
+        keyed += math.comb(n - 1, size - 1) * count * n
+        if budget is not None and keyed > budget:
+            raise BudgetExceeded(
+                f"collision tests up to L = {size} key {keyed} rotations, "
+                f"which exceed budget {budget}"
+            )
+        hit = _collision(seqs, size)
+        if hit is None:
+            break
+        i, j, t = hit
+        value = correlation(seqs[i].tolist(), seqs[j].tolist(), t)
+        if value < size:
+            raise AssertionError(
+                f"rotations collide on {size} positions but "
+                f"correlation(sequences[{i}], sequences[{j}], {t}) = {value}"
+            )
+        witness, size = hit, value + 1
     return CorrelationSurvey(
-        value=max(max_auto, max_cross),
-        max_auto=max_auto,
-        max_cross=max_cross,
+        value=value,
+        witness=witness,
         method="exhaustive",
         nominal_comparisons=nominal,
     )
@@ -236,8 +302,7 @@ def sampled_correlation_bound(
     if count == 1 and n < 2:
         raise EmptySet("a single length-1 sequence has no nontrivial correlation")
     rng = np.random.default_rng(seed)
-    best_auto = 0
-    best_cross = 0
+    best, witness = -1, None
     remaining = samples
     chunk = 1 << 16
     cols = np.arange(n, dtype=np.int64)
@@ -256,15 +321,13 @@ def sampled_correlation_bound(
         a = fset.seqs[ia]
         b = fset.seqs[ib[:, None], (cols[None, :] + ts[:, None]) % n]
         corr = (a == b).sum(axis=1)
-        auto = ia == ib
-        if auto.any():
-            best_auto = max(best_auto, int(corr[auto].max()))
-        if (~auto).any():
-            best_cross = max(best_cross, int(corr[~auto].max()))
+        top = int(corr.argmax())
+        if corr[top] > best:
+            best = int(corr[top])
+            witness = (int(ia[top]), int(ib[top]), int(ts[top]))
     return CorrelationSurvey(
-        value=max(best_auto, best_cross),
-        max_auto=best_auto,
-        max_cross=best_cross,
+        value=best,
+        witness=witness,
         method="sampled",
         nominal_comparisons=nominal_comparisons(fset),
         samples=samples,

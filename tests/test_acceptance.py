@@ -123,14 +123,22 @@ def test_criterion_6_family_c():
         assert big.survey.method == "exhaustive" and big.survey.value == 1
         assert big.report.meets_singleton and big.report.meets_peng_fan
 
-        # k = 1: class count and Singleton arithmetic exact; the pairwise
-        # sweep is out of desk scale, so correlation is sampled
+        # k = 1: class count and Singleton arithmetic exact; 95325^2 * 121
+        # nominal comparisons are beyond the default budget, so the build
+        # samples correlation
         sampled = family_c(32, 11, 1, samples=10**6, seed=20240901)
         assert sampled.claimed_N == 95325
         assert sampled.checks["class_count"] is True
         assert sampled.report.meets_singleton
         assert sampled.survey.method == "sampled"
         assert sampled.survey.value <= 3
+        # with the budget lifted, the collision certificate is exact
+        exact = max_nontrivial(sampled.fhs, budget=None)
+        assert exact.method == "exhaustive" and exact.value == 3
+        i, j, t = exact.witness
+        seqs = sampled.fhs.seqs
+        assert (i, t) != (j, 0)
+        assert correlation(seqs[i].tolist(), seqs[j].tolist(), t) == 3
 
 
 def test_criterion_7_orbit_predicate_oracle_equivalence():

@@ -1,10 +1,12 @@
 import json
+import re
 import subprocess
 import sys
 
 import pytest
 
 from fhsforge.cli import main
+from fhsforge.fhs import correlation
 
 
 def run(capsys, *argv):
@@ -200,6 +202,15 @@ def test_console_entry_point():
     assert "C_3 = {3, 6}" in proc.stdout
 
 
+def test_cli_does_not_import_scipy():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, fhsforge.cli; print('scipy' in sys.modules)"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == "False"
+
+
 @pytest.fixture(scope="module")
 def b5_record(tmp_path_factory):
     out_dir = tmp_path_factory.mktemp("b5")
@@ -262,3 +273,29 @@ def test_bad_cap_env_is_input_error(capsys, monkeypatch):
                        "--defining-set", "3,4,5,6")
     assert code == 4
     assert "FHSFORGE_CAP" in err
+
+
+def test_verify_prints_witness(tmp_path, capsys, b5_record):
+    path = tmp_path / "fhs_set.json"
+    path.write_text(json.dumps(b5_record))
+    code, out, _ = run(capsys, "verify", str(path))
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "stored lambda = 2; measured (exhaustive) = 2"
+    match = re.fullmatch(
+        r"witness: correlation\(sequences\[(\d+)\], sequences\[(\d+)\], (\d+)\) = 2",
+        lines[1])
+    i, j, t = map(int, match.groups())
+    seqs = b5_record["sequences"]
+    assert (i, t) != (j, 0) and correlation(seqs[i], seqs[j], t) == 2
+
+
+def test_verify_large_m_exits_on_budget(tmp_path, capsys):
+    # lambda = 20 of n = 40: refused before the test at L = 21, not run for hours
+    record = {"n": 40, "ell": 60, "N": 2, "lambda": 20,
+              "sequences": [list(range(40)), list(range(40, 60)) + list(range(20, 40))]}
+    path = tmp_path / "fhs_set.json"
+    path.write_text(json.dumps(record))
+    code, out, _ = run(capsys, "verify", str(path))
+    assert code == 3
+    assert "exceed budget" in out

@@ -307,6 +307,13 @@ def test_least_rotation_partition_checks_information_sets():
         _least_rotation_partition(mat, 2, 1)
 
 
+def test_zero_code_is_one_orbit_of_size_one():
+    code = build_code(5, make_field(2, 2), range(5))
+    assert code.dimension == 0
+    reps, sizes = class_partition(code)
+    assert reps.tolist() == [[0] * 5] and sizes.tolist() == [1]
+
+
 def test_enumeration_cap():
     F8 = make_field(2, 3)
     code = build_code(9, F8, [3, 6])

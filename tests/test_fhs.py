@@ -15,6 +15,7 @@ from fhsforge.errors import (
 )
 from fhsforge.fhs import (
     FhsSet,
+    _collision,
     auto_peak,
     classes_to_fhs,
     correlation,
@@ -191,6 +192,63 @@ def test_sampled_bound_is_deterministic_and_sound():
     assert s1.value <= exact
     # dense sampling of a tiny set finds the true maximum
     assert sampled_correlation_bound(fset, 50_000, seed=11).value == exact
+
+
+# -- collision certificate ------------------------------------------------------
+
+
+def oracle_sets(rng):
+    """Random sets; sets holding two rotations of one row (M = n); length-1
+    sets (M = 0); and sets whose symbols come near 2^32, so that keys would
+    pass 2^62 and the re-rank and sort path runs."""
+    for _ in range(120):
+        yield random_set(rng, rng.randrange(1, 7), rng.randrange(3, 8), rng.randrange(2, 5))
+    for _ in range(40):
+        n = rng.randrange(2, 8)
+        row = [rng.randrange(3) for _ in range(n)]
+        t = rng.randrange(1, n)
+        rows = {tuple(row), tuple(row[t:] + row[:t])}
+        rows |= set(random_set(rng, rng.randrange(1, 4), n, 3).sequences())
+        yield FhsSet(sorted(rows), 3)
+    for _ in range(20):
+        count = rng.randrange(2, 6)
+        yield random_set(rng, count, 1, count + rng.randrange(3))
+    ell = 2**32 - 5
+    for _ in range(40):
+        palette = [ell - 1] + [rng.randrange(ell) for _ in range(2)]
+        count, n = rng.randrange(1, 6), rng.randrange(2, 8)
+        rows = {tuple(rng.choice(palette) for _ in range(n)) for _ in range(count)}
+        yield FhsSet(sorted(rows), ell)
+
+
+def test_collision_test_decides_m_at_least_l():
+    rng = random.Random(44)
+    for fset in oracle_sets(rng):
+        rows = fset.sequences()
+        m = scalar_max_nontrivial(rows)
+        for size in range(1, fset.n + 2):
+            hit = _collision(fset.seqs, size)
+            assert (hit is not None) == (m >= size)
+            if hit is not None:
+                i, j, t = hit
+                assert (i, t) != (j, 0)
+                assert correlation(rows[i], rows[j], t) >= size
+        exact = max_nontrivial(fset, budget=None)
+        sampled = sampled_correlation_bound(fset, 50, seed=5)
+        assert exact.value == m and sampled.value <= m
+        for survey in (exact, sampled):
+            i, j, t = survey.witness
+            assert (i, t) != (j, 0)
+            assert correlation(rows[i], rows[j], t) == survey.value
+
+
+def test_walk_budget_refuses_large_m():
+    # two sequences that agree on 20 of 40 positions: the nominal count is
+    # small, but the test at L = 21 would key C(39, 20) * 80 rotations
+    fset = FhsSet([list(range(40)), list(range(40, 60)) + list(range(20, 40))], 60)
+    assert nominal_comparisons(fset) == 6400
+    with pytest.raises(BudgetExceeded, match="L = 21"):
+        max_nontrivial(fset)
 
 
 # -- orbit conversion ---------------------------------------------------------------
