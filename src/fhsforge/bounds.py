@@ -9,15 +9,17 @@ bounds on the maximum nontrivial Hamming correlation are
 and their ceilings coincide whenever nN >= ell.  Writing nN = I*ell + J,
 the exact difference is PF2 - PF1 = (ell - J)*J / ((nN - 1) * ell * N);
 cross-multiplied by the common denominator this is a pure integer identity,
-which is what the sweep checks.  The Singleton and sphere-packing bounds cap
-the set size N from above.  No floating point anywhere in this module.
+which is what the sweep checks, in int64 numpy tiles.  The Singleton and
+sphere-packing bounds cap the set size N from above.  No floating point
+anywhere in this module.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import comb
+
+import numpy as np
 
 from .errors import DegenerateParameters, InconsistentParameters, PreconditionViolated
 
@@ -161,52 +163,62 @@ class PfSweepReport:
         }
 
 
-def _sweep_chunk(args) -> tuple[int, list[tuple]]:
-    n_lo, n_hi, count_max, ell_max = args
-    checked = 0
-    bad = []
-    for n in range(n_lo, n_hi):
-        for count in range(1, count_max + 1):
-            nn = n * count
-            if nn < 2:
-                continue
-            top = min(ell_max, nn)
-            for ell in range(1, top + 1):
-                big_i, j = divmod(nn, ell)
-                a1 = (nn - ell) * n
-                b1 = (nn - 1) * ell
-                a2 = 2 * big_i * nn - (big_i + 1) * big_i * ell
-                b2 = (nn - 1) * count
-                checked += 1
-                # equal ceilings; exact difference and sign, cross-multiplied
-                # by the common denominator (nN-1)*ell*N
-                if (
-                    -(-a1 // b1) != -(-a2 // b2)
-                    or a2 * ell - a1 * count != (ell - j) * j
-                    or a2 * ell < a1 * count
-                ):
-                    bad.append((n, count, ell, -(-a1 // b1), -(-a2 // b2)))
-    return checked, bad
+# Cells per numpy tile of the sweep: a few MiB of int64 temporaries.
+_SWEEP_TILE = 1 << 16
+# With nN <= 2^30, every product in the sweep stays below 2^62.
+_SWEEP_MAX_NN = 1 << 30
 
 
-def pf_identity_sweep(
-    n_max: int, count_max: int, ell_max: int, threads: int = 1
-) -> PfSweepReport:
+def _sweep_tile(n: int, count, ell) -> tuple[int, list[tuple]]:
+    """Check the triples (n, N, ell) of one tile: N a column, ell a row.
+    numpy's // floors like Python's, so this is the scalar check."""
+    nn = n * count
+    big_i = nn // ell
+    j = nn - big_i * ell
+    a1 = (nn - ell) * n
+    b1 = (nn - 1) * ell
+    a2 = 2 * big_i * nn - (big_i + 1) * big_i * ell
+    b2 = (nn - 1) * count
+    c1 = -(-a1 // b1)
+    c2 = -(-a2 // b2)
+    # equal ceilings; exact difference and sign, cross-multiplied by the
+    # common denominator (nN-1)*ell*N
+    diff = a2 * ell - a1 * count
+    wrong = (c1 != c2) | (diff != (ell - j) * j) | (diff < 0)
+    inside = ell <= nn
+    bad = [
+        (n, int(count[r, 0]), int(ell[0, c]), int(c1[r, c]), int(c2[r, c]))
+        for r, c in zip(*np.nonzero(wrong & inside))
+    ]
+    return int(inside.sum()), bad
+
+
+def pf_identity_sweep(n_max: int, count_max: int, ell_max: int) -> PfSweepReport:
     """Check both Peng-Fan assertions on every grid triple with nN >= max(ell, 2):
-    the two ceilings agree, and the difference identity holds exactly."""
+    the two ceilings agree, and the difference identity holds exactly.
+
+    Each n is one int64 numpy pass over its (N, ell) slab, tiled when the
+    slab passes _SWEEP_TILE cells.  Grids with n_max * N_max > 2^30, whose
+    products could pass 2^62, are refused."""
     if n_max < 1 or count_max < 1 or ell_max < 1:
         raise DegenerateParameters("grid limits must be positive")
-    # pool spawn costs dwarf small grids; stay sequential below ~10^5 cells
-    if threads > 1 and n_max > 1 and n_max * count_max * ell_max >= 100_000:
-        step = max(1, n_max // (4 * threads))
-        chunks = [
-            (lo, min(lo + step, n_max + 1), count_max, ell_max)
-            for lo in range(1, n_max + 1, step)
-        ]
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_sweep_chunk, chunks))
-    else:
-        results = [_sweep_chunk((1, n_max + 1, count_max, ell_max))]
-    checked = sum(r[0] for r in results)
-    bad = sorted(c for r in results for c in r[1])
-    return PfSweepReport(n_max, count_max, ell_max, checked, tuple(bad))
+    if n_max * count_max > _SWEEP_MAX_NN:
+        raise DegenerateParameters(
+            f"n_max * N_max = {n_max * count_max} exceeds 2^30: "
+            f"products could overflow int64"
+        )
+    checked = 0
+    bad = []
+    for n in range(1, n_max + 1):
+        cols = min(ell_max, n * count_max, _SWEEP_TILE)
+        rows = _SWEEP_TILE // cols
+        for lo in range(-(-2 // n), count_max + 1, rows):  # from nN >= 2
+            hi = min(lo + rows, count_max + 1)
+            count = np.arange(lo, hi, dtype=np.int64)[:, None]
+            top = min(ell_max, n * (hi - 1))
+            for start in range(1, top + 1, cols):
+                ell = np.arange(start, min(start + cols, top + 1), dtype=np.int64)
+                tile_checked, tile_bad = _sweep_tile(n, count, ell[None, :])
+                checked += tile_checked
+                bad += tile_bad
+    return PfSweepReport(n_max, count_max, ell_max, checked, tuple(sorted(bad)))

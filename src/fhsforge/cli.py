@@ -2,9 +2,8 @@
 
 Subcommands: cosets, factor, code, mindist, build, verify, bounds,
 pf-identity.  Exit codes: 0 verified/optimal, 2 verified-but-claim-mismatch,
-3 budget-limited (parameters-only or sampled), 4 input error.  The
-enumeration cap honors the FHSFORGE_CAP environment variable; all sampled
-verification requires an explicit --seed.
+3 over budget or parameters-only, 4 input error, usage errors included.
+The enumeration cap honors the FHSFORGE_CAP environment variable.
 """
 
 from __future__ import annotations
@@ -30,12 +29,7 @@ from .cyclic import (
     min_distance_exhaustive,
 )
 from .errors import BudgetExceeded, FhsForgeError, ParseError
-from .fhs import (
-    DEFAULT_CORRELATION_BUDGET,
-    FhsSet,
-    max_nontrivial,
-    sampled_correlation_bound,
-)
+from .fhs import DEFAULT_CORRELATION_BUDGET, FhsSet, max_nontrivial
 from .galois import field_from_order
 
 EXIT_OK = 0
@@ -175,7 +169,7 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_pf_identity(args) -> int:
-    report = pf_identity_sweep(args.n_max, args.N_max, args.l_max, threads=args.threads)
+    report = pf_identity_sweep(args.n_max, args.N_max, args.l_max)
     print(_dump(report.to_json_dict()), end="")
     return EXIT_OK if report.ok else EXIT_MISMATCH
 
@@ -184,17 +178,7 @@ def cmd_build(args) -> int:
     start = time.monotonic()
     cap = _enum_cap(args)
     budget = _budget(args)
-    if args.samples is not None and args.seed is None:
-        raise ParseError("--samples requires --seed")
-    if args.samples is not None and args.samples < 1:
-        raise ParseError(f"--samples must be >= 1, got {args.samples}")
-    kwargs = dict(
-        params_only=args.params_only,
-        enum_cap=cap,
-        budget=budget,
-        samples=args.samples,
-        seed=args.seed,
-    )
+    kwargs = dict(params_only=args.params_only, enum_cap=cap, budget=budget)
     if args.family == "A":
         if args.m is None or args.k is None:
             raise ParseError("family A needs --m and --k")
@@ -234,7 +218,6 @@ def cmd_build(args) -> int:
         "command": "build",
         "params": build.params.export_dict(),
         "caps": {"enumeration_cap": cap, "correlation_budget": budget},
-        "seed": args.seed,
         "version": __version__,
         "wall_clock_s": round(time.monotonic() - start, 3),
         "outputs": digests,
@@ -254,11 +237,8 @@ def cmd_build(args) -> int:
         print("parameters-only (enumeration beyond cap)")
         return EXIT_BUDGET
     if build.fhs is not None and build.survey is None:
-        print("correlation not verified (over budget; raise --budget or pass "
-              "--samples with --seed)")
-        return EXIT_BUDGET
-    if build.survey is not None and build.survey.method == "sampled":
-        print("correlation verified by sampling only")
+        print("correlation not verified (over budget; raise --budget, "
+              "or lift it with --budget 0)")
         return EXIT_BUDGET
     print("verified")
     return EXIT_OK
@@ -266,8 +246,6 @@ def cmd_build(args) -> int:
 
 def cmd_verify(args) -> int:
     budget = _budget(args)
-    if args.samples < 1:
-        raise ParseError(f"--samples must be >= 1, got {args.samples}")
     try:
         data = json.loads(Path(args.path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
@@ -279,20 +257,12 @@ def cmd_verify(args) -> int:
     try:
         survey = max_nontrivial(fset, budget=budget)
     except BudgetExceeded as exc:
-        if not args.sampled:
-            print(f"{exc}; re-run with --sampled --samples --seed or a higher --budget")
-            return EXIT_BUDGET
-        if args.seed is None:
-            raise ParseError("--sampled requires --seed")
-        survey = sampled_correlation_bound(fset, args.samples, args.seed)
+        print(f"correlation not verified: {exc}")
+        return EXIT_BUDGET
     print(f"stored lambda = {stored}; measured ({survey.method}) = {survey.value}")
     i, j, t = survey.witness
     print(f"witness: correlation(sequences[{i}], sequences[{j}], {t}) = {survey.value}")
-    if survey.method == "exhaustive":
-        return EXIT_OK if survey.value == stored else EXIT_MISMATCH
-    if survey.value > stored:
-        return EXIT_MISMATCH
-    return EXIT_BUDGET
+    return EXIT_OK if survey.value == stored else EXIT_MISMATCH
 
 
 def _add_code_args(sub):
@@ -305,8 +275,16 @@ def _add_code_args(sub):
     sub.add_argument("--json", action="store_true")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ParseError (exit 4) instead of exiting with 2,
+    which means a claim mismatch here."""
+
+    def error(self, message):
+        raise ParseError(f"{self.prog}: {message}")
+
+
 def make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fhsforge",
         description="Optimal frequency-hopping sequence sets from MDS cyclic "
                     "codes, with exact bound verification.",
@@ -346,16 +324,11 @@ def make_parser() -> argparse.ArgumentParser:
     s.add_argument("--csv", action="store_true")
     s.add_argument("--cap", type=int, default=None)
     s.add_argument("--budget", type=int, default=DEFAULT_CORRELATION_BUDGET)
-    s.add_argument("--samples", type=int, default=None)
-    s.add_argument("--seed", type=int, default=None)
     s.set_defaults(func=cmd_build)
 
     s = subs.add_parser("verify", help="re-measure M(F) of an exported set")
     s.add_argument("path")
     s.add_argument("--budget", type=int, default=DEFAULT_CORRELATION_BUDGET)
-    s.add_argument("--sampled", action="store_true")
-    s.add_argument("--samples", type=int, default=10**6)
-    s.add_argument("--seed", type=int, default=None)
     s.set_defaults(func=cmd_verify)
 
     s = subs.add_parser("bounds", help="bound report for raw (n, N, ell, lambda)")
@@ -369,16 +342,14 @@ def make_parser() -> argparse.ArgumentParser:
     s.add_argument("--n-max", type=int, default=40)
     s.add_argument("--N-max", type=int, default=200)
     s.add_argument("--l-max", type=int, default=60)
-    s.add_argument("--threads", type=int, default=os.cpu_count() or 1)
     s.set_defaults(func=cmd_pf_identity)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
     try:
+        args = make_parser().parse_args(argv)
         return args.func(args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -15,8 +15,9 @@ MDS code all of whose nonzero orbits are full, hence an
 when k = 0).
 
 Builders verify whatever fits the enumeration cap and correlation budget:
-orbit counts and sizes exactly, then the correlation sweep (exhaustive when
-affordable, else optionally sampled with a mandatory seed).
+orbit counts and sizes exactly, then the exact correlation certificate.
+Every builder refuses a field order above the table cap before any
+factoring, so a huge q fails at once instead of trial-dividing for ever.
 """
 
 from __future__ import annotations
@@ -46,9 +47,8 @@ from .fhs import (
     FhsSet,
     classes_to_fhs,
     max_nontrivial,
-    sampled_correlation_bound,
 )
-from .galois import field_from_order, make_field
+from .galois import check_field_order, field_from_order, make_field
 from .intmath import is_prime, is_prime_power, smallest_prime_factor
 
 
@@ -132,8 +132,6 @@ def _materialize(
     params_only: bool,
     enum_cap: int,
     budget: int | None,
-    samples: int | None,
-    seed: int | None,
 ) -> FamilyBuild:
     code = build.code
     n, q = code.n, code.field.order
@@ -158,12 +156,6 @@ def _materialize(
             lambda_source = "exhaustive"
             build.fhs.max_correlation = build.survey.value
         except BudgetExceeded:
-            if samples and seed is not None:
-                build.survey = sampled_correlation_bound(build.fhs, samples, seed)
-                build.checks["sampled_within_lambda"] = (
-                    build.survey.value <= build.claimed_lambda
-                )
-                lambda_source = "sampled"
             build.fhs.max_correlation = build.claimed_lambda
     else:
         build.checks["class_count"] = None
@@ -180,13 +172,12 @@ def family_a(
     params_only: bool = False,
     enum_cap: int = ENUMERATION_CAP,
     budget: int | None = DEFAULT_CORRELATION_BUDGET,
-    samples: int | None = None,
-    seed: int | None = None,
 ) -> FamilyBuild:
     """(q+1, (q^(2k+1)-q)/(q+1), 2k; q) for q = 2^m, m > 1."""
     if m < 2:
         raise KOutOfRange(f"need m > 1, got {m}")
     q = 1 << m
+    check_field_order(q)
     n = q + 1
     p = smallest_prime_factor(n)
     k_cap = min(p - 1, 1 << (m - 1))
@@ -197,7 +188,7 @@ def family_a(
     build = FamilyBuild(
         params, code, claimed_N=(q ** (2 * k + 1) - q) // n, claimed_lambda=2 * k
     )
-    return _materialize(build, "nonconstant", params_only, enum_cap, budget, samples, seed)
+    return _materialize(build, "nonconstant", params_only, enum_cap, budget)
 
 
 def family_b(
@@ -205,10 +196,9 @@ def family_b(
     params_only: bool = False,
     enum_cap: int = ENUMERATION_CAP,
     budget: int | None = DEFAULT_CORRELATION_BUDGET,
-    samples: int | None = None,
-    seed: int | None = None,
 ) -> FamilyBuild:
     """(q+1, q(q-1), 2; q) for an odd prime power q."""
+    check_field_order(q)
     pe = is_prime_power(q)
     if pe is None or pe[0] == 2:
         raise NotOddPrimePower(f"{q} is not an odd prime power")
@@ -216,7 +206,7 @@ def family_b(
     code = build_code(n, field_from_order(q), range(2, q))
     params = FamilyParams("B", q=q, n=n)
     build = FamilyBuild(params, code, claimed_N=q * (q - 1), claimed_lambda=2)
-    return _materialize(build, "nonconstant", params_only, enum_cap, budget, samples, seed)
+    return _materialize(build, "nonconstant", params_only, enum_cap, budget)
 
 
 def family_c(
@@ -226,10 +216,9 @@ def family_c(
     params_only: bool = False,
     enum_cap: int = ENUMERATION_CAP,
     budget: int | None = DEFAULT_CORRELATION_BUDGET,
-    samples: int | None = None,
-    seed: int | None = None,
 ) -> FamilyBuild:
     """(n, (q^(2k+2)-1)/n, 2k+1; q) for an odd divisor n > 1 of q+1."""
+    check_field_order(q)
     if is_prime_power(q) is None:
         raise NotOddPrimePower(f"{q} is not a prime power")
     if n <= 1 or n % 2 == 0 or (q + 1) % n != 0:
@@ -246,7 +235,7 @@ def family_c(
     build = FamilyBuild(
         params, code, claimed_N=(q ** (2 * k + 2) - 1) // n, claimed_lambda=2 * k + 1
     )
-    return _materialize(build, "nonzero", params_only, enum_cap, budget, samples, seed)
+    return _materialize(build, "nonzero", params_only, enum_cap, budget)
 
 
 def family_ding(q: int, m: int) -> FamilyBuild:

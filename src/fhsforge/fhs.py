@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -171,10 +172,8 @@ class CorrelationSurvey:
 
     value: int
     witness: tuple[int, int, int]
-    method: str  # "exhaustive" or "sampled"
+    method: str  # always "exhaustive"
     nominal_comparisons: int
-    samples: int | None = None
-    seed: int | None = None
 
 
 def nominal_comparisons(fset: FhsSet) -> int:
@@ -183,15 +182,23 @@ def nominal_comparisons(fset: FhsSet) -> int:
 
 # Keys stay below this: a partial key is re-ranked before a multiply that
 # could pass it.  A re-ranked key is below N * n, and symbols are below
-# 2^32, so the bound holds for any set with N * n <= 2^30.
+# 2^32, so the bound holds for any set with N * n <= _MAX_ROTATIONS.
 _KEY_LIMIT = 1 << 62
+_MAX_ROTATIONS = 1 << 30
+# _repeat counts keys with bincount up to this range even for few keys.
+_BINCOUNT_FLOOR = 1 << 20
+
+
+def _physical_memory() -> int:
+    """Bytes of physical memory on this machine."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
 def _repeat(key: np.ndarray, span: int) -> tuple[int, int] | None:
     """Two flat indices of `key` (values in 0..span-1) holding the same
     value, or None when all values are distinct."""
     flat = key.ravel()
-    if span <= max(4 * flat.size, 1 << 20):
+    if span <= max(4 * flat.size, _BINCOUNT_FLOOR):
         counts = np.bincount(flat)
         value = int(counts.argmax())
         if counts[value] < 2:
@@ -250,27 +257,38 @@ def max_nontrivial(
     collision proves M(F) = c.  The test at L keys C(n-1, L-1) * N * n
     rotations, so the walk costs about C(n-1, M(F)) * N * n in all.
 
-    Refuses with BudgetExceeded when the nominal N^2 * n^2 comparison count
-    overruns the budget, and before any test that would take the rotations
-    keyed so far past it; pass budget=None to force the certificate.
+    Refuses with BudgetExceeded before any test that would take the
+    rotations keyed so far past the budget; budget=None lifts it.  Under
+    any budget it also refuses a set of more than 2^30 rotations, whose
+    keys could overflow, and a test whose estimated peak, 16 * (L + 1)
+    bytes per rotation plus the bincount floor, exceeds physical memory.
     """
     count, n = fset.size, fset.n
     if count == 1 and n < 2:
         raise EmptySet("a single length-1 sequence has no nontrivial correlation")
-    nominal = nominal_comparisons(fset)
-    if budget is not None and nominal > budget:
-        raise BudgetExceeded(f"nominal comparisons {nominal} exceed budget {budget}")
+    rotations = count * n
+    if rotations > _MAX_ROTATIONS:
+        raise BudgetExceeded(
+            f"{rotations} rotations: more than the 2^30 the collision keys can hold"
+        )
+    memory = _physical_memory()
     seqs = fset.seqs
     # With no collision at L = 1 every correlation is 0, this probe's too.
     value, witness = 0, ((0, 1, 0) if count > 1 else (0, 0, 1))
     keyed = 0
     size = 1
     while size <= n:
-        keyed += math.comb(n - 1, size - 1) * count * n
+        keyed += math.comb(n - 1, size - 1) * rotations
         if budget is not None and keyed > budget:
             raise BudgetExceeded(
                 f"collision tests up to L = {size} key {keyed} rotations, "
                 f"which exceed budget {budget}"
+            )
+        peak = 16 * (size + 1) * rotations + 8 * _BINCOUNT_FLOOR
+        if peak > memory:
+            raise BudgetExceeded(
+                f"the collision test at L = {size} needs about {peak} bytes, "
+                f"more than the {memory} bytes of physical memory"
             )
         hit = _collision(seqs, size)
         if hit is None:
@@ -287,51 +305,7 @@ def max_nontrivial(
         value=value,
         witness=witness,
         method="exhaustive",
-        nominal_comparisons=nominal,
-    )
-
-
-def sampled_correlation_bound(
-    fset: FhsSet, samples: int, seed: int
-) -> CorrelationSurvey:
-    """Seeded random lower bound on M(F): max over `samples` random
-    (sequence, sequence, shift) probes, trivial probes re-rolled."""
-    if samples < 1:
-        raise ValueError("need at least one sample")
-    count, n = fset.size, fset.n
-    if count == 1 and n < 2:
-        raise EmptySet("a single length-1 sequence has no nontrivial correlation")
-    rng = np.random.default_rng(seed)
-    best, witness = -1, None
-    remaining = samples
-    chunk = 1 << 16
-    cols = np.arange(n, dtype=np.int64)
-    while remaining > 0:
-        size = min(chunk, remaining)
-        remaining -= size
-        ia = rng.integers(0, count, size)
-        ib = rng.integers(0, count, size)
-        ts = rng.integers(0, n, size)
-        trivial = (ia == ib) & (ts == 0)
-        if trivial.any():
-            if n > 1:
-                ts[trivial] = rng.integers(1, n, int(trivial.sum()))
-            else:
-                ib[trivial] = (ia[trivial] + 1) % count
-        a = fset.seqs[ia]
-        b = fset.seqs[ib[:, None], (cols[None, :] + ts[:, None]) % n]
-        corr = (a == b).sum(axis=1)
-        top = int(corr.argmax())
-        if corr[top] > best:
-            best = int(corr[top])
-            witness = (int(ia[top]), int(ib[top]), int(ts[top]))
-    return CorrelationSurvey(
-        value=best,
-        witness=witness,
-        method="sampled",
         nominal_comparisons=nominal_comparisons(fset),
-        samples=samples,
-        seed=seed,
     )
 
 

@@ -229,10 +229,18 @@ def make_field(p: int, m: int, cap: int = FIELD_ORDER_CAP) -> FiniteField:
     return _FIELD_CACHE[key]
 
 
+def check_field_order(q: int, cap: int = FIELD_ORDER_CAP) -> None:
+    """Refuse q above the table cap; checked before any factoring of q,
+    which would trial-divide for ever at q near 2^61."""
+    if q > cap:
+        raise FieldTooLarge(f"GF({q}) exceeds the table cap {cap}")
+
+
 def field_from_order(q: int, cap: int = FIELD_ORDER_CAP) -> FiniteField:
     """GF(q) for a prime power q."""
     from .intmath import is_prime_power
 
+    check_field_order(q, cap)
     pe = is_prime_power(q)
     if pe is None:
         raise NonPrimeCharacteristic(f"{q} is not a prime power")

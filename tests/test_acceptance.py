@@ -2,8 +2,8 @@
 
 Run with `pytest tests/test_acceptance.py -v -s`.  Everything here is exact:
 integer/rational arithmetic for the bounds, exhaustive enumeration for orbit
-counts, minimum distances and correlation maxima (sampled verification only
-where the criterion itself declares the full sweep out of desk scale).
+counts and minimum distances, and the collision certificate for correlation
+maxima.
 """
 
 import itertools
@@ -115,28 +115,24 @@ def test_criterion_6_family_c():
         assert small.survey.method == "exhaustive" and small.survey.value == 1
         assert small.report.meets_singleton and small.report.meets_peng_fan
 
-        # 9709^2 * 729 nominal comparisons: beyond the default budget, so the
-        # sweep runs with the budget lifted, still exact
+        # 9709^2 * 729 nominal comparisons, but the certificate keys only
+        # 27 * 262,143 rotations (the tests at L = 1 and 2)
         big = family_c(512, 27, 0, budget=None)
         assert big.fhs.parameter_tuple() == (27, 9709, 1, 512)
         assert big.checks["class_sizes"] is True
         assert big.survey.method == "exhaustive" and big.survey.value == 1
         assert big.report.meets_singleton and big.report.meets_peng_fan
 
-        # k = 1: class count and Singleton arithmetic exact; 95325^2 * 121
-        # nominal comparisons are beyond the default budget, so the build
-        # samples correlation
-        sampled = family_c(32, 11, 1, samples=10**6, seed=20240901)
-        assert sampled.claimed_N == 95325
-        assert sampled.checks["class_count"] is True
-        assert sampled.report.meets_singleton
-        assert sampled.survey.method == "sampled"
-        assert sampled.survey.value <= 3
-        # with the budget lifted, the collision certificate is exact
-        exact = max_nontrivial(sampled.fhs, budget=None)
-        assert exact.method == "exhaustive" and exact.value == 3
-        i, j, t = exact.witness
-        seqs = sampled.fhs.seqs
+        # k = 1: the collision certificate keys about 1.85 * 10^8 rotations,
+        # inside the default budget, so lambda = 3 is exact
+        k1 = family_c(32, 11, 1)
+        assert k1.claimed_N == 95325
+        assert k1.checks["class_count"] is True
+        assert k1.report.meets_singleton
+        assert k1.survey.method == "exhaustive" and k1.survey.value == 3
+        assert k1.checks["lambda_match"] is True
+        i, j, t = k1.survey.witness
+        seqs = k1.fhs.seqs
         assert (i, t) != (j, 0)
         assert correlation(seqs[i].tolist(), seqs[j].tolist(), t) == 3
 

@@ -4,6 +4,7 @@ from math import ceil, comb, floor
 
 import pytest
 
+from fhsforge import bounds
 from fhsforge.bounds import (
     optimality_report,
     peng_fan_1,
@@ -136,10 +137,44 @@ def test_pf_identity_trivial_grid():
     assert report.triples_checked == 0  # nN = 1 < 2 everywhere
 
 
-def test_pf_threads_deterministic():
-    a = pf_identity_sweep(10, 30, 15, threads=1)
-    b = pf_identity_sweep(10, 30, 15, threads=2)
-    assert a == b
+def scalar_pf_sweep(n_max, count_max, ell_max):
+    """Oracle: the triple check in plain Python integers, one triple at a time."""
+    checked = 0
+    bad = []
+    for n in range(1, n_max + 1):
+        for count in range(1, count_max + 1):
+            nn = n * count
+            if nn < 2:
+                continue
+            for ell in range(1, min(ell_max, nn) + 1):
+                big_i, j = divmod(nn, ell)
+                a1 = (nn - ell) * n
+                b1 = (nn - 1) * ell
+                a2 = 2 * big_i * nn - (big_i + 1) * big_i * ell
+                b2 = (nn - 1) * count
+                checked += 1
+                if (
+                    -(-a1 // b1) != -(-a2 // b2)
+                    or a2 * ell - a1 * count != (ell - j) * j
+                    or a2 * ell < a1 * count
+                ):
+                    bad.append((n, count, ell, -(-a1 // b1), -(-a2 // b2)))
+    return checked, tuple(sorted(bad))
+
+
+def test_pf_sweep_matches_scalar_oracle(monkeypatch):
+    # (3, 5, 100) has ell_max > n * N_max; small tiles split both axes
+    for tile in (bounds._SWEEP_TILE, 7, 1):
+        monkeypatch.setattr(bounds, "_SWEEP_TILE", tile)
+        for grid in [(1, 1, 1), (1, 7, 3), (3, 5, 100), (10, 30, 15), (12, 40, 20)]:
+            report = pf_identity_sweep(*grid)
+            want = scalar_pf_sweep(*grid)
+            assert (report.triples_checked, report.counterexamples) == want
+
+
+def test_pf_sweep_refuses_overflowing_grid():
+    with pytest.raises(DegenerateParameters):
+        pf_identity_sweep(1 << 15, (1 << 15) + 1, 1)
 
 
 def test_exact_equality_when_ell_divides():

@@ -142,13 +142,6 @@ def test_verify_budget_and_sampled(tmp_path, capsys):
     code, out, _ = run(capsys, "verify", path, "--budget", "10")
     assert code == 3
     assert "exceed budget" in out
-    code, out, _ = run(capsys, "verify", path, "--budget", "10", "--sampled",
-                       "--samples", "20000", "--seed", "3")
-    assert code == 3  # consistent but not exhaustive
-    assert "sampled" in out
-    code, _, err = run(capsys, "verify", path, "--budget", "10", "--sampled",
-                       "--samples", "100")
-    assert code == 4  # --sampled without --seed
 
 
 def test_build_params_only_exit_code(tmp_path, capsys):
@@ -164,11 +157,25 @@ def test_build_params_only_exit_code(tmp_path, capsys):
 
 
 def test_build_sampled_exit_code(tmp_path, capsys):
-    code, out, _ = run(capsys, "build", "--family", "C", "--q", "32", "--n", "11",
-                       "--k", "1", "--out", str(tmp_path / "c1"),
-                       "--samples", "20000", "--seed", "7")
+    # over budget: N * n = 120 rotations at L = 1
+    out_dir = tmp_path / "b5"
+    code, out, _ = run(capsys, "build", "--family", "B", "--q", "5",
+                       "--budget", "10", "--out", str(out_dir))
     assert code == 3
-    assert "sampling" in out
+    assert "correlation not verified (over budget" in out
+    report = json.loads((out_dir / "bound_report.json").read_text())
+    assert report["lambda_source"] == "claimed"
+
+
+def test_build_c32_k1_exact_at_default_budget(tmp_path, capsys):
+    out_dir = tmp_path / "c1"
+    code, out, _ = run(capsys, "build", "--family", "C", "--q", "32", "--n", "11",
+                       "--k", "1", "--out", str(out_dir))
+    assert code == 0
+    assert "correlation sweep: exhaustive, max = 3" in out.splitlines()
+    code, out, _ = run(capsys, "verify", str(out_dir / "fhs_set.json"))
+    assert code == 0
+    assert "stored lambda = 3; measured (exhaustive) = 3" in out.splitlines()
 
 
 def test_build_ding(tmp_path, capsys):
@@ -250,15 +257,35 @@ def test_negative_budget_is_input_error(tmp_path, capsys, b5_record):
     assert not (tmp_path / "b").exists()
 
 
-def test_nonpositive_samples_is_input_error(tmp_path, capsys, b5_record):
-    path = tmp_path / "fhs_set.json"
-    path.write_text(json.dumps(b5_record))
-    code, _, err = run(capsys, "verify", str(path), "--budget", "10", "--sampled",
-                       "--samples", "0", "--seed", "1")
-    assert code == 4 and "--samples" in err
-    code, _, err = run(capsys, "build", "--family", "B", "--q", "5", "--samples", "-5",
-                       "--seed", "1", "--out", str(tmp_path / "b"))
-    assert code == 4 and "--samples" in err
+@pytest.mark.parametrize("argv", [
+    ["verify", "F", "--sampled"],
+    ["build", "--family", "B", "--q", "5", "--samples", "5", "--seed", "1"],
+    ["pf-identity", "--threads", "2"],
+    ["no-such-command"],
+    ["verify", "F", "--budget", "abc"],
+], ids=["sampled", "samples-seed", "threads", "subcommand", "budget"])
+def test_usage_error_is_input_error(capsys, argv):
+    # exit 2 would read as a claim mismatch
+    code, out, err = run(capsys, *argv)
+    assert code == 4
+    assert "error:" in err and "Traceback" not in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["build", "--family", "A", "--m", "128", "--k", "1", "--params-only"],
+    ["build", "--family", "B", "--q", "2305843009213693951", "--params-only"],
+    ["build", "--family", "C", "--q", "2305843009213693951", "--n", "3", "--k", "0",
+     "--params-only"],
+    ["factor", "--n", "3", "--q", "2305843009213693951"],
+], ids=["family-A", "family-B", "family-C", "factor"])
+def test_field_cap_before_factoring(tmp_path, capsys, argv):
+    # each of these used to trial-divide q (or 2^m + 1) without end
+    if argv[0] == "build":
+        argv = [*argv, "--out", str(tmp_path)]
+    code, _, err = run(capsys, *argv)
+    assert code == 4
+    assert "FieldTooLarge" in err
 
 
 def test_cosets_nonpositive_length_is_input_error(capsys):

@@ -139,13 +139,17 @@ def test_family_c_q8_n9_k0():
     assert build.params.bad_m == 3
 
 
-def test_family_c_sampled_fallback():
-    build = family_c(32, 11, 1, samples=50_000, seed=20240901)
+def test_family_c_over_budget():
+    # the test at L = 1 keys N * n = 1,048,575 rotations, over this budget:
+    # the orbits are still counted, and lambda is the claimed one
+    build = family_c(32, 11, 1, budget=10**6)
     assert build.claimed_N == (32**4 - 1) // 11 == 95325
     assert build.claimed_lambda == 3
     assert build.checks["class_count"] is True
-    assert build.survey.method == "sampled"
-    assert build.checks["sampled_within_lambda"] is True
+    assert build.survey is None
+    assert "lambda_match" not in build.checks
+    assert build.fhs.max_correlation == 3
+    assert build.report.lambda_source == "claimed"
     assert build.report.meets_singleton
 
 

@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from fhsforge import fhs
 from fhsforge.cyclic import build_code, enumerate_classes
 from fhsforge.errors import (
     BudgetExceeded,
@@ -22,7 +23,6 @@ from fhsforge.fhs import (
     cross_peak,
     max_nontrivial,
     nominal_comparisons,
-    sampled_correlation_bound,
 )
 from fhsforge.galois import make_field
 
@@ -176,22 +176,10 @@ def test_rotation_invariance_of_sweep():
 def test_budget_refusal():
     fset = FhsSet([[0, 1, 2, 3], [1, 2, 3, 0], [2, 0, 1, 3]], 4)
     assert nominal_comparisons(fset) == 9 * 16
+    # the test at L = 1 keys N * n = 12 rotations
     with pytest.raises(BudgetExceeded):
-        max_nontrivial(fset, budget=100)
+        max_nontrivial(fset, budget=11)
     assert max_nontrivial(fset, budget=None).value == scalar_max_nontrivial(fset.sequences())
-
-
-def test_sampled_bound_is_deterministic_and_sound():
-    rng = random.Random(43)
-    fset = random_set(rng, 12, 8, 3)
-    exact = max_nontrivial(fset).value
-    s1 = sampled_correlation_bound(fset, 4000, seed=7)
-    s2 = sampled_correlation_bound(fset, 4000, seed=7)
-    assert s1 == s2
-    assert s1.method == "sampled"
-    assert s1.value <= exact
-    # dense sampling of a tiny set finds the true maximum
-    assert sampled_correlation_bound(fset, 50_000, seed=11).value == exact
 
 
 # -- collision certificate ------------------------------------------------------
@@ -234,12 +222,10 @@ def test_collision_test_decides_m_at_least_l():
                 assert (i, t) != (j, 0)
                 assert correlation(rows[i], rows[j], t) >= size
         exact = max_nontrivial(fset, budget=None)
-        sampled = sampled_correlation_bound(fset, 50, seed=5)
-        assert exact.value == m and sampled.value <= m
-        for survey in (exact, sampled):
-            i, j, t = survey.witness
-            assert (i, t) != (j, 0)
-            assert correlation(rows[i], rows[j], t) == survey.value
+        assert exact.value == m and exact.method == "exhaustive"
+        i, j, t = exact.witness
+        assert (i, t) != (j, 0)
+        assert correlation(rows[i], rows[j], t) == exact.value
 
 
 def test_walk_budget_refuses_large_m():
@@ -249,6 +235,30 @@ def test_walk_budget_refuses_large_m():
     assert nominal_comparisons(fset) == 6400
     with pytest.raises(BudgetExceeded, match="L = 21"):
         max_nontrivial(fset)
+
+
+def test_memory_refusal_under_any_budget(monkeypatch):
+    # M = 1, so the walk tests L = 1 and L = 2; the test at L needs an
+    # estimated 16 * (L + 1) bytes per rotation plus the bincount floor
+    fset = FhsSet([[0, 1, 2, 3, 4], [0, 2, 4, 1, 3]], 5)
+    assert max_nontrivial(fset).value == scalar_max_nontrivial(fset.sequences()) == 1
+    need = 16 * 3 * 10 + (8 << 20)
+    monkeypatch.setattr(fhs, "_physical_memory", lambda: need - 1)
+    for budget in (None, 10**10):
+        with pytest.raises(BudgetExceeded, match="L = 2 needs about"):
+            max_nontrivial(fset, budget=budget)
+    monkeypatch.setattr(fhs, "_physical_memory", lambda: need)
+    assert max_nontrivial(fset, budget=None).value == 1
+
+
+def test_rotation_count_refusal_under_any_budget(monkeypatch):
+    # keys could overflow past 2^30 rotations; a smaller limit stands in
+    fset = FhsSet([[0, 1, 2], [1, 1, 0]], 3)
+    monkeypatch.setattr(fhs, "_MAX_ROTATIONS", 5)
+    with pytest.raises(BudgetExceeded, match="6 rotations"):
+        max_nontrivial(fset, budget=None)
+    monkeypatch.setattr(fhs, "_MAX_ROTATIONS", 6)
+    assert max_nontrivial(fset, budget=None).value == scalar_max_nontrivial(fset.sequences())
 
 
 # -- orbit conversion ---------------------------------------------------------------
