@@ -62,7 +62,10 @@ def _dump(obj) -> str:
 
 
 def _write(path: Path, text: str) -> str:
-    path.write_text(text)
+    try:
+        path.write_text(text)
+    except OSError as exc:
+        raise ParseError(f"cannot write {path}: {exc}") from exc
     return hashlib.sha256(text.encode()).hexdigest()
 
 
@@ -197,7 +200,10 @@ def cmd_build(args) -> int:
         build = family_ding(args.q, args.m)
 
     outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ParseError(f"cannot create {outdir}: {exc}") from exc
     digests = {}
     family_json = _dump(build.export_dict())
     digests["family.json"] = _write(outdir / "family.json", family_json)

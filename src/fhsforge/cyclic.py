@@ -263,6 +263,8 @@ def unit_coset_code(q: int, m: int) -> CyclicCode:
     """The [n, n-m, 3] cyclic code of length n = (q^m - 1)/(q - 1) whose
     defining set is the q-cyclotomic coset of 1.  Requires gcd(m, q-1) = 1."""
     field = field_from_order(q)
+    if m < 1:
+        raise NonPositiveLength(f"length (q^m - 1)/(q - 1) needs m >= 1, got {m}")
     if math.gcd(m, q - 1) != 1:
         raise GcdConditionViolated(f"gcd({m}, {q - 1}) != 1")
     n = (q**m - 1) // (q - 1)
@@ -319,21 +321,47 @@ def small_period_witness(code: CyclicCode) -> tuple[int, ...] | None:
     return tuple(coeffs)
 
 
-def codeword_matrix(code: CyclicCode, cap: int = ENUMERATION_CAP) -> np.ndarray:
-    """All q^k codewords as an array of shape (q^k, n), message order."""
-    field, n, k = code.field, code.n, code.dimension
-    total = field.order**k
+def _check_cap(code: CyclicCode, cap: int) -> None:
+    total = code.field.order**code.dimension
     if total > cap:
         raise EnumerationTooLarge(f"{total} codewords exceed the cap {cap}")
-    mat = np.zeros((1, n), dtype=np.uint32)
-    if k == 0:  # the zero code: g = x^n - 1 has n + 1 coefficients
-        return mat
-    g = np.zeros(n, dtype=np.uint32)
+
+
+def _generator_row(code: CyclicCode) -> np.ndarray:
+    g = np.zeros(code.n, dtype=np.uint32)
     g[: len(code.generator.coeffs)] = code.generator.coeffs
-    for i in range(k):
-        row = np.roll(g, i)
-        scaled = np.stack([field.scale_array(row, c) for c in range(field.order)])
-        mat = field.add_arrays(mat[:, None, :], scaled[None, :, :]).reshape(-1, n)
+    return g
+
+
+def _step(field: FiniteField, heads: np.ndarray, tail: np.ndarray) -> np.ndarray:
+    """Every h + w for h a row of `heads` and w a row of `tail`, h most
+    significant in the row order."""
+    if len(tail) == 1 and not tail.any():
+        return heads
+    if field.p == 2:
+        out = heads[:, None, :] ^ tail
+    else:
+        # A tail past the zero word spans at least one generator shift, so
+        # the q^2-entry add table is no larger than q^k <= the cap.
+        if len(tail) < field.order:
+            raise AssertionError(
+                f"tail of {len(tail)} words is shorter than q = {field.order}"
+            )
+        out = field.add_table().ravel()[(heads * field.order)[:, None, :] + tail]
+    return out.reshape(-1, heads.shape[1])
+
+
+def codeword_matrix(code: CyclicCode, cap: int = ENUMERATION_CAP) -> np.ndarray:
+    """All q^k codewords as an array of shape (q^k, n), message order:
+    row sum_i m_i q^(k-1-i) holds sum_i m_i x^i g(x)."""
+    _check_cap(code, cap)
+    mat = np.zeros((1, code.n), dtype=np.uint32)
+    if code.dimension == 0:  # the zero code: g = x^n - 1 has n + 1 coefficients
+        return mat
+    field, g = code.field, _generator_row(code)
+    scalars = np.arange(field.order)
+    for i in reversed(range(code.dimension)):
+        mat = _step(field, field.multiples(np.roll(g, i), scalars), mat)
     return mat
 
 
@@ -356,31 +384,36 @@ def _least_rotation_partition(mat: np.ndarray, q: int, k: int):
     Then every row's full orbit is present in `mat`, so the multiplicity of
     a least rotation equals its orbit size.  Any k cyclically consecutive
     positions of a cyclic code form an information set, so the width-k
-    window key sum_{i<k} c[t+i] q^(k-1-i) orders the rotations exactly as
-    the full words do, and one multiply-add per shift rolls it along.
+    window key sum_{i<k} c[t+i] q^(k-1-i) is a bijection from the codewords
+    onto 0..q^k-1 that orders them as the full words do, and one
+    multiply-add per shift rolls it along.  A least rotation is itself a
+    row, the one whose shift-0 key is the least key of its orbit.
     """
     rows, n = mat.shape
+    total = q**k
     w = max(k, 1)
     qq = np.uint64(q)
     lead = np.uint64(q ** (w - 1))
     key = np.zeros(rows, dtype=np.uint64)
     for i in range(w):
         key = key * qq + mat[:, i]
-    if len(np.unique(key)) != rows:
+    pos = np.full(total, -1, dtype=np.intp)
+    if rows == total and (key < total).all():
+        pos[key] = np.arange(rows)
+    if pos.min() < 0:
         raise AssertionError(
-            f"width-{w} window keys collide: the rows are not the codewords "
-            f"of a cyclic code of dimension {k}"
+            f"width-{w} window keys are not a permutation of 0..{total - 1}: "
+            f"the rows are not the codewords of a cyclic code of dimension {k}"
         )
     best = key.copy()
-    best_t = np.zeros(rows, dtype=np.intp)
     for t in range(1, n):
-        key = (key - mat[:, t - 1] * lead) * qq + mat[:, (t + w - 1) % n]
-        less = key < best
-        best[less] = key[less]
-        best_t[less] = t
-    _, first, sizes = np.unique(best, return_index=True, return_counts=True)
-    shifts = (best_t[first, None] + np.arange(n)) % n
-    return mat[first[:, None], shifts], sizes
+        key -= mat[:, t - 1] * lead
+        key *= qq
+        key += mat[:, (t + w - 1) % n]
+        np.minimum(best, key, out=best)
+    sizes = np.bincount(best.view(np.int64), minlength=total)
+    keys = np.flatnonzero(sizes)
+    return mat[pos[keys]], sizes[keys]
 
 
 def class_partition(
@@ -417,9 +450,24 @@ def enumerate_classes(
 
 
 def min_distance_exhaustive(code: CyclicCode, cap: int = ENUMERATION_CAP) -> int:
-    """Exact minimum Hamming weight over the nonzero codewords."""
+    """Exact minimum Hamming weight over the nonzero codewords.
+
+    A nonzero codeword whose first nonzero message coefficient is m_j is
+    m_j times one with m_j = 1 and m_i = 0 for i < j, of the same weight.
+    So only those words are weighed, block by block, and the largest array
+    holds q^(k-1) words, not q^k.
+    """
     if code.dimension == 0:
         raise ZeroCode("the zero code has no minimum distance")
-    mat = codeword_matrix(code, cap)
-    weights = np.count_nonzero(mat, axis=1)
-    return int(weights[weights > 0].min())
+    _check_cap(code, cap)
+    field, g = code.field, _generator_row(code)
+    scalars = np.arange(field.order)
+    tail = np.zeros((1, code.n), dtype=np.uint32)
+    best = code.n
+    for j in reversed(range(code.dimension)):
+        row = np.roll(g, j)
+        block = _step(field, row[None, :], tail)
+        best = min(best, int(np.count_nonzero(block, axis=1).min()))
+        if j:
+            tail = _step(field, field.multiples(row, scalars), tail)
+    return best

@@ -86,7 +86,10 @@ class FhsSet:
             raise LengthAlphabetViolation(
                 f"symbol {int(arr.max())} outside alphabet of size {alphabet_size}"
             )
-        if len(np.unique(arr, axis=0)) != arr.shape[0]:
+        # Each row as one opaque byte string: equal bytes are equal rows, and
+        # np.unique sorts these faster than it sorts rows with axis=0.
+        row_bytes = np.dtype((np.void, arr.itemsize * arr.shape[1]))
+        if len(np.unique(np.ascontiguousarray(arr).view(row_bytes))) != arr.shape[0]:
             raise ValueError("sequences are not pairwise distinct")
         arr.flags.writeable = False
         self.seqs = arr

@@ -44,6 +44,7 @@ class FiniteField:
         self._build_tables()
         self._np_exp: np.ndarray | None = None
         self._np_log: np.ndarray | None = None
+        self._add_table: np.ndarray | None = None
 
     # -- construction ------------------------------------------------------
 
@@ -173,34 +174,29 @@ class FiniteField:
             self._np_log = np.array([max(v, 0) for v in self.log], dtype=np.int64)
         return self._np_exp, self._np_log
 
-    def add_arrays(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        if self.p == 2:
-            return np.bitwise_xor(a, b)
-        if self.m == 1:
-            return ((a.astype(np.int64) + b) % self.p).astype(np.uint32)
-        p = self.p
-        shape = np.broadcast_shapes(a.shape, b.shape)
-        out = np.zeros(shape, dtype=np.uint32)
-        aa = np.broadcast_to(a, shape).astype(np.int64)
-        bb = np.broadcast_to(b, shape).astype(np.int64)
-        w = 1
-        for _ in range(self.m):
-            out += (((aa + bb) % p) * w).astype(np.uint32)
-            aa //= p
-            bb //= p
-            w *= p
-        return out
+    def add_table(self) -> np.ndarray:
+        """The q x q addition table, built on first use and kept.
 
-    def scale_array(self, a: np.ndarray, c: int) -> np.ndarray:
-        """Multiply every entry of an index array by the scalar c."""
-        if c == 0:
-            return np.zeros_like(a)
-        if c == 1:
-            return a.copy()
+        Entry [a, b] is a + b: the base-p digits of the packed indices added
+        mod p, one digit per pass.
+        """
+        if self._add_table is None:
+            p = self.p
+            e = np.arange(self.order, dtype=np.int64)
+            out = np.zeros((self.order, self.order), dtype=np.int64)
+            w = 1
+            for _ in range(self.m):
+                digit = e // w % p
+                out += (digit[:, None] + digit) % p * w
+                w *= p
+            self._add_table = out.astype(np.uint32)
+        return self._add_table
+
+    def multiples(self, a: np.ndarray, scalars: np.ndarray) -> np.ndarray:
+        """c * a for every c in `scalars`, stacked along a new first axis."""
         exp_t, log_t = self._tables()
-        out = np.zeros(a.shape, dtype=np.uint32)
-        nz = a != 0
-        out[nz] = exp_t[(log_t[a[nz]] + self.log[c]) % (self.order - 1)]
+        out = exp_t[np.add.outer(log_t[scalars], log_t[a]) % (self.order - 1)]
+        out[np.logical_or.outer(scalars == 0, a == 0)] = 0
         return out
 
     # -- misc ----------------------------------------------------------------

@@ -288,6 +288,16 @@ def test_field_cap_before_factoring(tmp_path, capsys, argv):
     assert "FieldTooLarge" in err
 
 
+def test_build_out_is_a_file_is_input_error(tmp_path, capsys):
+    # used to escape main as FileExistsError, exit 1 with a traceback
+    path = tmp_path / "taken"
+    path.write_text("")
+    code, _, err = run(capsys, "build", "--family", "B", "--q", "3",
+                       "--out", str(path))
+    assert code == 4
+    assert "error:" in err and "Traceback" not in err
+
+
 def test_cosets_nonpositive_length_is_input_error(capsys):
     code, _, err = run(capsys, "cosets", "--n", "0", "--q", "2")
     assert code == 4

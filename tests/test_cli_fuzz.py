@@ -1,0 +1,136 @@
+"""Property test of the CLI contract over argv tokens and JSON records.
+
+For any argv and any record file, `main` returns 0, 2, 3 or 4 and never
+lets an exception escape (which a user would see as a traceback), and
+`verify` exits 0 only for a record whose integers are exactly the set it
+certifies.  Token values are kept small so that no example builds more
+than a few thousand codewords.
+"""
+
+import contextlib
+import io
+import json
+import os
+import tempfile
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from fhsforge.cli import main
+from test_fhs import scalar_max_nontrivial
+
+RECORD = "record.json"
+
+# Each subcommand's own options; a draw takes some of them, in any order.
+OPTIONS = {
+    "cosets": ["--n", "--q", "--json"],
+    "factor": ["--n", "--q", "--json"],
+    "code": ["--n", "--q", "--defining-set", "--cosets-given", "--json"],
+    "mindist": ["--n", "--q", "--defining-set", "--cosets-given", "--cap"],
+    "build": ["--family", "--q", "--m", "--k", "--n", "--params-only", "--out",
+              "--csv", "--cap", "--budget"],
+    "verify": ["--budget"],
+    "bounds": ["--n", "--N", "--ell", "--lambda"],
+    "pf-identity": ["--n-max", "--N-max", "--l-max"],
+}
+SWITCHES = {"--json", "--cosets-given", "--params-only", "--csv"}
+BAD = ["-1", "0", "x", "1.5", ""]
+NUMBER = BAD + ["1", "2", "3", "4", "5", "7", "8", "9"]
+# At most 9, and m at most 4: Ding's length (q^m - 1)/(q - 1) at q = 9,
+# m = 5 is 7,381, whose factor table alone takes about 20 s.
+VALUES = {
+    "--m": BAD + ["1", "2", "3", "4"],
+    "--family": ["A", "B", "C", "Ding", "D", "a"],
+    "--defining-set": ["1", "1,2", "0 3", "1, 2, 4", "9", "x", ""],
+    "--out": ["out", RECORD],
+}
+STRAYS = [*OPTIONS, *sorted(SWITCHES), "--help", "--version", "--", "--n", "-1", "x",
+          RECORD, "missing.json"]
+
+
+@st.composite
+def random_argv(draw):
+    command = draw(st.sampled_from(sorted(OPTIONS)))
+    argv = [command]
+    if command == "verify":
+        argv.append(draw(st.sampled_from([RECORD, "missing.json", "."])))
+    for option in draw(st.permutations(OPTIONS[command])):
+        if draw(st.booleans()):
+            argv.append(option)
+            if option not in SWITCHES:
+                argv.append(draw(st.sampled_from(VALUES.get(option, NUMBER))))
+    for _ in range(draw(st.integers(0, 2))):
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(STRAYS)))
+    return argv
+
+
+verify_argv = st.lists(st.sampled_from(["--budget", "0", "1", "-1", "100"]),
+                       max_size=2).map(lambda t: ["verify", RECORD, *t])
+
+symbols = st.one_of(
+    st.integers(0, 3), st.integers(-2, 2**33), st.booleans(), st.floats(0, 3),
+    st.text(max_size=2), st.none(), st.just([1]),
+)
+rows = st.lists(st.lists(symbols, min_size=1, max_size=5), max_size=5)
+small_rows = st.integers(1, 5).flatmap(lambda n: st.lists(
+    st.lists(st.integers(0, 3), min_size=n, max_size=n), min_size=1, max_size=5))
+header = st.one_of(st.integers(-1, 6), st.floats(0, 6), st.booleans(), st.none(),
+                   st.text(max_size=2))
+
+
+@st.composite
+def records(draw):
+    """Mostly well-formed records over 0..3, with fields and symbols
+    sometimes replaced by values of another type or range."""
+    seqs = draw(st.one_of(small_rows, small_rows, rows))
+    n = len(seqs[0]) if seqs and isinstance(seqs[0], list) else 0
+    record = {"n": n, "ell": 4, "N": len(seqs), "lambda": draw(st.integers(0, 5)),
+              "sequences": seqs}
+    for key in draw(st.lists(st.sampled_from(sorted(record)), max_size=2, unique=True)):
+        if draw(st.booleans()):
+            del record[key]
+        else:
+            record[key] = draw(header)
+    return draw(st.one_of(st.just(record), st.just(record), st.just(record),
+                          st.just([]), st.just("x"), st.just(None)))
+
+
+def exact_lambda(record) -> bool:
+    """True when the record holds N distinct length-n rows of exact ints in
+    0..ell-1 and its lambda is their exact maximum correlation."""
+    seqs = record["sequences"]
+    ints = [type(s) is int for row in seqs for s in row]
+    if not all(ints) or any(type(record[key]) is not int
+                            for key in ("n", "ell", "N", "lambda")):
+        return False
+    if len({tuple(row) for row in seqs}) != len(seqs) or len(seqs) != record["N"]:
+        return False
+    if any(len(row) != record["n"] or not all(0 <= s < record["ell"] for s in row)
+           for row in seqs):
+        return False
+    return scalar_max_nontrivial(seqs) == record["lambda"]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(argv=st.one_of(random_argv(), verify_argv), record=records())
+def test_cli_contract(argv, record):
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            with open(RECORD, "w") as fh:
+                json.dump(record, fh)
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:  # --help and --version
+                    code = exc.code
+        finally:
+            os.chdir(cwd)
+    assert code in (0, 2, 3, 4), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    certified = code == 0 and not {"--help", "--version"} & set(argv)
+    if "verify" in argv[:1] and certified:  # RECORD is the only file there
+        assert exact_lambda(record), (argv, record, out.getvalue())

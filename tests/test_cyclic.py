@@ -29,7 +29,7 @@ from fhsforge.errors import (
     NotCosetClosed,
     ZeroCode,
 )
-from fhsforge.galois import Polynomial, make_field
+from fhsforge.galois import FiniteField, Polynomial, make_field
 from fhsforge.intmath import is_prime
 
 
@@ -278,13 +278,17 @@ def test_representatives_are_least_rotations():
 
 def test_least_rotation_partition_matches_brute_force():
     # full words that fit in 62 bits (GF(8) n=9, GF(4) n=5), full words that
-    # do not (GF(64) n=13, GF(512) n=27), and length 1
+    # do not (GF(64) n=13, GF(512) n=27), length 1, and GF(5) n=6 k=3 and
+    # GF(9) n=10 k=3
     cases = [
         ((2, 3), 9, [1, 2, 7, 8, 4, 5]),
         ((2, 2), 5, [0, 1, 4]),
         ((2, 6), 13, [j for j in range(13) if j not in (1, 12)]),
         ((2, 9), 27, list(range(1, 27))),
         ((3, 1), 1, []),
+        # odd characteristic with k >= 2, which adds through the q x q table
+        ((5, 1), 6, [2, 3, 4]),
+        ((3, 2), 10, [j for j in range(10) if j not in (0, 1, 9)]),
     ]
     for (p, m), n, members in cases:
         code = build_code(n, make_field(p, m), members)
@@ -305,6 +309,64 @@ def test_least_rotation_partition_checks_information_sets():
     mat = np.array(words, dtype=np.uint32)
     with pytest.raises(AssertionError):
         _least_rotation_partition(mat, 2, 1)
+    # the same four words as a claimed k = 2 code: the row count is right,
+    # but the width-2 keys of 000 and 001 collide and no row has key 3
+    with pytest.raises(AssertionError):
+        _least_rotation_partition(mat, 2, 2)
+    # two rows, both keys distinct, but the symbol 2 is not in GF(2)
+    with pytest.raises(AssertionError):
+        _least_rotation_partition(np.array([[0, 0], [2, 2]], dtype=np.uint32), 2, 1)
+
+
+def _small_codes():
+    # k = 1, 2 and 3 in each field kind: GF(2^m), odd GF(p) and odd GF(p^m)
+    for (p, m), n, keep in [
+        ((2, 3), 9, [(0,), (1, 8), (0, 1, 8)]),
+        ((5, 1), 6, [(0,), (1, 5), (0, 1, 5)]),
+        ((3, 2), 10, [(0,), (1, 9), (0, 1, 9)]),
+    ]:
+        for roots in keep:
+            members = [j for j in range(n) if j not in roots]
+            yield build_code(n, make_field(p, m), members)
+
+
+def test_codeword_matrix_message_order():
+    # row sum_i m_i q^(k-1-i) is the codeword sum_i m_i x^i g(x)
+    for code in _small_codes():
+        F, n, k = code.field, code.n, code.dimension
+        mat = codeword_matrix(code)
+        assert mat.shape == (F.order**k, n) and mat.dtype == np.uint32
+        for r, row in enumerate(mat.tolist()):
+            word = Polynomial.zero(F)
+            for i in range(k):
+                m_i = r // F.order ** (k - 1 - i) % F.order
+                word = word + Polynomial.x_pow(F, i, m_i) * code.generator
+            assert row == list(word.coeffs) + [0] * (n - len(word.coeffs))
+
+
+def test_min_distance_matches_full_enumeration():
+    dims = []
+    for code in _small_codes():
+        weights = np.count_nonzero(codeword_matrix(code), axis=1)
+        assert min_distance_exhaustive(code) == weights[weights > 0].min()
+        dims.append(code.dimension)
+    assert dims == [1, 2, 3] * 3
+
+
+def test_large_field_k1_builds_no_add_table(monkeypatch):
+    # GF(3^12), n = 2, k = 1: the q^2-entry add table would hold 2.8 * 10^11
+    # entries; one generator shift adds nothing, so no table is built
+    def refuse(self):
+        raise AssertionError("add table built")
+
+    monkeypatch.setattr(FiniteField, "add_table", refuse)
+    F = make_field(3, 12)
+    code = build_code(2, F, [0])  # g = x - 1: the words (-c, c)
+    assert code.dimension == 1
+    reps, sizes = class_partition(code)
+    assert sizes.tolist() == [1] + [2] * ((F.order - 1) // 2)
+    assert reps[0].tolist() == [0, 0]
+    assert min_distance_exhaustive(code) == 2
 
 
 def test_zero_code_is_one_orbit_of_size_one():
@@ -387,6 +449,13 @@ def test_unit_coset_code_parameters():
     assert (c33.n, c33.dimension) == (13, 10)
     assert min_distance_exhaustive(c24) == 3
     assert min_distance_exhaustive(c33) == 3
+
+
+def test_unit_coset_code_nonpositive_m():
+    # m = -1 used to reach build_code with the float length 0.5 // 1
+    for q, m in [(2, -1), (2, 0), (3, 0)]:
+        with pytest.raises(NonPositiveLength):
+            unit_coset_code(q, m)
 
 
 def test_unit_coset_code_gcd_condition():

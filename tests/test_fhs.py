@@ -106,6 +106,27 @@ def test_fhs_set_validation():
         FhsSet(np.empty((0, 4), dtype=np.uint32), 4)
 
 
+def test_duplicate_rows_are_refused():
+    # rows equal only as byte strings of the whole row count as duplicates;
+    # the symbols near 2^32 fill every byte of a uint32
+    rng = random.Random(17)
+    for _ in range(200):
+        n = rng.randrange(1, 5)
+        alphabet = rng.choice([[0, 1], [0, 255, 256, 2**32 - 1]])
+        rows = [[rng.choice(alphabet) for _ in range(n)]
+                for _ in range(rng.randrange(1, 6))]
+        distinct = len(set(map(tuple, rows))) == len(rows)
+        record = {"n": n, "ell": 2**32, "N": len(rows), "lambda": 0, "sequences": rows}
+        if distinct:
+            assert FhsSet(rows, 2**32).size == len(rows)
+            assert FhsSet.from_json_dict(record).size == len(rows)
+        else:
+            with pytest.raises(ValueError):
+                FhsSet(rows, 2**32)
+            with pytest.raises(ParseError):
+                FhsSet.from_json_dict(record)
+
+
 def test_fhs_set_json_round_trip():
     fset = FhsSet([[2, 0, 1], [0, 0, 0]], 3, {"family": "B", "q": 5}, 2)
     data = fset.to_json_dict()
