@@ -61,6 +61,17 @@ def _dump(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+def _dump_set(record: dict) -> str:
+    """An FHS set record as `_dump` writes it, except that each sequence
+    takes one line: C512's 9,709 sequences take 9,725 lines, not 281,577."""
+    rest = {key: value for key, value in record.items() if key != "sequences"}
+    head = json.dumps(rest, indent=2, sort_keys=True)[:-2]  # up to the last "\n}"
+    rows = ",\n".join(
+        "    " + json.dumps(row, separators=(",", ":")) for row in record["sequences"]
+    )
+    return f'{head},\n  "sequences": [\n{rows}\n  ]\n}}\n'
+
+
 def _write(path: Path, text: str) -> str:
     try:
         path.write_text(text)
@@ -210,7 +221,7 @@ def cmd_build(args) -> int:
     digests["code.json"] = _write(outdir / "code.json", _dump(build.code.export_dict()))
     if build.fhs is not None:
         digests["fhs_set.json"] = _write(
-            outdir / "fhs_set.json", _dump(build.fhs.to_json_dict())
+            outdir / "fhs_set.json", _dump_set(build.fhs.to_json_dict())
         )
         if args.csv:
             rows = sorted(build.fhs.sequences())

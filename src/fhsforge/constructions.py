@@ -29,7 +29,7 @@ from .bounds import BoundReport, optimality_report
 from .cyclic import (
     CyclicCode,
     build_code,
-    enumerate_classes,
+    class_partition,
     has_full_orbits_nonzero,
     has_full_orbits_outside_constants,
     unit_coset_code,
@@ -144,11 +144,11 @@ def _materialize(
     lambda_source = "claimed"
     if not params_only and code.size <= enum_cap:
         exclude = "constants" if mode == "nonconstant" else "zero"
-        classes = enumerate_classes(code, exclude=exclude, cap=enum_cap)
-        build.checks["class_count"] = len(classes) == build.claimed_N
-        build.checks["class_sizes"] = all(c.size == n for c in classes)
+        reps, sizes = class_partition(code, exclude=exclude, cap=enum_cap)
+        build.checks["class_count"] = len(sizes) == build.claimed_N
+        build.checks["class_sizes"] = bool((sizes == n).all())
         build.fhs = classes_to_fhs(
-            classes, code, mode, provenance=build.params.export_dict()
+            reps, sizes, code, mode, provenance=build.params.export_dict()
         )
         try:
             build.survey = max_nontrivial(build.fhs, budget=budget)

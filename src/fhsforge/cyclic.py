@@ -2,10 +2,11 @@
 
 A cyclic code of length n over GF(q), gcd(n, q) = 1, is pinned down by its
 defining set Z (a union of q-cyclotomic cosets mod n): the generator is
-g(x) = prod_{j in Z} (x - alpha^j) for a primitive n-th root of unity alpha
-living in an extension field.  Codewords fall into orbits under the cyclic
-shift; the two orbit predicates below decide, by pure residue arithmetic,
-whether every orbit outside the constant words (resp. outside zero) is full.
+g(x) = prod_{j in Z} (x - alpha^j) for the canonical primitive n-th root of
+unity alpha (see `RootContext`).  Codewords fall into orbits under the
+cyclic shift; the two orbit predicates below decide, by pure residue
+arithmetic, whether every orbit outside the constant words (resp. outside
+zero) is full.
 """
 
 from __future__ import annotations
@@ -29,17 +30,12 @@ from .galois import (
     FiniteField,
     PolyExtField,
     Polynomial,
-    embed_subfield,
     field_from_order,
     make_field,
 )
 from .intmath import multiplicative_order
 
 ENUMERATION_CAP = 1 << 22
-
-# Largest table-backed extension; larger root fields fall back to the
-# polynomial-quotient representation.
-TABLE_EXTENSION_CAP = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -78,11 +74,18 @@ def cyclotomic_cosets(n: int, q: int) -> list[CyclotomicCoset]:
 
 
 class RootContext:
-    """A primitive n-th root of unity alpha for GF(q), with maps both ways.
+    """The canonical primitive n-th root of unity alpha for GF(q), and the
+    minimal polynomial over GF(q) of each of its powers.
 
-    Depending on the extension degree d = ord_n(q), alpha lives in the base
-    field itself (d = 1), in a table-backed GF(p^(m*d)), or in a
-    polynomial-quotient extension when the table would exceed the cap.
+    alpha lives in the base field when d = ord_n(q) is 1, and otherwise in
+    the polynomial-quotient extension GF(q)[y]/(f) of degree d.  It is fixed
+    by its minimal polynomial, not by that representation: alpha is a root
+    of m_1, the monic irreducible factor of Phi_n(x) over GF(q) whose packed
+    value sum_i c_i q^i is smallest.  Conjugate roots give the same
+    labelling, so any root of m_1 will do.  The factors are computed once
+    under whichever primitive root beta the field offers, and relabelled:
+    with s the least unit whose factor under beta is m_1, alpha = beta^s,
+    and the factor of coset j is beta's factor of coset s*j mod n.
     """
 
     def __init__(self, field: FiniteField, n: int):
@@ -91,74 +94,44 @@ class RootContext:
         self.base = field
         self.n = n
         d = multiplicative_order(field.order % n, n) if n > 1 else 1
-        self.extension_degree = d
         if d == 1:
             self.ext = field
-            alpha = field.nth_root_of_unity(n)
-            self._embed_table = None
-            self._back = None
-        elif field.p ** (field.m * d) <= TABLE_EXTENSION_CAP:
-            self.ext = make_field(field.p, field.m * d, cap=TABLE_EXTENSION_CAP)
-            self._embed_table = embed_subfield(field, self.ext)
-            self._back = {e: c for c, e in enumerate(self._embed_table)}
-            alpha = self.ext.nth_root_of_unity(n)
+            beta = field.nth_root_of_unity(n)
         else:
             self.ext = PolyExtField(field, d)
-            alpha = self.ext.element_of_order(n)
-            self._embed_table = None
-            self._back = None
-        self.alpha = alpha
-        pows = [self.ext.one]
+            beta = self.ext.element_of_order(n)
+        beta_pows = [self.ext.one]
         for _ in range(n - 1):
-            pows.append(self.ext.mul(pows[-1], alpha))
-        self.alpha_pows = pows
+            beta_pows.append(self.ext.mul(beta_pows[-1], beta))
+        self.cosets = cyclotomic_cosets(n, field.order)
+        under_beta = [None] * n
+        for coset in self.cosets:
+            mj = self._minimal_polynomial([beta_pows[j] for j in coset.members])
+            for j in coset.members:
+                under_beta[j] = mj
 
-    def embed(self, c: int):
-        if self.ext is self.base:
-            return c
-        if self._embed_table is not None:
-            return self._embed_table[c]
-        return self.ext.embed(c)
+        def packed(j):
+            return sum(c * field.order**i for i, c in enumerate(under_beta[j].coeffs))
 
-    def to_base(self, e) -> int | None:
-        if self.ext is self.base:
-            return e
-        if self._back is not None:
-            return self._back.get(e)
-        return self.ext.to_base(e)
+        s = min((j for j in range(n) if math.gcd(j, n) == 1), key=packed)
+        self.alpha_pows = [beta_pows[s * j % n] for j in range(n)]
+        self.minimal_polynomials = [under_beta[s * j % n] for j in range(n)]
 
-    def alpha_pow(self, j: int):
-        return self.alpha_pows[j % self.n]
-
-    def minimal_polynomial(self, members: tuple[int, ...]) -> Polynomial:
-        """prod_{s in members} (x - alpha^s), mapped back to the base field."""
+    def _minimal_polynomial(self, roots) -> Polynomial:
+        """prod (x - r) over `roots`, mapped back to the base field."""
         E = self.ext
         coeffs = [E.one]
-        for s in members:
-            r = self.alpha_pow(s)
+        for r in roots:
             nxt = [E.zero] * (len(coeffs) + 1)
             for i, c in enumerate(coeffs):
                 nxt[i + 1] = E.add(nxt[i + 1], c)
                 nxt[i] = E.sub(nxt[i], E.mul(c, r))
             coeffs = nxt
-        base_coeffs = []
-        for c in coeffs:
-            b = self.to_base(c)
-            if b is None:
-                raise NotCosetClosed(
-                    f"{sorted(members)} is not closed under multiplication by q"
-                )
-            base_coeffs.append(b)
-        return Polynomial(self.base, base_coeffs)
-
-    def evaluate(self, poly: Polynomial, j: int):
-        """poly(alpha^j) in the extension field."""
-        E = self.ext
-        acc = E.zero
-        a = self.alpha_pow(j)
-        for c in reversed(poly.coeffs):
-            acc = E.add(E.mul(acc, a), self.embed(c))
-        return acc
+        if E is not self.base:
+            coeffs = [E.to_base(c) for c in coeffs]
+            if None in coeffs:
+                raise AssertionError("a coset factor does not map back to GF(q)")
+        return Polynomial(self.base, coeffs)
 
 
 @lru_cache(maxsize=None)
@@ -176,8 +149,8 @@ def _factor_table(p: int, m: int, n: int) -> dict[int, tuple[CyclotomicCoset, Po
     ctx = root_context(field, n)
     out = {}
     product = Polynomial.one(field)
-    for coset in cyclotomic_cosets(n, field.order):
-        mj = ctx.minimal_polynomial(coset.members)
+    for coset in ctx.cosets:
+        mj = ctx.minimal_polynomials[coset.representative]
         out[coset.representative] = (coset, mj)
         product = product * mj
     if product != Polynomial.x_pow_n_minus_one(field, n):
@@ -224,6 +197,9 @@ class CyclicCode:
             "defining_set": list(self.defining_set),
             "dimension": self.dimension,
             "generator": list(self.generator.coeffs),
+            "alpha_minimal_polynomial": list(
+                self.context().minimal_polynomials[1 % self.n].coeffs
+            ),
         }
 
     def __repr__(self):

@@ -23,7 +23,6 @@ import numpy as np
 
 from .cyclic import (
     CyclicCode,
-    EquivalenceClass,
     has_full_orbits_nonzero,
     has_full_orbits_outside_constants,
 )
@@ -313,12 +312,14 @@ def max_nontrivial(
 
 
 def classes_to_fhs(
-    classes: list[EquivalenceClass],
+    reps: np.ndarray,
+    sizes: np.ndarray,
     code: CyclicCode,
     mode: str,
     provenance: dict | None = None,
 ) -> FhsSet:
-    """One sequence per full shift orbit of the code.
+    """One sequence per full shift orbit of the code, from the orbit
+    representatives and sizes that `class_partition` returns.
 
     mode "nonconstant": orbits of the codewords outside the constant-word
     subcode; the code must pass the full-orbit predicate for those words and
@@ -340,14 +341,14 @@ def classes_to_fhs(
             raise PredicateFailed("some nonzero codeword has a short orbit")
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    if not classes:
+    sizes = np.asarray(sizes)
+    if len(sizes) == 0:
         raise EmptySet("no orbits to convert")
-    bad = [c for c in classes if c.size != code.n]
-    if bad:
+    bad = np.flatnonzero(sizes != code.n)
+    if bad.size:
         raise ClassSizeNotFull(
-            f"orbit of size {bad[0].size} != {code.n} cannot yield a sequence set"
+            f"orbit of size {sizes[bad[0]]} != {code.n} cannot yield a sequence set"
         )
-    seqs = np.array([c.representative for c in classes], dtype=np.uint32)
     info = dict(provenance) if provenance else {"family": "imported"}
     info.setdefault("mode", mode)
-    return FhsSet(seqs, q, info)
+    return FhsSet(reps, q, info)

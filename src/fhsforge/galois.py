@@ -10,8 +10,6 @@ is the designated primitive element.
 
 from __future__ import annotations
 
-from math import gcd
-
 import numpy as np
 
 from .errors import (
@@ -79,14 +77,6 @@ class FiniteField:
             v = v * self.p + c
         return v
 
-    def coefficients_of(self, e: int) -> tuple[int, ...]:
-        """Power-basis coefficients of element e, low degree first, length m."""
-        out = []
-        for _ in range(self.m):
-            out.append(e % self.p)
-            e //= self.p
-        return tuple(out)
-
     # -- scalar arithmetic on element indices -------------------------------
 
     @property
@@ -96,10 +86,6 @@ class FiniteField:
     @property
     def one(self) -> int:
         return 1
-
-    @property
-    def primitive_element(self) -> int:
-        return self.exp[1] if self.order > 2 else 1
 
     def check(self, e: int) -> int:
         if not 0 <= e < self.order:
@@ -154,12 +140,6 @@ class FiniteField:
             return 1 if e == 0 else 0
         return self.exp[self.log[a] * e % (self.order - 1)]
 
-    def order_of(self, e: int) -> int:
-        """Multiplicative order of a nonzero element."""
-        if e == 0:
-            raise ZeroElement("0 has no multiplicative order")
-        return (self.order - 1) // gcd(self.log[e], self.order - 1)
-
     def nth_root_of_unity(self, n: int) -> int:
         """The canonical primitive n-th root of unity; requires n | q-1."""
         if n < 1 or (self.order - 1) % n != 0:
@@ -211,36 +191,36 @@ class FiniteField:
 _FIELD_CACHE: dict[tuple[int, int], FiniteField] = {}
 
 
-def make_field(p: int, m: int, cap: int = FIELD_ORDER_CAP) -> FiniteField:
+def make_field(p: int, m: int) -> FiniteField:
     """Build (or fetch the cached) GF(p^m) with its canonical modulus."""
     if not is_prime(p):
         raise NonPrimeCharacteristic(f"characteristic {p} is not prime")
     if m < 1:
         raise ValueError(f"extension degree must be >= 1, got {m}")
-    if p**m > cap:
-        raise FieldTooLarge(f"GF({p}^{m}) exceeds the table cap {cap}")
+    if p**m > FIELD_ORDER_CAP:
+        raise FieldTooLarge(f"GF({p}^{m}) exceeds the table cap {FIELD_ORDER_CAP}")
     key = (p, m)
     if key not in _FIELD_CACHE:
         _FIELD_CACHE[key] = FiniteField(p, m, _canonical_modulus(p, m))
     return _FIELD_CACHE[key]
 
 
-def check_field_order(q: int, cap: int = FIELD_ORDER_CAP) -> None:
+def check_field_order(q: int) -> None:
     """Refuse q above the table cap; checked before any factoring of q,
     which would trial-divide for ever at q near 2^61."""
-    if q > cap:
-        raise FieldTooLarge(f"GF({q}) exceeds the table cap {cap}")
+    if q > FIELD_ORDER_CAP:
+        raise FieldTooLarge(f"GF({q}) exceeds the table cap {FIELD_ORDER_CAP}")
 
 
-def field_from_order(q: int, cap: int = FIELD_ORDER_CAP) -> FiniteField:
+def field_from_order(q: int) -> FiniteField:
     """GF(q) for a prime power q."""
     from .intmath import is_prime_power
 
-    check_field_order(q, cap)
+    check_field_order(q)
     pe = is_prime_power(q)
     if pe is None:
         raise NonPrimeCharacteristic(f"{q} is not a prime power")
-    return make_field(pe[0], pe[1], cap)
+    return make_field(pe[0], pe[1])
 
 
 def _canonical_modulus(p: int, m: int) -> tuple[int, ...]:
@@ -401,19 +381,6 @@ class Polynomial:
             return self
         return self.scale(self.field.inv(self.leading()))
 
-    def evaluate(self, e: int) -> int:
-        F = self.field
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = F.add(F.mul(acc, e), c)
-        return acc
-
-    def derivative(self) -> "Polynomial":
-        F = self.field
-        return Polynomial(
-            F, [F.mul(c, i % F.p) for i, c in enumerate(self.coeffs)][1:]
-        )
-
     def __repr__(self):
         return f"Polynomial(GF({self.field.order}), {list(self.coeffs)})"
 
@@ -467,8 +434,8 @@ def is_irreducible(f: Polynomial) -> bool:
 class PolyExtField:
     """GF(q^d) realized as GF(q)[y]/(f) without log tables.
 
-    Used where the table cap rules out a direct GF(p^(m*d)) build; elements
-    are length-d coefficient tuples over the base field.  The base field
+    The one representation of a proper extension of a base field: elements
+    are length-d coefficient tuples over the base field, the base field
     embeds as the constant tuples, and f is the irreducible polynomial of
     degree d over GF(q) with the smallest packed index (primitivity is not
     required here; only roots of unity of known small order are drawn).
@@ -573,36 +540,3 @@ class PolyExtField:
 
     def __repr__(self):
         return f"GF({self.base.order}^{self.degree})[poly]"
-
-
-def embed_subfield(base: FiniteField, ext: FiniteField) -> list[int]:
-    """Embedding table of GF(q) into a table-based extension GF(q^d).
-
-    Maps the canonical primitive element g of the base to ext's
-    beta^(s*(q^d-1)/(q-1)) for the smallest s that makes the map a field
-    homomorphism, i.e. the smallest s for which the base modulus vanishes
-    at the candidate image.  Prime-subfield constants share indices in both
-    encodings, so the modulus evaluates directly.
-    """
-    q, big = base.order, ext.order
-    if ext.p != base.p or (big - 1) % (q - 1) != 0:
-        raise FieldMismatch(f"GF({big}) does not extend GF({q})")
-    if q == base.p:
-        # Prime subfield: constants already share indices.
-        return list(range(q))
-    step = (big - 1) // (q - 1)
-    gamma1 = ext.exp[step]
-    cand = 1
-    for s in range(1, q):
-        cand = ext.mul(cand, gamma1)
-        acc = 0
-        for c in reversed(base.modulus):
-            acc = ext.add(ext.mul(acc, cand), c)
-        if acc == 0:
-            table = [0] * q
-            cur = 1
-            for i in range(q - 1):
-                table[base.exp[i]] = cur
-                cur = ext.mul(cur, cand)
-            return table
-    raise AssertionError("no embedding found; extension is inconsistent")

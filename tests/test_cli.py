@@ -1,7 +1,9 @@
+import gzip
 import json
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -51,6 +53,7 @@ def test_code_inspection(capsys):
     assert data["dimension"] == 5
     assert data["full_orbits_outside_constants"] is True
     assert data["defining_set"] == [3, 4, 5, 6]
+    assert data["alpha_minimal_polynomial"] == [1, 2, 1]  # m_1, low degree first
 
 
 def test_code_cosets_given(capsys):
@@ -100,6 +103,38 @@ def test_build_and_verify_round_trip(tmp_path, capsys):
     code, out, _ = run(capsys, "verify", str(out_dir / "fhs_set.json"))
     assert code == 0
     assert "measured (exhaustive) = 2" in out
+
+
+def test_fhs_set_json_has_one_sequence_per_line(tmp_path, capsys):
+    out_dir = tmp_path / "b5"
+    assert run(capsys, "build", "--family", "B", "--q", "5",
+               "--out", str(out_dir))[0] == 0
+    path = out_dir / "fhs_set.json"
+    text = path.read_text()
+    record = json.loads(text)
+    lines = text.splitlines()
+    assert lines[-record["N"] - 3] == '  "sequences": ['
+    assert lines[-2:] == ["  ]", "}"]
+    rows = lines[-record["N"] - 2:-2]
+    assert [json.loads(row.rstrip(",")) for row in rows] == record["sequences"]
+    # the indented layout that earlier builds wrote verifies the same way
+    indented = tmp_path / "indented.json"
+    indented.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
+    compact, old = (run(capsys, "verify", str(p)) for p in (path, indented))
+    assert compact == old and compact[0] == 0
+
+
+@pytest.mark.parametrize("name", ["A8k1", "A8k2", "B5", "B25"])
+def test_verify_reads_stored_benchmark_sets(tmp_path, capsys, name):
+    # compact records of sets built under the earlier root-of-unity
+    # convention: they are still optimal sets, and verify certifies them
+    stored = Path(__file__).resolve().parents[1] / "perfbench" / "data" / f"{name}.json.gz"
+    path = tmp_path / f"{name}.json"
+    path.write_bytes(gzip.decompress(stored.read_bytes()))
+    lam = json.loads(path.read_text())["lambda"]
+    code, out, _ = run(capsys, "verify", str(path))
+    assert code == 0
+    assert f"stored lambda = {lam}; measured (exhaustive) = {lam}" in out.splitlines()
 
 
 def test_build_outputs_are_deterministic(tmp_path, capsys):

@@ -13,7 +13,7 @@ from fhsforge.cyclic import (
     min_distance_exhaustive,
 )
 from fhsforge.errors import KOutOfRange, NotOddDivisor, NotOddPrimePower
-from fhsforge.galois import make_field
+from fhsforge.galois import Polynomial, make_field, poly_gcd
 from fhsforge.intmath import smallest_prime_factor
 
 
@@ -194,3 +194,57 @@ def test_export_shapes():
     ding = family_ding(2, 4).export_dict()
     assert ding["claimed"]["N"] is None
     assert ding["verified"]["correlation"] == "none"
+
+
+# -- the root-of-unity convention ------------------------------------------------
+
+# Generator g and m_1, the minimal polynomial of alpha, of the paper's codes,
+# low degree first.  B5's and C512's generators are those of the earlier
+# convention, which drew alpha from a log-table field GF(p^(md)); A8k1, A8k2,
+# B25 and C32 moved when alpha became a root of the least-packed factor of
+# Phi_n.
+FROZEN_CODES = {
+    "A8k2": (lambda: family_a(3, 2, params_only=True), [1, 7, 6, 7, 1], [1, 2, 1]),
+    "B5": (lambda: family_b(5, params_only=True), [1, 2, 2, 1], [1, 4, 1]),
+    "B25": (
+        lambda: family_b(25, params_only=True),
+        [1, 21, 18, 6, 10, 9, 3, 7, 20, 17, 12, 13,
+         13, 12, 17, 20, 7, 3, 9, 10, 6, 18, 21, 1],
+        [1, 5, 1],
+    ),
+    "C32": (
+        lambda: family_c(32, 11, 0, params_only=True),
+        [1, 26, 2, 11, 7, 7, 11, 2, 26, 1],
+        [1, 3, 1],
+    ),
+    "C512": (
+        lambda: family_c(512, 27, 0, params_only=True),
+        [1, 491, 27, 167, 351, 410, 323, 88, 287, 89, 168, 385, 504,
+         504, 385, 168, 89, 287, 88, 323, 410, 351, 167, 27, 491, 1],
+        [1, 26, 1],
+    ),
+}
+
+
+def least_packed_phi_factor(field, n, degree):
+    """The monic degree-`degree` divisor of Phi_n over `field` with the least
+    packed value, by trying every monic polynomial in packed order: it must
+    divide x^n - 1 and share no root with x^e - 1 for any e | n below n."""
+    q = field.order
+    xn1 = Polynomial.x_pow_n_minus_one(field, n)
+    lower = [Polynomial.x_pow_n_minus_one(field, e) for e in range(1, n) if n % e == 0]
+    for packed in range(q**degree):
+        coeffs = [packed // q**i % q for i in range(degree)] + [1]
+        f = Polynomial(field, coeffs)
+        if (xn1 % f).is_zero() and all(poly_gcd(f, g).degree == 0 for g in lower):
+            return coeffs
+    raise AssertionError("no divisor of Phi_n found")
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN_CODES))
+def test_frozen_root_convention(name):
+    build, generator, m1 = FROZEN_CODES[name]
+    code = build().code
+    assert list(code.generator.coeffs) == generator
+    assert code.export_dict()["alpha_minimal_polynomial"] == m1
+    assert least_packed_phi_factor(code.field, code.n, len(m1) - 1) == m1

@@ -102,24 +102,40 @@ def test_build_mds_code_9_5_5():
     assert min_distance_exhaustive(code) == 5  # [9, 5, 5]: MDS
 
 
+def evaluate_at_root(ctx, poly, j):
+    """poly(alpha^j) in the root field of `ctx`, by Horner's rule."""
+    E = ctx.ext
+    embed = E.embed if E is not ctx.base else int
+    acc, a = E.zero, ctx.alpha_pows[j]
+    for c in reversed(poly.coeffs):
+        acc = E.add(E.mul(acc, a), embed(c))
+    return acc
+
+
 def test_generator_vanishes_on_defining_set():
-    F8 = make_field(2, 3)
-    code = build_code(9, F8, [3, 4, 5, 6])
-    ctx = root_context(F8, 9)
-    for j in range(9):
-        value = ctx.evaluate(code.generator, j)
-        assert (value == ctx.ext.zero) == (j in code.defining_set)
+    # root fields of degree d = 2 over GF(8) and GF(512), and d = 1 over GF(7)
+    for (p, m), n, z in [
+        ((2, 3), 9, [3, 4, 5, 6]),
+        ((7, 1), 6, [1, 2]),
+        ((2, 9), 27, [j for j in range(27) if j not in (13, 14)]),
+    ]:
+        F = make_field(p, m)
+        code = build_code(n, F, z)
+        ctx = root_context(F, n)
+        for j in range(n):
+            value = evaluate_at_root(ctx, code.generator, j)
+            assert (value == ctx.ext.zero) == (j in code.defining_set)
 
 
 def test_all_ones_quotient_vanishes_at_primitive_roots():
     # (x^n - 1)/(x - 1) is zero at every primitive n-th root when n > 1
-    for p, m, n in [(2, 3, 9), (5, 1, 6), (3, 1, 13)]:
+    for p, m, n in [(2, 3, 9), (5, 1, 6), (3, 1, 13), (2, 9, 27)]:
         F = make_field(p, m)
         ctx = root_context(F, n)
         ones = Polynomial(F, (1,) * n)
         for j in range(1, n):
             if math.gcd(j, n) == 1:
-                assert ctx.evaluate(ones, j) == ctx.ext.zero
+                assert evaluate_at_root(ctx, ones, j) == ctx.ext.zero
 
 
 def test_empty_defining_set_gives_full_space():

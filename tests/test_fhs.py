@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fhsforge import fhs
-from fhsforge.cyclic import build_code, enumerate_classes
+from fhsforge.cyclic import build_code, class_partition
 from fhsforge.errors import (
     BudgetExceeded,
     ClassSizeNotFull,
@@ -288,18 +288,18 @@ def test_rotation_count_refusal_under_any_budget(monkeypatch):
 def test_classes_to_fhs_example():
     F8 = make_field(2, 3)
     code = build_code(9, F8, [3, 4, 5, 6])
-    classes = enumerate_classes(code, exclude="constants")
-    fset = classes_to_fhs(classes, code, "nonconstant")
+    reps, sizes = class_partition(code, exclude="constants")
+    fset = classes_to_fhs(reps, sizes, code, "nonconstant")
     assert (fset.n, fset.size, fset.alphabet_size) == (9, 3640, 8)
-    seqs = fset.seqs
-    assert len(np.unique(seqs, axis=0)) == 3640
+    assert np.array_equal(fset.seqs, reps)  # one sequence per orbit, in order
+    assert len(np.unique(fset.seqs, axis=0)) == 3640
 
 
 def test_classes_to_fhs_nonzero_mode():
     F32 = make_field(2, 5)
     code = build_code(11, F32, [j for j in range(11) if j not in (5, 6)])
-    classes = enumerate_classes(code, exclude="zero")
-    fset = classes_to_fhs(classes, code, "nonzero")
+    reps, sizes = class_partition(code, exclude="zero")
+    fset = classes_to_fhs(reps, sizes, code, "nonzero")
     assert (fset.n, fset.size, fset.alphabet_size) == (11, 93, 32)
     assert max_nontrivial(fset).value == 1
 
@@ -308,21 +308,23 @@ def test_classes_to_fhs_requires_long_code():
     # n <= q: the nonconstant mode is undefined
     F8 = make_field(2, 3)
     code = build_code(7, F8, [1, 2, 4])
-    classes = enumerate_classes(code, exclude="constants")
+    reps, sizes = class_partition(code, exclude="constants")
     with pytest.raises(LengthAlphabetViolation):
-        classes_to_fhs(classes, code, "nonconstant")
+        classes_to_fhs(reps, sizes, code, "nonconstant")
 
 
 def test_classes_to_fhs_predicate_failure():
     F8 = make_field(2, 3)
     code = build_code(9, F8, [4, 5])
     with pytest.raises(PredicateFailed):
-        classes_to_fhs([], code, "nonconstant")
+        classes_to_fhs(np.zeros((0, 9)), np.zeros(0), code, "nonconstant")
 
 
 def test_classes_to_fhs_rejects_short_orbits():
     F8 = make_field(2, 3)
     code = build_code(9, F8, [3, 4, 5, 6])
-    classes = enumerate_classes(code, exclude="none")  # includes size-1 constants
+    reps, sizes = class_partition(code, exclude="none")  # includes size-1 constants
     with pytest.raises(ClassSizeNotFull):
-        classes_to_fhs(classes, code, "nonconstant")
+        classes_to_fhs(reps, sizes, code, "nonconstant")
+    with pytest.raises(EmptySet):
+        classes_to_fhs(reps[:0], sizes[:0], code, "nonconstant")
