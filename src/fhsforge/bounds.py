@@ -29,19 +29,31 @@ def _ceil_ratio(a: int, b: int) -> int:
     return -(-a // b)
 
 
+def _pf_fractions(n, count, ell):
+    """(a1, b1, a2, b2) with PF1 = a1/b1 and PF2 = a2/b2, for Python ints and
+    int64 numpy arrays alike (numpy's // floors like Python's)."""
+    nn = n * count
+    big_i = nn // ell
+    return (
+        (nn - ell) * n,
+        (nn - 1) * ell,
+        2 * big_i * nn - (big_i + 1) * big_i * ell,
+        (nn - 1) * count,
+    )
+
+
 def peng_fan_1(n: int, count: int, ell: int) -> int:
     """Ceiling of the first Peng-Fan lower bound on M(F)."""
     _check_pf(n, count, ell)
-    nn = n * count
-    return _ceil_ratio((nn - ell) * n, (nn - 1) * ell)
+    a1, b1, _, _ = _pf_fractions(n, count, ell)
+    return _ceil_ratio(a1, b1)
 
 
 def peng_fan_2(n: int, count: int, ell: int) -> int:
     """Ceiling of the second Peng-Fan lower bound on M(F)."""
     _check_pf(n, count, ell)
-    nn = n * count
-    big_i = nn // ell
-    return _ceil_ratio(2 * big_i * nn - (big_i + 1) * big_i * ell, (nn - 1) * count)
+    _, _, a2, b2 = _pf_fractions(n, count, ell)
+    return _ceil_ratio(a2, b2)
 
 
 def _check_pf(n, count, ell):
@@ -170,17 +182,13 @@ _SWEEP_MAX_NN = 1 << 30
 
 
 def _sweep_tile(n: int, count, ell) -> tuple[int, list[tuple]]:
-    """Check the triples (n, N, ell) of one tile: N a column, ell a row.
-    numpy's // floors like Python's, so this is the scalar check."""
+    """Check the triples (n, N, ell) of one tile: N a column, ell a row,
+    on the same formulas as `peng_fan_1` and `peng_fan_2`."""
     nn = n * count
-    big_i = nn // ell
-    j = nn - big_i * ell
-    a1 = (nn - ell) * n
-    b1 = (nn - 1) * ell
-    a2 = 2 * big_i * nn - (big_i + 1) * big_i * ell
-    b2 = (nn - 1) * count
-    c1 = -(-a1 // b1)
-    c2 = -(-a2 // b2)
+    j = nn % ell
+    a1, b1, a2, b2 = _pf_fractions(n, count, ell)
+    c1 = _ceil_ratio(a1, b1)
+    c2 = _ceil_ratio(a2, b2)
     # equal ceilings; exact difference and sign, cross-multiplied by the
     # common denominator (nN-1)*ell*N
     diff = a2 * ell - a1 * count

@@ -39,15 +39,21 @@ EXIT_INPUT = 4
 
 
 def _enum_cap(args) -> int:
-    if getattr(args, "cap", None):
-        return args.cap
-    env = os.environ.get("FHSFORGE_CAP")
-    if not env:
-        return ENUMERATION_CAP
-    try:
-        return int(env)
-    except ValueError as exc:
-        raise ParseError(f"FHSFORGE_CAP must be an integer, got {env!r}") from exc
+    """The enumeration cap: --cap, else FHSFORGE_CAP, else the default."""
+    cap = getattr(args, "cap", None)
+    if cap is None:
+        env = os.environ.get("FHSFORGE_CAP")
+        if not env:
+            return ENUMERATION_CAP
+        try:
+            cap = int(env)
+        except ValueError as exc:
+            raise ParseError(f"FHSFORGE_CAP must be an integer, got {env!r}") from exc
+    if cap < 1:
+        raise ParseError(
+            f"the enumeration cap (--cap or FHSFORGE_CAP) must be >= 1, got {cap}"
+        )
+    return cap
 
 
 def _budget(args) -> int | None:

@@ -28,10 +28,12 @@ from .errors import (
 )
 from .galois import (
     FiniteField,
-    PolyExtField,
     Polynomial,
+    _canonical_modulus,
+    berlekamp_massey,
     field_from_order,
     make_field,
+    root_of_unity,
 )
 from .intmath import multiplicative_order
 
@@ -77,15 +79,22 @@ class RootContext:
     """The canonical primitive n-th root of unity alpha for GF(q), and the
     minimal polynomial over GF(q) of each of its powers.
 
-    alpha lives in the base field when d = ord_n(q) is 1, and otherwise in
-    the polynomial-quotient extension GF(q)[y]/(f) of degree d.  It is fixed
-    by its minimal polynomial, not by that representation: alpha is a root
-    of m_1, the monic irreducible factor of Phi_n(x) over GF(q) whose packed
-    value sum_i c_i q^i is smallest.  Conjugate roots give the same
-    labelling, so any root of m_1 will do.  The factors are computed once
-    under whichever primitive root beta the field offers, and relabelled:
-    with s the least unit whose factor under beta is m_1, alpha = beta^s,
-    and the factor of coset j is beta's factor of coset s*j mod n.
+    alpha lives in GF(q)[y]/(f), f the monic irreducible of degree
+    d = ord_n(q) with the smallest packed value, and its powers are
+    `Polynomial`s reduced mod f.  It is fixed by its minimal polynomial, not
+    by f: alpha is a root of m_1, the monic irreducible factor of Phi_n(x)
+    over GF(q) whose packed value sum_i c_i q^i is smallest.  Conjugate
+    roots give the same labelling, so any root of m_1 will do.  The factors
+    are computed once under the root beta that `root_of_unity` picks, and
+    relabelled: with s the least unit whose factor under beta is m_1,
+    alpha = beta^s, and the factor of coset j is beta's factor of coset
+    s*j mod n.
+
+    The factor of a coset C_j is the minimal polynomial, by Berlekamp-Massey
+    over GF(q), of u_k = the constant coefficient of beta^(jk), k < 2|C_j|.
+    u_0 = 1, so the sequence is nonzero and its minimal polynomial divides,
+    hence equals, the irreducible minimal polynomial of beta^j.  The factors
+    must multiply back to x^n - 1.
     """
 
     def __init__(self, field: FiniteField, n: int):
@@ -93,22 +102,22 @@ class RootContext:
             raise NotCoprime(f"gcd({n}, {field.order}) != 1")
         self.base = field
         self.n = n
-        d = multiplicative_order(field.order % n, n) if n > 1 else 1
-        if d == 1:
-            self.ext = field
-            beta = field.nth_root_of_unity(n)
-        else:
-            self.ext = PolyExtField(field, d)
-            beta = self.ext.element_of_order(n)
-        beta_pows = [self.ext.one]
+        d = multiplicative_order(field.order, n)
+        self.modulus = f = _canonical_modulus(field, d, 1)
+        beta = root_of_unity(f, n)
+        beta_pows = [Polynomial.one(field)]
         for _ in range(n - 1):
-            beta_pows.append(self.ext.mul(beta_pows[-1], beta))
+            beta_pows.append(beta_pows[-1] * beta % f)
+        u = [b.coeffs[0] for b in beta_pows]
         self.cosets = cyclotomic_cosets(n, field.order)
         under_beta = [None] * n
         for coset in self.cosets:
-            mj = self._minimal_polynomial([beta_pows[j] for j in coset.members])
-            for j in coset.members:
-                under_beta[j] = mj
+            j, size = coset.representative, len(coset)
+            mj = berlekamp_massey(field, [u[j * k % n] for k in range(2 * size)])
+            if mj.degree != size:
+                raise AssertionError(f"the factor of C_{j} has degree {mj.degree}")
+            for i in coset.members:
+                under_beta[i] = mj
 
         def packed(j):
             return sum(c * field.order**i for i, c in enumerate(under_beta[j].coeffs))
@@ -116,22 +125,11 @@ class RootContext:
         s = min((j for j in range(n) if math.gcd(j, n) == 1), key=packed)
         self.alpha_pows = [beta_pows[s * j % n] for j in range(n)]
         self.minimal_polynomials = [under_beta[s * j % n] for j in range(n)]
-
-    def _minimal_polynomial(self, roots) -> Polynomial:
-        """prod (x - r) over `roots`, mapped back to the base field."""
-        E = self.ext
-        coeffs = [E.one]
-        for r in roots:
-            nxt = [E.zero] * (len(coeffs) + 1)
-            for i, c in enumerate(coeffs):
-                nxt[i + 1] = E.add(nxt[i + 1], c)
-                nxt[i] = E.sub(nxt[i], E.mul(c, r))
-            coeffs = nxt
-        if E is not self.base:
-            coeffs = [E.to_base(c) for c in coeffs]
-            if None in coeffs:
-                raise AssertionError("a coset factor does not map back to GF(q)")
-        return Polynomial(self.base, coeffs)
+        product = Polynomial.one(field)
+        for coset in self.cosets:
+            product = product * self.minimal_polynomials[coset.representative]
+        if product != Polynomial.x_pow_n_minus_one(field, n):
+            raise AssertionError("coset factors do not multiply back to x^n - 1")
 
 
 @lru_cache(maxsize=None)
@@ -143,27 +141,12 @@ def root_context(field: FiniteField, n: int) -> RootContext:
     return _root_context(field.p, field.m, n)
 
 
-@lru_cache(maxsize=None)
-def _factor_table(p: int, m: int, n: int) -> dict[int, tuple[CyclotomicCoset, Polynomial]]:
-    field = make_field(p, m)
-    ctx = root_context(field, n)
-    out = {}
-    product = Polynomial.one(field)
-    for coset in ctx.cosets:
-        mj = ctx.minimal_polynomials[coset.representative]
-        out[coset.representative] = (coset, mj)
-        product = product * mj
-    if product != Polynomial.x_pow_n_minus_one(field, n):
-        raise AssertionError("coset factors do not multiply back to x^n - 1")
-    return out
-
-
 def factor_x_pow_n_minus_one(
     field: FiniteField, n: int
 ) -> list[tuple[CyclotomicCoset, Polynomial]]:
     """Irreducible factors of x^n - 1 over GF(q), one per cyclotomic coset."""
-    table = _factor_table(field.p, field.m, n)
-    return [table[rep] for rep in sorted(table)]
+    ctx = root_context(field, n)
+    return [(c, ctx.minimal_polynomials[c.representative]) for c in ctx.cosets]
 
 
 @dataclass
@@ -218,16 +201,11 @@ def build_code(n: int, field: FiniteField, defining_set) -> CyclicCode:
         zset.add(j)
     if {j * field.order % n for j in zset} != zset:
         raise NotCosetClosed(f"{sorted(zset)} is not a union of cosets mod {n}")
-    table = _factor_table(field.p, field.m, n)
+    ctx = root_context(field, n)
     g = Polynomial.one(field)
-    remaining = set(zset)
-    while remaining:
-        j = min(remaining)
-        coset, mj = next(
-            (c, m) for c, m in table.values() if j in c.members
-        )
-        g = g * mj
-        remaining -= set(coset.members)
+    for coset in ctx.cosets:
+        if coset.representative in zset:
+            g = g * ctx.minimal_polynomials[coset.representative]
     xn1 = Polynomial.x_pow_n_minus_one(field, n)
     h, rem = divmod(xn1, g)
     if not rem.is_zero():
@@ -287,12 +265,9 @@ def small_period_witness(code: CyclicCode) -> tuple[int, ...] | None:
     bad = [j for j in range(1, code.n) if j not in zset and math.gcd(j, code.n) > 1]
     if not bad:
         return None
-    table = _factor_table(code.field.p, code.field.m, code.n)
-    j = bad[0]
-    coset, mj = next((c, m) for c, m in table.values() if j in c.members)
+    factors = code.context().minimal_polynomials
     xn1 = Polynomial.x_pow_n_minus_one(code.field, code.n)
-    one_factor = table[0][1]
-    w = xn1 // (one_factor * mj)
+    w = xn1 // (factors[0] * factors[bad[0]])
     coeffs = list(w.coeffs) + [0] * (code.n - len(w.coeffs))
     return tuple(coeffs)
 
@@ -347,10 +322,6 @@ class EquivalenceClass:
 
     representative: tuple[int, ...]
     size: int
-
-    @property
-    def period(self) -> int:
-        return self.size
 
 
 def _least_rotation_partition(mat: np.ndarray, q: int, k: int):

@@ -19,10 +19,6 @@ class ZeroElement(FhsForgeError):
     pass
 
 
-class OrderDoesNotDivide(FhsForgeError):
-    pass
-
-
 class FieldMismatch(FhsForgeError):
     pass
 

@@ -6,6 +6,11 @@ base-p digits (digit i = coefficient of x^i).  The modulus of every field is
 canonical (the monic primitive polynomial of degree m whose packed digit
 value is smallest), so two runs always build identical tables, and x itself
 is the designated primitive element.
+
+An extension GF(q^d) has no tables: its elements are `Polynomial`s over
+GF(q) reduced mod an irreducible f of degree d, found by the same packed
+search.  `berlekamp_massey` gives the minimal polynomial over GF(q) of a
+linear recurring sequence in GF(q).
 """
 
 from __future__ import annotations
@@ -17,7 +22,6 @@ from .errors import (
     FieldMismatch,
     FieldTooLarge,
     NonPrimeCharacteristic,
-    OrderDoesNotDivide,
     ZeroElement,
 )
 from .intmath import is_prime, multiplicative_order, prime_factors
@@ -140,12 +144,6 @@ class FiniteField:
             return 1 if e == 0 else 0
         return self.exp[self.log[a] * e % (self.order - 1)]
 
-    def nth_root_of_unity(self, n: int) -> int:
-        """The canonical primitive n-th root of unity; requires n | q-1."""
-        if n < 1 or (self.order - 1) % n != 0:
-            raise OrderDoesNotDivide(f"{n} does not divide {self.order - 1}")
-        return self.exp[(self.order - 1) // n] if n > 1 else 1
-
     # -- vectorized arithmetic on numpy index arrays -------------------------
 
     def _tables(self):
@@ -201,7 +199,13 @@ def make_field(p: int, m: int) -> FiniteField:
         raise FieldTooLarge(f"GF({p}^{m}) exceeds the table cap {FIELD_ORDER_CAP}")
     key = (p, m)
     if key not in _FIELD_CACHE:
-        _FIELD_CACHE[key] = FiniteField(p, m, _canonical_modulus(p, m))
+        if m == 1:
+            # x - g for the primitive root g giving the smallest packed polynomial
+            c0 = next(c for c in range(1, p) if multiplicative_order(p - c, p) == p - 1)
+            modulus = (c0, 1)
+        else:
+            modulus = _canonical_modulus(make_field(p, 1), m, p**m - 1).coeffs
+        _FIELD_CACHE[key] = FiniteField(p, m, modulus)
     return _FIELD_CACHE[key]
 
 
@@ -223,34 +227,23 @@ def field_from_order(q: int) -> FiniteField:
     return make_field(pe[0], pe[1])
 
 
-def _canonical_modulus(p: int, m: int) -> tuple[int, ...]:
-    if m == 1:
-        # x - g for the primitive root g giving the smallest packed polynomial
-        if p == 2:
-            return (1, 1)
-        for c0 in range(1, p):
-            g = p - c0
-            if multiplicative_order(g, p) == p - 1:
-                return (c0, 1)
-        raise AssertionError(f"no primitive root mod {p}")
-    base = make_field(p, 1)
+def _canonical_modulus(base: FiniteField, d: int, order: int) -> Polynomial:
+    """The monic irreducible f of degree d over `base`, f(0) != 0, with the
+    smallest packed value sum_i c_i q^i such that x^(order/r) != 1 mod f for
+    every prime r | order.  With order = q^d - 1 that makes f primitive; with
+    order = 1 any irreducible f will do."""
+    q = base.order
     x = Polynomial(base, (0, 1))
-    target = p**m - 1
-    radicals = prime_factors(target)
-    for packed in range(1, p**m):
-        if packed % p == 0:
+    radicals = prime_factors(order)
+    for packed in range(1, q**d):
+        if packed % q == 0:
             continue
-        coeffs = []
-        v = packed
-        for _ in range(m):
-            coeffs.append(v % p)
-            v //= p
-        f = Polynomial(base, tuple(coeffs) + (1,))
-        if not is_irreducible(f):
-            continue
-        if all(pow_mod(x, target // r, f).coeffs != (1,) for r in radicals):
-            return f.coeffs
-    raise AssertionError(f"no primitive polynomial of degree {m} over GF({p})")
+        f = Polynomial.from_packed(base, packed + q**d)
+        if is_irreducible(f) and all(
+            pow_mod(x, order // r, f).coeffs != (1,) for r in radicals
+        ):
+            return f
+    raise AssertionError(f"no such polynomial of degree {d} over GF({q})")
 
 
 class Polynomial:
@@ -278,6 +271,15 @@ class Polynomial:
     @classmethod
     def one(cls, field) -> "Polynomial":
         return cls(field, (1,))
+
+    @classmethod
+    def from_packed(cls, field, packed: int) -> "Polynomial":
+        """The polynomial whose coefficients are the base-q digits of `packed`."""
+        q, coeffs = field.order, []
+        while packed:
+            packed, c = divmod(packed, q)
+            coeffs.append(c)
+        return cls(field, coeffs)
 
     @classmethod
     def x_pow(cls, field, k: int, c: int = 1) -> "Polynomial":
@@ -431,112 +433,45 @@ def is_irreducible(f: Polynomial) -> bool:
     return True
 
 
-class PolyExtField:
-    """GF(q^d) realized as GF(q)[y]/(f) without log tables.
+def root_of_unity(f: Polynomial, n: int) -> Polynomial:
+    """An element of order exactly n in GF(q)[y]/(f), f irreducible of degree
+    d with n | q^d - 1: g^((q^d - 1)/n) for the least packed g that gives one.
 
-    The one representation of a proper extension of a base field: elements
-    are length-d coefficient tuples over the base field, the base field
-    embeds as the constant tuples, and f is the irreducible polynomial of
-    degree d over GF(q) with the smallest packed index (primitivity is not
-    required here; only roots of unity of known small order are drawn).
-    """
+    A constant's order divides q - 1, so the q constants are skipped unless
+    n | q - 1 (that is, unless d = 1)."""
+    q = f.field.order
+    order = q**f.degree
+    one = Polynomial.one(f.field)
+    radicals = prime_factors(n)
+    for packed in range(1 if (q - 1) % n == 0 else q, order):
+        beta = pow_mod(Polynomial.from_packed(f.field, packed), (order - 1) // n, f)
+        if all(pow_mod(beta, n // r, f) != one for r in radicals):
+            return beta
+    raise AssertionError(f"no element of order {n} modulo {f}")
 
-    def __init__(self, base: FiniteField, degree: int):
-        if degree < 2:
-            raise ValueError("extension degree must be >= 2")
-        self.base = base
-        self.degree = degree
-        self.order = base.order**degree
-        self.modulus_poly = self._canonical_irreducible(base, degree)
-        self._tail = self.modulus_poly.coeffs[:degree]
-        self.zero = (0,) * degree
-        self.one = (1,) + (0,) * (degree - 1)
 
-    @staticmethod
-    def _canonical_irreducible(base: FiniteField, d: int) -> Polynomial:
-        q = base.order
-        for packed in range(1, q**d):
-            if packed % q == 0:
-                continue
-            coeffs, v = [], packed
-            for _ in range(d):
-                coeffs.append(v % q)
-                v //= q
-            f = Polynomial(base, tuple(coeffs) + (1,))
-            if is_irreducible(f):
-                return f
-        raise AssertionError(f"no irreducible polynomial of degree {d} over GF({q})")
-
-    def embed(self, c: int) -> tuple[int, ...]:
-        self.base.check(c)
-        return (c,) + (0,) * (self.degree - 1)
-
-    def to_base(self, e: tuple[int, ...]) -> int | None:
-        """Base-field index of a constant element, else None."""
-        return e[0] if not any(e[1:]) else None
-
-    def add(self, a, b):
-        F = self.base
-        return tuple(F.add(x, y) for x, y in zip(a, b))
-
-    def neg(self, a):
-        F = self.base
-        return tuple(F.neg(x) for x in a)
-
-    def sub(self, a, b):
-        F = self.base
-        return tuple(F.sub(x, y) for x, y in zip(a, b))
-
-    def mul(self, a, b):
-        F, d = self.base, self.degree
-        tmp = [0] * (2 * d - 1)
-        for i, x in enumerate(a):
-            if x == 0:
-                continue
-            for j, y in enumerate(b):
-                if y:
-                    tmp[i + j] = F.add(tmp[i + j], F.mul(x, y))
-        for i in range(2 * d - 2, d - 1, -1):
-            c = tmp[i]
-            if c == 0:
-                continue
-            tmp[i] = 0
-            for j, t in enumerate(self._tail):
-                if t:
-                    tmp[i - d + j] = F.sub(tmp[i - d + j], F.mul(c, t))
-        return tuple(tmp[:d])
-
-    def pow(self, a, e: int):
-        if e < 0:
-            raise ValueError("negative exponent in extension field")
-        result, acc = self.one, a
-        while e:
-            if e & 1:
-                result = self.mul(result, acc)
-            acc = self.mul(acc, acc)
-            e >>= 1
-        return result
-
-    def element_of_order(self, n: int) -> tuple[int, ...]:
-        """Deterministic element of multiplicative order exactly n."""
-        if n < 1 or (self.order - 1) % n != 0:
-            raise OrderDoesNotDivide(f"{n} does not divide {self.order - 1}")
-        if n == 1:
-            return self.one
-        cofactor = (self.order - 1) // n
-        radicals = prime_factors(n)
-        q, d = self.base.order, self.degree
-        for idx in range(2, self.order):
-            coeffs, v = [], idx
-            for _ in range(d):
-                coeffs.append(v % q)
-                v //= q
-            e = self.pow(tuple(coeffs), cofactor)
-            if e == self.one:
-                continue
-            if all(self.pow(e, n // r) != self.one for r in radicals):
-                return e
-        raise AssertionError(f"no element of order {n} found")
-
-    def __repr__(self):
-        return f"GF({self.base.order}^{self.degree})[poly]"
+def berlekamp_massey(field: FiniteField, seq) -> Polynomial:
+    """The monic minimal polynomial of the shortest linear recurrence that
+    generates `seq` (Massey 1969): x^L + c_1 x^(L-1) + ... + c_L, where
+    s_k + c_1 s_(k-1) + ... + c_L s_(k-L) = 0 for every L <= k < len(seq)."""
+    F = field
+    c, b = [1], [1]  # connection polynomials, now and at the last length change
+    length, shift, last = 0, 1, 1
+    for k, s in enumerate(seq):
+        disc = s
+        for i in range(1, length + 1):
+            disc = F.add(disc, F.mul(c[i], seq[k - i]))
+        if disc == 0:
+            shift += 1
+            continue
+        coef = F.div(disc, last)
+        prev = list(c)
+        c += [0] * (len(b) + shift - len(c))
+        for i, bi in enumerate(b):
+            c[i + shift] = F.sub(c[i + shift], F.mul(coef, bi))
+        if 2 * length <= k:
+            length, b, last, shift = k + 1 - length, prev, disc, 1
+            c += [0] * (length + 1 - len(c))
+        else:
+            shift += 1
+    return Polynomial(F, reversed(c[: length + 1]))

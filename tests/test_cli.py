@@ -347,6 +347,33 @@ def test_bad_cap_env_is_input_error(capsys, monkeypatch):
     assert "FHSFORGE_CAP" in err
 
 
+MINDIST_98 = ["mindist", "--n", "9", "--q", "8", "--defining-set", "3,4,5,6"]
+BUILD_B5 = ["build", "--family", "B", "--q", "5"]
+
+
+@pytest.mark.parametrize("argv,env", [
+    (MINDIST_98 + ["--cap", "0"], None),
+    (MINDIST_98 + ["--cap", "-1"], None),
+    (MINDIST_98, "0"),
+    (BUILD_B5 + ["--cap", "0"], None),
+    (BUILD_B5 + ["--cap", "-1"], None),
+    (BUILD_B5, "0"),
+    (BUILD_B5, "-1"),
+], ids=["mindist-cap-0", "mindist-cap-neg", "mindist-env-0", "build-cap-0",
+        "build-cap-neg", "build-env-0", "build-env-neg"])
+def test_cap_below_one_is_input_error(tmp_path, capsys, monkeypatch, argv, env):
+    # neither 0 nor a negative cap means "the default" or "no codewords"
+    if env is not None:
+        monkeypatch.setenv("FHSFORGE_CAP", env)
+    out_dir = tmp_path / "out"
+    if argv[0] == "build":
+        argv = argv + ["--out", str(out_dir)]
+    code, out, err = run(capsys, *argv)
+    assert code == 4, out
+    assert "enumeration cap" in err and "Traceback" not in err
+    assert not out_dir.exists()
+
+
 def test_verify_prints_witness(tmp_path, capsys, b5_record):
     path = tmp_path / "fhs_set.json"
     path.write_text(json.dumps(b5_record))

@@ -9,12 +9,20 @@ from fhsforge.constructions import (
 )
 from fhsforge.cyclic import (
     build_code,
+    factor_x_pow_n_minus_one,
     has_full_orbits_outside_constants,
     min_distance_exhaustive,
 )
 from fhsforge.errors import KOutOfRange, NotOddDivisor, NotOddPrimePower
-from fhsforge.galois import Polynomial, make_field, poly_gcd
-from fhsforge.intmath import smallest_prime_factor
+from fhsforge.galois import (
+    Polynomial,
+    field_from_order,
+    is_irreducible,
+    make_field,
+    poly_gcd,
+    pow_mod,
+)
+from fhsforge.intmath import multiplicative_order, smallest_prime_factor
 
 
 # -- parameter helpers ---------------------------------------------------------
@@ -248,3 +256,31 @@ def test_frozen_root_convention(name):
     assert list(code.generator.coeffs) == generator
     assert code.export_dict()["alpha_minimal_polynomial"] == m1
     assert least_packed_phi_factor(code.field, code.n, len(m1) - 1) == m1
+
+
+@pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27, 32])
+def test_factor_table_over_extension_fields(q):
+    # An oracle for the non-prime fields that sympy cannot factor over: every
+    # factor is a monic irreducible of its coset's size, m_1 is the brute-force
+    # least-packed factor of Phi_n, and alpha^j is a root of m_j, i.e. m_1(x)
+    # divides m_j(x^j).  q^d <= 2^12 bounds the brute-force search.
+    F = field_from_order(q)
+    x = Polynomial(F, (0, 1))
+    lengths = [n for n in range(1, 40)
+               if n % F.p and q ** multiplicative_order(q, n) <= 1 << 12]
+    for n in lengths:
+        factor_of = [None] * n
+        for coset, mj in factor_x_pow_n_minus_one(F, n):
+            assert mj.leading() == 1 and is_irreducible(mj), (n, coset)
+            assert mj.degree == len(coset), (n, coset)
+            for j in coset.members:
+                factor_of[j] = mj
+        m1 = factor_of[1 % n]
+        assert list(m1.coeffs) == least_packed_phi_factor(F, n, m1.degree), n
+        x_pows = [pow_mod(x, e, m1) for e in range(n + 1)]
+        assert x_pows[n] == x_pows[0], n
+        for j, mj in enumerate(factor_of):
+            value = Polynomial.zero(F)
+            for i, c in enumerate(mj.coeffs):
+                value = value + x_pows[i * j % n].scale(c)
+            assert value.is_zero(), (n, j)

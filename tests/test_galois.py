@@ -8,17 +8,18 @@ from fhsforge.errors import (
     FieldMismatch,
     FieldTooLarge,
     NonPrimeCharacteristic,
-    OrderDoesNotDivide,
     ZeroElement,
 )
 from fhsforge.galois import (
     FiniteField,
-    PolyExtField,
     Polynomial,
+    _canonical_modulus,
+    berlekamp_massey,
     is_irreducible,
     make_field,
     poly_gcd,
     pow_mod,
+    root_of_unity,
 )
 
 SMALL_ORDERS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2),
@@ -98,22 +99,25 @@ def test_log_antilog_bijection(p, m):
 
 
 def test_element_order_against_brute_force():
-    # the n-th root of unity drawn for each n | q - 1 has order exactly n
+    # the n-th root of unity drawn for each n | q - 1 is a constant of GF(q)[y]/(f),
+    # deg f = 1, and has order exactly n
     for p, m in [(2, 3), (3, 2), (5, 2), (2, 6)]:
         F = make_field(p, m)
+        f = Polynomial(F, (1, 1))
         for n in range(1, F.order):
             if (F.order - 1) % n == 0:
-                assert brute_force_order(F, F.nth_root_of_unity(n)) == n
+                beta = root_of_unity(f, n)
+                assert beta.degree == 0
+                assert brute_force_order(F, beta.coeffs[0]) == n
 
 
 def test_nth_root_of_unity():
     F64 = make_field(2, 6)
-    beta = F64.nth_root_of_unity(9)
+    f = Polynomial(F64, (1, 1))
+    beta = root_of_unity(f, 9).coeffs[0]
     assert brute_force_order(F64, beta) == 9
     assert F64.pow(beta, 9) == 1
-    assert make_field(2, 3).nth_root_of_unity(1) == 1
-    with pytest.raises(OrderDoesNotDivide):
-        make_field(2, 3).nth_root_of_unity(5)
+    assert root_of_unity(Polynomial(make_field(2, 3), (1, 1)), 1).coeffs == (1,)
 
 
 def test_zero_division_and_inverse():
@@ -208,54 +212,101 @@ def test_is_irreducible_small():
     assert is_irreducible(Polynomial(F5, (2, 0, 1)))
 
 
-# -- extensions ---------------------------------------------------------------
-
-
-@pytest.mark.parametrize("p,m,d", [(2, 3, 2), (5, 1, 2), (3, 2, 2), (2, 2, 3)])
-def test_poly_ext_embed_is_homomorphism(p, m, d):
-    base = make_field(p, m)
-    ext = PolyExtField(base, d)
-    emb = [ext.embed(c) for c in range(base.order)]
-    assert emb[0] == ext.zero and emb[1] == ext.one
-    assert len(set(emb)) == base.order
-    for a, b in itertools.product(range(base.order), repeat=2):
-        assert emb[base.add(a, b)] == ext.add(emb[a], emb[b])
-        assert emb[base.mul(a, b)] == ext.mul(emb[a], emb[b])
+# -- extensions GF(q)[y]/(f) ----------------------------------------------------
 
 
 def test_poly_ext_field_axioms_random():
+    # GF(q^d) as polynomials over GF(q) reduced mod the least-packed irreducible f
     rng = random.Random(11)
     for base_pm, d in [((2, 1), 28), ((3, 1), 4), ((2, 2), 5)]:
         base = make_field(*base_pm)
-        E = PolyExtField(base, d)
-        rand = lambda: tuple(rng.randrange(base.order) for _ in range(d))
+        f = _canonical_modulus(base, d, 1)
+        assert f.degree == d and f.leading() == 1 and is_irreducible(f)
+        one = Polynomial.one(base)
+        rand = lambda: Polynomial(base, [rng.randrange(base.order) for _ in range(d)])
         for _ in range(40):
             a, b, c = rand(), rand(), rand()
-            assert E.add(a, b) == E.add(b, a)
-            assert E.mul(a, b) == E.mul(b, a)
-            assert E.mul(E.mul(a, b), c) == E.mul(a, E.mul(b, c))
-            assert E.mul(a, E.add(b, c)) == E.add(E.mul(a, b), E.mul(a, c))
-            assert E.add(a, E.neg(a)) == E.zero
-        assert E.mul(E.one, rand()) != E.zero or True  # smoke only
+            assert a + b == b + a
+            assert a * b % f == b * a % f
+            assert (a * b % f) * c % f == a * (b * c % f) % f
+            assert a * (b + c) % f == (a * b + a * c) % f
+            assert (a + -a).is_zero()
+            if not a.is_zero():  # a^(q^d - 2) is the inverse in a field
+                assert a * pow_mod(a, base.order**d - 2, f) % f == one
 
 
 def test_poly_ext_root_of_unity():
-    E = PolyExtField(make_field(2, 1), 28)
-    alpha = E.element_of_order(29)
+    F2 = make_field(2, 1)
+    f = _canonical_modulus(F2, 28, 1)
+    alpha = root_of_unity(f, 29)
     acc = alpha
     seen = {alpha}
     for _ in range(27):
-        acc = E.mul(acc, alpha)
+        acc = acc * alpha % f
         seen.add(acc)
-    assert E.mul(acc, alpha) == E.one
+    assert acc * alpha % f == Polynomial.one(F2)
     assert len(seen) == 28
-    with pytest.raises(OrderDoesNotDivide):
-        E.element_of_order(30)
 
 
-def test_poly_ext_embed_round_trip():
-    base = make_field(3, 1)
-    E = PolyExtField(base, 4)
-    for c in range(base.order):
-        assert E.to_base(E.embed(c)) == c
-    assert E.to_base((1, 2, 0, 0)) is None
+def test_canonical_modulus_generalises_the_field_search():
+    # order p^m - 1 asks for the field's primitive modulus; order 1 for any
+    # irreducible, which may pack smaller
+    for p, m in [(2, 4), (3, 2), (5, 2), (2, 6)]:
+        base = make_field(p, 1)
+        assert _canonical_modulus(base, m, p**m - 1).coeffs == make_field(p, m).modulus
+    assert _canonical_modulus(make_field(2, 1), 4, 1).coeffs == (1, 1, 0, 0, 1)
+    assert _canonical_modulus(make_field(3, 1), 2, 1).coeffs == (1, 0, 1)  # x^2 + 1
+    assert _canonical_modulus(make_field(5, 1), 2, 1).coeffs == (2, 0, 1)  # x^2 + 2
+
+
+def _lfsr(f, terms):
+    """`terms` outputs of the LFSR with characteristic polynomial f from the
+    state (1, 0, ..., 0): s_(k+d) = -(c_0 s_k + ... + c_(d-1) s_(k+d-1))."""
+    F, d = f.field, f.degree
+    seq = [1] + [0] * (d - 1)
+    while len(seq) < terms:
+        acc = 0
+        for c, s in zip(f.coeffs, seq[-d:]):
+            acc = F.add(acc, F.mul(c, s))
+        seq.append(F.neg(acc))
+    return seq[:terms]
+
+
+@pytest.mark.parametrize("p,m,max_degree", [(2, 1, 4), (3, 1, 4), (2, 2, 3), (3, 2, 3)])
+def test_berlekamp_massey_recovers_irreducibles(p, m, max_degree):
+    F = make_field(p, m)
+    q = F.order
+    count = 0
+    for d in range(1, max_degree + 1):
+        for packed in range(q**d):
+            f = Polynomial.from_packed(F, packed + q**d)
+            if is_irreducible(f):
+                assert berlekamp_massey(F, _lfsr(f, 2 * d)) == f, f
+                count += 1
+    assert count >= max_degree  # at least one irreducible of every degree
+
+
+def _generates(f, seq):
+    """Whether the recurrence with characteristic polynomial f yields seq."""
+    F, d = f.field, f.degree
+    for k in range(d, len(seq)):
+        acc = 0
+        for c, s in zip(f.coeffs, seq[k - d:k + 1]):
+            acc = F.add(acc, F.mul(c, s))
+        if acc:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("p,m,terms", [(2, 1, 8), (3, 1, 5), (2, 2, 4)])
+def test_berlekamp_massey_is_the_shortest_recurrence(p, m, terms):
+    # every sequence of `terms` symbols, against all shorter recurrences
+    F = make_field(p, m)
+    q = F.order
+    for seq in itertools.product(range(q), repeat=terms):
+        f = berlekamp_massey(F, list(seq))
+        assert f.leading() == 1 and _generates(f, seq), seq
+        assert not any(
+            _generates(Polynomial.from_packed(F, packed + q**d), seq)
+            for d in range(f.degree) for packed in range(q**d)
+        ), seq
