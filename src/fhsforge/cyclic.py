@@ -35,7 +35,6 @@ from .galois import (
     make_field,
     root_of_unity,
 )
-from .intmath import multiplicative_order
 
 ENUMERATION_CAP = 1 << 22
 
@@ -100,16 +99,16 @@ class RootContext:
     def __init__(self, field: FiniteField, n: int):
         if math.gcd(n, field.order) != 1:
             raise NotCoprime(f"gcd({n}, {field.order}) != 1")
+        self.cosets = cyclotomic_cosets(n, field.order)  # rejects n < 1
         self.base = field
         self.n = n
-        d = multiplicative_order(field.order, n)
-        self.modulus = f = _canonical_modulus(field, d, 1)
+        # d = ord_n(q) is the size of the coset of 1 (of 0 when n = 1)
+        f = _canonical_modulus(field, len(self.cosets[1 % n]), 1)
         beta = root_of_unity(f, n)
         beta_pows = [Polynomial.one(field)]
         for _ in range(n - 1):
             beta_pows.append(beta_pows[-1] * beta % f)
         u = [b.coeffs[0] for b in beta_pows]
-        self.cosets = cyclotomic_cosets(n, field.order)
         under_beta = [None] * n
         for coset in self.cosets:
             j, size = coset.representative, len(coset)
@@ -123,7 +122,6 @@ class RootContext:
             return sum(c * field.order**i for i, c in enumerate(under_beta[j].coeffs))
 
         s = min((j for j in range(n) if math.gcd(j, n) == 1), key=packed)
-        self.alpha_pows = [beta_pows[s * j % n] for j in range(n)]
         self.minimal_polynomials = [under_beta[s * j % n] for j in range(n)]
         product = Polynomial.one(field)
         for coset in self.cosets:

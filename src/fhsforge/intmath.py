@@ -57,7 +57,9 @@ def is_prime_power(x: int) -> tuple[int, int] | None:
 
 
 def multiplicative_order(a: int, n: int) -> int:
-    """Least j >= 1 with a**j = 1 (mod n); requires gcd(a, n) = 1."""
+    """Least j >= 1 with a**j = 1 (mod n); requires n >= 1, gcd(a, n) = 1."""
+    if n < 1:
+        raise ValueError(f"modulus must be positive, got {n}")
     if n == 1:
         return 1
     a %= n

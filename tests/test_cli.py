@@ -339,6 +339,20 @@ def test_cosets_nonpositive_length_is_input_error(capsys):
     assert "NonPositiveLength" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["factor", "--n", "-1", "--q", "2"],
+    ["factor", "--n", "-3", "--q", "2"],
+    ["code", "--n", "-1", "--q", "2", "--defining-set="],
+    ["mindist", "--n", "-3", "--q", "2", "--defining-set="],
+], ids=["factor-1", "factor-3", "code-1", "mindist-3"])
+def test_negative_length_is_input_error(capsys, argv):
+    # ord_n(q) has no value for n < 1; computing it must not be tried
+    code, _, err = run(capsys, *argv)
+    assert code == 4
+    assert "NonPositiveLength" in err
+    assert "Traceback" not in err
+
+
 def test_bad_cap_env_is_input_error(capsys, monkeypatch):
     monkeypatch.setenv("FHSFORGE_CAP", "abc")
     code, _, err = run(capsys, "mindist", "--n", "9", "--q", "8",

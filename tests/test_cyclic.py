@@ -29,8 +29,15 @@ from fhsforge.errors import (
     NotCosetClosed,
     ZeroCode,
 )
-from fhsforge.galois import FiniteField, Polynomial, make_field
-from fhsforge.intmath import is_prime
+from fhsforge.galois import (
+    FiniteField,
+    Polynomial,
+    _canonical_modulus,
+    make_field,
+    pow_mod,
+    root_of_unity,
+)
+from fhsforge.intmath import is_prime, multiplicative_order
 
 
 def rotations(word):
@@ -72,6 +79,9 @@ def test_cosets_partition_property():
 def test_cosets_nonpositive_length():
     with pytest.raises(NonPositiveLength):
         cyclotomic_cosets(0, 2)
+    for n in (-1, -3):
+        with pytest.raises(NonPositiveLength):
+            root_context(make_field(2, 1), n)
 
 
 def test_cosets_not_coprime():
@@ -102,11 +112,25 @@ def test_build_mds_code_9_5_5():
     assert min_distance_exhaustive(code) == 5  # [9, 5, 5]: MDS
 
 
-def evaluate_at_root(ctx, poly, j):
-    """poly(alpha^j) in GF(q)[y]/(f), f the context's modulus, by Horner's rule."""
-    acc, a = Polynomial.zero(ctx.base), ctx.alpha_pows[j]
+def canonical_root(F, n):
+    """(alpha, f): alpha in GF(q)[y]/(f), f of degree ord_n(q).
+
+    alpha is found here, not read from the context: it is any root of m_1,
+    the context's factor of the coset of 1, among the powers of an n-th root
+    of unity modulo f."""
+    f = _canonical_modulus(F, multiplicative_order(F.order, n), 1)
+    beta = root_of_unity(f, n)
+    m1 = root_context(F, n).minimal_polynomials[1 % n]
+    alpha = next(a for a in (pow_mod(beta, s, f) for s in range(n))
+                 if evaluate(m1, a, f).is_zero())
+    return alpha, f
+
+
+def evaluate(poly, a, f):
+    """poly(a) modulo f, by Horner's rule."""
+    acc = Polynomial.zero(poly.field)
     for c in reversed(poly.coeffs):
-        acc = (acc * a + Polynomial(ctx.base, (c,))) % ctx.modulus
+        acc = (acc * a + Polynomial(poly.field, (c,))) % f
     return acc
 
 
@@ -119,9 +143,9 @@ def test_generator_vanishes_on_defining_set():
     ]:
         F = make_field(p, m)
         code = build_code(n, F, z)
-        ctx = root_context(F, n)
+        alpha, f = canonical_root(F, n)
         for j in range(n):
-            value = evaluate_at_root(ctx, code.generator, j)
+            value = evaluate(code.generator, pow_mod(alpha, j, f), f)
             assert value.is_zero() == (j in code.defining_set)
 
 
@@ -129,11 +153,11 @@ def test_all_ones_quotient_vanishes_at_primitive_roots():
     # (x^n - 1)/(x - 1) is zero at every primitive n-th root when n > 1
     for p, m, n in [(2, 3, 9), (5, 1, 6), (3, 1, 13), (2, 9, 27)]:
         F = make_field(p, m)
-        ctx = root_context(F, n)
+        alpha, f = canonical_root(F, n)
         ones = Polynomial(F, (1,) * n)
         for j in range(1, n):
             if math.gcd(j, n) == 1:
-                assert evaluate_at_root(ctx, ones, j).is_zero()
+                assert evaluate(ones, pow_mod(alpha, j, f), f).is_zero()
 
 
 def test_empty_defining_set_gives_full_space():
