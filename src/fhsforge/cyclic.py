@@ -20,6 +20,7 @@ import numpy as np
 from .errors import (
     DoesNotContainAllOnes,
     EnumerationTooLarge,
+    FactorTableTooLarge,
     GcdConditionViolated,
     NonPositiveLength,
     NotCoprime,
@@ -29,14 +30,22 @@ from .errors import (
 from .galois import (
     FiniteField,
     Polynomial,
-    _canonical_modulus,
     berlekamp_massey,
+    extension_field,
     field_from_order,
     make_field,
-    root_of_unity,
 )
+from .intmath import multiplicative_order, prime_factors
 
 ENUMERATION_CAP = 1 << 22
+# The factor table of x^n - 1 over GF(q) is refused before any work when n
+# or d = ord_n(q) passes these caps.  On a 2-core Xeon guest a table costs
+# at most about 75 us per residue (n = 131,071 over GF(2^17), d = 1: 10 s),
+# and d = 58..66 over GF(11) and GF(13) takes under 2 s.  The packed search
+# for the degree-d modulus is not bounded by n and d: over large fields it
+# can meet long runs of reducible candidates.
+FACTOR_LENGTH_CAP = 1 << 17
+FACTOR_DEGREE_CAP = 64
 
 
 @dataclass(frozen=True)
@@ -78,56 +87,83 @@ class RootContext:
     """The canonical primitive n-th root of unity alpha for GF(q), and the
     minimal polynomial over GF(q) of each of its powers.
 
-    alpha lives in GF(q)[y]/(f), f the monic irreducible of degree
-    d = ord_n(q) with the smallest packed value, and its powers are
-    `Polynomial`s reduced mod f.  It is fixed by its minimal polynomial, not
-    by f: alpha is a root of m_1, the monic irreducible factor of Phi_n(x)
-    over GF(q) whose packed value sum_i c_i q^i is smallest.  Conjugate
-    roots give the same labelling, so any root of m_1 will do.  The factors
-    are computed once under the root beta that `root_of_unity` picks, and
+    alpha lives in GF(q^d) = GF(q)[y]/(f), f the monic irreducible of degree
+    d = ord_n(q) with the smallest packed value, on the `ExtensionField`
+    kernel.  It is fixed by its minimal polynomial, not by f: alpha is a
+    root of m_1, the monic irreducible factor of Phi_n(x) over GF(q) whose
+    packed value sum_i c_i q^i is smallest.  Conjugate roots give the same
+    labelling, so any root of m_1 will do.  The factors are computed once
+    under the root beta that `ExtensionField.root_of_unity` picks, and
     relabelled: with s the least unit whose factor under beta is m_1,
     alpha = beta^s, and the factor of coset j is beta's factor of coset
     s*j mod n.
 
-    The factor of a coset C_j is the minimal polynomial, by Berlekamp-Massey
-    over GF(q), of u_k = the constant coefficient of beta^(jk), k < 2|C_j|.
-    u_0 = 1, so the sequence is nonzero and its minimal polynomial divides,
-    hence equals, the irreducible minimal polynomial of beta^j.  The factors
-    must multiply back to x^n - 1.
+    The factor m_j of a coset C_j is the minimal polynomial, by
+    Berlekamp-Massey over GF(q), of u_k = the constant coefficient of
+    beta^(jk), k < 2|C_j|.  The table checks, in near-linear time, that
+    beta^n = 1 and beta^(n/r) != 1 for every prime r | n, and that each
+    m_j is monic of degree |C_j| with m_j(beta^j) = 0.  Then beta has order
+    n, m_j vanishes on the |C_j| distinct conjugates beta^c, c in C_j, so
+    m_j = prod_(c in C_j) (x - beta^c), and since the cosets partition
+    0..n-1, the factors multiply to prod_(s<n) (x - beta^s) = x^n - 1.
+
+    A table is refused (`FactorTableTooLarge`) before any work when n
+    exceeds FACTOR_LENGTH_CAP or d exceeds FACTOR_DEGREE_CAP.
     """
 
     def __init__(self, field: FiniteField, n: int):
-        if math.gcd(n, field.order) != 1:
-            raise NotCoprime(f"gcd({n}, {field.order}) != 1")
-        self.cosets = cyclotomic_cosets(n, field.order)  # rejects n < 1
+        q = field.order
+        if math.gcd(n, q) != 1:
+            raise NotCoprime(f"gcd({n}, {q}) != 1")
+        if n < 1:
+            raise NonPositiveLength(f"length must be positive, got {n}")
+        if n > FACTOR_LENGTH_CAP:
+            raise FactorTableTooLarge(
+                f"the factor table of x^{n} - 1 exceeds the length cap "
+                f"{FACTOR_LENGTH_CAP}"
+            )
+        d = multiplicative_order(q, n)
+        if d > FACTOR_DEGREE_CAP:
+            raise FactorTableTooLarge(
+                f"x^{n} - 1 splits over GF({q}^{d}), past the degree cap "
+                f"{FACTOR_DEGREE_CAP}"
+            )
+        self.cosets = cyclotomic_cosets(n, q)
         self.base = field
         self.n = n
-        # d = ord_n(q) is the size of the coset of 1 (of 0 when n = 1)
-        f = _canonical_modulus(field, len(self.cosets[1 % n]), 1)
-        beta = root_of_unity(f, n)
-        beta_pows = [Polynomial.one(field)]
-        for _ in range(n - 1):
-            beta_pows.append(beta_pows[-1] * beta % f)
-        u = [b.coeffs[0] for b in beta_pows]
+        ext = extension_field(field, d)
+        beta = ext.root_of_unity(n)
+        reps = {c.representative: None for c in self.cosets}
+        checkpoints = {n // r for r in prime_factors(n)}
+        u = np.empty((n, field.m), dtype=np.int64)
+        power = ext.one
+        for k in range(n):
+            if k in checkpoints and ext.is_one(power):
+                raise AssertionError(f"beta^{k} = 1: beta does not have order {n}")
+            if k in reps:
+                reps[k] = power
+            u[k] = power[0]
+            power = ext.mul(power, beta)
+        if not ext.is_one(power):
+            raise AssertionError(f"beta^{n} != 1")
+        u = (u @ field.p ** np.arange(field.m)).tolist()
         under_beta = [None] * n
+        packed = [0] * n
         for coset in self.cosets:
             j, size = coset.representative, len(coset)
             mj = berlekamp_massey(field, [u[j * k % n] for k in range(2 * size)])
-            if mj.degree != size:
-                raise AssertionError(f"the factor of C_{j} has degree {mj.degree}")
+            if mj.degree != size or mj.leading() != 1:
+                raise AssertionError(
+                    f"the factor of C_{j} is not monic of degree {size}"
+                )
+            if ext.evaluate(mj, reps[j]).any():
+                raise AssertionError(f"the factor of C_{j} does not vanish at beta^{j}")
+            key = sum(c * q**i for i, c in enumerate(mj.coeffs))
             for i in coset.members:
                 under_beta[i] = mj
-
-        def packed(j):
-            return sum(c * field.order**i for i, c in enumerate(under_beta[j].coeffs))
-
-        s = min((j for j in range(n) if math.gcd(j, n) == 1), key=packed)
+                packed[i] = key
+        s = min((j for j in range(n) if math.gcd(j, n) == 1), key=packed.__getitem__)
         self.minimal_polynomials = [under_beta[s * j % n] for j in range(n)]
-        product = Polynomial.one(field)
-        for coset in self.cosets:
-            product = product * self.minimal_polynomials[coset.representative]
-        if product != Polynomial.x_pow_n_minus_one(field, n):
-            raise AssertionError("coset factors do not multiply back to x^n - 1")
 
 
 @lru_cache(maxsize=None)

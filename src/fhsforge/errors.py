@@ -53,6 +53,10 @@ class EnumerationTooLarge(FhsForgeError):
     pass
 
 
+class FactorTableTooLarge(FhsForgeError):
+    """x^n - 1's factor table is past the size caps; refused before any work."""
+
+
 class GcdConditionViolated(FhsForgeError):
     pass
 

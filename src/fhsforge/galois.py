@@ -1,4 +1,5 @@
-"""Finite fields GF(p^m) with log/antilog tables, and polynomials over them.
+"""Finite fields GF(p^m) with log/antilog tables, polynomials over them, and
+the extension fields GF(q^d) on one vectorized kernel.
 
 An element of GF(p^m) is an integer index in [0, q).  Index 0 is the additive
 zero; a nonzero index packs the element's coefficients in the power basis as
@@ -7,13 +8,16 @@ canonical (the monic primitive polynomial of degree m whose packed digit
 value is smallest), so two runs always build identical tables, and x itself
 is the designated primitive element.
 
-An extension GF(q^d) has no tables: its elements are `Polynomial`s over
-GF(q) reduced mod an irreducible f of degree d, found by the same packed
-search.  `berlekamp_massey` gives the minimal polynomial over GF(q) of a
-linear recurring sequence in GF(q).
+`Polynomial` is GF(q)[x]: generators, x^n - 1, remainders and gcds.  An
+extension GF(q^d) = GF(q)[y]/(f), f the least-packed monic irreducible of
+degree d, has no tables: `ExtensionField` multiplies its elements as numpy
+digit planes.  `berlekamp_massey` gives the minimal polynomial over GF(q) of
+a linear recurring sequence in GF(q).
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -27,6 +31,16 @@ from .errors import (
 from .intmath import is_prime, multiplicative_order, prime_factors
 
 FIELD_ORDER_CAP = 1 << 20
+_TABLE_CHUNK = 1 << 12
+
+
+def _mod_exact(r: np.ndarray, p: int) -> np.ndarray:
+    """r mod p for float64 arrays of nonnegative integers below 2^50.
+
+    r/p = a + b/p with 0 <= b < p, so r/p + 1/(2p) lies at least 1/(2p)
+    from an integer, and the rounding error of r * (1/p), under
+    (r/p + 1) * 2^-51, is smaller than that gap while r + p < 2^50."""
+    return r - p * np.floor(r * (1.0 / p) + 0.5 / p)
 
 
 class FiniteField:
@@ -41,45 +55,48 @@ class FiniteField:
         self.m = m
         self.order = p**m
         self.modulus = modulus
-        self.exp: list[int] = []
-        self.log: list[int] = [-1] * self.order
         self._build_tables()
-        self._np_exp: np.ndarray | None = None
-        self._np_log: np.ndarray | None = None
         self._add_table: np.ndarray | None = None
 
     # -- construction ------------------------------------------------------
 
     def _build_tables(self):
+        """The antilog table x^k, k < q - 1, by doubling: with the first L
+        powers known, x^(L+k) = x^L * x^k for k < L is one matmul of their
+        base-p digits by the m x m matrix of multiplication by x^L, which
+        squares for the next round.  The log table is its inverse
+        permutation, built by one scatter.  For odd p and m > 1, the Zech
+        logarithms z(k) = log(1 + x^k) make addition two table lookups."""
         q, p, m = self.order, self.p, self.m
-        if p == 2:
-            packed = sum(c << i for i, c in enumerate(self.modulus))
-            x = 1
-            for _ in range(q - 1):
-                self.exp.append(x)
-                self.log[x] = len(self.exp) - 1
-                x <<= 1
-                if x & q:
-                    x ^= packed
-        else:
-            # multiply the coefficient vector by x and reduce mod the modulus
-            tail = self.modulus[:m]
-            coeffs = [1] + [0] * (m - 1)
-            for _ in range(q - 1):
-                self.exp.append(self._pack(coeffs))
-                self.log[self.exp[-1]] = len(self.exp) - 1
-                top = coeffs[m - 1]
-                coeffs = [0] + coeffs[: m - 1]
-                if top:
-                    coeffs = [(c - top * t) % p for c, t in zip(coeffs, tail)]
-        if len(set(self.exp)) != q - 1:
+        weights = p ** np.arange(m, dtype=np.int64)
+        step = np.zeros((m, m))  # row i: the digits of x^(L+i)
+        step[np.arange(m - 1), np.arange(1, m)] = 1
+        step[m - 1] = np.negative(self.modulus[:m]) % p
+        digits = np.zeros((q - 1, m), dtype=np.uint8 if p < 256 else np.uint32)
+        digits[0, 0] = 1
+        exp = np.ones(q - 1, dtype=np.int64)
+        done = 1
+        while done < q - 1:
+            k = min(done, q - 1 - done)
+            for lo in range(0, k, _TABLE_CHUNK):  # cache-sized float temporaries
+                hi = min(lo + _TABLE_CHUNK, k)
+                new = _mod_exact(digits[lo:hi] @ step, p)
+                digits[done + lo:done + hi] = new
+                exp[done + lo:done + hi] = new @ weights
+            step = _mod_exact(step @ step, p)
+            done += k
+        log = np.full(q, -1, dtype=np.int64)
+        log[exp] = np.arange(q - 1)
+        if (log[1:] < 0).any():
             raise AssertionError("modulus is not primitive: antilog table collides")
-
-    def _pack(self, coeffs) -> int:
-        v = 0
-        for c in reversed(coeffs):
-            v = v * self.p + c
-        return v
+        self.exp: list[int] = exp.tolist()
+        self.log: list[int] = log.tolist()
+        self._np_exp = exp.astype(np.uint32)
+        self._np_log = np.maximum(log, 0)
+        if p != 2 and m > 1:
+            # 1 + x^k steps digit 0 of x^k; it is 0 (log -1) at k = (q - 1)/2
+            one_plus = exp + 1 - p * (digits[:, 0] == p - 1)
+            self._zech: list[int] = log[one_plus].tolist()
 
     # -- scalar arithmetic on element indices -------------------------------
 
@@ -101,25 +118,20 @@ class FiniteField:
             return a ^ b
         if self.m == 1:
             return (a + b) % self.p
-        p, s, w = self.p, 0, 1
-        while a or b:
-            s += (a % p + b % p) % p * w
-            a //= p
-            b //= p
-            w *= p
-        return s
+        if a == 0 or b == 0:
+            return a or b
+        # x^i + x^j = x^i (1 + x^(j-i)) = x^(i + z(j - i))
+        i = self.log[a]
+        z = self._zech[(self.log[b] - i) % (self.order - 1)]
+        return 0 if z < 0 else self.exp[(i + z) % (self.order - 1)]
 
     def neg(self, a: int) -> int:
-        if self.p == 2:
+        if self.p == 2 or a == 0:
             return a
         if self.m == 1:
-            return (-a) % self.p
-        p, s, w = self.p, 0, 1
-        while a:
-            s += (-a % p) * w
-            a //= p
-            w *= p
-        return s
+            return self.p - a
+        # -1 = x^((q-1)/2) for odd p
+        return self.exp[(self.log[a] + (self.order - 1) // 2) % (self.order - 1)]
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b)) if self.p != 2 else a ^ b
@@ -146,12 +158,6 @@ class FiniteField:
 
     # -- vectorized arithmetic on numpy index arrays -------------------------
 
-    def _tables(self):
-        if self._np_exp is None:
-            self._np_exp = np.array(self.exp, dtype=np.uint32)
-            self._np_log = np.array([max(v, 0) for v in self.log], dtype=np.int64)
-        return self._np_exp, self._np_log
-
     def add_table(self) -> np.ndarray:
         """The q x q addition table, built on first use and kept.
 
@@ -172,8 +178,8 @@ class FiniteField:
 
     def multiples(self, a: np.ndarray, scalars: np.ndarray) -> np.ndarray:
         """c * a for every c in `scalars`, stacked along a new first axis."""
-        exp_t, log_t = self._tables()
-        out = exp_t[np.add.outer(log_t[scalars], log_t[a]) % (self.order - 1)]
+        log_t = self._np_log
+        out = self._np_exp[np.add.outer(log_t[scalars], log_t[a]) % (self.order - 1)]
         out[np.logical_or.outer(scalars == 0, a == 0)] = 0
         return out
 
@@ -232,16 +238,24 @@ def _canonical_modulus(base: FiniteField, d: int, order: int) -> Polynomial:
     smallest packed value sum_i c_i q^i such that x^(order/r) != 1 mod f for
     every prime r | order.  With order = q^d - 1 that makes f primitive; with
     order = 1 any irreducible f will do."""
-    q = base.order
+    q, p = base.order, base.p
     x = Polynomial(base, (0, 1))
     radicals = prime_factors(order)
-    for packed in range(1, q**d):
+    packed = 0
+    while packed < q**d - 1:
+        packed += 1
         if packed % q == 0:
             continue
         f = Polynomial.from_packed(base, packed + q**d)
-        if is_irreducible(f) and all(
-            pow_mod(x, order // r, f).coeffs != (1,) for r in radicals
-        ):
+        if not any(f.coeffs[i] for i in range(1, d + 1) if i % p):
+            # f' = 0, so f = g(x)^p; so is every f up to the next multiple of
+            # q, which differs from this one only in f(0)
+            packed += q - packed % q
+            continue
+        if not is_irreducible(f):
+            continue
+        ext = ExtensionField(f) if radicals else None
+        if all(not ext.is_one(ext.pow(ext.element(x), order // r)) for r in radicals):
             return f
     raise AssertionError(f"no such polynomial of degree {d} over GF({q})")
 
@@ -338,17 +352,7 @@ class Polynomial:
 
     def __mul__(self, other):
         self._match(other)
-        F = self.field
-        if self.is_zero() or other.is_zero():
-            return Polynomial.zero(F)
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b:
-                    out[i + j] = F.add(out[i + j], F.mul(a, b))
-        return Polynomial(F, out)
+        return Polynomial(self.field, _product(self.field, self.coeffs, other.coeffs))
 
     def scale(self, c: int) -> "Polynomial":
         F = self.field
@@ -358,19 +362,9 @@ class Polynomial:
         self._match(other)
         if other.is_zero():
             raise DivisionByZeroPolynomial("polynomial division by zero")
-        F = self.field
         rem = list(self.coeffs)
-        db = other.degree
-        inv_lead = F.inv(other.leading())
-        quot = [0] * max(len(rem) - db, 0)
-        for i in range(len(rem) - db - 1, -1, -1):
-            c = F.mul(rem[i + db], inv_lead)
-            if c == 0:
-                continue
-            quot[i] = c
-            for j, b in enumerate(other.coeffs):
-                rem[i + j] = F.sub(rem[i + j], F.mul(c, b))
-        return Polynomial(F, quot), Polynomial(F, rem)
+        quot = _reduce(self.field, rem, other.coeffs)
+        return Polynomial(self.field, quot), Polynomial(self.field, rem)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -387,34 +381,83 @@ class Polynomial:
         return f"Polynomial(GF({self.field.order}), {list(self.coeffs)})"
 
 
+def _product(F: FiniteField, a, b) -> list:
+    """The coefficients of the product of two coefficient sequences."""
+    if not a or not b:
+        return []
+    add, mul = F.add, F.mul
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x == 0:
+            continue
+        for j, y in enumerate(b, i):
+            if y:
+                out[j] = add(out[j], mul(x, y))
+    return out
+
+
+def _reduce(F: FiniteField, rem: list, divisor: tuple) -> list:
+    """Long division of the coefficient list `rem` by the nonzero `divisor`:
+    leaves the remainder in `rem`, trailing zeros stripped, and returns the
+    quotient's coefficients."""
+    db = len(divisor) - 1
+    inv_lead = F.inv(divisor[-1])
+    quot = [0] * max(len(rem) - db, 0)
+    add, mul, lower = F.add, F.mul, divisor[:-1]
+    for i in range(len(rem) - db - 1, -1, -1):
+        c = mul(rem[i + db], inv_lead)
+        if c == 0:
+            continue
+        quot[i] = c
+        c = F.neg(c)
+        for j, b in enumerate(lower, i):
+            rem[j] = add(rem[j], mul(c, b))
+    del rem[db:]
+    while rem and rem[-1] == 0:
+        rem.pop()
+    return quot
+
+
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     """Monic greatest common divisor."""
     a._match(b)
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic()
+    x, y = list(a.coeffs), b.coeffs
+    while y:
+        _reduce(a.field, x, y)
+        x, y = list(y), tuple(x)
+    return Polynomial(a.field, x).monic()
 
 
 def pow_mod(base: Polynomial, e: int, mod: Polynomial) -> Polynomial:
     """base**e reduced mod `mod` (e >= 0)."""
     if e < 0:
         raise ValueError("negative exponent")
-    result = Polynomial.one(base.field)
-    base = base % mod
+    base._match(mod)
+    if mod.is_zero():
+        raise DivisionByZeroPolynomial("polynomial division by zero")
+    F, f = base.field, mod.coeffs
+    result, square = [1], list(base.coeffs)
+    _reduce(F, result, f)
+    _reduce(F, square, f)
     while e:
         if e & 1:
-            result = result * base % mod
-        base = base * base % mod
+            result = _product(F, result, square)
+            _reduce(F, result, f)
         e >>= 1
-    return result
+        if e:
+            square = _product(F, square, square)
+            _reduce(F, square, f)
+    return Polynomial(F, result)
 
 
 def is_irreducible(f: Polynomial) -> bool:
-    """Irreducibility over the coefficient field.
+    """Irreducibility over the coefficient field (Ben-Or).
 
     f of degree d is irreducible iff it shares no root with x^(q^i) - x for
     any 1 <= i <= d // 2, since a proper factorization forces a factor of
-    degree at most d // 2.
+    degree at most d // 2.  x^q mod f is taken on `Polynomial`s, which
+    rejects the many f with a root in GF(q) before any kernel table is
+    built; the later Frobenius powers run on the `ExtensionField` kernel.
     """
     d = f.degree
     if d < 1:
@@ -423,31 +466,160 @@ def is_irreducible(f: Polynomial) -> bool:
         return True
     if f.coeffs[0] == 0:
         return False
-    F = f.field
+    F, f = f.field, f.monic()
     x = Polynomial(F, (0, 1))
-    r = x
-    for _ in range(d // 2):
-        r = pow_mod(r, F.order, f)
-        if not poly_gcd(r - x, f).coeffs == (1,):
+    r = pow_mod(x, F.order, f)
+    if poly_gcd(r - x, f).degree > 0:
+        return False
+    if d < 4:
+        return True
+    ext = ExtensionField(f)
+    s = ext.element(r)
+    for _ in range(d // 2 - 1):
+        s = ext.pow(s, F.order)
+        if poly_gcd(ext.polynomial(s) - x, f).degree > 0:
             return False
     return True
 
 
 def root_of_unity(f: Polynomial, n: int) -> Polynomial:
-    """An element of order exactly n in GF(q)[y]/(f), f irreducible of degree
-    d with n | q^d - 1: g^((q^d - 1)/n) for the least packed g that gives one.
+    """An element of order exactly n in GF(q)[y]/(f), f monic irreducible of
+    degree d with n | q^d - 1; see `ExtensionField.root_of_unity`."""
+    ext = ExtensionField(f)
+    return ext.polynomial(ext.root_of_unity(n))
 
-    A constant's order divides q - 1, so the q constants are skipped unless
-    n | q - 1 (that is, unless d = 1)."""
-    q = f.field.order
-    order = q**f.degree
-    one = Polynomial.one(f.field)
-    radicals = prime_factors(n)
-    for packed in range(1 if (q - 1) % n == 0 else q, order):
-        beta = pow_mod(Polynomial.from_packed(f.field, packed), (order - 1) // n, f)
-        if all(pow_mod(beta, n // r, f) != one for r in radicals):
-            return beta
-    raise AssertionError(f"no element of order {n} modulo {f}")
+
+class ExtensionField:
+    """GF(q)[y]/(f) for a monic f of degree d >= 1 over GF(q), q = p^m: the
+    field GF(q^d) when f is irreducible.
+
+    An element is its digit plane, an int64 array of shape (d, m) whose
+    entry (i, j) is the coefficient in GF(p) of y^i t^j, t the primitive
+    element of GF(q): row i holds the base-p digits of the element index of
+    the coefficient of y^i.  A product is three numpy steps, each reduced
+    mod p: one `np.convolve` of the two planes flattened with row stride
+    2m - 1, so that no t-degree spills into the next row; one matmul by the
+    (2m - 1) x m table of t^k mod the base field's modulus; and one matmul
+    by the table of t^j y^(d+k) mod f.  No step sums more than d(2m - 1)
+    products of digits below p, which the constructor checks is below 2^63.
+    """
+
+    def __init__(self, f: Polynomial):
+        F, d = f.field, f.degree
+        if d < 1 or f.leading() != 1:
+            raise ValueError(f"{f} is not monic of positive degree")
+        p, m = F.p, F.m
+        if d * (2 * m - 1) * (p - 1) ** 2 >= 1 << 63:
+            raise FieldTooLarge(f"GF({F.order}^{d}) overflows the int64 kernel")
+        self.base, self.modulus, self.d = F, f, d
+        self._weights = p ** np.arange(m, dtype=np.int64)
+        self._t_table = self._digits(F.exp[: 2 * m - 1])
+        # planes[k][j] = t^j y^(d+k) mod f for k < d - 1: y^d = -(f_0 + ... +
+        # f_(d-1) y^(d-1)), t^j times a plane is a matmul by rows j..j+m-1 of
+        # the t table, and each next plane is y times the last: a shift, plus
+        # the coefficient pushed past y^(d-1) times y^d
+        low = -self._digits(f.coeffs[:d]) % p
+        t_low = np.stack([low @ self._t_table[j : j + m] % p for j in range(m)])
+        planes = [t_low]
+        for _ in range(d - 2):
+            prev = planes[-1]
+            shifted = np.zeros_like(prev)
+            shifted[:, 1:] = prev[:, :-1]
+            carry = prev[:, -1] @ t_low.reshape(m, d * m)
+            planes.append((shifted + carry.reshape(m, d, m)) % p)
+        self._y_table = np.array(planes[: d - 1], dtype=np.int64).reshape(
+            (d - 1) * m, d * m
+        )
+        self.one = self.element(Polynomial.one(F))
+        self.one.flags.writeable = False
+
+    def _digits(self, indices) -> np.ndarray:
+        """The base-p digits of element indices, along a new last axis."""
+        p = self.base.p
+        return np.asarray(indices, dtype=np.int64)[..., None] // self._weights % p
+
+    def element(self, poly: Polynomial) -> np.ndarray:
+        """The digit plane of a polynomial over GF(q), reduced mod f."""
+        if poly.degree >= self.d:
+            poly = poly % self.modulus
+        idx = np.zeros(self.d, dtype=np.int64)
+        idx[: len(poly.coeffs)] = poly.coeffs
+        return self._digits(idx)
+
+    def polynomial(self, a: np.ndarray) -> Polynomial:
+        return Polynomial(self.base, (a @ self._weights).tolist())
+
+    def is_one(self, a: np.ndarray) -> bool:
+        return np.array_equal(a, self.one)
+
+    def evaluate(self, poly: Polynomial, a: np.ndarray) -> np.ndarray:
+        """poly(a) for a polynomial over GF(q), by Horner's rule."""
+        coeffs = self._digits(poly.coeffs)[::-1]
+        out = np.zeros_like(self.one)
+        out[0] = coeffs[0]
+        for c in coeffs[1:]:
+            out = self.mul(out, a)
+            out[0] = (out[0] + c) % self.base.p
+        return out
+
+    def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        d, m, p = self.d, self.base.m, self.base.p
+        wide = 2 * m - 1
+        if m > 1:
+            a = self._widen(a)
+            b = self._widen(b)
+        c = np.convolve(a.ravel(), b.ravel())[: (2 * d - 1) * wide] % p
+        c = c.reshape(2 * d - 1, wide)
+        if m > 1:
+            c = c @ self._t_table % p
+        return (c[:d] + (c[d:].ravel() @ self._y_table).reshape(d, m)) % p
+
+    def _widen(self, a: np.ndarray) -> np.ndarray:
+        out = np.zeros((self.d, 2 * self.base.m - 1), dtype=np.int64)
+        out[:, : self.base.m] = a
+        return out
+
+    def pow(self, a: np.ndarray, e: int) -> np.ndarray:
+        """a^e for e >= 0, by left-to-right square and multiply."""
+        if e < 0:
+            raise ValueError("negative exponent")
+        if e == 0:
+            return self.one
+        out = a
+        for bit in bin(e)[3:]:
+            out = self.mul(out, out)
+            if bit == "1":
+                out = self.mul(out, a)
+        return out
+
+    def root_of_unity(self, n: int) -> np.ndarray:
+        """beta = g^((q^d - 1)/n) for the least packed g whose power has order
+        exactly n, which needs f irreducible and n | q^d - 1.
+
+        A constant's order divides q - 1, so the q constants are skipped
+        unless n | q - 1 (that is, unless d = 1)."""
+        q = self.base.order
+        size = q**self.d
+        if n < 1 or (size - 1) % n:
+            raise ValueError(f"{n} does not divide {size} - 1")
+        radicals = prime_factors(n)
+        for packed in range(1 if (q - 1) % n == 0 else q, size):
+            g = self.element(Polynomial.from_packed(self.base, packed))
+            beta = self.pow(g, (size - 1) // n)
+            if all(not self.is_one(self.pow(beta, n // r)) for r in radicals):
+                return beta
+        raise AssertionError(f"no element of order {n} modulo {self.modulus}")
+
+
+@lru_cache(maxsize=None)
+def _extension_field(p: int, m: int, d: int) -> ExtensionField:
+    return ExtensionField(_canonical_modulus(make_field(p, m), d, 1))
+
+
+def extension_field(field: FiniteField, d: int) -> ExtensionField:
+    """GF(q^d) over `field` on the least-packed monic irreducible of degree
+    d, whose search runs once per (p, m, d) in a process."""
+    return _extension_field(field.p, field.m, d)
 
 
 def berlekamp_massey(field: FiniteField, seq) -> Polynomial:

@@ -3,6 +3,7 @@ import json
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -351,6 +352,22 @@ def test_negative_length_is_input_error(capsys, argv):
     assert code == 4
     assert "NonPositiveLength" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["build", "--family", "Ding", "--q", "8", "--m", "9", "--out", "out"],
+    ["factor", "--n", "19173961", "--q", "8"],
+    ["factor", "--n", "131", "--q", "2"],
+    ["code", "--n", "131", "--q", "2", "--defining-set="],
+], ids=["ding-8-9", "factor-length", "factor-degree", "code-degree"])
+def test_oversized_factor_table_is_refused_at_once(capsys, tmp_path, monkeypatch, argv):
+    # n = 19,173,961 is past the length cap; ord_131(2) = 130 past the degree cap
+    monkeypatch.chdir(tmp_path)
+    start = time.monotonic()
+    code, _, err = run(capsys, *argv)
+    assert time.monotonic() - start < 1.0
+    assert code == 3
+    assert "FactorTableTooLarge" in err and "Traceback" not in err
 
 
 def test_bad_cap_env_is_input_error(capsys, monkeypatch):

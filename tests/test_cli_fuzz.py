@@ -35,11 +35,11 @@ OPTIONS = {
 }
 SWITCHES = {"--json", "--cosets-given", "--params-only", "--csv"}
 BAD = ["-1", "0", "x", "1.5", ""]
+# At most 9, --m included: Ding's length (q^m - 1)/(q - 1) reaches 48,427,561
+# at q = m = 9, and a factor table past the size caps is refused (exit 3)
+# before any work.
 NUMBER = BAD + ["1", "2", "3", "4", "5", "7", "8", "9"]
-# At most 9, and m at most 4: Ding's length (q^m - 1)/(q - 1) at q = 9,
-# m = 5 is 7,381, whose factor table alone takes about 20 s.
 VALUES = {
-    "--m": BAD + ["1", "2", "3", "4"],
     "--family": ["A", "B", "C", "Ding", "D", "a"],
     "--defining-set": ["1", "1,2", "0 3", "1, 2, 4", "9", "x", ""],
     "--out": ["out", RECORD],

@@ -193,6 +193,15 @@ def test_family_ding_matches_primality():
         assert build.fhs is None
 
 
+def test_family_ding_9_5_passes_the_table_checks():
+    # n = 7,381: the table of 1,477 cosets checks itself in near-linear time
+    build = family_ding(9, 5)
+    assert build.all_claims_hold()
+    factors = factor_x_pow_n_minus_one(build.code.field, 7381)
+    assert sum(mj.degree for _, mj in factors) == 7381
+    assert all(mj.degree == len(c) and mj.leading() == 1 for c, mj in factors)
+
+
 def test_export_shapes():
     build = family_b(5)
     data = build.export_dict()

@@ -1,10 +1,12 @@
 import itertools
 import math
 import random
+import time
 
 import numpy as np
 import pytest
 
+from fhsforge import cyclic
 from fhsforge.cyclic import (
     _least_rotation_partition,
     build_code,
@@ -23,6 +25,7 @@ from fhsforge.cyclic import (
 from fhsforge.errors import (
     DoesNotContainAllOnes,
     EnumerationTooLarge,
+    FactorTableTooLarge,
     GcdConditionViolated,
     NonPositiveLength,
     NotCoprime,
@@ -33,6 +36,7 @@ from fhsforge.galois import (
     FiniteField,
     Polynomial,
     _canonical_modulus,
+    field_from_order,
     make_field,
     pow_mod,
     root_of_unity,
@@ -102,6 +106,63 @@ def test_factor_product_reconstructs():
         for _, mj in factors:
             prod = prod * mj
         assert prod == Polynomial.x_pow_n_minus_one(F, n)
+
+
+# (q, n): the low coefficients of f, the degree-d root-field modulus below
+# x^d, and the factor of each coset, keyed by representative
+FROZEN_TABLES = {
+    (3, 29): ([2, 0, 1], {0: [2, 1], 1: [1] * 29}),
+    (7, 23): ([4, 0, 1], {0: [6, 1], 1: [1] * 23}),
+    (9, 23): ([2, 0, 1], {
+        0: [2, 1],
+        1: [2, 2, 2, 1, 1, 0, 2, 0, 2, 0, 0, 1],
+        5: [2, 0, 0, 1, 0, 1, 0, 2, 2, 1, 1, 1],
+    }),
+    (8, 25): ([2, 3, 1], {
+        0: [1, 1],
+        1: [1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1],
+        5: [1, 1, 1, 1, 1],
+    }),
+    (11, 59): ([5, 0, 2], {0: [10, 1], 1: [1] * 59}),
+}
+
+
+@pytest.mark.parametrize("q,n", sorted(FROZEN_TABLES))
+def test_frozen_factor_tables(q, n):
+    low, table = FROZEN_TABLES[q, n]
+    F = field_from_order(q)
+    d = multiplicative_order(q, n)
+    f = _canonical_modulus(F, d, 1)
+    assert list(f.coeffs) == low + [0] * (d - len(low)) + [1]
+    factors = factor_x_pow_n_minus_one(F, n)
+    got = {c.representative: list(mj.coeffs) for c, mj in factors}
+    assert got == table
+
+
+def test_factor_table_self_check_catches_a_wrong_factor(monkeypatch):
+    # a factor of the right degree that does not vanish at beta^j is caught
+    # by the near-linear check, which no longer multiplies the table out
+    real = cyclic.berlekamp_massey
+
+    def off_by_one(field, seq):
+        mj = real(field, seq)
+        return Polynomial(field, (field.add(mj.coeffs[0], 1),) + mj.coeffs[1:])
+
+    monkeypatch.setattr(cyclic, "berlekamp_massey", off_by_one)
+    with pytest.raises(AssertionError, match="does not vanish"):
+        cyclic.RootContext(make_field(3, 1), 13)
+
+
+def test_factor_table_size_caps():
+    # refused before the cosets: n past the length cap, ord_n(q) past the degree cap
+    start = time.monotonic()
+    with pytest.raises(FactorTableTooLarge, match="length cap"):
+        root_context(make_field(2, 3), 19_173_961)
+    with pytest.raises(FactorTableTooLarge, match="degree cap"):
+        root_context(make_field(2, 1), 131)
+    assert time.monotonic() - start < 1.0
+    assert cyclic.FACTOR_LENGTH_CAP >= 19_531  # family_ding(5, 7) is accepted
+    assert cyclic.FACTOR_DEGREE_CAP >= 58  # so is the sympy oracle's d = 58
 
 
 def test_build_mds_code_9_5_5():

@@ -1,6 +1,9 @@
 import itertools
+import math
+import operator
 import random
 
+import numpy as np
 import pytest
 
 from fhsforge.errors import (
@@ -11,16 +14,19 @@ from fhsforge.errors import (
     ZeroElement,
 )
 from fhsforge.galois import (
+    ExtensionField,
     FiniteField,
     Polynomial,
     _canonical_modulus,
     berlekamp_massey,
+    field_from_order,
     is_irreducible,
     make_field,
     poly_gcd,
     pow_mod,
     root_of_unity,
 )
+from fhsforge.intmath import multiplicative_order
 
 SMALL_ORDERS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2),
                 (2, 4), (5, 2), (3, 3), (7, 2), (2, 6)]
@@ -310,3 +316,149 @@ def test_berlekamp_massey_is_the_shortest_recurrence(p, m, terms):
             _generates(Polynomial.from_packed(F, packed + q**d), seq)
             for d in range(f.degree) for packed in range(q**d)
         ), seq
+
+
+# -- table construction and constant-time addition -----------------------------
+
+
+def _scalar_antilog(p, m, modulus):
+    """Reference: step x^k by one multiplication by x per element."""
+    tail = modulus[:m]
+    weights = [p**i for i in range(m)]
+    coeffs = [1] + [0] * (m - 1)
+    out = []
+    for _ in range(p**m - 1):
+        out.append(sum(map(operator.mul, coeffs, weights)))
+        top = coeffs[-1]
+        coeffs = [0] + coeffs[:-1]
+        if top:
+            coeffs = [(c - top * t) % p for c, t in zip(coeffs, tail)]
+    return out
+
+
+def _small_fields():
+    """Every field of order <= 2^16 with m >= 2, and the prime fields of
+    order below 2^10 together with the largest prime below 2^16."""
+    primes = [p for p in range(2, 1 << 8) if all(p % r for r in range(2, p))]
+    out = [(p, m) for p in primes for m in range(2, 17) if p**m <= 1 << 16]
+    out += [(p, 1) for p in range(2, 1 << 10) if all(p % r for r in range(2, p))]
+    return out + [(65521, 1)]
+
+
+def test_tables_match_the_scalar_loop():
+    # the doubling build against one multiplication by x per element; the
+    # fields are built outside make_field's cache
+    for p, m in _small_fields():
+        modulus = (
+            make_field(p, 1).modulus if m == 1
+            else _canonical_modulus(make_field(p, 1), m, p**m - 1).coeffs
+        )
+        F = FiniteField(p, m, modulus)
+        assert F.exp == _scalar_antilog(p, m, modulus), (p, m)
+        assert F.log[0] == -1
+        assert (np.array(F.log)[F.exp] == np.arange(p**m - 1)).all(), (p, m)
+
+
+def test_non_primitive_modulus_is_refused():
+    # x^2 + 1 is irreducible over GF(3) but x has order 4, not 8
+    with pytest.raises(AssertionError, match="not primitive"):
+        FiniteField(3, 2, (1, 0, 1))
+
+
+def _digitwise(p, m, a, b, sign):
+    out, w = 0, 1
+    for _ in range(m):
+        out += (a // w % p + sign * (b // w % p)) % p * w
+        w *= p
+    return out
+
+
+@pytest.mark.parametrize("p,m", [(3, 2), (5, 2), (3, 3), (7, 2), (3, 5)])
+def test_zech_addition_matches_digits(p, m):
+    # addition, negation and subtraction against the base-p digit definition
+    F = make_field(p, m)
+    q = F.order
+    for a in range(q):
+        assert F.neg(a) == _digitwise(p, m, 0, a, -1)
+        for b in range(q):
+            assert F.add(a, b) == _digitwise(p, m, a, b, 1)
+            assert F.sub(a, b) == _digitwise(p, m, a, b, -1)
+
+
+# -- the GF(q^d) kernel ----------------------------------------------------------
+
+KERNEL_FIELDS = [
+    (2, 1), (3, 1), (13, 1), (2, 2), (2, 3), (3, 2), (5, 2), (2, 9), (2, 20),
+]
+KERNEL_DEGREES = [1, 2, 3, 4, 5, 6, 7, 8, 28, 58]
+
+
+@pytest.mark.parametrize("p,m", KERNEL_FIELDS)
+def test_kernel_matches_polynomial_arithmetic(p, m):
+    # products and powers on digit planes against Polynomial *, % and
+    # pow_mod, modulo a random monic f (irreducible or not)
+    F = make_field(p, m)
+    rng = random.Random(p * 100 + m)
+    rand = lambda k: Polynomial(F, [rng.randrange(F.order) for _ in range(k)])
+    for d in KERNEL_DEGREES:
+        f = Polynomial(F, [rng.randrange(F.order) for _ in range(d)] + [1])
+        ext = ExtensionField(f)
+        for _ in range(3 if d < 28 else 1):
+            a, b = rand(d), rand(d)
+            assert ext.polynomial(ext.element(a)) == a
+            assert ext.polynomial(ext.mul(ext.element(a), ext.element(b))) == a * b % f
+            e = rng.randrange(1 << (40 if d < 28 else 12))
+            assert ext.polynomial(ext.pow(ext.element(a), e)) == pow_mod(a, e, f)
+        assert ext.polynomial(ext.pow(ext.element(rand(d)), 0)) == Polynomial.one(F)
+
+
+def test_kernel_evaluates_polynomials():
+    # g(a) by Horner's rule on the kernel against the sum of c_i a^i
+    F = make_field(3, 2)
+    f = _canonical_modulus(F, 5, 1)
+    ext = ExtensionField(f)
+    rng = random.Random(5)
+    for _ in range(20):
+        g = Polynomial(F, [rng.randrange(9) for _ in range(7)] + [1])
+        a = Polynomial(F, [rng.randrange(9) for _ in range(5)])
+        direct = Polynomial.zero(F)
+        for i, c in enumerate(g.coeffs):
+            direct = direct + pow_mod(a, i, f).scale(c)
+        assert ext.polynomial(ext.evaluate(g, ext.element(a))) == direct % f
+
+
+def _unfiltered_modulus(base, d, order):
+    """Reference: the packed search of `_canonical_modulus` without the
+    f' = 0 skip."""
+    q = base.order
+    x = Polynomial(base, (0, 1))
+    radicals = [r for r in range(2, order + 1) if order % r == 0
+                and all(r % s for s in range(2, r))]
+    for packed in range(1, q**d):
+        if packed % q == 0:
+            continue
+        f = Polynomial.from_packed(base, packed + q**d)
+        if is_irreducible(f) and all(
+            pow_mod(x, order // r, f).coeffs != (1,) for r in radicals
+        ):
+            return f
+    raise AssertionError("no modulus")
+
+
+def _oracle_and_paper_degrees():
+    out = {(q, multiplicative_order(q, n)) for q in (2, 3, 4, 5, 7, 8, 9)
+           for n in range(1, 31) if math.gcd(n, q) == 1}
+    return sorted(out | {(8, 2), (5, 2), (25, 2), (32, 2), (512, 2)})
+
+
+def test_skipping_pth_powers_keeps_the_canonical_modulus():
+    # every (q, d) the orbit-oracle codes and the paper's sets search, and
+    # the primitive moduli of the table fields
+    for q, d in _oracle_and_paper_degrees():
+        base = field_from_order(q)
+        assert _canonical_modulus(base, d, 1) == _unfiltered_modulus(base, d, 1), (q, d)
+    for p, m in [(2, 2), (2, 4), (2, 8), (2, 10), (3, 2), (3, 4), (3, 6), (5, 3)]:
+        base = make_field(p, 1)
+        order = p**m - 1
+        assert (_canonical_modulus(base, m, order)
+                == _unfiltered_modulus(base, m, order)), (p, m)
