@@ -17,11 +17,20 @@ anywhere in this module.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 
 import numpy as np
 
-from .errors import DegenerateParameters, InconsistentParameters, PreconditionViolated
+from .errors import (
+    BoundTooLarge,
+    DegenerateParameters,
+    InconsistentParameters,
+    PreconditionViolated,
+)
+
+# A report prints its values in full, and Python's default int-to-str limit
+# is 4300 digits.
+PRINTABLE_DIGITS = 4300
+_PRINTABLE = 10**PRINTABLE_DIGITS
 
 
 def _ceil_ratio(a: int, b: int) -> int:
@@ -79,9 +88,22 @@ def sphere_packing_max_size(n: int, lam: int, ell: int) -> int:
         raise PreconditionViolated(
             f"need 0 <= lambda < n and ell > 1, got ({n}, {lam}, {ell})"
         )
-    radius = (n - lam - 1) // 2
-    ball = sum(comb(n, i) * (ell - 1) ** i for i in range(radius + 1))
+    # the terms C(n, i) (ell - 1)^i, each from the last by one exact division
+    term = ball = 1
+    for i in range((n - lam - 1) // 2):
+        term = term * (n - i) * (ell - 1) // (i + 1)
+        ball += term
     return ell**n // (n * ball)
+
+
+def _below_printable(a: int, x: int, b: int, y: int, n: int) -> bool:
+    """Whether a^x < 10^PRINTABLE_DIGITS * n * b^y, for a >= 2 and b, n >= 1.
+    As 64 log2(a) >= bl(a^64) - 1 and 64 log2(b) < bl(b^64), bl the bit
+    length, a wide gap answers no before either power is taken."""
+    gap = x * ((a**64).bit_length() - 1) - y * (b**64).bit_length()
+    if gap >= 64 * (n.bit_length() + _PRINTABLE.bit_length()):
+        return False
+    return a**x < _PRINTABLE * n * b**y
 
 
 @dataclass(frozen=True)
@@ -95,10 +117,10 @@ class BoundReport:
     pf1: int
     pf2: int
     singleton_max_N: int
-    sphere_max_N: int
+    sphere_max_N: int | None  # None: it might not print in PRINTABLE_DIGITS
     meets_peng_fan: bool
     meets_singleton: bool
-    meets_sphere: bool
+    meets_sphere: bool | None
     lambda_source: str
 
     def to_json_dict(self) -> dict:
@@ -112,7 +134,9 @@ class BoundReport:
             "pf1": self.pf1,
             "pf2": self.pf2,
             "singleton_max_N": str(self.singleton_max_N),
-            "sphere_max_N": str(self.sphere_max_N),
+            "sphere_max_N": (
+                None if self.sphere_max_N is None else str(self.sphere_max_N)
+            ),
             "meets": {
                 "peng_fan": self.meets_peng_fan,
                 "singleton": self.meets_singleton,
@@ -125,17 +149,24 @@ class BoundReport:
 def optimality_report(
     n: int, count: int, ell: int, lam: int, lambda_source: str = "claimed"
 ) -> BoundReport:
-    """Evaluate all four bounds at (n, N, ell, lambda) and record which are met."""
+    """Evaluate all four bounds at (n, N, ell, lambda) and record which are met.
+
+    Refused (`BoundTooLarge`) before any work when nN or the Singleton value
+    has more than PRINTABLE_DIGITS digits.  The sphere-packing value is None
+    unless its upper bound ell^n / (n (ell - 1)^r), r the radius, has not."""
     if n < 1 or count < 1 or ell <= 1 or not 0 <= lam < n or n * count < 2:
         raise InconsistentParameters(
             f"parameters ({n}, {count}, {lam}; {ell}) are out of range"
         )
     nn = n * count
+    if nn >= _PRINTABLE or not _below_printable(ell, lam + 1, 1, 0, n):
+        raise BoundTooLarge(f"nN or Singleton's N has over {PRINTABLE_DIGITS} digits")
     big_i, j = divmod(nn, ell)
     pf1 = peng_fan_1(n, count, ell)
     pf2 = peng_fan_2(n, count, ell)
     singleton = singleton_max_size(n, lam, ell)
-    sphere = sphere_packing_max_size(n, lam, ell)
+    fits = _below_printable(ell, n, ell - 1, (n - lam - 1) // 2, n)
+    sphere = sphere_packing_max_size(n, lam, ell) if fits else None
     return BoundReport(
         n=n,
         N=count,
@@ -149,7 +180,7 @@ def optimality_report(
         sphere_max_N=sphere,
         meets_peng_fan=(lam == pf2),
         meets_singleton=(count == singleton),
-        meets_sphere=(count == sphere),
+        meets_sphere=None if sphere is None else count == sphere,
         lambda_source=lambda_source,
     )
 

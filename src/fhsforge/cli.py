@@ -2,8 +2,8 @@
 
 Subcommands: cosets, factor, code, mindist, build, verify, bounds,
 pf-identity.  Exit codes: 0 verified/optimal, 2 verified-but-claim-mismatch,
-3 over budget, parameters-only or a factor table past its size caps, 4 input
-error, usage errors included.
+3 over budget, parameters-only, or a factor table or bound past its size
+caps, 4 input error, usage errors included.
 The enumeration cap honors the FHSFORGE_CAP environment variable.
 """
 
@@ -29,7 +29,8 @@ from .cyclic import (
     has_full_orbits_outside_constants,
     min_distance_exhaustive,
 )
-from .errors import BudgetExceeded, FactorTableTooLarge, FhsForgeError, ParseError
+from .errors import BoundTooLarge, BudgetExceeded, FactorTableTooLarge
+from .errors import FhsForgeError, ParseError
 from .fhs import DEFAULT_CORRELATION_BUDGET, FhsSet, max_nontrivial
 from .galois import field_from_order
 
@@ -380,7 +381,8 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     except FhsForgeError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_BUDGET if isinstance(exc, FactorTableTooLarge) else EXIT_INPUT
+        too_large = isinstance(exc, (FactorTableTooLarge, BoundTooLarge))
+        return EXIT_BUDGET if too_large else EXIT_INPUT
 
 
 if __name__ == "__main__":

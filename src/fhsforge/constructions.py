@@ -37,6 +37,7 @@ from .cyclic import (
 )
 from .errors import (
     BudgetExceeded,
+    FieldTooLarge,
     KOutOfRange,
     NotOddDivisor,
     NotOddPrimePower,
@@ -48,7 +49,7 @@ from .fhs import (
     classes_to_fhs,
     max_nontrivial,
 )
-from .galois import check_field_order, field_from_order, make_field
+from .galois import FIELD_ORDER_CAP, check_field_order, field_from_order, make_field
 from .intmath import is_prime, is_prime_power, smallest_prime_factor
 
 
@@ -176,8 +177,9 @@ def family_a(
     """(q+1, (q^(2k+1)-q)/(q+1), 2k; q) for q = 2^m, m > 1."""
     if m < 2:
         raise KOutOfRange(f"need m > 1, got {m}")
+    if m >= FIELD_ORDER_CAP.bit_length():  # before 1 << m, which m = 10^14 exhausts
+        raise FieldTooLarge(f"GF(2^{m}) exceeds the table cap {FIELD_ORDER_CAP}")
     q = 1 << m
-    check_field_order(q)
     n = q + 1
     p = smallest_prime_factor(n)
     k_cap = min(p - 1, 1 << (m - 1))

@@ -31,19 +31,18 @@ from .galois import (
     FiniteField,
     Polynomial,
     berlekamp_massey,
-    extension_field,
     field_from_order,
     make_field,
+    root_field,
 )
 from .intmath import multiplicative_order, prime_factors
 
 ENUMERATION_CAP = 1 << 22
-# The factor table of x^n - 1 over GF(q) is refused before any work when n
-# or d = ord_n(q) passes these caps.  On a 2-core Xeon guest a table costs
-# at most about 75 us per residue (n = 131,071 over GF(2^17), d = 1: 10 s),
-# and d = 58..66 over GF(11) and GF(13) takes under 2 s.  The packed search
-# for the degree-d modulus is not bounded by n and d: over large fields it
-# can meet long runs of reducible candidates.
+# The factor table of x^n - 1 over GF(q), and the cyclotomic cosets mod n,
+# are refused before any work when n or d = ord_n(q) passes these caps.  On a
+# 2-core Xeon guest a table costs at most about 75 us per residue
+# (n = 131,071 over GF(2^17), d = 1: 10 s), and d = 58..66 over GF(11) and
+# GF(13) takes under 2 s.
 FACTOR_LENGTH_CAP = 1 << 17
 FACTOR_DEGREE_CAP = 64
 
@@ -63,9 +62,15 @@ class CyclotomicCoset:
 
 
 def cyclotomic_cosets(n: int, q: int) -> list[CyclotomicCoset]:
-    """All distinct q-cyclotomic cosets mod n, sorted by representative."""
+    """All distinct q-cyclotomic cosets mod n, sorted by representative.
+    Refused (`FactorTableTooLarge`) before any work when n > FACTOR_LENGTH_CAP."""
     if n < 1:
         raise NonPositiveLength(f"length must be positive, got {n}")
+    if n > FACTOR_LENGTH_CAP:
+        raise FactorTableTooLarge(
+            f"the factor table of x^{n} - 1 exceeds the length cap "
+            f"{FACTOR_LENGTH_CAP}"
+        )
     if math.gcd(n, q) != 1:
         raise NotCoprime(f"gcd({n}, {q}) != 1")
     seen = [False] * n
@@ -87,13 +92,13 @@ class RootContext:
     """The canonical primitive n-th root of unity alpha for GF(q), and the
     minimal polynomial over GF(q) of each of its powers.
 
-    alpha lives in GF(q^d) = GF(q)[y]/(f), f the monic irreducible of degree
-    d = ord_n(q) with the smallest packed value, on the `ExtensionField`
-    kernel.  It is fixed by its minimal polynomial, not by f: alpha is a
-    root of m_1, the monic irreducible factor of Phi_n(x) over GF(q) whose
-    packed value sum_i c_i q^i is smallest.  Conjugate roots give the same
-    labelling, so any root of m_1 will do.  The factors are computed once
-    under the root beta that `ExtensionField.root_of_unity` picks, and
+    The table is computed in GF(q^d) = GF(q)[y]/(f), d = ord_n(q), on the
+    `ExtensionField` kernel, under the root beta of order n that
+    `galois.root_field` finds with f.  alpha is fixed by its minimal
+    polynomial, not by f or beta: alpha is a root of m_1, the monic
+    irreducible factor of Phi_n(x) over GF(q) whose packed value
+    sum_i c_i q^i is smallest.  Conjugate roots give the same labelling, so
+    any root of m_1 will do.  The factors are computed once under beta and
     relabelled: with s the least unit whose factor under beta is m_1,
     alpha = beta^s, and the factor of coset j is beta's factor of coset
     s*j mod n.
@@ -113,26 +118,14 @@ class RootContext:
 
     def __init__(self, field: FiniteField, n: int):
         q = field.order
-        if math.gcd(n, q) != 1:
-            raise NotCoprime(f"gcd({n}, {q}) != 1")
-        if n < 1:
-            raise NonPositiveLength(f"length must be positive, got {n}")
-        if n > FACTOR_LENGTH_CAP:
-            raise FactorTableTooLarge(
-                f"the factor table of x^{n} - 1 exceeds the length cap "
-                f"{FACTOR_LENGTH_CAP}"
-            )
+        self.cosets = cyclotomic_cosets(n, q)
         d = multiplicative_order(q, n)
         if d > FACTOR_DEGREE_CAP:
             raise FactorTableTooLarge(
                 f"x^{n} - 1 splits over GF({q}^{d}), past the degree cap "
                 f"{FACTOR_DEGREE_CAP}"
             )
-        self.cosets = cyclotomic_cosets(n, q)
-        self.base = field
-        self.n = n
-        ext = extension_field(field, d)
-        beta = ext.root_of_unity(n)
+        ext, beta = root_field(field, n)
         reps = {c.representative: None for c in self.cosets}
         checkpoints = {n // r for r in prime_factors(n)}
         u = np.empty((n, field.m), dtype=np.int64)
@@ -236,14 +229,18 @@ def build_code(n: int, field: FiniteField, defining_set) -> CyclicCode:
     if {j * field.order % n for j in zset} != zset:
         raise NotCosetClosed(f"{sorted(zset)} is not a union of cosets mod {n}")
     ctx = root_context(field, n)
-    g = Polynomial.one(field)
+    # multiply out the factors of the smaller of g and h, an O(min(|Z|, k)^2)
+    # product, and divide x^n - 1 by it for the other
+    small_is_g = 2 * len(zset) <= n
+    small = Polynomial.one(field)
     for coset in ctx.cosets:
-        if coset.representative in zset:
-            g = g * ctx.minimal_polynomials[coset.representative]
+        if (coset.representative in zset) == small_is_g:
+            small = small * ctx.minimal_polynomials[coset.representative]
     xn1 = Polynomial.x_pow_n_minus_one(field, n)
-    h, rem = divmod(xn1, g)
+    large, rem = divmod(xn1, small)
     if not rem.is_zero():
-        raise AssertionError("generator does not divide x^n - 1")
+        raise AssertionError("the factors do not divide x^n - 1")
+    g, h = (small, large) if small_is_g else (large, small)
     return CyclicCode(field, n, tuple(sorted(zset)), g, h)
 
 
@@ -255,6 +252,8 @@ def unit_coset_code(q: int, m: int) -> CyclicCode:
         raise NonPositiveLength(f"length (q^m - 1)/(q - 1) needs m >= 1, got {m}")
     if math.gcd(m, q - 1) != 1:
         raise GcdConditionViolated(f"gcd({m}, {q - 1}) != 1")
+    if m > FACTOR_LENGTH_CAP.bit_length():  # n >= 2^(m-1), before taking q^m
+        raise FactorTableTooLarge(f"n >= 2^{m - 1} is past the length cap")
     n = (q**m - 1) // (q - 1)
     coset = sorted({pow(q, i, n) for i in range(m)}) if n > 1 else [0]
     return build_code(n, field, coset)

@@ -101,6 +101,10 @@ class InconsistentParameters(FhsForgeError):
     pass
 
 
+class BoundTooLarge(FhsForgeError):
+    """A bound report value past the printable digits; refused before any work."""
+
+
 # -- constructions ----------------------------------------------------------
 
 class KOutOfRange(FhsForgeError):

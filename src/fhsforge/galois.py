@@ -9,15 +9,16 @@ value is smallest), so two runs always build identical tables, and x itself
 is the designated primitive element.
 
 `Polynomial` is GF(q)[x]: generators, x^n - 1, remainders and gcds.  An
-extension GF(q^d) = GF(q)[y]/(f), f the least-packed monic irreducible of
-degree d, has no tables: `ExtensionField` multiplies its elements as numpy
-digit planes.  `berlekamp_massey` gives the minimal polynomial over GF(q) of
-a linear recurring sequence in GF(q).
+extension GF(q^d) = GF(q)[y]/(f) has no tables: `ExtensionField` multiplies
+its elements as numpy digit planes, and `root_field` finds an f under which
+y gives an n-th root of unity.  `berlekamp_massey` gives the minimal
+polynomial over GF(q) of a linear recurring sequence in GF(q).
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+import hashlib
+import itertools
 
 import numpy as np
 
@@ -99,14 +100,6 @@ class FiniteField:
             self._zech: list[int] = log[one_plus].tolist()
 
     # -- scalar arithmetic on element indices -------------------------------
-
-    @property
-    def zero(self) -> int:
-        return 0
-
-    @property
-    def one(self) -> int:
-        return 1
 
     def check(self, e: int) -> int:
         if not 0 <= e < self.order:
@@ -201,7 +194,7 @@ def make_field(p: int, m: int) -> FiniteField:
         raise NonPrimeCharacteristic(f"characteristic {p} is not prime")
     if m < 1:
         raise ValueError(f"extension degree must be >= 1, got {m}")
-    if p**m > FIELD_ORDER_CAP:
+    if m >= FIELD_ORDER_CAP.bit_length() or p**m > FIELD_ORDER_CAP:  # p^m >= 2^m
         raise FieldTooLarge(f"GF({p}^{m}) exceeds the table cap {FIELD_ORDER_CAP}")
     key = (p, m)
     if key not in _FIELD_CACHE:
@@ -210,7 +203,7 @@ def make_field(p: int, m: int) -> FiniteField:
             c0 = next(c for c in range(1, p) if multiplicative_order(p - c, p) == p - 1)
             modulus = (c0, 1)
         else:
-            modulus = _canonical_modulus(make_field(p, 1), m, p**m - 1).coeffs
+            modulus = _canonical_modulus(make_field(p, 1), m).coeffs
         _FIELD_CACHE[key] = FiniteField(p, m, modulus)
     return _FIELD_CACHE[key]
 
@@ -233,16 +226,16 @@ def field_from_order(q: int) -> FiniteField:
     return make_field(pe[0], pe[1])
 
 
-def _canonical_modulus(base: FiniteField, d: int, order: int) -> Polynomial:
-    """The monic irreducible f of degree d over `base`, f(0) != 0, with the
-    smallest packed value sum_i c_i q^i such that x^(order/r) != 1 mod f for
-    every prime r | order.  With order = q^d - 1 that makes f primitive; with
-    order = 1 any irreducible f will do."""
+def _canonical_modulus(base: FiniteField, d: int) -> Polynomial:
+    """The primitive monic f of degree d over the prime field `base` with the
+    smallest packed value sum_i c_i p^i: f is irreducible and x^(order/r) != 1
+    mod f for every prime r | order = p^d - 1."""
     q, p = base.order, base.p
     x = Polynomial(base, (0, 1))
+    order = q**d - 1
     radicals = prime_factors(order)
     packed = 0
-    while packed < q**d - 1:
+    while packed < order:
         packed += 1
         if packed % q == 0:
             continue
@@ -254,10 +247,10 @@ def _canonical_modulus(base: FiniteField, d: int, order: int) -> Polynomial:
             continue
         if not is_irreducible(f):
             continue
-        ext = ExtensionField(f) if radicals else None
+        ext = ExtensionField(f)
         if all(not ext.is_one(ext.pow(ext.element(x), order // r)) for r in radicals):
             return f
-    raise AssertionError(f"no such polynomial of degree {d} over GF({q})")
+    raise AssertionError(f"no primitive polynomial of degree {d} over GF({q})")
 
 
 class Polynomial:
@@ -294,10 +287,6 @@ class Polynomial:
             packed, c = divmod(packed, q)
             coeffs.append(c)
         return cls(field, coeffs)
-
-    @classmethod
-    def x_pow(cls, field, k: int, c: int = 1) -> "Polynomial":
-        return cls(field, (0,) * k + (c,))
 
     @classmethod
     def x_pow_n_minus_one(cls, field, n: int) -> "Polynomial":
@@ -482,13 +471,6 @@ def is_irreducible(f: Polynomial) -> bool:
     return True
 
 
-def root_of_unity(f: Polynomial, n: int) -> Polynomial:
-    """An element of order exactly n in GF(q)[y]/(f), f monic irreducible of
-    degree d with n | q^d - 1; see `ExtensionField.root_of_unity`."""
-    ext = ExtensionField(f)
-    return ext.polynomial(ext.root_of_unity(n))
-
-
 class ExtensionField:
     """GF(q)[y]/(f) for a monic f of degree d >= 1 over GF(q), q = p^m: the
     field GF(q^d) when f is irreducible.
@@ -592,34 +574,37 @@ class ExtensionField:
                 out = self.mul(out, a)
         return out
 
-    def root_of_unity(self, n: int) -> np.ndarray:
-        """beta = g^((q^d - 1)/n) for the least packed g whose power has order
-        exactly n, which needs f irreducible and n | q^d - 1.
 
-        A constant's order divides q - 1, so the q constants are skipped
-        unless n | q - 1 (that is, unless d = 1)."""
-        q = self.base.order
-        size = q**self.d
-        if n < 1 or (size - 1) % n:
-            raise ValueError(f"{n} does not divide {size} - 1")
-        radicals = prime_factors(n)
-        for packed in range(1 if (q - 1) % n == 0 else q, size):
-            g = self.element(Polynomial.from_packed(self.base, packed))
-            beta = self.pow(g, (size - 1) // n)
-            if all(not self.is_one(self.pow(beta, n // r)) for r in radicals):
-                return beta
-        raise AssertionError(f"no element of order {n} modulo {self.modulus}")
+def root_field(base: FiniteField, n: int) -> tuple[ExtensionField, np.ndarray]:
+    """(GF(q)[y]/(f), beta) with f monic irreducible of degree d = ord_n(q)
+    and beta = y^((q^d - 1)/n) of order exactly n, for n >= 1 coprime to q.
 
-
-@lru_cache(maxsize=None)
-def _extension_field(p: int, m: int, d: int) -> ExtensionField:
-    return ExtensionField(_canonical_modulus(make_field(p, m), d, 1))
-
-
-def extension_field(field: FiniteField, d: int) -> ExtensionField:
-    """GF(q^d) over `field` on the least-packed monic irreducible of degree
-    d, whose search runs once per (p, m, d) in a process."""
-    return _extension_field(field.p, field.m, d)
+    f is the first such candidate of a fixed dense stream: candidate i is
+    monic of degree d, its lower coefficients the base-q digits of
+    SHAKE-256("p:m:d:i") mod q^d, skipped if f(0) = 0.  It depends on
+    (p, m, d) alone, not on the Python version or PYTHONHASHSEED.  About
+    one candidate in d is irreducible (Rabin 1980), and a share
+    prod_(r | n) (1 - 1/r) of those, every primitive f among them, passes.
+    """
+    q = base.order
+    d = multiplicative_order(q, n)
+    size = q**d
+    radicals = prime_factors(n)
+    digest_bytes = size.bit_length() // 8 + 8  # so the digest mod q^d is near uniform
+    y = Polynomial(base, (0, 1))
+    for i in itertools.count():
+        seed = f"{base.p}:{base.m}:{d}:{i}".encode()
+        low = int.from_bytes(hashlib.shake_256(seed).digest(digest_bytes), "little")
+        low %= size
+        if low % q == 0:
+            continue
+        f = Polynomial.from_packed(base, low + size)
+        if not is_irreducible(f):
+            continue
+        ext = ExtensionField(f)
+        beta = ext.pow(ext.element(y), (size - 1) // n)
+        if all(not ext.is_one(ext.pow(beta, n // r)) for r in radicals):
+            return ext, beta
 
 
 def berlekamp_massey(field: FiniteField, seq) -> Polynomial:

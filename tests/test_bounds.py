@@ -1,4 +1,6 @@
+import itertools
 import random
+import time
 from fractions import Fraction
 from math import ceil, comb, floor
 
@@ -14,6 +16,7 @@ from fhsforge.bounds import (
     sphere_packing_max_size,
 )
 from fhsforge.errors import (
+    BoundTooLarge,
     DegenerateParameters,
     InconsistentParameters,
     PreconditionViolated,
@@ -103,6 +106,9 @@ def test_sphere_values():
     assert sphere_packing_max_size(15, 2, 2) == 0    # radius 6 ball outweighs 2^15
     for args in [(15, 10, 2), (15, 2, 2), (26, 2, 25), (11, 1, 32)]:
         assert sphere_packing_max_size(*args) == sphere_reference(*args)
+    for n, ell in itertools.product(range(1, 16), range(2, 7)):
+        for lam in range(n):
+            assert sphere_packing_max_size(n, lam, ell) == sphere_reference(n, lam, ell)
 
 
 def test_sphere_monotonic_in_lambda():
@@ -248,3 +254,39 @@ def test_report_inconsistent_parameters():
         optimality_report(9, 56, 8, 9)
     with pytest.raises(InconsistentParameters):
         optimality_report(9, 56, 1, 2)
+
+
+def test_report_values_past_the_printable_digits():
+    # A q=2^11 k=1 keeps its 2,780-digit sphere value; from A q=2^12 on, and
+    # at n = 3,000,000 over two symbols, the value is null at once, where it
+    # had up to 6,171 digits (no str()) or took minutes to sum
+    kept = optimality_report(2049, 4192256, 2048, 2)
+    assert kept.sphere_max_N == sphere_reference(2049, 2, 2048)
+    assert len(kept.to_json_dict()["sphere_max_N"]) == 2780
+    start = time.monotonic()
+    for args in [(4097, 16773120, 4096, 2), (16385, 268402688, 16384, 2),
+                 (3_000_000, 1, 2, 1)]:
+        report = optimality_report(*args)
+        assert report.sphere_max_N is None and report.meets_sphere is None
+        data = report.to_json_dict()
+        assert data["sphere_max_N"] is None and data["meets"]["sphere"] is None
+    # a Singleton value or an nN past them is refused before any work
+    with pytest.raises(BoundTooLarge, match="Singleton"):
+        optimality_report(100_000, 1, 2, 99_999)
+    with pytest.raises(BoundTooLarge, match="nN"):
+        optimality_report(10, 10**4300, 2, 1)
+    assert time.monotonic() - start < 2.0
+
+
+def test_printable_test_is_exact_at_the_boundary():
+    # the bit-length shortcut never decides against the exact comparison
+    # b^y with y = x // 2 stands for the sphere bound's (ell - 1)^radius
+    limit = 10**bounds.PRINTABLE_DIGITS
+    for a, b, n in [(2, 1, 1), (2, 1, 3_000_000), (3, 2, 5), (1024, 1023, 4097),
+                    (2048, 2047, 2049), (7, 1, 100)]:
+        below = lambda x: a**x < limit * n * b ** (x // 2)
+        x0 = next(x for x in itertools.count(1, 16) if not below(x))
+        xs = range(x0 - 40, x0 + 40)
+        assert below(xs[0]) and not below(xs[-1])
+        for x in xs:
+            assert bounds._below_printable(a, x, b, x // 2, n) == below(x), (a, x, b, n)

@@ -314,14 +314,18 @@ def test_usage_error_is_input_error(capsys, argv):
     ["build", "--family", "C", "--q", "2305843009213693951", "--n", "3", "--k", "0",
      "--params-only"],
     ["factor", "--n", "3", "--q", "2305843009213693951"],
-], ids=["family-A", "family-B", "family-C", "factor"])
+    ["build", "--family", "A", "--m", "100000000000000", "--k", "1"],
+], ids=["family-A", "family-B", "family-C", "factor", "family-A-m-1e14"])
 def test_field_cap_before_factoring(tmp_path, capsys, argv):
-    # each of these used to trial-divide q (or 2^m + 1) without end
+    # each of these used to trial-divide q (or 2^m + 1) without end, and
+    # 1 << 10^14 ran out of memory
     if argv[0] == "build":
         argv = [*argv, "--out", str(tmp_path)]
+    start = time.monotonic()
     code, _, err = run(capsys, *argv)
+    assert time.monotonic() - start < 1.0
     assert code == 4
-    assert "FieldTooLarge" in err
+    assert "FieldTooLarge" in err and "Traceback" not in err
 
 
 def test_build_out_is_a_file_is_input_error(tmp_path, capsys):
@@ -359,9 +363,18 @@ def test_negative_length_is_input_error(capsys, argv):
     ["factor", "--n", "19173961", "--q", "8"],
     ["factor", "--n", "131", "--q", "2"],
     ["code", "--n", "131", "--q", "2", "--defining-set="],
-], ids=["ding-8-9", "factor-length", "factor-degree", "code-degree"])
+    ["cosets", "--n", "1000000000001", "--q", "2"],
+    ["code", "--n", "1000000000001", "--q", "2", "--defining-set", "1",
+     "--cosets-given"],
+    ["mindist", "--n", "1000000000001", "--q", "2", "--defining-set", "1",
+     "--cosets-given"],
+    ["build", "--family", "Ding", "--q", "2", "--m", "100000", "--out", "out"],
+], ids=["ding-8-9", "factor-length", "factor-degree", "code-degree", "cosets-length",
+        "code-cosets-given", "mindist-cosets-given", "ding-2-100000"])
 def test_oversized_factor_table_is_refused_at_once(capsys, tmp_path, monkeypatch, argv):
-    # n = 19,173,961 is past the length cap; ord_131(2) = 130 past the degree cap
+    # n = 19,173,961 is past the length cap; ord_131(2) = 130 past the degree
+    # cap; the cosets mod 10^12 + 1 would take 8 TB; (2^100000 - 1)/(2 - 1)
+    # took minutes to form
     monkeypatch.chdir(tmp_path)
     start = time.monotonic()
     code, _, err = run(capsys, *argv)
@@ -429,3 +442,32 @@ def test_verify_large_m_exits_on_budget(tmp_path, capsys):
     code, out, _ = run(capsys, "verify", str(path))
     assert code == 3
     assert "exceed budget" in out
+
+
+def test_unprintable_sphere_bound_is_null(tmp_path, capsys):
+    # A q = 2^12: the sphere-packing value has 6,171 digits, past what str()
+    # prints, and took seconds to sum; the build used to exit 1 with a traceback
+    start = time.monotonic()
+    code, out, err = run(capsys, "build", "--family", "A", "--m", "12", "--k", "1",
+                         "--params-only", "--out", str(tmp_path))
+    assert time.monotonic() - start < 5.0
+    assert code == 3 and "Traceback" not in err
+    assert "parameters-only (enumeration beyond cap)" in out
+    report = json.loads((tmp_path / "bound_report.json").read_text())
+    assert report["sphere_max_N"] is None and report["meets"]["sphere"] is None
+    assert report["singleton_max_N"] == "16773120" and report["meets"]["singleton"]
+
+
+@pytest.mark.parametrize("argv,exit_code", [
+    (["bounds", "--n", "3000000", "--N", "1", "--ell", "2", "--lambda", "1"], 0),
+    (["bounds", "--n", "100000", "--N", "1", "--ell", "2", "--lambda", "99999"], 3),
+], ids=["sphere-null", "singleton-refused"])
+def test_bounds_past_the_printable_digits(capsys, argv, exit_code):
+    start = time.monotonic()
+    code, out, err = run(capsys, *argv)
+    assert time.monotonic() - start < 2.0
+    assert code == exit_code and "Traceback" not in err
+    if code == 0:
+        assert json.loads(out)["sphere_max_N"] is None
+    else:
+        assert "BoundTooLarge" in err

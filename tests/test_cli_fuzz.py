@@ -4,7 +4,8 @@ For any argv and any record file, `main` returns 0, 2, 3 or 4 and never
 lets an exception escape (which a user would see as a traceback), and
 `verify` exits 0 only for a record whose integers are exactly the set it
 certifies.  Token values are kept small so that no example builds more
-than a few thousand codewords.
+than a few thousand codewords, except one huge --n and --m value that the
+size checks must refuse before any work.
 """
 
 import contextlib
@@ -37,9 +38,14 @@ SWITCHES = {"--json", "--cosets-given", "--params-only", "--csv"}
 BAD = ["-1", "0", "x", "1.5", ""]
 # At most 9, --m included: Ding's length (q^m - 1)/(q - 1) reaches 48,427,561
 # at q = m = 9, and a factor table past the size caps is refused (exit 3)
-# before any work.
+# before any work.  --n and --m also draw one huge value, which every size
+# check must refuse before it allocates or powers anything; --cap does not,
+# since a huge cap would allow huge enumerations.
 NUMBER = BAD + ["1", "2", "3", "4", "5", "7", "8", "9"]
+HUGE = "100000000000001"
 VALUES = {
+    "--n": NUMBER + [HUGE],
+    "--m": NUMBER + [HUGE],
     "--family": ["A", "B", "C", "Ding", "D", "a"],
     "--defining-set": ["1", "1,2", "0 3", "1, 2, 4", "9", "x", ""],
     "--out": ["out", RECORD],

@@ -33,15 +33,16 @@ from fhsforge.errors import (
     ZeroCode,
 )
 from fhsforge.galois import (
+    ExtensionField,
     FiniteField,
     Polynomial,
-    _canonical_modulus,
     field_from_order,
+    is_irreducible,
     make_field,
     pow_mod,
-    root_of_unity,
+    root_field,
 )
-from fhsforge.intmath import is_prime, multiplicative_order
+from fhsforge.intmath import is_prime, multiplicative_order, prime_factors
 
 
 def rotations(word):
@@ -99,7 +100,9 @@ def test_cosets_not_coprime():
 
 
 def test_factor_product_reconstructs():
-    for p, m, n in [(2, 3, 9), (2, 1, 23), (5, 1, 6), (3, 1, 13)]:
+    # with root fields of degree 6, 2 and 8 over GF(1024) and 2 over GF(2^20)
+    for p, m, n in [(2, 3, 9), (2, 1, 23), (5, 1, 6), (3, 1, 13),
+                    (2, 10, 13), (2, 10, 17), (2, 10, 257), (2, 20, 17)]:
         F = make_field(p, m)
         factors = factor_x_pow_n_minus_one(F, n)
         prod = Polynomial.one(F)
@@ -108,35 +111,63 @@ def test_factor_product_reconstructs():
         assert prod == Polynomial.x_pow_n_minus_one(F, n)
 
 
-# (q, n): the low coefficients of f, the degree-d root-field modulus below
-# x^d, and the factor of each coset, keyed by representative
+# (q, n): the factor of each coset, keyed by representative
 FROZEN_TABLES = {
-    (3, 29): ([2, 0, 1], {0: [2, 1], 1: [1] * 29}),
-    (7, 23): ([4, 0, 1], {0: [6, 1], 1: [1] * 23}),
-    (9, 23): ([2, 0, 1], {
+    (3, 29): {0: [2, 1], 1: [1] * 29},
+    (7, 23): {0: [6, 1], 1: [1] * 23},
+    (9, 23): {
         0: [2, 1],
         1: [2, 2, 2, 1, 1, 0, 2, 0, 2, 0, 0, 1],
         5: [2, 0, 0, 1, 0, 1, 0, 2, 2, 1, 1, 1],
-    }),
-    (8, 25): ([2, 3, 1], {
+    },
+    (8, 25): {
         0: [1, 1],
         1: [1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1],
         5: [1, 1, 1, 1, 1],
-    }),
-    (11, 59): ([5, 0, 2], {0: [10, 1], 1: [1] * 59}),
+    },
+    (11, 59): {0: [10, 1], 1: [1] * 59},
 }
 
 
 @pytest.mark.parametrize("q,n", sorted(FROZEN_TABLES))
 def test_frozen_factor_tables(q, n):
-    low, table = FROZEN_TABLES[q, n]
-    F = field_from_order(q)
-    d = multiplicative_order(q, n)
-    f = _canonical_modulus(F, d, 1)
-    assert list(f.coeffs) == low + [0] * (d - len(low)) + [1]
-    factors = factor_x_pow_n_minus_one(F, n)
+    factors = factor_x_pow_n_minus_one(field_from_order(q), n)
     got = {c.representative: list(mj.coeffs) for c, mj in factors}
-    assert got == table
+    assert got == FROZEN_TABLES[q, n]
+
+
+def packed_root_field(F, n):
+    """Reference: (GF(q)[y]/(f), beta) for the least-packed monic irreducible
+    f of degree ord_n(q) under which beta = y^((q^d - 1)/n) has order n."""
+    q = F.order
+    d = multiplicative_order(q, n)
+    y = Polynomial(F, (0, 1))
+    for packed in itertools.count(q**d + 1):
+        f = Polynomial.from_packed(F, packed)
+        if f.coeffs[0] == 0 or not is_irreducible(f):
+            continue
+        ext = ExtensionField(f)
+        beta = ext.pow(ext.element(y), (q**d - 1) // n)
+        if all(not ext.is_one(ext.pow(beta, n // r)) for r in prime_factors(n)):
+            return ext, beta
+
+
+def test_tables_do_not_depend_on_the_root_field(monkeypatch):
+    # every (q, n) of the orbit-oracle codes and the paper's pairs, built
+    # again under the least-packed root field instead of root_field's
+    pairs = [(q, n) for q in (2, 3, 4, 5, 7, 8, 9) for n in range(1, 31)
+             if math.gcd(q, n) == 1]
+    pairs += [(8, 9), (5, 6), (25, 26), (32, 11), (512, 27)]
+    streamed = {pair: root_context(field_from_order(pair[0]), pair[1])
+                for pair in pairs}
+    monkeypatch.setattr(cyclic, "root_field", packed_root_field)
+    moved = 0
+    for (q, n), ctx in streamed.items():
+        F = field_from_order(q)
+        packed = cyclic.RootContext(F, n)
+        assert packed.minimal_polynomials == ctx.minimal_polynomials, (q, n)
+        moved += root_field(F, n)[0].modulus != packed_root_field(F, n)[0].modulus
+    assert moved > len(pairs) // 2  # the two searches mostly pick different f
 
 
 def test_factor_table_self_check_catches_a_wrong_factor(monkeypatch):
@@ -154,10 +185,13 @@ def test_factor_table_self_check_catches_a_wrong_factor(monkeypatch):
 
 
 def test_factor_table_size_caps():
-    # refused before the cosets: n past the length cap, ord_n(q) past the degree cap
+    # refused at once: n past the length cap before the cosets are listed,
+    # ord_n(q) past the degree cap before any field work
     start = time.monotonic()
     with pytest.raises(FactorTableTooLarge, match="length cap"):
         root_context(make_field(2, 3), 19_173_961)
+    with pytest.raises(FactorTableTooLarge, match="length cap"):
+        cyclotomic_cosets(10**12 + 1, 2)
     with pytest.raises(FactorTableTooLarge, match="degree cap"):
         root_context(make_field(2, 1), 131)
     assert time.monotonic() - start < 1.0
@@ -177,10 +211,10 @@ def canonical_root(F, n):
     """(alpha, f): alpha in GF(q)[y]/(f), f of degree ord_n(q).
 
     alpha is found here, not read from the context: it is any root of m_1,
-    the context's factor of the coset of 1, among the powers of an n-th root
-    of unity modulo f."""
-    f = _canonical_modulus(F, multiplicative_order(F.order, n), 1)
-    beta = root_of_unity(f, n)
+    the context's factor of the coset of 1, among the powers of root_field's
+    n-th root of unity modulo f."""
+    ext, beta = root_field(F, n)
+    f, beta = ext.modulus, ext.polynomial(beta)
     m1 = root_context(F, n).minimal_polynomials[1 % n]
     alpha = next(a for a in (pow_mod(beta, s, f) for s in range(n))
                  if evaluate(m1, a, f).is_zero())
@@ -439,7 +473,7 @@ def test_codeword_matrix_message_order():
             word = Polynomial.zero(F)
             for i in range(k):
                 m_i = r // F.order ** (k - 1 - i) % F.order
-                word = word + Polynomial.x_pow(F, i, m_i) * code.generator
+                word = word + Polynomial(F, (0,) * i + (m_i,)) * code.generator
             assert row == list(word.coeffs) + [0] * (n - len(word.coeffs))
 
 

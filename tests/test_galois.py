@@ -24,7 +24,7 @@ from fhsforge.galois import (
     make_field,
     poly_gcd,
     pow_mod,
-    root_of_unity,
+    root_field,
 )
 from fhsforge.intmath import multiplicative_order
 
@@ -76,6 +76,8 @@ def test_make_field_errors():
         make_field(6, 2)
     with pytest.raises(FieldTooLarge):
         make_field(2, 25)
+    with pytest.raises(FieldTooLarge):  # refused before 2^(10^14) is formed
+        make_field(2, 10**14)
 
 
 @pytest.mark.parametrize("p,m", SMALL_ORDERS)
@@ -105,25 +107,35 @@ def test_log_antilog_bijection(p, m):
 
 
 def test_element_order_against_brute_force():
-    # the n-th root of unity drawn for each n | q - 1 is a constant of GF(q)[y]/(f),
-    # deg f = 1, and has order exactly n
-    for p, m in [(2, 3), (3, 2), (5, 2), (2, 6)]:
+    # for each n | q - 1, root_field's f has degree 1 and beta is a constant of
+    # GF(q)[y]/(f) of order exactly n
+    for p, m in [(2, 3), (3, 2), (5, 2), (2, 6), (13, 1)]:
         F = make_field(p, m)
-        f = Polynomial(F, (1, 1))
         for n in range(1, F.order):
             if (F.order - 1) % n == 0:
-                beta = root_of_unity(f, n)
-                assert beta.degree == 0
-                assert brute_force_order(F, beta.coeffs[0]) == n
+                ext, beta = root_field(F, n)
+                assert ext.d == 1
+                assert ext.polynomial(beta).degree == 0
+                assert brute_force_order(F, ext.polynomial(beta).coeffs[0]) == n
 
 
 def test_nth_root_of_unity():
-    F64 = make_field(2, 6)
-    f = Polynomial(F64, (1, 1))
-    beta = root_of_unity(f, 9).coeffs[0]
-    assert brute_force_order(F64, beta) == 9
-    assert F64.pow(beta, 9) == 1
-    assert root_of_unity(Polynomial(make_field(2, 3), (1, 1)), 1).coeffs == (1,)
+    # beta of every n < 30 coprime to q over small fields, against its order
+    # counted by multiplying out its powers modulo f
+    for p, m in [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2)]:
+        F = make_field(p, m)
+        one = Polynomial.one(F)
+        for n in range(1, 30):
+            if math.gcd(n, F.order) != 1:
+                continue
+            ext, beta = root_field(F, n)
+            f, b = ext.modulus, ext.polynomial(beta)
+            assert f.degree == multiplicative_order(F.order, n) and f.leading() == 1
+            assert is_irreducible(f)
+            acc, order = b, 1
+            while acc != one:
+                acc, order = acc * b % f, order + 1
+            assert order == n, (p, m, n)
 
 
 def test_zero_division_and_inverse():
@@ -222,11 +234,11 @@ def test_is_irreducible_small():
 
 
 def test_poly_ext_field_axioms_random():
-    # GF(q^d) as polynomials over GF(q) reduced mod the least-packed irreducible f
+    # GF(q^d) as polynomials over GF(q) reduced mod root_field's f, d = ord_n(q)
     rng = random.Random(11)
-    for base_pm, d in [((2, 1), 28), ((3, 1), 4), ((2, 2), 5)]:
+    for base_pm, n, d in [((2, 1), 29, 28), ((3, 1), 5, 4), ((2, 2), 11, 5)]:
         base = make_field(*base_pm)
-        f = _canonical_modulus(base, d, 1)
+        f = root_field(base, n)[0].modulus
         assert f.degree == d and f.leading() == 1 and is_irreducible(f)
         one = Polynomial.one(base)
         rand = lambda: Polynomial(base, [rng.randrange(base.order) for _ in range(d)])
@@ -243,8 +255,9 @@ def test_poly_ext_field_axioms_random():
 
 def test_poly_ext_root_of_unity():
     F2 = make_field(2, 1)
-    f = _canonical_modulus(F2, 28, 1)
-    alpha = root_of_unity(f, 29)
+    ext, beta = root_field(F2, 29)
+    f, alpha = ext.modulus, ext.polynomial(beta)
+    assert f.degree == 28
     acc = alpha
     seen = {alpha}
     for _ in range(27):
@@ -254,15 +267,32 @@ def test_poly_ext_root_of_unity():
     assert len(seen) == 28
 
 
+# (p, m, n): the low coefficients of root_field's f, below y^d
+FROZEN_ROOT_FIELDS = {
+    (2, 1, 29): [1, 1, 1, 1, 0, 0, 0, 1, 0, 0, 1, 0, 0, 0, 1, 0, 1, 0, 0, 1, 1, 1,
+                 0, 0, 0, 0, 1, 0],
+    (2, 3, 9): [7, 1],
+    (3, 1, 13): [2, 2, 0],
+    (5, 2, 26): [19, 4],
+    (2, 10, 13): [227, 764, 1009, 343, 909, 603],
+    (2, 20, 17): [19127, 909129],
+}
+
+
+@pytest.mark.parametrize("p,m,n", sorted(FROZEN_ROOT_FIELDS))
+def test_root_field_is_frozen(p, m, n):
+    # the stream is keyed by (p, m, d) through SHAKE-256 alone, so f is the
+    # same on every run, Python version and hash seed
+    f = root_field(make_field(p, m), n)[0].modulus
+    assert list(f.coeffs[:-1]) == FROZEN_ROOT_FIELDS[p, m, n]
+    assert f.leading() == 1
+
+
 def test_canonical_modulus_generalises_the_field_search():
-    # order p^m - 1 asks for the field's primitive modulus; order 1 for any
-    # irreducible, which may pack smaller
+    # the primitive modulus of every table field with m > 1
     for p, m in [(2, 4), (3, 2), (5, 2), (2, 6)]:
         base = make_field(p, 1)
-        assert _canonical_modulus(base, m, p**m - 1).coeffs == make_field(p, m).modulus
-    assert _canonical_modulus(make_field(2, 1), 4, 1).coeffs == (1, 1, 0, 0, 1)
-    assert _canonical_modulus(make_field(3, 1), 2, 1).coeffs == (1, 0, 1)  # x^2 + 1
-    assert _canonical_modulus(make_field(5, 1), 2, 1).coeffs == (2, 0, 1)  # x^2 + 2
+        assert _canonical_modulus(base, m).coeffs == make_field(p, m).modulus
 
 
 def _lfsr(f, terms):
@@ -351,7 +381,7 @@ def test_tables_match_the_scalar_loop():
     for p, m in _small_fields():
         modulus = (
             make_field(p, 1).modulus if m == 1
-            else _canonical_modulus(make_field(p, 1), m, p**m - 1).coeffs
+            else _canonical_modulus(make_field(p, 1), m).coeffs
         )
         F = FiniteField(p, m, modulus)
         assert F.exp == _scalar_antilog(p, m, modulus), (p, m)
@@ -415,8 +445,8 @@ def test_kernel_matches_polynomial_arithmetic(p, m):
 def test_kernel_evaluates_polynomials():
     # g(a) by Horner's rule on the kernel against the sum of c_i a^i
     F = make_field(3, 2)
-    f = _canonical_modulus(F, 5, 1)
-    ext = ExtensionField(f)
+    ext = root_field(F, 11)[0]  # d = ord_11(9) = 5
+    f = ext.modulus
     rng = random.Random(5)
     for _ in range(20):
         g = Polynomial(F, [rng.randrange(9) for _ in range(7)] + [1])
@@ -427,10 +457,11 @@ def test_kernel_evaluates_polynomials():
         assert ext.polynomial(ext.evaluate(g, ext.element(a))) == direct % f
 
 
-def _unfiltered_modulus(base, d, order):
+def _unfiltered_modulus(base, d):
     """Reference: the packed search of `_canonical_modulus` without the
     f' = 0 skip."""
     q = base.order
+    order = q**d - 1
     x = Polynomial(base, (0, 1))
     radicals = [r for r in range(2, order + 1) if order % r == 0
                 and all(r % s for s in range(2, r))]
@@ -445,20 +476,8 @@ def _unfiltered_modulus(base, d, order):
     raise AssertionError("no modulus")
 
 
-def _oracle_and_paper_degrees():
-    out = {(q, multiplicative_order(q, n)) for q in (2, 3, 4, 5, 7, 8, 9)
-           for n in range(1, 31) if math.gcd(n, q) == 1}
-    return sorted(out | {(8, 2), (5, 2), (25, 2), (32, 2), (512, 2)})
-
-
 def test_skipping_pth_powers_keeps_the_canonical_modulus():
-    # every (q, d) the orbit-oracle codes and the paper's sets search, and
     # the primitive moduli of the table fields
-    for q, d in _oracle_and_paper_degrees():
-        base = field_from_order(q)
-        assert _canonical_modulus(base, d, 1) == _unfiltered_modulus(base, d, 1), (q, d)
     for p, m in [(2, 2), (2, 4), (2, 8), (2, 10), (3, 2), (3, 4), (3, 6), (5, 3)]:
         base = make_field(p, 1)
-        order = p**m - 1
-        assert (_canonical_modulus(base, m, order)
-                == _unfiltered_modulus(base, m, order)), (p, m)
+        assert _canonical_modulus(base, m) == _unfiltered_modulus(base, m), (p, m)
