@@ -16,6 +16,7 @@ anywhere in this module.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +31,6 @@ from .errors import (
 # A report prints its values in full, and Python's default int-to-str limit
 # is 4300 digits.
 PRINTABLE_DIGITS = 4300
-_PRINTABLE = 10**PRINTABLE_DIGITS
 
 
 def _ceil_ratio(a: int, b: int) -> int:
@@ -96,14 +96,24 @@ def sphere_packing_max_size(n: int, lam: int, ell: int) -> int:
     return ell**n // (n * ball)
 
 
+def _printable_digits() -> int:
+    """The digits a report may print: PRINTABLE_DIGITS, or the interpreter's
+    int-to-str limit when that is lower (0 means no limit), read at report
+    time because PYTHONINTMAXSTRDIGITS can lower it."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # from 3.10.7
+    return min(PRINTABLE_DIGITS, limit) if limit else PRINTABLE_DIGITS
+
+
 def _below_printable(a: int, x: int, b: int, y: int, n: int) -> bool:
-    """Whether a^x < 10^PRINTABLE_DIGITS * n * b^y, for a >= 2 and b, n >= 1.
-    As 64 log2(a) >= bl(a^64) - 1 and 64 log2(b) < bl(b^64), bl the bit
-    length, a wide gap answers no before either power is taken."""
+    """Whether a^x < 10^D * n * b^y, D = `_printable_digits()`, for a >= 2
+    and b, n >= 1.  As 64 log2(a) >= bl(a^64) - 1 and 64 log2(b) <
+    bl(b^64), bl the bit length, a wide gap answers no before either power
+    is taken."""
+    printable = 10 ** _printable_digits()
     gap = x * ((a**64).bit_length() - 1) - y * (b**64).bit_length()
-    if gap >= 64 * (n.bit_length() + _PRINTABLE.bit_length()):
+    if gap >= 64 * (n.bit_length() + printable.bit_length()):
         return False
-    return a**x < _PRINTABLE * n * b**y
+    return a**x < printable * n * b**y
 
 
 @dataclass(frozen=True)
@@ -117,7 +127,7 @@ class BoundReport:
     pf1: int
     pf2: int
     singleton_max_N: int
-    sphere_max_N: int | None  # None: it might not print in PRINTABLE_DIGITS
+    sphere_max_N: int | None  # None: it might not print in full
     meets_peng_fan: bool
     meets_singleton: bool
     meets_sphere: bool | None
@@ -152,15 +162,17 @@ def optimality_report(
     """Evaluate all four bounds at (n, N, ell, lambda) and record which are met.
 
     Refused (`BoundTooLarge`) before any work when nN or the Singleton value
-    has more than PRINTABLE_DIGITS digits.  The sphere-packing value is None
-    unless its upper bound ell^n / (n (ell - 1)^r), r the radius, has not."""
+    has more than D digits, D = PRINTABLE_DIGITS or the interpreter's lower
+    int-to-str limit.  The sphere-packing value is None unless its upper
+    bound ell^n / (n (ell - 1)^r), r the radius, has not."""
     if n < 1 or count < 1 or ell <= 1 or not 0 <= lam < n or n * count < 2:
         raise InconsistentParameters(
             f"parameters ({n}, {count}, {lam}; {ell}) are out of range"
         )
     nn = n * count
-    if nn >= _PRINTABLE or not _below_printable(ell, lam + 1, 1, 0, n):
-        raise BoundTooLarge(f"nN or Singleton's N has over {PRINTABLE_DIGITS} digits")
+    digits = _printable_digits()
+    if nn >= 10**digits or not _below_printable(ell, lam + 1, 1, 0, n):
+        raise BoundTooLarge(f"nN or Singleton's N has over {digits} digits")
     big_i, j = divmod(nn, ell)
     pf1 = peng_fan_1(n, count, ell)
     pf2 = peng_fan_2(n, count, ell)

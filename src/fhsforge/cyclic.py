@@ -357,43 +357,41 @@ class EquivalenceClass:
     size: int
 
 
-def _least_rotation_partition(mat: np.ndarray, q: int, k: int):
-    """Unique least rotations of the rows with multiplicities.
-
-    The rows must be all the codewords of a cyclic [n, k] code over GF(q).
-    Then every row's full orbit is present in `mat`, so the multiplicity of
-    a least rotation equals its orbit size.  Any k cyclically consecutive
-    positions of a cyclic code form an information set, so the width-k
-    window key sum_{i<k} c[t+i] q^(k-1-i) is a bijection from the codewords
-    onto 0..q^k-1 that orders them as the full words do, and one
-    multiply-add per shift rolls it along.  A least rotation is itself a
-    row, the one whose shift-0 key is the least key of its orbit.
-    """
-    rows, n = mat.shape
-    total = q**k
-    w = max(k, 1)
-    qq = np.uint64(q)
-    lead = np.uint64(q ** (w - 1))
-    key = np.zeros(rows, dtype=np.uint64)
-    for i in range(w):
-        key = key * qq + mat[:, i]
-    pos = np.full(total, -1, dtype=np.intp)
-    if rows == total and (key < total).all():
-        pos[key] = np.arange(rows)
-    if pos.min() < 0:
-        raise AssertionError(
-            f"width-{w} window keys are not a permutation of 0..{total - 1}: "
-            f"the rows are not the codewords of a cyclic code of dimension {k}"
-        )
-    best = key.copy()
-    for t in range(1, n):
-        key -= mat[:, t - 1] * lead
-        key *= qq
-        key += mat[:, (t + w - 1) % n]
-        np.minimum(best, key, out=best)
-    sizes = np.bincount(best.view(np.int64), minlength=total)
-    keys = np.flatnonzero(sizes)
-    return mat[pos[keys]], sizes[keys]
+def _shift_orbits(code: CyclicCode):
+    """(representatives, sizes) of the shift orbits of a code with k >= 1,
+    in the order of their least window keys; see `class_partition`."""
+    field, h, k, n = code.field, code.check.coeffs, code.dimension, code.n
+    q, lead, scalars = field.order, field.order ** (k - 1), np.arange(field.order)
+    taps = field.multiples(np.array(h[1:]), np.array([field.neg(field.inv(h[0]))]))[0]
+    fb = np.zeros((1, 1), dtype=np.uint32)  # each key's feedback c_(t+k)
+    for i in range(k):  # -h_(i+1) / h_0 weighs digit q^i
+        fb = _step(field, field.multiples(taps[i : i + 1], scalars), fb)
+    keys = np.arange(q**k)
+    nxt = keys % lead * q + fb.ravel()
+    best, jump, power = keys.copy(), nxt, keys
+    rounds = (n - 1).bit_length()
+    for r in range(rounds):  # best: least key of 2^r steps; jump = nxt^(2^r)
+        if n >> r & 1:
+            power = jump[power]
+        np.minimum(best, best[jump], out=best)
+        jump = jump[jump]
+    if n >> rounds & 1:
+        power = jump[power]
+    if not np.array_equal(power, keys):
+        raise AssertionError(f"the shift map's {n}-th power is not the identity: "
+                             f"h does not divide x^{n} - 1")
+    sizes = np.bincount(best, minlength=q**k)
+    least = np.flatnonzero(sizes)
+    g = _generator_row(code)
+    state = np.append(least, int(g[:k] @ q ** np.arange(k - 1, -1, -1)))
+    words = np.empty((len(state), n), dtype=np.uint32)
+    for t in range(n):
+        words[:, t] = state // lead
+        state = nxt[state]
+    if not np.array_equal(words[-1], g):
+        raise AssertionError("the shift map does not regenerate g: "
+                             "h is not this code's check polynomial")
+    return words[:-1], sizes[least]
 
 
 def class_partition(
@@ -403,13 +401,28 @@ def class_partition(
 
     exclude: "none", "zero" (drop the zero word) or "constants" (drop the
     constant-word subcode).  Representatives are least rotations, sorted
-    lexicographically.  The partition runs on all the codewords, which is
-    what the window key in `_least_rotation_partition` requires.
+    lexicographically.
+
+    Any k cyclically consecutive positions are an information set, so the
+    width-k window key sum_(i<k) c_(t+i) q^(k-1-i) names a word at any
+    shift t, and keys order words as the full words do.  Since c h = 0
+    mod x^n - 1, c_(t+k) = -h_0^-1 (h_1 c_(t+k-1) + ... + h_k c_t): the
+    shift is one map nxt on the q^k keys, and an orbit is a cycle of it.
+    Pointer jumping finds each key's least key over its cycle in
+    ceil(log2 n) rounds, and the same jumps give nxt^n.  Two checks prove
+    the keys biject onto this code's words: (a) nxt^n is the identity, so
+    h divides x^n - 1; (b) the walk from the key of g regenerates g, which
+    the reversed recurrence would not.  Sizes are a `bincount` of the
+    least keys, and each representative is n steps of its least key.
+    Memory is O(q^k), whatever n is.
     """
     if exclude not in ("none", "zero", "constants"):
         raise ValueError(f"unknown exclude mode {exclude!r}")
-    mat = codeword_matrix(code, cap)
-    reps, sizes = _least_rotation_partition(mat, code.field.order, code.dimension)
+    _check_cap(code, cap)
+    if code.dimension == 0:  # the zero code is one orbit
+        reps, sizes = np.zeros((1, code.n), dtype=np.uint32), np.ones(1, dtype=np.intp)
+    else:
+        reps, sizes = _shift_orbits(code)
     if exclude == "zero":
         keep = reps.any(axis=1)
         reps, sizes = reps[keep], sizes[keep]

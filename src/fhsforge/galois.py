@@ -245,10 +245,10 @@ def _canonical_modulus(base: FiniteField, d: int) -> Polynomial:
             # q, which differs from this one only in f(0)
             packed += q - packed % q
             continue
-        if not is_irreducible(f):
-            continue
-        ext = ExtensionField(f)
-        if all(not ext.is_one(ext.pow(ext.element(x), order // r)) for r in radicals):
+        ext = _ben_or(f)
+        if ext is not None and all(
+            not ext.is_one(ext.pow(ext.element(x), order // r)) for r in radicals
+        ):
             return f
     raise AssertionError(f"no primitive polynomial of degree {d} over GF({q})")
 
@@ -440,35 +440,34 @@ def pow_mod(base: Polynomial, e: int, mod: Polynomial) -> Polynomial:
 
 
 def is_irreducible(f: Polynomial) -> bool:
-    """Irreducibility over the coefficient field (Ben-Or).
+    """Irreducibility over the coefficient field (Ben-Or; see `_ben_or`)."""
+    return _ben_or(f) is not None
+
+
+def _ben_or(f: Polynomial) -> ExtensionField | None:
+    """The kernel GF(q)[y]/(f) of the monic f if f is irreducible, else None.
 
     f of degree d is irreducible iff it shares no root with x^(q^i) - x for
     any 1 <= i <= d // 2, since a proper factorization forces a factor of
     degree at most d // 2.  x^q mod f is taken on `Polynomial`s, which
     rejects the many f with a root in GF(q) before any kernel table is
-    built; the later Frobenius powers run on the `ExtensionField` kernel.
+    built; the later Frobenius powers run on the kernel that is returned.
     """
     d = f.degree
-    if d < 1:
-        return False
-    if d == 1:
-        return True
-    if f.coeffs[0] == 0:
-        return False
+    if d < 1 or (d > 1 and f.coeffs[0] == 0):
+        return None
     F, f = f.field, f.monic()
     x = Polynomial(F, (0, 1))
     r = pow_mod(x, F.order, f)
-    if poly_gcd(r - x, f).degree > 0:
-        return False
-    if d < 4:
-        return True
+    if d > 1 and poly_gcd(r - x, f).degree > 0:
+        return None
     ext = ExtensionField(f)
     s = ext.element(r)
     for _ in range(d // 2 - 1):
         s = ext.pow(s, F.order)
         if poly_gcd(ext.polynomial(s) - x, f).degree > 0:
-            return False
-    return True
+            return None
+    return ext
 
 
 class ExtensionField:
@@ -598,10 +597,9 @@ def root_field(base: FiniteField, n: int) -> tuple[ExtensionField, np.ndarray]:
         low %= size
         if low % q == 0:
             continue
-        f = Polynomial.from_packed(base, low + size)
-        if not is_irreducible(f):
+        ext = _ben_or(Polynomial.from_packed(base, low + size))
+        if ext is None:
             continue
-        ext = ExtensionField(f)
         beta = ext.pow(ext.element(y), (size - 1) // n)
         if all(not ext.is_one(ext.pow(beta, n // r)) for r in radicals):
             return ext, beta

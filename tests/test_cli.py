@@ -1,5 +1,6 @@
 import gzip
 import json
+import os
 import re
 import subprocess
 import sys
@@ -471,3 +472,18 @@ def test_bounds_past_the_printable_digits(capsys, argv, exit_code):
         assert json.loads(out)["sphere_max_N"] is None
     else:
         assert "BoundTooLarge" in err
+
+
+def test_report_under_a_lower_int_to_str_limit(tmp_path):
+    # A q = 2^11: the 2,780-digit sphere value prints under the default
+    # limit, but not under 640 digits, where the build exited 1 with a
+    # traceback; the report now reads the interpreter's limit
+    env = {**os.environ, "PYTHONINTMAXSTRDIGITS": "640"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "fhsforge", "build", "--family", "A", "--m", "11",
+         "--k", "1", "--params-only", "--out", str(tmp_path)],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert proc.returncode in (0, 3) and "Traceback" not in proc.stderr
+    report = json.loads((tmp_path / "bound_report.json").read_text())
+    assert report["sphere_max_N"] is None and report["meets"]["sphere"] is None

@@ -2,13 +2,14 @@ import itertools
 import math
 import random
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from fhsforge import cyclic
 from fhsforge.cyclic import (
-    _least_rotation_partition,
+    CyclicCode,
     build_code,
     class_partition,
     codeword_matrix,
@@ -409,10 +410,45 @@ def test_representatives_are_least_rotations():
         assert cls.size == len(orbit)
 
 
+def least_rotation_partition(mat: np.ndarray, q: int, k: int):
+    """Reference: unique least rotations of the rows with multiplicities,
+    from the full codeword matrix.
+
+    The rows must be all the codewords of a cyclic [n, k] code over GF(q).
+    The width-k window key sum_{i<k} c[t+i] q^(k-1-i) of every row is
+    rolled through all n shifts, and a least rotation is the row whose
+    shift-0 key is the least key of its orbit.  It costs n q^k words of
+    memory, which `class_partition` does not.
+    """
+    rows, n = mat.shape
+    total = q**k
+    w = max(k, 1)
+    qq = np.uint64(q)
+    lead = np.uint64(q ** (w - 1))
+    key = np.zeros(rows, dtype=np.uint64)
+    for i in range(w):
+        key = key * qq + mat[:, i]
+    pos = np.full(total, -1, dtype=np.intp)
+    if rows == total and (key < total).all():
+        pos[key] = np.arange(rows)
+    if pos.min() < 0:
+        raise AssertionError(f"width-{w} window keys are not a permutation")
+    best = key.copy()
+    for t in range(1, n):
+        key -= mat[:, t - 1] * lead
+        key *= qq
+        key += mat[:, (t + w - 1) % n]
+        np.minimum(best, key, out=best)
+    sizes = np.bincount(best.view(np.int64), minlength=total)
+    keys = np.flatnonzero(sizes)
+    return mat[pos[keys]], sizes[keys]
+
+
 def test_least_rotation_partition_matches_brute_force():
     # full words that fit in 62 bits (GF(8) n=9, GF(4) n=5), full words that
-    # do not (GF(64) n=13, GF(512) n=27), length 1, and GF(5) n=6 k=3 and
-    # GF(9) n=10 k=3
+    # do not (GF(64) n=13, GF(512) n=27), length 1, GF(5) n=6 k=3 and
+    # GF(9) n=10 k=3, and GF(3^12) n=2 k=1, whose shift map is built from
+    # the multiples alone
     cases = [
         ((2, 3), 9, [1, 2, 7, 8, 4, 5]),
         ((2, 2), 5, [0, 1, 4]),
@@ -422,33 +458,109 @@ def test_least_rotation_partition_matches_brute_force():
         # odd characteristic with k >= 2, which adds through the q x q table
         ((5, 1), 6, [2, 3, 4]),
         ((3, 2), 10, [j for j in range(10) if j not in (0, 1, 9)]),
+        ((3, 12), 2, [0]),
     ]
     for (p, m), n, members in cases:
         code = build_code(n, make_field(p, m), members)
         mat = codeword_matrix(code)
-        reps, sizes = _least_rotation_partition(mat, code.field.order, code.dimension)
+        reps, sizes = class_partition(code)
         expected = {}
         for row in map(tuple, mat.tolist()):
-            expected[min(rotations(row))] = len(rotations(row))
+            orbit = rotations(row)
+            expected[min(orbit)] = len(orbit)
         assert [tuple(r) for r in reps.tolist()] == sorted(expected)
         assert sizes.tolist() == [expected[r] for r in sorted(expected)]
         assert reps.dtype == mat.dtype
 
 
 def test_least_rotation_partition_checks_information_sets():
-    # rotation-closed but not linear: the first position does not tell
-    # 000 from 001 and 010, so the width-1 window keys collide
-    words = sorted({(0, 0, 0)} | rotations((0, 0, 1)))
-    mat = np.array(words, dtype=np.uint32)
-    with pytest.raises(AssertionError):
-        _least_rotation_partition(mat, 2, 1)
-    # the same four words as a claimed k = 2 code: the row count is right,
-    # but the width-2 keys of 000 and 001 collide and no row has key 3
-    with pytest.raises(AssertionError):
-        _least_rotation_partition(mat, 2, 2)
-    # two rows, both keys distinct, but the symbol 2 is not in GF(2)
-    with pytest.raises(AssertionError):
-        _least_rotation_partition(np.array([[0, 0], [2, 2]], dtype=np.uint32), 2, 1)
+    # [7, 4] binary Hamming code, h = (x + 1)(x^3 + x^2 + 1) or its mirror:
+    # the reversed recurrence walks the words of the mirror code, every
+    # one n-periodic, so only the walk from g's key catches it
+    code = build_code(7, make_field(2, 1), [1, 2, 4])
+    h = code.check
+    assert h.coeffs != h.coeffs[::-1]
+    mirror = CyclicCode(code.field, 7, code.defining_set, code.generator,
+                        Polynomial(code.field, h.coeffs[::-1]))
+    with pytest.raises(AssertionError, match="does not regenerate g"):
+        class_partition(mirror)
+    # h + x^2 does not divide x^7 - 1: the shift map's 7th power moves keys
+    wrong = CyclicCode(code.field, 7, code.defining_set, code.generator,
+                       h + Polynomial(code.field, (0, 0, 1)))
+    assert not (Polynomial.x_pow_n_minus_one(code.field, 7) % wrong.check).is_zero()
+    with pytest.raises(AssertionError, match="is not the identity"):
+        class_partition(wrong)
+    # the same two over GF(7), n = 6, k = 3, Z = {1, 2, 3}, where the
+    # feedback adds through the q x q table
+    code = build_code(6, make_field(7, 1), [1, 2, 3])
+    h = code.check
+    mirror = CyclicCode(code.field, 6, code.defining_set, code.generator,
+                        Polynomial(code.field, h.coeffs[::-1]).monic())
+    with pytest.raises(AssertionError, match="does not regenerate g"):
+        class_partition(mirror)
+    wrong = CyclicCode(code.field, 6, code.defining_set, code.generator,
+                       h + Polynomial(code.field, (0, 1)))
+    assert wrong.check.coeffs[0] != 0
+    assert not (Polynomial.x_pow_n_minus_one(code.field, 6) % wrong.check).is_zero()
+    with pytest.raises(AssertionError, match="is not the identity"):
+        class_partition(wrong)
+
+
+def _universe(max_words):
+    """Every cyclic code over GF(q), q <= 9, of length n <= 30 whose
+    defining set is a union of nonzero cosets, with at most `max_words`
+    codewords."""
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        F = field_from_order(q)
+        for n in range(1, 31):
+            if math.gcd(n, q) != 1:
+                continue
+            nonzero = [c.members for c in cyclotomic_cosets(n, q)[1:]]
+            for r in range(len(nonzero) + 1):
+                for combo in itertools.combinations(nonzero, r):
+                    members = [j for c in combo for j in c]
+                    if q ** (n - len(members)) <= max_words:
+                        yield build_code(n, F, members)
+
+
+def test_class_partition_matches_the_matrix_kernel():
+    # the reference kernel rolls the window key through the codeword matrix
+    checked = 0
+    for code in _universe(1 << 12):
+        mat = codeword_matrix(code)
+        ref = least_rotation_partition(mat, code.field.order, code.dimension)
+        for exclude in ("none", "zero", "constants"):
+            if exclude == "zero":
+                keep = ref[0].any(axis=1)
+            elif exclude == "constants":
+                keep = (ref[0] != ref[0][:, :1]).any(axis=1)
+            else:
+                keep = slice(None)
+            reps, sizes = class_partition(code, exclude)
+            assert reps.dtype == np.uint32 and sizes.dtype == np.int64
+            assert np.array_equal(reps, ref[0][keep]), (code, exclude)
+            assert np.array_equal(sizes, ref[1][keep]), (code, exclude)
+        checked += 1
+    assert checked > 1000
+
+
+def test_partition_memory_does_not_scale_with_n():
+    # the binary [1023, 11] code with h = (x - 1) m_1: 2^11 words, two
+    # constants and two full orbits; the codeword matrix would hold 2^11
+    # words of 1023 symbols, 8 MiB as uint32
+    F = make_field(2, 1)
+    keep = {0} | {pow(2, i, 1023) for i in range(10)}
+    code = build_code(1023, F, [j for j in range(1023) if j not in keep])
+    assert code.dimension == 11
+    tracemalloc.start()
+    try:
+        reps, sizes = class_partition(code, "constants")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sizes.tolist() == [1023, 1023]
+    assert reps.shape == (2, 1023)
+    assert peak < 1 << 20
 
 
 def _small_codes():
