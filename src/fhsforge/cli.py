@@ -71,13 +71,16 @@ def _dump(obj) -> str:
 
 def _dump_set(record: dict) -> str:
     """An FHS set record as `_dump` writes it, except that each sequence
-    takes one line: C512's 9,709 sequences take 9,725 lines, not 281,577."""
+    takes one line: C512's 9,709 sequences take 9,725 lines, not 281,577.
+
+    All sequences are encoded by one compact `json.dumps`; rows hold only
+    integers, so every "],[" in that text lies between two rows, and the
+    line break goes there."""
     rest = {key: value for key, value in record.items() if key != "sequences"}
     head = json.dumps(rest, indent=2, sort_keys=True)[:-2]  # up to the last "\n}"
-    rows = ",\n".join(
-        "    " + json.dumps(row, separators=(",", ":")) for row in record["sequences"]
-    )
-    return f'{head},\n  "sequences": [\n{rows}\n  ]\n}}\n'
+    rows = json.dumps(record["sequences"], separators=(",", ":"))[1:-1]
+    rows = rows.replace("],[", "],\n    [")
+    return f'{head},\n  "sequences": [\n    {rows}\n  ]\n}}\n'
 
 
 def _write(path: Path, text: str) -> str:
@@ -228,11 +231,10 @@ def cmd_build(args) -> int:
     digests["family.json"] = _write(outdir / "family.json", family_json)
     digests["code.json"] = _write(outdir / "code.json", _dump(build.code.export_dict()))
     if build.fhs is not None:
-        digests["fhs_set.json"] = _write(
-            outdir / "fhs_set.json", _dump_set(build.fhs.to_json_dict())
-        )
+        record = build.fhs.to_json_dict()
+        digests["fhs_set.json"] = _write(outdir / "fhs_set.json", _dump_set(record))
         if args.csv:
-            rows = sorted(build.fhs.sequences())
+            rows = record["sequences"]
             csv_text = "\n".join(",".join(map(str, row)) for row in rows) + "\n"
             digests["fhs_set.csv"] = _write(outdir / "fhs_set.csv", csv_text)
     if build.report is not None:
@@ -271,9 +273,11 @@ def cmd_build(args) -> int:
 
 def cmd_verify(args) -> int:
     budget = _budget(args)
+    # ValueError covers bytes that are not UTF-8, malformed JSON and an
+    # integer past the int-to-str limit; RecursionError, nesting too deep.
     try:
         data = json.loads(Path(args.path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise ParseError(f"cannot read {args.path}: {exc}") from exc
     fset = FhsSet.from_json_dict(data)
     stored = fset.max_correlation

@@ -69,7 +69,10 @@ def _json_int(value, what: str) -> int:
 
 
 class FhsSet:
-    """A set of N distinct length-n sequences over the alphabet 0..ell-1."""
+    """A set of N distinct length-n sequences over the alphabet 0..ell-1.
+
+    `seqs` keeps the rows in the order given; `order` indexes them in
+    lexicographic order, the order a record is written in."""
 
     def __init__(
         self,
@@ -85,13 +88,19 @@ class FhsSet:
             raise LengthAlphabetViolation(
                 f"symbol {int(arr.max())} outside alphabet of size {alphabet_size}"
             )
-        # Each row as one opaque byte string: equal bytes are equal rows, and
-        # np.unique sorts these faster than it sorts rows with axis=0.
-        row_bytes = np.dtype((np.void, arr.itemsize * arr.shape[1]))
-        if len(np.unique(np.ascontiguousarray(arr).view(row_bytes))) != arr.shape[0]:
+        # Each row as one big-endian byte string: the bytes compare in the
+        # rows' lexicographic order, so one stable argsort sorts the rows,
+        # and equal neighbours in that order are duplicate rows.
+        row_bytes = np.dtype((np.void, 4 * arr.shape[1]))
+        rows = arr.astype(">u4", order="C").view(row_bytes).ravel()
+        order = np.argsort(rows, kind="stable")
+        ranked = rows[order]
+        if (ranked[1:] == ranked[:-1]).any():
             raise ValueError("sequences are not pairwise distinct")
         arr.flags.writeable = False
+        order.flags.writeable = False
         self.seqs = arr
+        self.order = order
         self.alphabet_size = int(alphabet_size)
         self.provenance = dict(provenance) if provenance else {"family": "imported"}
         self.max_correlation = max_correlation
@@ -111,14 +120,13 @@ class FhsSet:
         return (self.n, self.size, self.max_correlation, self.alphabet_size)
 
     def to_json_dict(self) -> dict:
-        order = np.lexsort(self.seqs.T[::-1])
         return {
             "n": self.n,
             "ell": self.alphabet_size,
             "N": self.size,
             "lambda": self.max_correlation,
             "provenance": self.provenance,
-            "sequences": self.seqs[order].tolist(),
+            "sequences": self.seqs[self.order].tolist(),
         }
 
     @classmethod
@@ -129,10 +137,13 @@ class FhsSet:
             n = _json_int(data["n"], "n")
             count = _json_int(data["N"], "N")
             lam = data.get("lambda")
+            provenance = data.get("provenance")
         except (KeyError, TypeError) as exc:
             raise ParseError(f"malformed FHS set record: {exc}") from exc
         if lam is not None:
             _json_int(lam, "lambda")
+        if not isinstance(provenance, (dict, type(None))):
+            raise ParseError("provenance must be an object")
         if not isinstance(seqs, list) or any(not isinstance(s, list) for s in seqs):
             raise ParseError("sequences must be a list of lists")
         if len(seqs) != count:
@@ -152,7 +163,7 @@ class FhsSet:
         if arr.size and (arr.min() < 0 or arr.max() >= min(ell, 1 << 32)):
             raise ParseError(f"symbols must lie in 0..{ell - 1}")
         try:
-            obj = cls(arr, ell, data.get("provenance"), lam)
+            obj = cls(arr, ell, provenance, lam)
         except (ValueError, LengthAlphabetViolation, EmptySet) as exc:
             raise ParseError(str(exc)) from exc
         return obj

@@ -1,6 +1,7 @@
 import gzip
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -9,8 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from fhsforge.cli import main
-from fhsforge.fhs import correlation
+from fhsforge.cli import _dump_set, main
+from fhsforge.fhs import FhsSet, correlation
 
 
 def run(capsys, *argv):
@@ -124,6 +125,39 @@ def test_fhs_set_json_has_one_sequence_per_line(tmp_path, capsys):
     indented.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
     compact, old = (run(capsys, "verify", str(p)) for p in (path, indented))
     assert compact == old and compact[0] == 0
+
+
+def per_row_dump_set(record):
+    """Reference encoder: one json.dumps per sequence, joined line by line."""
+    rest = {key: value for key, value in record.items() if key != "sequences"}
+    head = json.dumps(rest, indent=2, sort_keys=True)[:-2]
+    rows = ",\n".join(
+        "    " + json.dumps(row, separators=(",", ":")) for row in record["sequences"]
+    )
+    return f'{head},\n  "sequences": [\n{rows}\n  ]\n}}\n'
+
+
+def test_dump_set_matches_per_row_encoder():
+    rng = random.Random(41)
+    for _ in range(200):
+        count, n = rng.randrange(1, 30), rng.randrange(1, 6)
+        ell = rng.choice([2, 10, 257, 2**32])
+        rows = {tuple(rng.randrange(ell) for _ in range(n)) for _ in range(count)}
+        fset = FhsSet(sorted(rows), ell, {"family": "B", "q": ell}, rng.randrange(n))
+        record = fset.to_json_dict()
+        text = _dump_set(record)
+        assert text == per_row_dump_set(record)
+        assert json.loads(text) == record
+
+
+def test_csv_rows_follow_the_json_order(tmp_path, capsys):
+    out_dir = tmp_path / "b5"
+    assert run(capsys, "build", "--family", "B", "--q", "5", "--csv",
+               "--out", str(out_dir))[0] == 0
+    record = json.loads((out_dir / "fhs_set.json").read_text())
+    lines = (out_dir / "fhs_set.csv").read_text().splitlines()
+    rows = [[int(s) for s in line.split(",")] for line in lines]
+    assert rows == record["sequences"] == sorted(record["sequences"])
 
 
 @pytest.mark.parametrize("name", ["A8k1", "A8k2", "B5", "B25"])
@@ -255,6 +289,22 @@ def test_cli_does_not_import_scipy():
     assert proc.stdout.strip() == "False"
 
 
+def test_build_and_verify_do_not_import_numpy_ma():
+    # numpy.ma costs about 14 ms to import; np.unique imported it once
+    script = (
+        "import sys, tempfile\n"
+        "from fhsforge.cli import main\n"
+        "with tempfile.TemporaryDirectory() as out:\n"
+        "    assert main(['build', '--family', 'B', '--q', '5', '--out', out]) == 0\n"
+        "    assert main(['verify', out + '/fhs_set.json']) == 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
+
+
 @pytest.fixture(scope="module")
 def b5_record(tmp_path_factory):
     out_dir = tmp_path_factory.mktemp("b5")
@@ -274,6 +324,20 @@ def test_verify_rejects_non_symbol(tmp_path, capsys, b5_record, symbol):
     code, out, err = run(capsys, "verify", str(path))
     assert code == 4
     assert "measured" not in out and "error:" in err
+
+
+@pytest.mark.parametrize("content", [
+    b"\xff\xfe\x00",
+    b"[" * 100000,
+    b"1" * 5000,
+], ids=["not-utf8", "deep-nesting", "past-int-digit-limit"])
+def test_verify_unreadable_record_is_input_error(tmp_path, capsys, content):
+    # each used to exit 1 with a traceback from read_text or json.loads
+    path = tmp_path / "fhs_set.json"
+    path.write_bytes(content)
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 4 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_verify_rejects_fractional_lambda(tmp_path, capsys, b5_record):

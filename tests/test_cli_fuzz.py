@@ -1,4 +1,4 @@
-"""Property test of the CLI contract over argv tokens and JSON records.
+"""Property test of the CLI contract over argv tokens and record files.
 
 For any argv and any record file, `main` returns 0, 2, 3 or 4 and never
 lets an exception escape (which a user would see as a traceback), and
@@ -91,7 +91,7 @@ def records(draw):
     seqs = draw(st.one_of(small_rows, small_rows, rows))
     n = len(seqs[0]) if seqs and isinstance(seqs[0], list) else 0
     record = {"n": n, "ell": 4, "N": len(seqs), "lambda": draw(st.integers(0, 5)),
-              "sequences": seqs}
+              "provenance": {"family": "imported"}, "sequences": seqs}
     for key in draw(st.lists(st.sampled_from(sorted(record)), max_size=2, unique=True)):
         if draw(st.booleans()):
             del record[key]
@@ -99,6 +99,16 @@ def records(draw):
             record[key] = draw(header)
     return draw(st.one_of(st.just(record), st.just(record), st.just(record),
                           st.just([]), st.just("x"), st.just(None)))
+
+
+# Files that are no JSON record at all: any few bytes, not always UTF-8, and
+# runs of brackets, open or closed, up to depths past the JSON decoder's
+# recursion limit.
+raw_records = st.one_of(
+    st.binary(max_size=16),
+    st.integers(1, 100_000).map(lambda depth: b"[" * depth),
+    st.integers(1, 100_000).map(lambda depth: b"[" * depth + b"]" * depth),
+)
 
 
 def exact_lambda(record) -> bool:
@@ -119,15 +129,20 @@ def exact_lambda(record) -> bool:
 
 @settings(max_examples=300, derandomize=True, deadline=None, database=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(argv=st.one_of(random_argv(), verify_argv), record=records())
+@given(argv=st.one_of(random_argv(), verify_argv),
+       record=st.one_of(records(), records(), records(), raw_records))
 def test_cli_contract(argv, record):
     out, err = io.StringIO(), io.StringIO()
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         try:
-            with open(RECORD, "w") as fh:
-                json.dump(record, fh)
+            if isinstance(record, bytes):
+                with open(RECORD, "wb") as fh:
+                    fh.write(record)
+            else:
+                with open(RECORD, "w") as fh:
+                    json.dump(record, fh)
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 try:
                     code = main(argv)
@@ -139,4 +154,5 @@ def test_cli_contract(argv, record):
     assert "Traceback" not in err.getvalue()
     certified = code == 0 and not {"--help", "--version"} & set(argv)
     if "verify" in argv[:1] and certified:  # RECORD is the only file there
+        assert not isinstance(record, bytes), (argv, record, out.getvalue())
         assert exact_lambda(record), (argv, record, out.getvalue())

@@ -137,6 +137,28 @@ def test_fhs_set_json_round_trip():
     assert back.provenance["family"] == "B"
 
 
+def test_export_follows_lexsort_order():
+    # symbols on both sides of each byte boundary of a uint32, so that the
+    # rows' byte strings differ in every byte position
+    rng = np.random.default_rng(23)
+    alphabet = np.array([0, 1, 255, 256, 65535, 65536, 2**24, 2**32 - 1],
+                        dtype=np.uint32)
+    shapes = [(1, 1), (1, 4), (5, 1)]
+    shapes += [(int(rng.integers(2, 40)), int(rng.integers(1, 6))) for _ in range(200)]
+    for count, n in shapes:
+        rows = np.unique(alphabet[rng.integers(0, len(alphabet), (count, n))], axis=0)
+        rng.shuffle(rows)
+        expected = rows[np.lexsort(rows.T[::-1])].tolist()
+        assert expected == sorted(rows.tolist())
+        fset = FhsSet(rows, 2**32)
+        assert np.array_equal(fset.seqs, rows)  # the input order is kept
+        assert fset.to_json_dict()["sequences"] == expected
+        shuffled = rng.permutation(rows)
+        again = FhsSet(shuffled, 2**32)
+        assert np.array_equal(again.seqs, shuffled)
+        assert again.to_json_dict()["sequences"] == expected
+
+
 def test_fhs_set_parse_errors():
     good = FhsSet([[0, 1]], 2, None, 1).to_json_dict()
     for mutate in (
@@ -152,6 +174,8 @@ def test_fhs_set_parse_errors():
         lambda d: d.update(sequences=[0, 1]),
         lambda d: d.update(ell=2.9),
         lambda d: d.update({"lambda": 1.5}),
+        lambda d: d.update(provenance=5),
+        lambda d: d.update(provenance=["family", "B"]),
     ):
         data = {k: (v.copy() if isinstance(v, (dict, list)) else v) for k, v in good.items()}
         mutate(data)
