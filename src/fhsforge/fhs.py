@@ -7,9 +7,11 @@ cross-correlations at every shift.  The exact certificate here rests on
 the pigeonhole argument behind the FHS Singleton bound: M(F) >= L exactly
 when two distinct rotations of the set's sequences agree on some L
 positions, and since the rotations are closed under rotation, on some L
-positions that include position 0.  Testing the C(n-1, L-1) such position
-sets for a key collision decides M(F) >= L, and a walk over L that jumps
-past each colliding pair's exact correlation ends at M(F).
+positions that include position 0.  Rotating a colliding pair by -p moves
+its agreement from P to P - p, so one such set per rotation class, about
+C(n, L)/n of the C(n-1, L-1), is tested for a key collision; that decides
+M(F) >= L, and a walk over L that jumps past each colliding pair's exact
+correlation ends at M(F).
 """
 
 from __future__ import annotations
@@ -81,7 +83,8 @@ class FhsSet:
         provenance: dict | None = None,
         max_correlation: int | None = None,
     ):
-        arr = np.asarray(sequences, dtype=np.uint32)
+        # a private copy: the caller's array stays writeable
+        arr = np.array(sequences, dtype=np.uint32)
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise EmptySet("an FHS set needs at least one nonempty sequence")
         if arr.size and int(arr.max()) >= alphabet_size:
@@ -226,32 +229,62 @@ def _repeat(key: np.ndarray, span: int) -> tuple[int, int] | None:
     return int(order[equal[0]]), int(order[equal[0] + 1])
 
 
-def _collision(seqs: np.ndarray, size: int) -> tuple[int, int, int] | None:
+def _rotation_table(seqs: np.ndarray) -> np.ndarray:
+    """Each row written twice, as int64: rotation s of row i is
+    table[i, s:s + n]."""
+    return np.concatenate([seqs, seqs], axis=1).astype(np.int64)
+
+
+def _collision(table: np.ndarray, size: int) -> tuple[int, int, int] | None:
     """A probe (i, j, t), not the trivial (i, i, 0), with
-    correlation(seqs[i], seqs[j], t) >= size, or None when there is none.
+    correlation(seqs[i], seqs[j], t) >= size, or None when there is none;
+    `table` is `_rotation_table(seqs)`.
 
-    Rotation s of row i is table[i, s:s + n].  For every set P of `size`
-    positions that contains 0, each rotation is keyed by its symbols at P,
-    so two equal keys are two distinct rotations that agree on P.  The
-    sets are walked depth first, so each prefix's partial key is built once.
+    For a set P of `size` positions that contains 0, each rotation is keyed
+    by its symbols at P, so two equal keys are two distinct rotations that
+    agree on P.  Rotating both by -p maps a collision on P to one on P - p,
+    so only one set per rotation class is keyed: the one whose gaps
+    (p_1 - p_0, ..., n - p_{L-1}) are least among their cyclic rotations,
+    a necklace.  The sets are walked depth first in lexicographic order, so
+    each prefix's partial key is built once, into its depth's buffer, and a
+    prefix is dropped as soon as no completion of its gaps can be a
+    necklace (Fredricksen-Kessler-Maiorana: with period p, the next gap is
+    at least the one p back, and every gap is at least the first).  The
+    first colliding set in lexicographic order is the least of its class,
+    so this walk meets it first, with the key and pair the walk over all
+    sets would give.
     """
-    n = seqs.shape[1]
-    table = np.concatenate([seqs, seqs], axis=1).astype(np.int64)
-    base = int(table.max()) + 1
+    n = table.shape[1] // 2
+    base = int(table[:, :n].max()) + 1
+    # one buffer per depth below the root, reused by every prefix there
+    keys = np.empty((size - 1, table.shape[0], n), dtype=np.int64)
+    gaps = [0] * size  # gaps[d] = p_d - p_{d-1}; gaps[0] sorts below all
 
-    def search(key, span, start, depth):
+    def search(key, span, last, depth, period):
+        # positions p_0 = 0 < ... < p_{depth-1} = last; gaps[1:depth] is a
+        # prenecklace of period `period`
         if depth == size:
             return _repeat(key, span)
         if span * base > _KEY_LIMIT:
             values, inverse = np.unique(key.ravel(), return_inverse=True)
             key, span = inverse.reshape(key.shape), len(values)
-        for p in range(start, n - size + depth + 1):
-            hit = search(key * base + table[:, p:p + n], span * base, p + 1, depth + 1)
+        low = last + max(gaps[depth - period], 1)
+        high = n - (size - depth) * gaps[1] if depth > 1 else n // size
+        for p in range(low, high + 1):
+            gap = gaps[depth] = p - last
+            grown = period if gap == gaps[depth - period] else depth
+            if depth == size - 1:
+                end, back = n - p, gaps[size - grown]
+                if end < back or (end == back and size % grown):
+                    continue
+            child = np.multiply(key, base, out=keys[depth - 1])
+            child += table[:, p:p + n]
+            hit = search(child, span * base, p, depth + 1, grown)
             if hit is not None:
                 return hit
         return None
 
-    hit = search(table[:, :n], base, 1, 1)
+    hit = search(table[:, :n], base, 0, 1, 1)
     if hit is None:
         return None
     (i, s), (j, s2) = divmod(hit[0], n), divmod(hit[1], n)
@@ -267,11 +300,15 @@ def max_nontrivial(
     is excluded.  The walk tests L = 1, 2, ... for two rotations that agree
     on L positions.  A colliding pair's exact correlation c >= L is a lower
     bound on M(F), so the walk jumps to L = c + 1; the first L without a
-    collision proves M(F) = c.  The test at L keys C(n-1, L-1) * N * n
-    rotations, so the walk costs about C(n-1, M(F)) * N * n in all.
+    collision proves M(F) = c.  The test at L keys N * n rotations at each
+    of about C(n, L)/n position sets, one per rotation class, so the walk
+    costs about C(n, M(F) + 1)/n * N * n in all.  The rotation table is
+    built once for the whole walk.
 
     Refuses with BudgetExceeded before any test that would take the
-    rotations keyed so far past the budget; budget=None lifts it.  Under
+    rotations keyed so far past the budget; budget=None lifts it.  The
+    budget counts C(n-1, L-1) * N * n rotations per test, every position
+    set that contains 0, an upper bound on what the walk keys.  Under
     any budget it also refuses a set of more than 2^30 rotations, whose
     keys could overflow, and a test whose estimated peak, 16 * (L + 1)
     bytes per rotation plus the bincount floor, exceeds physical memory.
@@ -303,7 +340,9 @@ def max_nontrivial(
                 f"the collision test at L = {size} needs about {peak} bytes, "
                 f"more than the {memory} bytes of physical memory"
             )
-        hit = _collision(seqs, size)
+        if size == 1:  # the first test: the table is built after its checks
+            table = _rotation_table(seqs)
+        hit = _collision(table, size)
         if hit is None:
             break
         i, j, t = hit

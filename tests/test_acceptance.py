@@ -116,15 +116,16 @@ def test_criterion_6_family_c():
         assert small.report.meets_singleton and small.report.meets_peng_fan
 
         # 9709^2 * 729 nominal comparisons, but the certificate keys only
-        # 27 * 262,143 rotations (the tests at L = 1 and 2)
+        # 14 * 262,143 rotations (one position set at L = 1, 13 at L = 2)
         big = family_c(512, 27, 0, budget=None)
         assert big.fhs.parameter_tuple() == (27, 9709, 1, 512)
         assert big.checks["class_sizes"] is True
         assert big.survey.method == "exhaustive" and big.survey.value == 1
         assert big.report.meets_singleton and big.report.meets_peng_fan
 
-        # k = 1: the collision certificate keys about 1.85 * 10^8 rotations,
-        # inside the default budget, so lambda = 3 is exact
+        # k = 1: the collision certificate keys about 3.4 * 10^7 rotations,
+        # and the budget counts 1.4 * 10^8, inside the default budget, so
+        # lambda = 3 is exact
         k1 = family_c(32, 11, 1)
         assert k1.claimed_N == 95325
         assert k1.checks["class_count"] is True

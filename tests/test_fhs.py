@@ -1,9 +1,11 @@
+import itertools
 import random
 
 import numpy as np
 import pytest
 
 from fhsforge import fhs
+from fhsforge.constructions import family_a, family_b, family_c
 from fhsforge.cyclic import build_code, class_partition
 from fhsforge.errors import (
     BudgetExceeded,
@@ -17,6 +19,8 @@ from fhsforge.errors import (
 from fhsforge.fhs import (
     FhsSet,
     _collision,
+    _repeat,
+    _rotation_table,
     auto_peak,
     classes_to_fhs,
     correlation,
@@ -36,6 +40,33 @@ def scalar_max_nontrivial(seqs):
         for y in seqs[i + 1:]:
             best = max(best, cross_peak(x, y))
     return best
+
+
+def full_collision_walk(seqs, size):
+    """Reference: the collision test over every position set that contains
+    0, all C(n-1, size-1) of them, walked depth first in lexicographic
+    order."""
+    n = seqs.shape[1]
+    table = np.concatenate([seqs, seqs], axis=1).astype(np.int64)
+    base = int(table.max()) + 1
+
+    def search(key, span, start, depth):
+        if depth == size:
+            return _repeat(key, span)
+        if span * base > fhs._KEY_LIMIT:
+            values, inverse = np.unique(key.ravel(), return_inverse=True)
+            key, span = inverse.reshape(key.shape), len(values)
+        for p in range(start, n - size + depth + 1):
+            hit = search(key * base + table[:, p:p + n], span * base, p + 1, depth + 1)
+            if hit is not None:
+                return hit
+        return None
+
+    hit = search(table[:, :n], base, 1, 1)
+    if hit is None:
+        return None
+    (i, s), (j, s2) = divmod(hit[0], n), divmod(hit[1], n)
+    return i, j, (s2 - s) % n
 
 
 def random_set(rng, count, n, ell):
@@ -125,6 +156,21 @@ def test_duplicate_rows_are_refused():
                 FhsSet(rows, 2**32)
             with pytest.raises(ParseError):
                 FhsSet.from_json_dict(record)
+
+
+def test_fhs_set_freezes_a_private_copy():
+    a = np.array([[0, 1], [1, 0]], np.uint32)
+    fset = FhsSet(a, 2)
+    a[0, 0] = 1
+    assert fset.seqs.tolist() == [[0, 1], [1, 0]]
+    assert not fset.seqs.flags.writeable
+    code = build_code(9, make_field(2, 3), [3, 4, 5, 6])
+    reps, sizes = class_partition(code, exclude="constants")
+    fset = classes_to_fhs(reps, sizes, code, "nonconstant")
+    first = fset.seqs[0].copy()
+    reps[0] = reps[1]
+    assert np.array_equal(fset.seqs[0], first)
+    assert not fset.seqs.flags.writeable
 
 
 def test_fhs_set_json_round_trip():
@@ -260,7 +306,8 @@ def test_collision_test_decides_m_at_least_l():
         rows = fset.sequences()
         m = scalar_max_nontrivial(rows)
         for size in range(1, fset.n + 2):
-            hit = _collision(fset.seqs, size)
+            hit = _collision(_rotation_table(fset.seqs), size)
+            assert hit == full_collision_walk(fset.seqs, size)
             assert (hit is not None) == (m >= size)
             if hit is not None:
                 i, j, t = hit
@@ -271,6 +318,87 @@ def test_collision_test_decides_m_at_least_l():
         i, j, t = exact.witness
         assert (i, t) != (j, 0)
         assert correlation(rows[i], rows[j], t) == exact.value
+
+
+def test_necklace_walk_matches_full_walk(monkeypatch):
+    # value and witness equal the walk over every position set, the value
+    # the scalar oracle's, on random sets with N = 1 and n = 1 included
+    rng = random.Random(45)
+    sets = []
+    while len(sets) < 3000:
+        n, count, ell = rng.randrange(1, 13), rng.randrange(1, 9), rng.randrange(1, 5)
+        if ell**n >= count and (count, n) != (1, 1):
+            sets.append(random_set(rng, count, n, ell))
+    fast = [max_nontrivial(fset, budget=None) for fset in sets]
+    monkeypatch.setattr(
+        fhs, "_collision",
+        lambda table, size: full_collision_walk(table[:, :table.shape[1] // 2], size),
+    )
+    for fset, survey in zip(sets, fast):
+        full = max_nontrivial(fset, budget=None)
+        assert (survey.value, survey.witness) == (full.value, full.witness)
+        assert survey.value == scalar_max_nontrivial(fset.sequences())
+
+
+@pytest.mark.parametrize("agree", [(0, 3), (0, 2, 4)])
+def test_periodic_position_class(agree):
+    # two rows over distinct symbols that agree only at shift 0, on a set
+    # of positions that its rotation by 6/len(agree) maps onto itself
+    x = list(range(6))
+    y = [x[p] if p in agree else 6 + p for p in range(6)]
+    fset = FhsSet([x, y], 12)
+    table = _rotation_table(fset.seqs)
+    size = len(agree)
+    assert _collision(table, size) == full_collision_walk(fset.seqs, size) == (0, 1, 0)
+    assert _collision(table, size + 1) is None
+    survey = max_nontrivial(fset)
+    assert (survey.value, survey.witness) == (size, (0, 1, 0))
+    assert scalar_max_nontrivial(fset.sequences()) == size
+
+
+def test_each_rotation_class_keyed_once(monkeypatch):
+    # one row of distinct symbols never collides, so every position set
+    # the walk reaches is keyed: one per rotation class of size-subsets
+    keyed = []
+    monkeypatch.setattr(fhs, "_repeat", lambda key, span: keyed.append(1))
+    for n in range(1, 13):
+        table = _rotation_table(np.arange(n, dtype=np.uint32)[None, :])
+        for size in range(1, n + 1):
+            classes = {
+                min(tuple(sorted((p - s) % n for p in subset)) for s in range(n))
+                for subset in itertools.combinations(range(n), size)
+            }
+            keyed.clear()
+            assert _collision(table, size) is None
+            assert len(keyed) == len(classes)
+
+
+@pytest.mark.parametrize("build, last, leaves", [
+    (lambda: family_c(512, 27, 0, budget=1), 2, 13),  # C(26, 1) = 26 sets
+    (lambda: family_a(3, 2, budget=1), 5, 14),  # C(8, 4) = 70
+    (lambda: family_b(25, budget=1), 3, 100),  # C(25, 2) = 300
+    (lambda: family_c(32, 11, 1, budget=1), 4, 30),  # C(10, 3) = 120
+], ids=["C512", "A8k2", "B25", "C32k1"])
+def test_last_test_keys_one_set_per_rotation_class(monkeypatch, build, last, leaves):
+    # the walk keys one position set per rotation class: about C(n, L)/n
+    # sets at L = lambda + 1, where it finds no collision
+    fset = build().fhs
+    keyed = {}
+    collision = fhs._collision
+
+    def counting_collision(table, size):
+        keyed[size] = 0
+        return collision(table, size)
+
+    def counting_repeat(key, span):
+        keyed[max(keyed)] += 1
+        return _repeat(key, span)
+
+    monkeypatch.setattr(fhs, "_collision", counting_collision)
+    monkeypatch.setattr(fhs, "_repeat", counting_repeat)
+    survey = max_nontrivial(fset)
+    assert survey.value == last - 1
+    assert max(keyed) == last and keyed[last] == leaves
 
 
 def test_walk_budget_refuses_large_m():
