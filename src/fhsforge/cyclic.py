@@ -319,14 +319,14 @@ def _generator_row(code: CyclicCode) -> np.ndarray:
 
 def _step(field: FiniteField, heads: np.ndarray, tail: np.ndarray) -> np.ndarray:
     """Every h + w for h a row of `heads` and w a row of `tail`, h most
-    significant in the row order."""
+    significant in the row order; for `_shift_map` and `codeword_matrix`."""
     if len(tail) == 1 and not tail.any():
         return heads
     if field.p == 2:
         out = heads[:, None, :] ^ tail
     else:
-        # A tail past the zero word spans at least one generator shift, so
-        # the q^2-entry add table is no larger than q^k <= the cap.
+        # A tail past the zero word spans the multiples of a feedback tap or
+        # a generator shift, so k >= 2: the q^2-entry add table is in the cap.
         if len(tail) < field.order:
             raise AssertionError(
                 f"tail of {len(tail)} words is shorter than q = {field.order}"
@@ -337,7 +337,8 @@ def _step(field: FiniteField, heads: np.ndarray, tail: np.ndarray) -> np.ndarray
 
 def codeword_matrix(code: CyclicCode, cap: int = ENUMERATION_CAP) -> np.ndarray:
     """All q^k codewords as an array of shape (q^k, n), message order:
-    row sum_i m_i q^(k-1-i) holds sum_i m_i x^i g(x)."""
+    row sum_i m_i q^(k-1-i) holds sum_i m_i x^i g(x).  Used only as the
+    tests' message-order oracle and the trace's enumeration span."""
     _check_cap(code, cap)
     mat = np.zeros((1, code.n), dtype=np.uint32)
     if code.dimension == 0:  # the zero code: g = x^n - 1 has n + 1 coefficients
@@ -357,41 +358,44 @@ class EquivalenceClass:
     size: int
 
 
-def _shift_orbits(code: CyclicCode):
-    """(representatives, sizes) of the shift orbits of a code with k >= 1,
-    in the order of their least window keys; see `class_partition`."""
-    field, h, k, n = code.field, code.check.coeffs, code.dimension, code.n
-    q, lead, scalars = field.order, field.order ** (k - 1), np.arange(field.order)
+def _shift_map(code: CyclicCode) -> np.ndarray:
+    """The shift map on the q^k window keys (k >= 1); see `class_partition`."""
+    field, h, k = code.field, code.check.coeffs, code.dimension
+    q, scalars = field.order, np.arange(field.order)
     taps = field.multiples(np.array(h[1:]), np.array([field.neg(field.inv(h[0]))]))[0]
     fb = np.zeros((1, 1), dtype=np.uint32)  # each key's feedback c_(t+k)
     for i in range(k):  # -h_(i+1) / h_0 weighs digit q^i
         fb = _step(field, field.multiples(taps[i : i + 1], scalars), fb)
-    keys = np.arange(q**k)
-    nxt = keys % lead * q + fb.ravel()
-    best, jump, power = keys.copy(), nxt, keys
-    rounds = (n - 1).bit_length()
-    for r in range(rounds):  # best: least key of 2^r steps; jump = nxt^(2^r)
-        if n >> r & 1:
-            power = jump[power]
-        np.minimum(best, best[jump], out=best)
-        jump = jump[jump]
-    if n >> rounds & 1:
-        power = jump[power]
-    if not np.array_equal(power, keys):
+    return np.arange(q**k) % q ** (k - 1) * q + fb.ravel()
+
+
+def _walk(code: CyclicCode, nxt: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """The words spelt by n steps of `nxt` from `keys`, time-major: row t of
+    the (n, len(keys)) array holds the leading digits after t steps.  g's
+    key is walked beside them for the two checks of `class_partition`."""
+    n, k, q = code.n, code.dimension, code.field.order
+    g = _generator_row(code)
+    state = start = np.append(keys, int(g[:k] @ q ** np.arange(k - 1, -1, -1)))
+    words = np.empty((n, len(start)), dtype=np.uint32)
+    for t in range(n):
+        words[t] = state // q ** (k - 1)
+        state = nxt[state]
+    if not np.array_equal(state, start):
         raise AssertionError(f"the shift map's {n}-th power is not the identity: "
                              f"h does not divide x^{n} - 1")
-    sizes = np.bincount(best, minlength=q**k)
-    least = np.flatnonzero(sizes)
-    g = _generator_row(code)
-    state = np.append(least, int(g[:k] @ q ** np.arange(k - 1, -1, -1)))
-    words = np.empty((len(state), n), dtype=np.uint32)
-    for t in range(n):
-        words[:, t] = state // lead
-        state = nxt[state]
-    if not np.array_equal(words[-1], g):
+    if not np.array_equal(words[:, -1], g):
         raise AssertionError("the shift map does not regenerate g: "
                              "h is not this code's check polynomial")
-    return words[:-1], sizes[least]
+    return words[:, :-1]
+
+
+def _least_keys(nxt: np.ndarray, n: int) -> np.ndarray:
+    """Each key's least key over its first 2^ceil(log2 n) >= n steps of `nxt`."""
+    best, jump = np.arange(len(nxt)), nxt
+    for _ in range((n - 1).bit_length()):  # best: least of 2^r steps; jump = nxt^(2^r)
+        np.minimum(best, best[jump], out=best)
+        jump = jump[jump]
+    return best
 
 
 def class_partition(
@@ -404,32 +408,34 @@ def class_partition(
     lexicographically.
 
     Any k cyclically consecutive positions are an information set, so the
-    width-k window key sum_(i<k) c_(t+i) q^(k-1-i) names a word at any
-    shift t, and keys order words as the full words do.  Since c h = 0
-    mod x^n - 1, c_(t+k) = -h_0^-1 (h_1 c_(t+k-1) + ... + h_k c_t): the
-    shift is one map nxt on the q^k keys, and an orbit is a cycle of it.
-    Pointer jumping finds each key's least key over its cycle in
-    ceil(log2 n) rounds, and the same jumps give nxt^n.  Two checks prove
-    the keys biject onto this code's words: (a) nxt^n is the identity, so
-    h divides x^n - 1; (b) the walk from the key of g regenerates g, which
-    the reversed recurrence would not.  Sizes are a `bincount` of the
-    least keys, and each representative is n steps of its least key.
-    Memory is O(q^k), whatever n is.
+    width-k window key sum_(i<k) c_(t+i) q^(k-1-i) names a word at any shift
+    t, and keys order words as the full words do.  Since c h = 0 mod
+    x^n - 1, c_(t+k) = -h_0^-1 (h_1 c_(t+k-1) + ... + h_k c_t): the shift is
+    one map nxt on the q^k keys, and an orbit is a cycle of it.  Pointer
+    jumping finds each key's least key over its cycle in ceil(log2 n)
+    rounds; sizes are a `bincount` of the least keys, and `_walk` spells
+    each representative by n steps of its least key.  Its two checks prove
+    the keys biject onto this code's words: (a) every walked key returns
+    after n steps; (b) the walk from the key of g regenerates g, which the
+    reversed recurrence would not.  (a) is nxt^n = id: the dropped digit's
+    tap -h_k/h_0 is nonzero, so nxt is a permutation, and each cycle holds
+    its least key, which is walked.  Memory is O(q^k), whatever n is.
     """
     if exclude not in ("none", "zero", "constants"):
         raise ValueError(f"unknown exclude mode {exclude!r}")
     _check_cap(code, cap)
     if code.dimension == 0:  # the zero code is one orbit
-        reps, sizes = np.zeros((1, code.n), dtype=np.uint32), np.ones(1, dtype=np.intp)
+        walk, sizes = np.zeros((code.n, 1), dtype=np.uint32), np.ones(1, dtype=np.intp)
     else:
-        reps, sizes = _shift_orbits(code)
-    if exclude == "zero":
-        keep = reps.any(axis=1)
-        reps, sizes = reps[keep], sizes[keep]
-    elif exclude == "constants":
-        keep = (reps != reps[:, :1]).any(axis=1)
-        reps, sizes = reps[keep], sizes[keep]
-    return reps, sizes
+        nxt = _shift_map(code)
+        sizes = np.bincount(_least_keys(nxt, code.n), minlength=len(nxt))
+        least = np.flatnonzero(sizes)
+        walk, sizes = _walk(code, nxt, least), sizes[least]
+    if exclude == "none":
+        keep = np.ones(len(sizes), dtype=bool)
+    else:  # a kept word differs from zero, or from its own first symbol
+        keep = (walk != (0 if exclude == "zero" else walk[:1])).any(axis=0)
+    return walk.T[keep], sizes[keep]
 
 
 def enumerate_classes(
@@ -445,22 +451,14 @@ def enumerate_classes(
 def min_distance_exhaustive(code: CyclicCode, cap: int = ENUMERATION_CAP) -> int:
     """Exact minimum Hamming weight over the nonzero codewords.
 
-    A nonzero codeword whose first nonzero message coefficient is m_j is
-    m_j times one with m_j = 1 and m_i = 0 for i < j, of the same weight.
-    So only those words are weighed, block by block, and the largest array
-    holds q^(k-1) words, not q^k.
+    Every nonzero word has a rotation with c_0 != 0, and scaling it by
+    c_0^-1 gives c_0 = 1 at the same weight.  So only the q^(k-1) keys in
+    [q^(k-1), 2 q^(k-1)), leading digit 1, are weighed, spelt by `_walk`
+    with the two checks of `class_partition` in an (n, q^(k-1)) array.
     """
     if code.dimension == 0:
         raise ZeroCode("the zero code has no minimum distance")
     _check_cap(code, cap)
-    field, g = code.field, _generator_row(code)
-    scalars = np.arange(field.order)
-    tail = np.zeros((1, code.n), dtype=np.uint32)
-    best = code.n
-    for j in reversed(range(code.dimension)):
-        row = np.roll(g, j)
-        block = _step(field, row[None, :], tail)
-        best = min(best, int(np.count_nonzero(block, axis=1).min()))
-        if j:
-            tail = _step(field, field.multiples(row, scalars), tail)
-    return best
+    lead = code.field.order ** (code.dimension - 1)
+    words = _walk(code, _shift_map(code), np.arange(lead, 2 * lead))
+    return int(np.count_nonzero(words, axis=0).min())

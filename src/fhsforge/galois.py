@@ -200,7 +200,9 @@ def make_field(p: int, m: int) -> FiniteField:
     if key not in _FIELD_CACHE:
         if m == 1:
             # x - g for the primitive root g giving the smallest packed polynomial
-            c0 = next(c for c in range(1, p) if multiplicative_order(p - c, p) == p - 1)
+            radicals = prime_factors(p - 1)
+            c0 = next(c for c in range(1, p)
+                      if all(pow(p - c, (p - 1) // r, p) != 1 for r in radicals))
             modulus = (c0, 1)
         else:
             modulus = _canonical_modulus(make_field(p, 1), m).coeffs

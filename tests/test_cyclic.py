@@ -476,34 +476,36 @@ def test_least_rotation_partition_matches_brute_force():
 def test_least_rotation_partition_checks_information_sets():
     # [7, 4] binary Hamming code, h = (x + 1)(x^3 + x^2 + 1) or its mirror:
     # the reversed recurrence walks the words of the mirror code, every
-    # one n-periodic, so only the walk from g's key catches it
+    # one n-periodic, so only the walk from g's key catches it.  Both the
+    # partition and the minimum distance walk through the same two checks.
+    def refused(code, message):
+        for caller in (class_partition, min_distance_exhaustive):
+            with pytest.raises(AssertionError, match=message):
+                caller(code)
+
     code = build_code(7, make_field(2, 1), [1, 2, 4])
     h = code.check
     assert h.coeffs != h.coeffs[::-1]
     mirror = CyclicCode(code.field, 7, code.defining_set, code.generator,
                         Polynomial(code.field, h.coeffs[::-1]))
-    with pytest.raises(AssertionError, match="does not regenerate g"):
-        class_partition(mirror)
+    refused(mirror, "does not regenerate g")
     # h + x^2 does not divide x^7 - 1: the shift map's 7th power moves keys
     wrong = CyclicCode(code.field, 7, code.defining_set, code.generator,
                        h + Polynomial(code.field, (0, 0, 1)))
     assert not (Polynomial.x_pow_n_minus_one(code.field, 7) % wrong.check).is_zero()
-    with pytest.raises(AssertionError, match="is not the identity"):
-        class_partition(wrong)
+    refused(wrong, "is not the identity")
     # the same two over GF(7), n = 6, k = 3, Z = {1, 2, 3}, where the
     # feedback adds through the q x q table
     code = build_code(6, make_field(7, 1), [1, 2, 3])
     h = code.check
     mirror = CyclicCode(code.field, 6, code.defining_set, code.generator,
                         Polynomial(code.field, h.coeffs[::-1]).monic())
-    with pytest.raises(AssertionError, match="does not regenerate g"):
-        class_partition(mirror)
+    refused(mirror, "does not regenerate g")
     wrong = CyclicCode(code.field, 6, code.defining_set, code.generator,
                        h + Polynomial(code.field, (0, 1)))
     assert wrong.check.coeffs[0] != 0
     assert not (Polynomial.x_pow_n_minus_one(code.field, 6) % wrong.check).is_zero()
-    with pytest.raises(AssertionError, match="is not the identity"):
-        class_partition(wrong)
+    refused(wrong, "is not the identity")
 
 
 def _universe(max_words):
@@ -596,6 +598,30 @@ def test_min_distance_matches_full_enumeration():
         assert min_distance_exhaustive(code) == weights[weights > 0].min()
         dims.append(code.dimension)
     assert dims == [1, 2, 3] * 3
+
+
+def test_min_distance_sweep_against_the_codeword_matrix():
+    # every code of dimension >= 1 over GF(2), GF(3), GF(4) and GF(5) with
+    # n <= 15 and at most 2^12 words, k up to 12: the walk weighs only the
+    # keys with leading digit 1, the message-order matrix every word
+    dims = set()
+    for q in (2, 3, 4, 5):
+        F = field_from_order(q)
+        for n in range(1, 16):
+            if math.gcd(n, q) != 1:
+                continue
+            cosets = [c.members for c in cyclotomic_cosets(n, q)]
+            for r in range(len(cosets)):
+                for combo in itertools.combinations(cosets, r):
+                    members = [j for c in combo for j in c]
+                    if q ** (n - len(members)) > 1 << 12:
+                        continue
+                    code = build_code(n, F, members)
+                    weights = np.count_nonzero(codeword_matrix(code), axis=1)
+                    d = min_distance_exhaustive(code)
+                    assert d == weights[weights > 0].min(), code
+                    dims.add(code.dimension)
+    assert dims == set(range(1, 13))
 
 
 def test_large_field_k1_builds_no_add_table(monkeypatch):

@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+from fhsforge import galois
 from fhsforge.errors import (
     DivisionByZeroPolynomial,
     FieldMismatch,
@@ -26,7 +27,7 @@ from fhsforge.galois import (
     pow_mod,
     root_field,
 )
-from fhsforge.intmath import multiplicative_order
+from fhsforge.intmath import is_prime, multiplicative_order
 
 SMALL_ORDERS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2),
                 (2, 4), (5, 2), (3, 3), (7, 2), (2, 6)]
@@ -58,6 +59,19 @@ def test_canonical_moduli_are_frozen():
     assert make_field(3, 2).modulus == (2, 1, 1)          # x^2 + x + 2
     assert make_field(5, 2).modulus == (2, 1, 1)
     assert make_field(5, 1).modulus == (2, 1)             # x + 2, i.e. x = 3
+
+
+def test_prime_field_root_matches_the_order_rule(monkeypatch):
+    # the radical test picks the least c with p - c primitive, as the O(p)
+    # multiplicative-order rule does, for every prime below 2^13; the cache
+    # is emptied per prime, so the fields are not all held at once
+    monkeypatch.setattr(galois, "_FIELD_CACHE", {})
+    primes = [p for p in range(2, 1 << 13) if is_prime(p)]
+    assert len(primes) == 1028
+    for p in primes:
+        c0 = next(c for c in range(1, p) if multiplicative_order(p - c, p) == p - 1)
+        assert make_field(p, 1).modulus == (c0, 1), p
+        galois._FIELD_CACHE.clear()
 
 
 def test_gf25_primitive_element_order():
