@@ -11,7 +11,9 @@ zero) is full.
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import os
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -38,6 +40,11 @@ from .galois import (
 from .intmath import multiplicative_order, prime_factors
 
 ENUMERATION_CAP = 1 << 22
+# Peak bytes per window key of `class_partition`, four int64 arrays in the
+# pointer jumping: 32 by tracemalloc on twelve codes from [31, 21] over GF(2)
+# to [27, 2] over GF(512).  Codes of mostly short orbits need more (41.8 for
+# the binary [105, 21] code, whose orbits have size 21 or less).
+BYTES_PER_KEY = 32
 # The factor table of x^n - 1 over GF(q), and the cyclotomic cosets mod n,
 # are refused before any work when n or d = ord_n(q) passes these caps.  On a
 # 2-core Xeon guest a table costs at most about 75 us per residue
@@ -176,7 +183,7 @@ def factor_x_pow_n_minus_one(
     return [(c, ctx.minimal_polynomials[c.representative]) for c in ctx.cosets]
 
 
-@dataclass
+@dataclass(frozen=True)
 class CyclicCode:
     """[n, k] cyclic code over GF(q) with defining set Z."""
 
@@ -185,6 +192,10 @@ class CyclicCode:
     defining_set: tuple[int, ...]
     generator: Polynomial
     check: Polynomial
+    # the minimum distance, once a walk has weighed it; see `_orbits`
+    _min_distance: int | None = dataclasses.field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def dimension(self) -> int:
@@ -305,10 +316,24 @@ def small_period_witness(code: CyclicCode) -> tuple[int, ...] | None:
     return tuple(coeffs)
 
 
-def _check_cap(code: CyclicCode, cap: int) -> None:
+def _physical_memory() -> int:
+    """Bytes of physical memory on this machine."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def _check_cap(code: CyclicCode, cap: int, extra: int = 0) -> None:
+    """Refuse, before any work, a code of more than `cap` words, or one
+    whose walk would need more than physical memory: about
+    BYTES_PER_KEY per window key, plus the caller's `extra` bytes."""
     total = code.field.order**code.dimension
     if total > cap:
         raise EnumerationTooLarge(f"{total} codewords exceed the cap {cap}")
+    need, memory = BYTES_PER_KEY * total + extra, _physical_memory()
+    if need > memory:
+        raise EnumerationTooLarge(
+            f"{total} codewords need about {need} bytes, more than the "
+            f"{memory} bytes of physical memory"
+        )
 
 
 def _generator_row(code: CyclicCode) -> np.ndarray:
@@ -339,7 +364,7 @@ def codeword_matrix(code: CyclicCode, cap: int = ENUMERATION_CAP) -> np.ndarray:
     """All q^k codewords as an array of shape (q^k, n), message order:
     row sum_i m_i q^(k-1-i) holds sum_i m_i x^i g(x).  Used only as the
     tests' message-order oracle and the trace's enumeration span."""
-    _check_cap(code, cap)
+    _check_cap(code, cap, 12 * code.n * code.size)  # odd p: int64 index, uint32 sum
     mat = np.zeros((1, code.n), dtype=np.uint32)
     if code.dimension == 0:  # the zero code: g = x^n - 1 has n + 1 coefficients
         return mat
@@ -363,9 +388,10 @@ def _shift_map(code: CyclicCode) -> np.ndarray:
     field, h, k = code.field, code.check.coeffs, code.dimension
     q, scalars = field.order, np.arange(field.order)
     taps = field.multiples(np.array(h[1:]), np.array([field.neg(field.inv(h[0]))]))[0]
+    tap_multiples = field.multiples(taps, scalars)  # column i: every c * tap i
     fb = np.zeros((1, 1), dtype=np.uint32)  # each key's feedback c_(t+k)
     for i in range(k):  # -h_(i+1) / h_0 weighs digit q^i
-        fb = _step(field, field.multiples(taps[i : i + 1], scalars), fb)
+        fb = _step(field, tap_multiples[:, i : i + 1], fb)
     return np.arange(q**k) % q ** (k - 1) * q + fb.ravel()
 
 
@@ -389,6 +415,12 @@ def _walk(code: CyclicCode, nxt: np.ndarray, keys: np.ndarray) -> np.ndarray:
     return words[:, :-1]
 
 
+def _least_weight(words: np.ndarray) -> int:
+    """The fewest nonzero digits in a nonzero column of a walk."""
+    weights = np.count_nonzero(words, axis=0)
+    return int(weights[weights > 0].min())
+
+
 def _least_keys(nxt: np.ndarray, n: int) -> np.ndarray:
     """Each key's least key over its first 2^ceil(log2 n) >= n steps of `nxt`."""
     best, jump = np.arange(len(nxt)), nxt
@@ -396,6 +428,20 @@ def _least_keys(nxt: np.ndarray, n: int) -> np.ndarray:
         np.minimum(best, best[jump], out=best)
         jump = jump[jump]
     return best
+
+
+def _orbits(code: CyclicCode) -> tuple[np.ndarray, np.ndarray]:
+    """Each orbit's least rotation, one column of an (n, orbits) array in
+    key order, and its size; see `class_partition`.  Stores the least
+    positive column weight on the code as its minimum distance."""
+    if code.dimension == 0:  # the zero code is one orbit
+        return np.zeros((code.n, 1), dtype=np.uint32), np.ones(1, dtype=np.intp)
+    nxt = _shift_map(code)
+    sizes = np.bincount(_least_keys(nxt, code.n), minlength=len(nxt))
+    least = np.flatnonzero(sizes)
+    walk = _walk(code, nxt, least)
+    object.__setattr__(code, "_min_distance", _least_weight(walk))
+    return walk, sizes[least]
 
 
 def class_partition(
@@ -420,17 +466,16 @@ def class_partition(
     reversed recurrence would not.  (a) is nxt^n = id: the dropped digit's
     tap -h_k/h_0 is nonzero, so nxt is a permutation, and each cycle holds
     its least key, which is walked.  Memory is O(q^k), whatever n is.
+
+    Weight is constant on an orbit, so once both checks pass the least
+    nonzero weight of the walked representatives is the minimum distance;
+    a partition of a code of dimension >= 1 stores it on the code for
+    `min_distance_exhaustive`.
     """
     if exclude not in ("none", "zero", "constants"):
         raise ValueError(f"unknown exclude mode {exclude!r}")
     _check_cap(code, cap)
-    if code.dimension == 0:  # the zero code is one orbit
-        walk, sizes = np.zeros((code.n, 1), dtype=np.uint32), np.ones(1, dtype=np.intp)
-    else:
-        nxt = _shift_map(code)
-        sizes = np.bincount(_least_keys(nxt, code.n), minlength=len(nxt))
-        least = np.flatnonzero(sizes)
-        walk, sizes = _walk(code, nxt, least), sizes[least]
+    walk, sizes = _orbits(code)
     if exclude == "none":
         keep = np.ones(len(sizes), dtype=bool)
     else:  # a kept word differs from zero, or from its own first symbol
@@ -455,10 +500,17 @@ def min_distance_exhaustive(code: CyclicCode, cap: int = ENUMERATION_CAP) -> int
     c_0^-1 gives c_0 = 1 at the same weight.  So only the q^(k-1) keys in
     [q^(k-1), 2 q^(k-1)), leading digit 1, are weighed, spelt by `_walk`
     with the two checks of `class_partition` in an (n, q^(k-1)) array.
+
+    The cap and memory checks come first, for this walk, whether or not
+    the code holds its distance.  Past them, a distance stored on the code
+    by an earlier `class_partition` or call of this function is returned
+    without a walk; otherwise the walk's result is stored.
     """
     if code.dimension == 0:
         raise ZeroCode("the zero code has no minimum distance")
-    _check_cap(code, cap)
     lead = code.field.order ** (code.dimension - 1)
-    words = _walk(code, _shift_map(code), np.arange(lead, 2 * lead))
-    return int(np.count_nonzero(words, axis=0).min())
+    _check_cap(code, cap, 5 * code.n * lead)  # the uint32 walk and its nonzero mask
+    if code._min_distance is None:
+        words = _walk(code, _shift_map(code), np.arange(lead, 2 * lead))
+        object.__setattr__(code, "_min_distance", _least_weight(words))
+    return code._min_distance

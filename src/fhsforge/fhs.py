@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cyclic import (
     CyclicCode,
+    _physical_memory,
     has_full_orbits_nonzero,
     has_full_orbits_outside_constants,
 )
@@ -203,11 +203,6 @@ _KEY_LIMIT = 1 << 62
 _MAX_ROTATIONS = 1 << 30
 # _repeat counts keys with bincount up to this range even for few keys.
 _BINCOUNT_FLOOR = 1 << 20
-
-
-def _physical_memory() -> int:
-    """Bytes of physical memory on this machine."""
-    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
 def _repeat(key: np.ndarray, span: int) -> tuple[int, int] | None:

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from fhsforge import cyclic
 from fhsforge.cli import _dump_set, main
 from fhsforge.fhs import FhsSet, correlation
 
@@ -446,6 +447,24 @@ def test_oversized_factor_table_is_refused_at_once(capsys, tmp_path, monkeypatch
     assert time.monotonic() - start < 1.0
     assert code == 3
     assert "FactorTableTooLarge" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["mindist", "--n", "35", "--q", "2", "--defining-set", "0",
+     "--cap", "100000000000"],
+    ["build", "--family", "B", "--q", "1331", "--cap", "4294967296", "--out", "out"],
+], ids=["mindist-2^34", "build-b-1331"])
+def test_enumeration_past_memory_is_refused_at_once(capsys, tmp_path, monkeypatch, argv):
+    # both codes fit their --cap, but 2^34 and 1331^3 window keys need far
+    # more than the 8 GiB of physical memory pinned here
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cyclic, "_physical_memory", lambda: 8 << 30)
+    start = time.monotonic()
+    code, out, err = run(capsys, *argv)
+    assert time.monotonic() - start < 1.0
+    assert code in (3, 4), out
+    assert "EnumerationTooLarge" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_bad_cap_env_is_input_error(capsys, monkeypatch):

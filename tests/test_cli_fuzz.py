@@ -4,8 +4,8 @@ For any argv and any record file, `main` returns 0, 2, 3 or 4 and never
 lets an exception escape (which a user would see as a traceback), and
 `verify` exits 0 only for a record whose integers are exactly the set it
 certifies.  Token values are kept small so that no example builds more
-than a few thousand codewords, except one huge --n and --m value that the
-size checks must refuse before any work.
+than a few thousand codewords, except one huge --n, --m and --cap value
+that the size checks must refuse before any work.
 """
 
 import contextlib
@@ -14,9 +14,11 @@ import json
 import os
 import tempfile
 
-from hypothesis import HealthCheck, given, settings
+import pytest
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from fhsforge import cyclic
 from fhsforge.cli import main
 from test_fhs import scalar_max_nontrivial
 
@@ -38,14 +40,19 @@ SWITCHES = {"--json", "--cosets-given", "--params-only", "--csv"}
 BAD = ["-1", "0", "x", "1.5", ""]
 # At most 9, --m included: Ding's length (q^m - 1)/(q - 1) reaches 48,427,561
 # at q = m = 9, and a factor table past the size caps is refused (exit 3)
-# before any work.  --n and --m also draw one huge value, which every size
-# check must refuse before it allocates or powers anything; --cap does not,
-# since a huge cap would allow huge enumerations.
+# before any work.  --n, --m and --cap also draw one huge value, which
+# every size check must refuse before it allocates or powers anything.  A
+# huge cap leaves the enumeration to the physical-memory check, which is
+# pinned to MEMORY so that it refuses the same codes on every machine:
+# those past 2^22 window keys, as the default cap does, such as the 8^9 of
+# --n 9 --q 8 with an empty defining set.
 NUMBER = BAD + ["1", "2", "3", "4", "5", "7", "8", "9"]
 HUGE = "100000000000001"
+MEMORY = cyclic.BYTES_PER_KEY << 22
 VALUES = {
     "--n": NUMBER + [HUGE],
     "--m": NUMBER + [HUGE],
+    "--cap": NUMBER + [HUGE],
     "--family": ["A", "B", "C", "Ding", "D", "a"],
     "--defining-set": ["1", "1,2", "0 3", "1, 2, 4", "9", "x", ""],
     "--out": ["out", RECORD],
@@ -127,8 +134,19 @@ def exact_lambda(record) -> bool:
     return scalar_max_nontrivial(seqs) == record["lambda"]
 
 
+@pytest.fixture(autouse=True, scope="module")
+def pinned_memory():
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cyclic, "_physical_memory", lambda: MEMORY)
+        yield
+
+
 @settings(max_examples=300, derandomize=True, deadline=None, database=None,
           suppress_health_check=[HealthCheck.too_slow])
+@example(argv=["mindist", "--n", "9", "--q", "8", "--defining-set", "", "--cap", HUGE],
+         record=[])
+@example(argv=["build", "--family", "A", "--m", "9", "--k", "2", "--cap", HUGE],
+         record=[])
 @given(argv=st.one_of(random_argv(), verify_argv),
        record=st.one_of(records(), records(), records(), raw_records))
 def test_cli_contract(argv, record):

@@ -603,7 +603,9 @@ def test_min_distance_matches_full_enumeration():
 def test_min_distance_sweep_against_the_codeword_matrix():
     # every code of dimension >= 1 over GF(2), GF(3), GF(4) and GF(5) with
     # n <= 15 and at most 2^12 words, k up to 12: the walk weighs only the
-    # keys with leading digit 1, the message-order matrix every word
+    # keys with leading digit 1, the message-order matrix every word.  The
+    # distance a partition stores, whatever it excludes, is read on fresh
+    # code objects beside the walk's own.
     dims = set()
     for q in (2, 3, 4, 5):
         F = field_from_order(q)
@@ -618,8 +620,12 @@ def test_min_distance_sweep_against_the_codeword_matrix():
                         continue
                     code = build_code(n, F, members)
                     weights = np.count_nonzero(codeword_matrix(code), axis=1)
-                    d = min_distance_exhaustive(code)
-                    assert d == weights[weights > 0].min(), code
+                    d = weights[weights > 0].min()
+                    assert min_distance_exhaustive(code) == d, code
+                    for exclude in ("none", "zero", "constants"):
+                        code = build_code(n, F, members)
+                        class_partition(code, exclude)
+                        assert min_distance_exhaustive(code) == d, (code, exclude)
                     dims.add(code.dimension)
     assert dims == set(range(1, 13))
 
@@ -654,6 +660,43 @@ def test_enumeration_cap():
         codeword_matrix(code, cap=100)
     with pytest.raises(EnumerationTooLarge):
         enumerate_classes(code, cap=100)
+
+
+def test_enumeration_past_physical_memory(monkeypatch):
+    # [7, 4] Hamming code: the partition needs 32 bytes per window key, the
+    # minimum distance also 5 bytes per entry of its (7, 2^3) walk
+    code = build_code(7, make_field(2, 1), [1, 2, 4])
+    partition_need, distance_need = 32 * 16, 32 * 16 + 5 * 7 * 8
+    monkeypatch.setattr(cyclic, "_physical_memory", lambda: partition_need - 1)
+    with pytest.raises(EnumerationTooLarge, match="physical memory"):
+        class_partition(code)
+    monkeypatch.setattr(cyclic, "_physical_memory", lambda: partition_need)
+    assert len(class_partition(code)[1]) == 4
+    monkeypatch.setattr(cyclic, "_physical_memory", lambda: distance_need - 1)
+    with pytest.raises(EnumerationTooLarge, match="physical memory"):
+        min_distance_exhaustive(code)
+    monkeypatch.setattr(cyclic, "_physical_memory", lambda: distance_need)
+    assert min_distance_exhaustive(code) == 3
+
+
+def test_stored_distance_is_read_after_the_cap_check():
+    code = build_code(9, make_field(2, 3), [3, 4, 5, 6])
+    class_partition(code)
+    with pytest.raises(EnumerationTooLarge):
+        min_distance_exhaustive(code, cap=1)
+    assert min_distance_exhaustive(code) == 5
+
+
+def test_stored_distance_is_not_part_of_the_code():
+    F8 = make_field(2, 3)
+    walked, fresh = build_code(9, F8, [3, 4, 5, 6]), build_code(9, F8, [3, 4, 5, 6])
+    class_partition(walked)
+    assert walked._min_distance == 5 and fresh._min_distance is None
+    assert walked == fresh and hash(walked) == hash(fresh)
+    assert repr(walked) == repr(fresh) == "CyclicCode([9, 5] over GF(8))"
+    assert walked.export_dict() == fresh.export_dict()
+    with pytest.raises(AttributeError):
+        walked.n = 7
 
 
 def test_class_partition_exclusions():
