@@ -101,7 +101,8 @@ class RootContext:
 
     The table is computed in GF(q^d) = GF(q)[y]/(f), d = ord_n(q), on the
     `ExtensionField` kernel, under the root beta of order n that
-    `galois.root_field` finds with f.  alpha is fixed by its minimal
+    `galois.root_field` gives with f: f = Phi_n and beta = y when
+    d = phi(n), else a searched f.  alpha is fixed by its minimal
     polynomial, not by f or beta: alpha is a root of m_1, the monic
     irreducible factor of Phi_n(x) over GF(q) whose packed value
     sum_i c_i q^i is smallest.  Conjugate roots give the same labelling, so

@@ -37,6 +37,7 @@ from .errors import (
     ParseError,
     PredicateFailed,
 )
+from .intmath import totient
 
 DEFAULT_CORRELATION_BUDGET = 10**10
 
@@ -192,6 +193,17 @@ class CorrelationSurvey:
     nominal_comparisons: int
 
 
+def _rotation_classes(n: int, size: int) -> int:
+    """The number of classes of size-subsets of Z_n under rotation, the
+    position sets that the test at L = size keys: (1/L) * sum over
+    e | gcd(n, L) of phi(e) * C(n/e - 1, L/e - 1) (necklaces of n beads,
+    L of them black, by Burnside's lemma)."""
+    g = math.gcd(n, size)
+    total = sum(totient(e) * math.comb(n // e - 1, size // e - 1)
+                for e in range(1, g + 1) if g % e == 0)
+    return total // size
+
+
 def nominal_comparisons(fset: FhsSet) -> int:
     return fset.size * fset.size * fset.n * fset.n
 
@@ -302,8 +314,8 @@ def max_nontrivial(
 
     Refuses with BudgetExceeded before any test that would take the
     rotations keyed so far past the budget; budget=None lifts it.  The
-    budget counts C(n-1, L-1) * N * n rotations per test, every position
-    set that contains 0, an upper bound on what the walk keys.  Under
+    budget counts `_rotation_classes(n, L)` * N * n rotations per test,
+    exactly what a test without a collision keys.  Under
     any budget it also refuses a set of more than 2^30 rotations, whose
     keys could overflow, and a test whose estimated peak, 16 * (L + 1)
     bytes per rotation plus the bincount floor, exceeds physical memory.
@@ -323,7 +335,7 @@ def max_nontrivial(
     keyed = 0
     size = 1
     while size <= n:
-        keyed += math.comb(n - 1, size - 1) * rotations
+        keyed += _rotation_classes(n, size) * rotations
         if budget is not None and keyed > budget:
             raise BudgetExceeded(
                 f"collision tests up to L = {size} key {keyed} rotations, "

@@ -10,15 +10,17 @@ is the designated primitive element.
 
 `Polynomial` is GF(q)[x]: generators, x^n - 1, remainders and gcds.  An
 extension GF(q^d) = GF(q)[y]/(f) has no tables: `ExtensionField` multiplies
-its elements as numpy digit planes, and `root_field` finds an f under which
-y gives an n-th root of unity.  `berlekamp_massey` gives the minimal
-polynomial over GF(q) of a linear recurring sequence in GF(q).
+its elements as numpy digit planes, and `root_field` gives one with an n-th
+root of unity: f is Phi_n when that is irreducible, else found by a seeded
+search.  `berlekamp_massey` gives the minimal polynomial over GF(q) of a
+linear recurring sequence in GF(q).
 """
 
 from __future__ import annotations
 
 import hashlib
 import itertools
+import math
 
 import numpy as np
 
@@ -29,7 +31,7 @@ from .errors import (
     NonPrimeCharacteristic,
     ZeroElement,
 )
-from .intmath import is_prime, multiplicative_order, prime_factors
+from .intmath import is_prime, multiplicative_order, prime_factors, totient
 
 FIELD_ORDER_CAP = 1 << 20
 _TABLE_CHUNK = 1 << 12
@@ -578,33 +580,67 @@ class ExtensionField:
 
 def root_field(base: FiniteField, n: int) -> tuple[ExtensionField, np.ndarray]:
     """(GF(q)[y]/(f), beta) with f monic irreducible of degree d = ord_n(q)
-    and beta = y^((q^d - 1)/n) of order exactly n, for n >= 1 coprime to q.
+    and beta a root of unity of order exactly n, for n >= 1 coprime to q.
 
-    f is the first such candidate of a fixed dense stream: candidate i is
-    monic of degree d, its lower coefficients the base-q digits of
-    SHAKE-256("p:m:d:i") mod q^d, skipped if f(0) = 0.  It depends on
-    (p, m, d) alone, not on the Python version or PYTHONHASHSEED.  About
-    one candidate in d is irreducible (Rabin 1980), and a share
+    When d = phi(n), f is the cyclotomic polynomial Phi_n, irreducible over
+    GF(q) exactly then (Lidl & Niederreiter, Finite Fields, Thm 2.47), and
+    beta = y is one of its roots.  Otherwise f is the first candidate of a
+    fixed dense stream under which beta = y^((q^d - 1)/n) has order n:
+    candidate i is monic of degree d, its lower coefficients the base-q
+    digits of SHAKE-256("p:m:d:i") mod q^d, skipped if f(0) = 0.  It
+    depends on (p, m, d) alone, not on the Python version or PYTHONHASHSEED.
+    About one candidate in d is irreducible (Rabin 1980), and a share
     prod_(r | n) (1 - 1/r) of those, every primitive f among them, passes.
+    Phi_n takes the same Ben-Or and order tests as a stream candidate, so
+    the field's proof does not rest on the theorem: if it fails them, the
+    search raises AssertionError.
     """
     q = base.order
     d = multiplicative_order(q, n)
     size = q**d
     radicals = prime_factors(n)
-    digest_bytes = size.bit_length() // 8 + 8  # so the digest mod q^d is near uniform
+    if totient(n) == d:
+        candidates, exponent = [_cyclotomic(base, n, radicals)], 1
+    else:
+        candidates, exponent = _stream(base, d), (size - 1) // n
     y = Polynomial(base, (0, 1))
+    for f in candidates:
+        ext = _ben_or(f)
+        if ext is None:
+            continue
+        beta = ext.pow(ext.element(y), exponent)
+        if ext.is_one(ext.pow(beta, n)) and all(
+            not ext.is_one(ext.pow(beta, n // r)) for r in radicals
+        ):
+            return ext, beta
+    raise AssertionError(f"Phi_{n} over GF({q}) fails the field or the order test")
+
+
+def _cyclotomic(base: FiniteField, n: int, radicals: list[int]) -> Polynomial:
+    """Phi_n over GF(q) as prod_(e | n) (x^e - 1)^mu(n/e), the product over
+    the squarefree n/e, by one exact division."""
+    num = den = Polynomial.one(base)
+    for k in range(len(radicals) + 1):
+        for rs in itertools.combinations(radicals, k):
+            term = Polynomial.x_pow_n_minus_one(base, n // math.prod(rs))
+            if k % 2:
+                den = den * term
+            else:
+                num = num * term
+    return num // den
+
+
+def _stream(base: FiniteField, d: int):
+    """The monic candidates of degree d that `root_field` searches, in order."""
+    q = base.order
+    size = q**d
+    digest_bytes = size.bit_length() // 8 + 8  # so the digest mod q^d is near uniform
     for i in itertools.count():
         seed = f"{base.p}:{base.m}:{d}:{i}".encode()
         low = int.from_bytes(hashlib.shake_256(seed).digest(digest_bytes), "little")
         low %= size
-        if low % q == 0:
-            continue
-        ext = _ben_or(Polynomial.from_packed(base, low + size))
-        if ext is None:
-            continue
-        beta = ext.pow(ext.element(y), (size - 1) // n)
-        if all(not ext.is_one(ext.pow(beta, n // r)) for r in radicals):
-            return ext, beta
+        if low % q:
+            yield Polynomial.from_packed(base, low + size)
 
 
 def berlekamp_massey(field: FiniteField, seq) -> Polynomial:

@@ -44,6 +44,13 @@ def prime_factors(x: int) -> list[int]:
     return out
 
 
+def totient(x: int) -> int:
+    """Euler's phi of x >= 1, from its distinct prime factors."""
+    for p in prime_factors(x):
+        x = x // p * (p - 1)
+    return x
+
+
 def is_prime_power(x: int) -> tuple[int, int] | None:
     """Return (p, e) with x = p**e, or None if x is not a prime power."""
     if x < 2:

@@ -124,7 +124,7 @@ def test_criterion_6_family_c():
         assert big.report.meets_singleton and big.report.meets_peng_fan
 
         # k = 1: the collision certificate keys about 3.4 * 10^7 rotations,
-        # and the budget counts 1.4 * 10^8, inside the default budget, so
+        # and the budget counts 3.8 * 10^7, inside the default budget, so
         # lambda = 3 is exact
         k1 = family_c(32, 11, 1)
         assert k1.claimed_N == 95325

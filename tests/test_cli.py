@@ -248,6 +248,14 @@ def test_build_c32_k1_exact_at_default_budget(tmp_path, capsys):
     code, out, _ = run(capsys, "verify", str(out_dir / "fhs_set.json"))
     assert code == 0
     assert "stored lambda = 3; measured (exhaustive) = 3" in out.splitlines()
+    # the tests at L = 1, 2 and 4 count 1 + 5 + 30 rotation classes of
+    # N * n = 1,048,575 rotations each, 37,748,700 in all
+    code, out, _ = run(capsys, "verify", str(out_dir / "fhs_set.json"),
+                       "--budget", "37748700")
+    assert code == 0
+    code, out, _ = run(capsys, "verify", str(out_dir / "fhs_set.json"),
+                       "--budget", "37748699")
+    assert code == 3 and "L = 4 key 37748700 rotations" in out
 
 
 def test_build_ding(tmp_path, capsys):

@@ -62,8 +62,7 @@ STRAYS = [*OPTIONS, *sorted(SWITCHES), "--help", "--version", "--", "--n", "-1",
 
 
 @st.composite
-def random_argv(draw):
-    command = draw(st.sampled_from(sorted(OPTIONS)))
+def random_argv(draw, command):
     argv = [command]
     if command == "verify":
         argv.append(draw(st.sampled_from([RECORD, "missing.json", "."])))
@@ -141,15 +140,7 @@ def pinned_memory():
         yield
 
 
-@settings(max_examples=300, derandomize=True, deadline=None, database=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@example(argv=["mindist", "--n", "9", "--q", "8", "--defining-set", "", "--cap", HUGE],
-         record=[])
-@example(argv=["build", "--family", "A", "--m", "9", "--k", "2", "--cap", HUGE],
-         record=[])
-@given(argv=st.one_of(random_argv(), verify_argv),
-       record=st.one_of(records(), records(), records(), raw_records))
-def test_cli_contract(argv, record):
+def check_contract(argv, record):
     out, err = io.StringIO(), io.StringIO()
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
@@ -174,3 +165,28 @@ def test_cli_contract(argv, record):
     if "verify" in argv[:1] and certified:  # RECORD is the only file there
         assert not isinstance(record, bytes), (argv, record, out.getvalue())
         assert exact_lambda(record), (argv, record, out.getvalue())
+
+
+any_record = st.one_of(records(), records(), records(), raw_records)
+FUZZ = settings(derandomize=True, deadline=None, database=None,
+                suppress_health_check=[HealthCheck.too_slow])
+
+
+@settings(FUZZ, max_examples=150)
+@example(argv=["mindist", "--n", "9", "--q", "8", "--defining-set", "", "--cap", HUGE],
+         record=[])
+@example(argv=["build", "--family", "A", "--m", "9", "--k", "2", "--cap", HUGE],
+         record=[])
+@given(argv=verify_argv, record=any_record)
+def test_cli_contract(argv, record):
+    # verify on any record, and the huge caps on valid codes
+    check_contract(argv, record)
+
+
+@pytest.mark.parametrize("command", sorted(OPTIONS))
+@settings(FUZZ, max_examples=40)
+@given(data=st.data(), record=any_record)
+def test_subcommand_contract(command, data, record):
+    # each subcommand draws its own argv, so none is left to the luck of
+    # the derandomized seed
+    check_contract(data.draw(random_argv(command), label="argv"), record)

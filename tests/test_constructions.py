@@ -73,8 +73,10 @@ def test_family_a_q16_k1():
 
 
 def test_family_a_class_count_without_correlation():
-    # correlation budget too small: classes still verified, no survey
-    build = family_a(3, 2, budget=10**6)
+    # correlation budget one short of the walk's count, (1 + 14 + 14) rotation
+    # classes at L = 1, 4, 5 of N * n = 32,760 rotations: classes still
+    # verified, no survey
+    build = family_a(3, 2, budget=950_039)
     assert build.fhs.size == 3640
     assert build.checks["class_count"] is True
     assert build.survey is None

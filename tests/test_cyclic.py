@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import math
 import random
 import time
@@ -137,6 +139,29 @@ def test_frozen_factor_tables(q, n):
     assert got == FROZEN_TABLES[q, n]
 
 
+PAPER_PAIRS = ((8, 9), (5, 6), (25, 26), (32, 11), (512, 27))
+# SHA-256 of the compact JSON [[q, n, [[coset, factor], ...]], ...] below
+TABLES_DIGEST = "f6e6c811fa93697f5c2e2d604abd3dd4de0bb3407f0e1a5cadd89c4c0d2207bf"
+
+
+def test_factor_tables_are_frozen():
+    # 403 tables: every q of the list with n <= 30, every prime q <= 13
+    # with n < 60, and the paper's pairs; the digest pins every coset and
+    # factor whichever root field each table was computed under
+    pairs = sorted(
+        {(q, n) for q in (2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 32) for n in range(1, 31)
+         if math.gcd(q, n) == 1}
+        | {(p, n) for p in (2, 3, 5, 7, 11, 13) for n in range(1, 60) if n % p}
+        | set(PAPER_PAIRS)
+    )
+    tables = [[q, n, [[list(c.members), list(mj.coeffs)]
+                      for c, mj in factor_x_pow_n_minus_one(field_from_order(q), n)]]
+              for q, n in pairs]
+    text = json.dumps(tables, separators=(",", ":"))
+    assert len(pairs) == 403
+    assert hashlib.sha256(text.encode()).hexdigest() == TABLES_DIGEST
+
+
 def packed_root_field(F, n):
     """Reference: (GF(q)[y]/(f), beta) for the least-packed monic irreducible
     f of degree ord_n(q) under which beta = y^((q^d - 1)/n) has order n."""
@@ -158,7 +183,7 @@ def test_tables_do_not_depend_on_the_root_field(monkeypatch):
     # again under the least-packed root field instead of root_field's
     pairs = [(q, n) for q in (2, 3, 4, 5, 7, 8, 9) for n in range(1, 31)
              if math.gcd(q, n) == 1]
-    pairs += [(8, 9), (5, 6), (25, 26), (32, 11), (512, 27)]
+    pairs += PAPER_PAIRS
     streamed = {pair: root_context(field_from_order(pair[0]), pair[1])
                 for pair in pairs}
     monkeypatch.setattr(cyclic, "root_field", packed_root_field)

@@ -20,6 +20,7 @@ from fhsforge.fhs import (
     FhsSet,
     _collision,
     _repeat,
+    _rotation_classes,
     _rotation_table,
     auto_peak,
     classes_to_fhs,
@@ -370,7 +371,42 @@ def test_each_rotation_class_keyed_once(monkeypatch):
             }
             keyed.clear()
             assert _collision(table, size) is None
-            assert len(keyed) == len(classes)
+            assert len(keyed) == len(classes) == _rotation_classes(n, size)
+
+
+def test_budget_counts_the_rotations_a_test_keys(monkeypatch):
+    # the budget adds rotation classes * N * n per test at L: exactly what
+    # a test without a collision keys, and so exactly the walk's last test
+    rng = random.Random(3)
+    collision = fhs._collision
+    for _ in range(60):
+        n, ell = rng.randint(2, 9), rng.randint(2, 4)
+        rows = {tuple(rng.randrange(ell) for _ in range(n))
+                for _ in range(rng.randint(1, 4))}
+        fset = FhsSet(sorted(rows), ell)
+        tests, keyed = [], []
+
+        def counting_collision(table, size):
+            tests.append(size)
+            keyed.clear()
+            return collision(table, size)
+
+        def counting_repeat(key, span):
+            keyed.append(1)
+            return _repeat(key, span)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(fhs, "_collision", counting_collision)
+            patch.setattr(fhs, "_repeat", counting_repeat)
+            survey = max_nontrivial(fset, budget=None)
+        if survey.value == n:  # a full agreement: no last test
+            continue
+        assert tests[-1] == survey.value + 1
+        assert len(keyed) == _rotation_classes(n, tests[-1])
+        need = sum(_rotation_classes(n, size) for size in tests) * fset.size * n
+        assert max_nontrivial(fset, budget=need).value == survey.value
+        with pytest.raises(BudgetExceeded, match=f"key {need} rotations"):
+            max_nontrivial(fset, budget=need - 1)
 
 
 @pytest.mark.parametrize("build, last, leaves", [

@@ -2,15 +2,19 @@
 
 sympy factors x^n - 1 and Phi_n(x) mod p with its own algorithms, so it
 shares no code with `factor_x_pow_n_minus_one`, which builds each factor as
-a product of (x - alpha^j) over a cyclotomic coset.
+a product of (x - alpha^j) over a cyclotomic coset, nor with the Phi_n that
+`root_field` builds when it is irreducible.
 """
 
+import math
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from fhsforge.cyclic import factor_x_pow_n_minus_one
-from fhsforge.galois import make_field
+from fhsforge.galois import Polynomial, field_from_order, make_field, root_field
+from fhsforge.intmath import multiplicative_order
 
 sympy = pytest.importorskip("sympy")
 # sympy 1.13+ warns from inside factor_list(..., modulus=p), where it sorts
@@ -88,3 +92,19 @@ def test_alpha_labelling_matches_sympy(p):
                  key=lambda f: _packed(f, p))
         assert factor_of[1 % n] == m1, (p, n)
         assert all(_vanishes_at_powers(m1, factor_of, n, p)), (p, n)
+
+
+def test_root_field_is_phi_n_when_ord_is_phi():
+    # when ord_n(q) = phi(n), Phi_n is irreducible over GF(q) and root_field
+    # takes it, with beta = y (reduced mod f when d = 1); its integer
+    # coefficients mod p lie in the prime subfield, whose element indices
+    # are the residues themselves
+    pairs = [(q, n) for q in (2, 3, 4, 5, 7, 8, 9) for n in range(1, 31)
+             if math.gcd(q, n) == 1 and multiplicative_order(q, n) == sympy.totient(n)]
+    assert (5, 6) in pairs and len(pairs) == 52
+    for q, n in pairs:
+        F = field_from_order(q)
+        ext, beta = root_field(F, n)
+        phi_n = sympy.Poly(sympy.cyclotomic_poly(n, X), X).all_coeffs()[::-1]
+        assert list(ext.modulus.coeffs) == [int(c) % F.p for c in phi_n], (q, n)
+        assert np.array_equal(beta, ext.element(Polynomial(F, (0, 1)))), (q, n)
