@@ -24,32 +24,26 @@ from .constructions import (
 from .cyclic import (
     CyclicCode,
     CyclotomicCoset,
-    EquivalenceClass,
     build_code,
     class_partition,
     cyclotomic_cosets,
-    enumerate_classes,
     factor_x_pow_n_minus_one,
     has_full_orbits_nonzero,
     has_full_orbits_outside_constants,
     min_distance_exhaustive,
-    small_period_witness,
     unit_coset_code,
 )
 from .fhs import (
     CorrelationSurvey,
     FhsSet,
-    auto_peak,
     classes_to_fhs,
     correlation,
-    cross_peak,
     max_nontrivial,
 )
 from .galois import (
     FiniteField,
     Polynomial,
     field_from_order,
-    is_irreducible,
     make_field,
     poly_gcd,
     pow_mod,
@@ -61,20 +55,16 @@ __all__ = [
     "CorrelationSurvey",
     "CyclicCode",
     "CyclotomicCoset",
-    "EquivalenceClass",
     "FamilyBuild",
     "FamilyParams",
     "FhsSet",
     "FiniteField",
     "Polynomial",
-    "auto_peak",
     "build_code",
     "class_partition",
     "classes_to_fhs",
     "correlation",
-    "cross_peak",
     "cyclotomic_cosets",
-    "enumerate_classes",
     "factor_x_pow_n_minus_one",
     "family_a",
     "family_b",
@@ -83,7 +73,6 @@ __all__ = [
     "field_from_order",
     "has_full_orbits_nonzero",
     "has_full_orbits_outside_constants",
-    "is_irreducible",
     "largest_bad_m",
     "make_field",
     "max_nontrivial",
@@ -95,7 +84,6 @@ __all__ = [
     "poly_gcd",
     "pow_mod",
     "singleton_max_size",
-    "small_period_witness",
     "smallest_prime_factor",
     "sphere_packing_max_size",
     "unit_coset_code",

@@ -3,8 +3,8 @@
 Subcommands: cosets, factor, code, mindist, build, verify, bounds,
 pf-identity.  Exit codes: 0 verified/optimal, 2 verified-but-claim-mismatch,
 3 over budget, parameters-only, or a factor table or bound past its size
-caps, 4 input error, usage errors included.
-The enumeration cap honors the FHSFORGE_CAP environment variable.
+caps, 4 input error, usage errors included.  The codeword enumeration cap
+is set by --cap alone; `build --params-only` is `--cap 1`.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -41,21 +40,12 @@ EXIT_INPUT = 4
 
 
 def _enum_cap(args) -> int:
-    """The enumeration cap: --cap, else FHSFORGE_CAP, else the default."""
-    cap = getattr(args, "cap", None)
-    if cap is None:
-        env = os.environ.get("FHSFORGE_CAP")
-        if not env:
-            return ENUMERATION_CAP
-        try:
-            cap = int(env)
-        except ValueError as exc:
-            raise ParseError(f"FHSFORGE_CAP must be an integer, got {env!r}") from exc
-    if cap < 1:
-        raise ParseError(
-            f"the enumeration cap (--cap or FHSFORGE_CAP) must be >= 1, got {cap}"
-        )
-    return cap
+    """The enumeration cap: --cap, else the default."""
+    if args.cap is None:
+        return ENUMERATION_CAP
+    if args.cap < 1:
+        raise ParseError(f"the enumeration cap --cap must be >= 1, got {args.cap}")
+    return args.cap
 
 
 def _budget(args) -> int | None:
@@ -202,8 +192,10 @@ def cmd_pf_identity(args) -> int:
 def cmd_build(args) -> int:
     start = time.monotonic()
     cap = _enum_cap(args)
+    if args.cap_one:  # every family code has at least two words: none is enumerated
+        cap = 1
     budget = _budget(args)
-    kwargs = dict(params_only=args.params_only, enum_cap=cap, budget=budget)
+    kwargs = dict(enum_cap=cap, budget=budget)
     if args.family == "A":
         if args.m is None or args.k is None:
             raise ParseError("family A needs --m and --k")
@@ -256,7 +248,7 @@ def cmd_build(args) -> int:
     for name, value in sorted(build.checks.items()):
         print(f"check {name}: {value}")
     if build.survey is not None:
-        print(f"correlation sweep: {build.survey.method}, max = {build.survey.value}")
+        print(f"correlation sweep: exhaustive, max = {build.survey.value}")
     if not build.all_claims_hold():
         print("CLAIM MISMATCH")
         return EXIT_MISMATCH
@@ -288,7 +280,7 @@ def cmd_verify(args) -> int:
     except BudgetExceeded as exc:
         print(f"correlation not verified: {exc}")
         return EXIT_BUDGET
-    print(f"stored lambda = {stored}; measured ({survey.method}) = {survey.value}")
+    print(f"stored lambda = {stored}; measured (exhaustive) = {survey.value}")
     i, j, t = survey.witness
     print(f"witness: correlation(sequences[{i}], sequences[{j}], {t}) = {survey.value}")
     return EXIT_OK if survey.value == stored else EXIT_MISMATCH
@@ -348,7 +340,8 @@ def make_parser() -> argparse.ArgumentParser:
     s.add_argument("--m", type=int)
     s.add_argument("--k", type=int)
     s.add_argument("--n", type=int)
-    s.add_argument("--params-only", action="store_true")
+    s.add_argument("--params-only", action="store_true", dest="cap_one",
+                   help="the same as --cap 1")
     s.add_argument("--out", default=".")
     s.add_argument("--csv", action="store_true")
     s.add_argument("--cap", type=int, default=None)

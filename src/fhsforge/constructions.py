@@ -49,7 +49,7 @@ from .fhs import (
     classes_to_fhs,
     max_nontrivial,
 )
-from .galois import FIELD_ORDER_CAP, check_field_order, field_from_order, make_field
+from .galois import FIELD_ORDER_CAP, check_field_order, make_field
 from .intmath import is_prime, is_prime_power, smallest_prime_factor
 
 
@@ -104,12 +104,6 @@ class FamilyBuild:
     checks: dict = dc_field(default_factory=dict)
     observations: dict = dc_field(default_factory=dict)
 
-    @property
-    def verified_level(self) -> str:
-        if self.survey is None:
-            return "none"
-        return self.survey.method
-
     def export_dict(self) -> dict:
         out = self.params.export_dict()
         out["claimed"] = {
@@ -118,7 +112,7 @@ class FamilyBuild:
         }
         out["verified"] = {
             "class_count": self.checks.get("class_count"),
-            "correlation": self.verified_level,
+            "correlation": "none" if self.survey is None else "exhaustive",
         }
         return out
 
@@ -130,7 +124,6 @@ class FamilyBuild:
 def _materialize(
     build: FamilyBuild,
     mode: str,
-    params_only: bool,
     enum_cap: int,
     budget: int | None,
 ) -> FamilyBuild:
@@ -143,7 +136,7 @@ def _materialize(
     )
     build.checks["orbit_predicate"] = predicate
     lambda_source = "claimed"
-    if not params_only and code.size <= enum_cap:
+    if code.size <= enum_cap:
         exclude = "constants" if mode == "nonconstant" else "zero"
         reps, sizes = class_partition(code, exclude=exclude, cap=enum_cap)
         build.checks["class_count"] = len(sizes) == build.claimed_N
@@ -170,7 +163,6 @@ def _materialize(
 def family_a(
     m: int,
     k: int,
-    params_only: bool = False,
     enum_cap: int = ENUMERATION_CAP,
     budget: int | None = DEFAULT_CORRELATION_BUDGET,
 ) -> FamilyBuild:
@@ -190,12 +182,11 @@ def family_a(
     build = FamilyBuild(
         params, code, claimed_N=(q ** (2 * k + 1) - q) // n, claimed_lambda=2 * k
     )
-    return _materialize(build, "nonconstant", params_only, enum_cap, budget)
+    return _materialize(build, "nonconstant", enum_cap, budget)
 
 
 def family_b(
     q: int,
-    params_only: bool = False,
     enum_cap: int = ENUMERATION_CAP,
     budget: int | None = DEFAULT_CORRELATION_BUDGET,
 ) -> FamilyBuild:
@@ -205,23 +196,23 @@ def family_b(
     if pe is None or pe[0] == 2:
         raise NotOddPrimePower(f"{q} is not an odd prime power")
     n = q + 1
-    code = build_code(n, field_from_order(q), range(2, q))
+    code = build_code(n, make_field(*pe), range(2, q))
     params = FamilyParams("B", q=q, n=n)
     build = FamilyBuild(params, code, claimed_N=q * (q - 1), claimed_lambda=2)
-    return _materialize(build, "nonconstant", params_only, enum_cap, budget)
+    return _materialize(build, "nonconstant", enum_cap, budget)
 
 
 def family_c(
     q: int,
     n: int,
     k: int,
-    params_only: bool = False,
     enum_cap: int = ENUMERATION_CAP,
     budget: int | None = DEFAULT_CORRELATION_BUDGET,
 ) -> FamilyBuild:
     """(n, (q^(2k+2)-1)/n, 2k+1; q) for an odd divisor n > 1 of q+1."""
     check_field_order(q)
-    if is_prime_power(q) is None:
+    pe = is_prime_power(q)
+    if pe is None:
         raise NotOddPrimePower(f"{q} is not a prime power")
     if n <= 1 or n % 2 == 0 or (q + 1) % n != 0:
         raise NotOddDivisor(f"{n} is not an odd divisor > 1 of {q + 1}")
@@ -232,12 +223,12 @@ def family_c(
     half = (n - 1) // 2
     lo = half - k
     defining = set(range(0, lo)) | {n - j for j in range(1, lo)}
-    code = build_code(n, field_from_order(q), defining)
+    code = build_code(n, make_field(*pe), defining)
     params = FamilyParams("C", q=q, n=n, k=k, bad_m=bad_m)
     build = FamilyBuild(
         params, code, claimed_N=(q ** (2 * k + 2) - 1) // n, claimed_lambda=2 * k + 1
     )
-    return _materialize(build, "nonzero", params_only, enum_cap, budget)
+    return _materialize(build, "nonzero", enum_cap, budget)
 
 
 def family_ding(q: int, m: int) -> FamilyBuild:

@@ -296,27 +296,6 @@ def has_full_orbits_nonzero(code: CyclicCode) -> bool:
     return all(math.gcd(j, code.n) == 1 for j in range(code.n) if j not in zset)
 
 
-def small_period_witness(code: CyclicCode) -> tuple[int, ...] | None:
-    """A codeword outside the constants whose orbit is provably short.
-
-    When some residue j outside Z has gcd(j, n) > 1, dividing x^n - 1 by
-    (x - 1) and the minimal polynomial of alpha^j leaves a codeword killed
-    by x^r - 1 for r = n / gcd(j, n) < n.  Returns None when no such
-    residue exists.  Requires 0 not in Z.
-    """
-    zset = set(code.defining_set)
-    if 0 in zset:
-        raise DoesNotContainAllOnes("defining set contains 0")
-    bad = [j for j in range(1, code.n) if j not in zset and math.gcd(j, code.n) > 1]
-    if not bad:
-        return None
-    factors = code.context().minimal_polynomials
-    xn1 = Polynomial.x_pow_n_minus_one(code.field, code.n)
-    w = xn1 // (factors[0] * factors[bad[0]])
-    coeffs = list(w.coeffs) + [0] * (code.n - len(w.coeffs))
-    return tuple(coeffs)
-
-
 def _physical_memory() -> int:
     """Bytes of physical memory on this machine."""
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")

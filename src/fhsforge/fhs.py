@@ -52,18 +52,6 @@ def correlation(x, y, t: int) -> int:
     return sum(1 for i in range(n) if x[i] == y[(i + t) % n])
 
 
-def auto_peak(x) -> int:
-    """H(X): the largest out-of-phase auto-correlation, over 1 <= t < n."""
-    if len(x) < 2:
-        raise LengthMismatch("auto-correlation needs length >= 2")
-    return max(correlation(x, x, t) for t in range(1, len(x)))
-
-
-def cross_peak(x, y) -> int:
-    """H(X, Y): the largest cross-correlation over all shifts."""
-    return max(correlation(x, y, t) for t in range(len(x)))
-
-
 def _json_int(value, what: str) -> int:
     """`value` if it is a JSON integer; bools and floats are refused."""
     if type(value) is not int:
@@ -116,12 +104,6 @@ class FhsSet:
     @property
     def size(self) -> int:
         return self.seqs.shape[0]
-
-    def sequences(self) -> list[tuple[int, ...]]:
-        return [tuple(int(s) for s in row) for row in self.seqs]
-
-    def parameter_tuple(self) -> tuple:
-        return (self.n, self.size, self.max_correlation, self.alphabet_size)
 
     def to_json_dict(self) -> dict:
         return {
@@ -189,7 +171,6 @@ class CorrelationSurvey:
 
     value: int
     witness: tuple[int, int, int]
-    method: str  # always "exhaustive"
     nominal_comparisons: int
 
 
@@ -363,7 +344,6 @@ def max_nontrivial(
     return CorrelationSurvey(
         value=value,
         witness=witness,
-        method="exhaustive",
         nominal_comparisons=nominal_comparisons(fset),
     )
 

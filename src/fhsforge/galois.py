@@ -31,7 +31,8 @@ from .errors import (
     NonPrimeCharacteristic,
     ZeroElement,
 )
-from .intmath import is_prime, multiplicative_order, prime_factors, totient
+from .intmath import is_prime, is_prime_power, multiplicative_order, prime_factors
+from .intmath import totient
 
 FIELD_ORDER_CAP = 1 << 20
 _TABLE_CHUNK = 1 << 12
@@ -221,8 +222,6 @@ def check_field_order(q: int) -> None:
 
 def field_from_order(q: int) -> FiniteField:
     """GF(q) for a prime power q."""
-    from .intmath import is_prime_power
-
     check_field_order(q)
     pe = is_prime_power(q)
     if pe is None:
@@ -232,29 +231,20 @@ def field_from_order(q: int) -> FiniteField:
 
 def _canonical_modulus(base: FiniteField, d: int) -> Polynomial:
     """The primitive monic f of degree d over the prime field `base` with the
-    smallest packed value sum_i c_i p^i: f is irreducible and x^(order/r) != 1
-    mod f for every prime r | order = p^d - 1."""
+    smallest packed value sum_i c_i p^i: the first candidate in packed order
+    that is irreducible and under which x has order p^d - 1."""
+    what = f"every candidate of degree {d} over GF({base.p})"
+    return _first_root(_packed(base, d), 1, base.order**d - 1, what)[0].modulus
+
+
+def _packed(base: FiniteField, d: int):
+    """The monic f of degree d over the prime field `base` with f(0) != 0,
+    in packed order, less the p-th powers g(x)^p, those with f' = 0."""
     q, p = base.order, base.p
-    x = Polynomial(base, (0, 1))
-    order = q**d - 1
-    radicals = prime_factors(order)
-    packed = 0
-    while packed < order:
-        packed += 1
-        if packed % q == 0:
-            continue
-        f = Polynomial.from_packed(base, packed + q**d)
-        if not any(f.coeffs[i] for i in range(1, d + 1) if i % p):
-            # f' = 0, so f = g(x)^p; so is every f up to the next multiple of
-            # q, which differs from this one only in f(0)
-            packed += q - packed % q
-            continue
-        ext = _ben_or(f)
-        if ext is not None and all(
-            not ext.is_one(ext.pow(ext.element(x), order // r)) for r in radicals
-        ):
-            return f
-    raise AssertionError(f"no primitive polynomial of degree {d} over GF({q})")
+    for high in range(q ** (d - 1), 2 * q ** (d - 1)):  # f // x, packed, in order
+        tail = Polynomial.from_packed(base, high).coeffs
+        if any(tail[i - 1] for i in range(1, d + 1) if i % p):
+            yield from (Polynomial(base, (c,) + tail) for c in range(1, q))
 
 
 class Polynomial:
@@ -443,11 +433,6 @@ def pow_mod(base: Polynomial, e: int, mod: Polynomial) -> Polynomial:
     return Polynomial(F, result)
 
 
-def is_irreducible(f: Polynomial) -> bool:
-    """Irreducibility over the coefficient field (Ben-Or; see `_ben_or`)."""
-    return _ben_or(f) is not None
-
-
 def _ben_or(f: Polynomial) -> ExtensionField | None:
     """The kernel GF(q)[y]/(f) of the monic f if f is irreducible, else None.
 
@@ -597,23 +582,26 @@ def root_field(base: FiniteField, n: int) -> tuple[ExtensionField, np.ndarray]:
     """
     q = base.order
     d = multiplicative_order(q, n)
-    size = q**d
-    radicals = prime_factors(n)
     if totient(n) == d:
-        candidates, exponent = [_cyclotomic(base, n, radicals)], 1
-    else:
-        candidates, exponent = _stream(base, d), (size - 1) // n
-    y = Polynomial(base, (0, 1))
+        phi = _cyclotomic(base, n, prime_factors(n))
+        return _first_root([phi], 1, n, f"Phi_{n} over GF({q})")
+    return _first_root(_stream(base, d), (q**d - 1) // n, n, "the stream")
+
+
+def _first_root(candidates, exponent: int, order: int, what: str):
+    """(GF(q)[y]/(f), y^exponent) for the first candidate f that Ben-Or
+    accepts and under which y^exponent has order exactly `order`; `what`
+    names the candidates in the AssertionError raised if none is."""
+    radicals = prime_factors(order)
     for f in candidates:
         ext = _ben_or(f)
         if ext is None:
             continue
-        beta = ext.pow(ext.element(y), exponent)
-        if ext.is_one(ext.pow(beta, n)) and all(
-            not ext.is_one(ext.pow(beta, n // r)) for r in radicals
-        ):
+        beta = ext.pow(ext.element(Polynomial(f.field, (0, 1))), exponent)
+        short = any(ext.is_one(ext.pow(beta, order // r)) for r in radicals)
+        if not short and ext.is_one(ext.pow(beta, order)):
             return ext, beta
-    raise AssertionError(f"Phi_{n} over GF({q}) fails the field or the order test")
+    raise AssertionError(f"{what} fails the field or the order test")
 
 
 def _cyclotomic(base: FiniteField, n: int, radicals: list[int]) -> Polynomial:

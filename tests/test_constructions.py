@@ -16,8 +16,8 @@ from fhsforge.cyclic import (
 from fhsforge.errors import KOutOfRange, NotOddDivisor, NotOddPrimePower
 from fhsforge.galois import (
     Polynomial,
+    _ben_or,
     field_from_order,
-    is_irreducible,
     make_field,
     poly_gcd,
     pow_mod,
@@ -26,6 +26,11 @@ from fhsforge.intmath import multiplicative_order, smallest_prime_factor
 
 
 # -- parameter helpers ---------------------------------------------------------
+
+
+def parameter_tuple(fset):
+    """(n, N, lambda, ell) of an FHS set."""
+    return (fset.n, fset.size, fset.max_correlation, fset.alphabet_size)
 
 
 def test_smallest_prime_factor():
@@ -51,24 +56,23 @@ def test_largest_bad_m():
 
 def test_family_a_q8_k1():
     build = family_a(3, 1)
-    assert build.fhs.parameter_tuple() == (9, 56, 2, 8)
+    assert parameter_tuple(build.fhs) == (9, 56, 2, 8)
     assert build.claimed_N == 56 and build.claimed_lambda == 2
     assert build.all_claims_hold()
-    assert build.survey.method == "exhaustive"
     assert build.report.meets_singleton
     assert build.params.p == 3
 
 
 def test_family_a_q4_k1():
     build = family_a(2, 1)
-    assert build.fhs.parameter_tuple() == (5, 12, 2, 4)
+    assert parameter_tuple(build.fhs) == (5, 12, 2, 4)
     assert build.all_claims_hold()
     assert min_distance_exhaustive(build.code) == 5 - 3 + 1  # MDS [5, 3, 3]
 
 
 def test_family_a_q16_k1():
     build = family_a(4, 1)
-    assert build.fhs.parameter_tuple() == (17, 240, 2, 16)
+    assert parameter_tuple(build.fhs) == (17, 240, 2, 16)
     assert build.all_claims_hold()
 
 
@@ -97,13 +101,13 @@ def test_family_a_k_window():
 
 
 def test_family_a_params_only():
-    build = family_a(4, 8, params_only=True)
+    build = family_a(4, 8, enum_cap=1)
     assert build.fhs is None
     assert build.claimed_N == (16**17 - 16) // 17 == 17361641481138401520
     assert build.claimed_lambda == 16
     assert build.checks["class_count"] is None
     assert build.report.meets_singleton
-    assert build.verified_level == "none"
+    assert build.survey is None
 
 
 # -- family B -------------------------------------------------------------------
@@ -111,7 +115,7 @@ def test_family_a_params_only():
 
 def test_family_b_q5():
     build = family_b(5)
-    assert build.fhs.parameter_tuple() == (6, 20, 2, 5)
+    assert parameter_tuple(build.fhs) == (6, 20, 2, 5)
     assert build.all_claims_hold()
     assert build.report.meets_peng_fan and build.report.meets_singleton
     assert min_distance_exhaustive(build.code) == 4  # [6, 3, 4] MDS
@@ -119,7 +123,7 @@ def test_family_b_q5():
 
 def test_family_b_q9():
     build = family_b(9)
-    assert build.fhs.parameter_tuple() == (10, 72, 2, 9)
+    assert parameter_tuple(build.fhs) == (10, 72, 2, 9)
     assert build.all_claims_hold()
     assert build.report.meets_peng_fan and build.report.meets_singleton
 
@@ -135,7 +139,7 @@ def test_family_b_rejects_bad_q():
 
 def test_family_c_q32_n11_k0():
     build = family_c(32, 11, 0)
-    assert build.fhs.parameter_tuple() == (11, 93, 1, 32)
+    assert parameter_tuple(build.fhs) == (11, 93, 1, 32)
     assert build.all_claims_hold()
     assert build.report.meets_peng_fan and build.report.meets_singleton
     assert min_distance_exhaustive(build.code) == 11 - 2 + 1
@@ -143,7 +147,7 @@ def test_family_c_q32_n11_k0():
 
 def test_family_c_q8_n9_k0():
     build = family_c(8, 9, 0)
-    assert build.fhs.parameter_tuple() == (9, 7, 1, 8)
+    assert parameter_tuple(build.fhs) == (9, 7, 1, 8)
     assert build.all_claims_hold()
     assert build.report.meets_peng_fan and build.report.meets_singleton
     assert build.params.bad_m == 3
@@ -177,7 +181,7 @@ def test_family_c_parameter_validation():
 def test_family_c_k_cap_via_bad_m():
     # n = 33: M = 15, so (n-3)/2 - M = 0
     build = family_c(32, 33, 0)
-    assert build.fhs.parameter_tuple() == (33, 31, 1, 32)
+    assert parameter_tuple(build.fhs) == (33, 31, 1, 32)
     assert build.all_claims_hold()
     with pytest.raises(KOutOfRange):
         family_c(32, 33, 1)
@@ -223,21 +227,21 @@ def test_export_shapes():
 # B25 and C32 moved when alpha became a root of the least-packed factor of
 # Phi_n.
 FROZEN_CODES = {
-    "A8k2": (lambda: family_a(3, 2, params_only=True), [1, 7, 6, 7, 1], [1, 2, 1]),
-    "B5": (lambda: family_b(5, params_only=True), [1, 2, 2, 1], [1, 4, 1]),
+    "A8k2": (lambda: family_a(3, 2, enum_cap=1), [1, 7, 6, 7, 1], [1, 2, 1]),
+    "B5": (lambda: family_b(5, enum_cap=1), [1, 2, 2, 1], [1, 4, 1]),
     "B25": (
-        lambda: family_b(25, params_only=True),
+        lambda: family_b(25, enum_cap=1),
         [1, 21, 18, 6, 10, 9, 3, 7, 20, 17, 12, 13,
          13, 12, 17, 20, 7, 3, 9, 10, 6, 18, 21, 1],
         [1, 5, 1],
     ),
     "C32": (
-        lambda: family_c(32, 11, 0, params_only=True),
+        lambda: family_c(32, 11, 0, enum_cap=1),
         [1, 26, 2, 11, 7, 7, 11, 2, 26, 1],
         [1, 3, 1],
     ),
     "C512": (
-        lambda: family_c(512, 27, 0, params_only=True),
+        lambda: family_c(512, 27, 0, enum_cap=1),
         [1, 491, 27, 167, 351, 410, 323, 88, 287, 89, 168, 385, 504,
          504, 385, 168, 89, 287, 88, 323, 410, 351, 167, 27, 491, 1],
         [1, 26, 1],
@@ -282,7 +286,7 @@ def test_factor_table_over_extension_fields(q):
     for n in lengths:
         factor_of = [None] * n
         for coset, mj in factor_x_pow_n_minus_one(F, n):
-            assert mj.leading() == 1 and is_irreducible(mj), (n, coset)
+            assert mj.leading() == 1 and _ben_or(mj) is not None, (n, coset)
             assert mj.degree == len(coset), (n, coset)
             for j in coset.members:
                 factor_of[j] = mj

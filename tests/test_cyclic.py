@@ -22,7 +22,6 @@ from fhsforge.cyclic import (
     has_full_orbits_outside_constants,
     min_distance_exhaustive,
     root_context,
-    small_period_witness,
     unit_coset_code,
 )
 from fhsforge.errors import (
@@ -39,8 +38,8 @@ from fhsforge.galois import (
     ExtensionField,
     FiniteField,
     Polynomial,
+    _ben_or,
     field_from_order,
-    is_irreducible,
     make_field,
     pow_mod,
     root_field,
@@ -170,7 +169,7 @@ def packed_root_field(F, n):
     y = Polynomial(F, (0, 1))
     for packed in itertools.count(q**d + 1):
         f = Polynomial.from_packed(F, packed)
-        if f.coeffs[0] == 0 or not is_irreducible(f):
+        if f.coeffs[0] == 0 or _ben_or(f) is None:
             continue
         ext = ExtensionField(f)
         beta = ext.pow(ext.element(y), (q**d - 1) // n)
@@ -321,6 +320,27 @@ def test_predicate_true_for_prime_length():
     for coset in cyclotomic_cosets(13, 3)[1:]:
         code = build_code(13, F, coset.members)
         assert has_full_orbits_outside_constants(code)
+
+
+def small_period_witness(code: CyclicCode) -> tuple[int, ...] | None:
+    """A codeword outside the constants whose orbit is provably short.
+
+    When some residue j outside Z has gcd(j, n) > 1, dividing x^n - 1 by
+    (x - 1) and the minimal polynomial of alpha^j leaves a codeword killed
+    by x^r - 1 for r = n / gcd(j, n) < n.  Returns None when no such
+    residue exists.  Requires 0 not in Z.
+    """
+    zset = set(code.defining_set)
+    if 0 in zset:
+        raise DoesNotContainAllOnes("defining set contains 0")
+    bad = [j for j in range(1, code.n) if j not in zset and math.gcd(j, code.n) > 1]
+    if not bad:
+        return None
+    factors = code.context().minimal_polynomials
+    xn1 = Polynomial.x_pow_n_minus_one(code.field, code.n)
+    w = xn1 // (factors[0] * factors[bad[0]])
+    coeffs = list(w.coeffs) + [0] * (code.n - len(w.coeffs))
+    return tuple(coeffs)
 
 
 def test_predicate_false_with_witness():
