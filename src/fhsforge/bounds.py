@@ -9,7 +9,8 @@ bounds on the maximum nontrivial Hamming correlation are
 and their ceilings coincide whenever nN >= ell.  Writing nN = I*ell + J,
 the exact difference is PF2 - PF1 = (ell - J)*J / ((nN - 1) * ell * N);
 cross-multiplied by the common denominator this is a pure integer identity,
-which is what the sweep checks, in int64 numpy tiles.  The Singleton and
+which is what the sweep checks, in numpy tiles of int32 when its grid
+provably fits and of int64 otherwise.  The Singleton and
 sphere-packing bounds cap the set size N from above.  No floating point
 anywhere in this module.
 """
@@ -34,16 +35,19 @@ PRINTABLE_DIGITS = 4300
 
 
 def _ceil_ratio(a: int, b: int) -> int:
-    # exact ceiling of a/b for b > 0, any sign of a
-    return -(-a // b)
+    # exact ceiling of a/b for b > 0, any sign of a; for a >= 0 the
+    # dividend stays non-negative, where numpy divides fastest
+    return (a + b - 1) // b
 
 
 def _pf_fractions(n, count, ell):
-    """(a1, b1, a2, b2) with PF1 = a1/b1 and PF2 = a2/b2, for Python ints and
-    int64 numpy arrays alike (numpy's // floors like Python's)."""
+    """(I, a1, b1, a2, b2) with I = floor(nN / ell), PF1 = a1/b1 and
+    PF2 = a2/b2, for Python ints and integer numpy arrays alike (numpy's //
+    floors like Python's)."""
     nn = n * count
     big_i = nn // ell
     return (
+        big_i,
         (nn - ell) * n,
         (nn - 1) * ell,
         2 * big_i * nn - (big_i + 1) * big_i * ell,
@@ -54,14 +58,14 @@ def _pf_fractions(n, count, ell):
 def peng_fan_1(n: int, count: int, ell: int) -> int:
     """Ceiling of the first Peng-Fan lower bound on M(F)."""
     _check_pf(n, count, ell)
-    a1, b1, _, _ = _pf_fractions(n, count, ell)
+    _, a1, b1, _, _ = _pf_fractions(n, count, ell)
     return _ceil_ratio(a1, b1)
 
 
 def peng_fan_2(n: int, count: int, ell: int) -> int:
     """Ceiling of the second Peng-Fan lower bound on M(F)."""
     _check_pf(n, count, ell)
-    _, _, a2, b2 = _pf_fractions(n, count, ell)
+    _, _, _, a2, b2 = _pf_fractions(n, count, ell)
     return _ceil_ratio(a2, b2)
 
 
@@ -218,46 +222,98 @@ class PfSweepReport:
         }
 
 
-# Cells per numpy tile of the sweep: a few MiB of int64 temporaries.
-_SWEEP_TILE = 1 << 16
-# With nN <= 2^30, every product in the sweep stays below 2^62.
+# Cells per numpy tile of the sweep.  Each temporary, at most 64 KiB, stays
+# below glibc's 128 KiB mmap threshold, so it is recycled from the heap, not
+# mapped and zero-filled afresh: tiles of 2^16 cells took twice as long.
+_SWEEP_TILE = 1 << 13
+# The largest M = n_max * N_max swept: no value a tile computes passes
+# 2M^2 = 2^61 (see `pf_identity_sweep`).
 _SWEEP_MAX_NN = 1 << 30
+# The largest M = n_max * N_max swept in int32: the largest M with 2M^2 < 2^31.
+_SWEEP_INT32_MAX_NN = 32767
+# Runaway caps, refused before any work.  On a 2-core guest the n loop
+# costs about 46 us per n and the tiles at most about 38 ns per int64 cell,
+# so the largest accepted grids take about 25 s for each cap.
+_SWEEP_MAX_N = 1 << 19
+_SWEEP_MAX_CELLS = 1 << 29
 
 
 def _sweep_tile(n: int, count, ell) -> tuple[int, list[tuple]]:
-    """Check the triples (n, N, ell) of one tile: N a column, ell a row,
-    on the same formulas as `peng_fan_1` and `peng_fan_2`."""
+    """Check the triples (n, count[i], ell[i]) of one tile, on the same
+    formulas as `peng_fan_1` and `peng_fan_2`: `count` and `ell` are flat
+    arrays of one integer dtype, so that no operation broadcasts.
+
+    Two divisions per cell: I and c1 = ceil(a1/b1).  The rest are products:
+    J = nN - I*ell, and c2 == c1 iff (c1 - 1)*b2 < a2 <= c1*b2, exact as
+    b2 = (nN - 1)*N >= 1.  c2 itself is taken in Python ints, only for a
+    cell that is reported."""
     nn = n * count
-    j = nn % ell
-    a1, b1, a2, b2 = _pf_fractions(n, count, ell)
+    big_i, a1, b1, a2, b2 = _pf_fractions(n, count, ell)
+    j = nn - big_i * ell
     c1 = _ceil_ratio(a1, b1)
-    c2 = _ceil_ratio(a2, b2)
-    # equal ceilings; exact difference and sign, cross-multiplied by the
-    # common denominator (nN-1)*ell*N
+    upper = c1 * b2
+    # exact difference and sign, cross-multiplied by the common
+    # denominator (nN-1)*ell*N
     diff = a2 * ell - a1 * count
-    wrong = (c1 != c2) | (diff != (ell - j) * j) | (diff < 0)
+    wrong = (a2 <= upper - b2) | (a2 > upper) | (diff != (ell - j) * j) | (diff < 0)
     inside = ell <= nn
-    bad = [
-        (n, int(count[r, 0]), int(ell[0, c]), int(c1[r, c]), int(c2[r, c]))
-        for r, c in zip(*np.nonzero(wrong & inside))
-    ]
-    return int(inside.sum()), bad
+    bad = []
+    if wrong.any():
+        bad = [
+            (n, int(count[i]), int(ell[i]), int(c1[i]),
+             _ceil_ratio(int(a2[i]), int(b2[i])))
+            for i in np.flatnonzero(wrong & inside)
+        ]
+    return int(np.count_nonzero(inside)), bad
 
 
 def pf_identity_sweep(n_max: int, count_max: int, ell_max: int) -> PfSweepReport:
     """Check both Peng-Fan assertions on every grid triple with nN >= max(ell, 2):
     the two ceilings agree, and the difference identity holds exactly.
 
-    Each n is one int64 numpy pass over its (N, ell) slab, tiled when the
-    slab passes _SWEEP_TILE cells.  Grids with n_max * N_max > 2^30, whose
-    products could pass 2^62, are refused."""
+    Each n's (N, ell) slab is cut into tiles of at most _SWEEP_TILE cells,
+    each checked by `_sweep_tile` in the narrowest integer dtype that holds
+    every value it computes.  Numpy wraps integer overflow silently, so
+    that choice rests on this bound.  Let M = n_max * N_max.  A tile holds
+    N <= N_max, 2 <= nN <= M and ell <= min(ell_max, n N_max) <= M, and
+    computes the cells with ell > nN too, where I = 0 and J = nN, before
+    it masks them.  Every value it computes is at most 2M^2 in size:
+
+    * nN, I <= nN/ell, I*ell <= nN and J < max(ell, nN + 1) are at most M;
+    * a1 = (nN - ell)*n and a1*N = (nN - ell)*nN are below M^2, as
+      |nN - ell| < M and n <= nN, and b1 = (nN - 1)*ell and
+      b2 = (nN - 1)*N are below M^2, so the ceiling's dividend
+      a1 + b1 - 1 is below 2M^2;
+    * 2*I*nN <= 2*nN^2/ell <= 2M^2, the largest value, reached at ell = 1
+      and nN = M; (I + 1)*I <= (I + 1)*I*ell <= (I + 1)*nN <= M^2 + M;
+    * a2 = I*(nN + J - ell) lies in [0, nN^2/ell], so a2*ell <= M^2;
+    * 0 <= c1 <= n inside and -n < c1 <= 0 outside (there
+      -a1/b1 < n/(nN - 1)), so c1*b2 and (c1 - 1)*b2 are at most
+      n*(nN - 1)*N < M^2;
+    * a2*ell - a1*N lies in (-M^2, 2M^2), and (ell - J)*J is at most
+      ell^2/4 inside and (ell - nN)*nN < M^2 outside.
+
+    So the tiles run in int32 when 2M^2 < 2^31, M <= _SWEEP_INT32_MAX_NN,
+    and in int64 otherwise.  Grids with M > 2^30, where 2M^2 could pass
+    2^61, are refused (`DegenerateParameters`).  Runaway grids are refused
+    too, with `BoundTooLarge` before any work: n_max > _SWEEP_MAX_N, or
+    M * min(ell_max, M), a bound on the cells the tiles hold, above
+    _SWEEP_MAX_CELLS."""
     if n_max < 1 or count_max < 1 or ell_max < 1:
         raise DegenerateParameters("grid limits must be positive")
-    if n_max * count_max > _SWEEP_MAX_NN:
+    nn_max = n_max * count_max
+    if nn_max > _SWEEP_MAX_NN:
         raise DegenerateParameters(
-            f"n_max * N_max = {n_max * count_max} exceeds 2^30: "
+            f"n_max * N_max = {nn_max} exceeds 2^30: "
             f"products could overflow int64"
         )
+    if n_max > _SWEEP_MAX_N or nn_max * min(ell_max, nn_max) > _SWEEP_MAX_CELLS:
+        raise BoundTooLarge(
+            f"the sweep over ({n_max}, {count_max}, {ell_max}) passes its caps: "
+            f"n_max <= {_SWEEP_MAX_N} and "
+            f"n_max * N_max * min(ell_max, n_max * N_max) <= {_SWEEP_MAX_CELLS}"
+        )
+    dtype = np.int32 if nn_max <= _SWEEP_INT32_MAX_NN else np.int64
     checked = 0
     bad = []
     for n in range(1, n_max + 1):
@@ -265,11 +321,13 @@ def pf_identity_sweep(n_max: int, count_max: int, ell_max: int) -> PfSweepReport
         rows = _SWEEP_TILE // cols
         for lo in range(-(-2 // n), count_max + 1, rows):  # from nN >= 2
             hi = min(lo + rows, count_max + 1)
-            count = np.arange(lo, hi, dtype=np.int64)[:, None]
+            counts = np.arange(lo, hi, dtype=dtype)
             top = min(ell_max, n * (hi - 1))
             for start in range(1, top + 1, cols):
-                ell = np.arange(start, min(start + cols, top + 1), dtype=np.int64)
-                tile_checked, tile_bad = _sweep_tile(n, count, ell[None, :])
+                ells = np.arange(start, min(start + cols, top + 1), dtype=dtype)
+                count = np.repeat(counts, len(ells))
+                ell = np.tile(ells, len(counts))
+                tile_checked, tile_bad = _sweep_tile(n, count, ell)
                 checked += tile_checked
                 bad += tile_bad
     return PfSweepReport(n_max, count_max, ell_max, checked, tuple(sorted(bad)))

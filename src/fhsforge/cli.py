@@ -2,8 +2,8 @@
 
 Subcommands: cosets, factor, code, mindist, build, verify, bounds,
 pf-identity.  Exit codes: 0 verified/optimal, 2 verified-but-claim-mismatch,
-3 over budget, parameters-only, or a factor table or bound past its size
-caps, 4 input error, usage errors included.  The codeword enumeration cap
+3 over budget, parameters-only, or a factor table, bound or pf-identity
+grid past its size caps, 4 input error, usage errors included.  The codeword enumeration cap
 is set by --cap alone; `build --params-only` is `--cap 1`.
 """
 

@@ -239,11 +239,15 @@ def _canonical_modulus(base: FiniteField, d: int) -> Polynomial:
 
 def _packed(base: FiniteField, d: int):
     """The monic f of degree d over the prime field `base` with f(0) != 0,
-    in packed order, less the p-th powers g(x)^p, those with f' = 0."""
+    in packed order, less two kinds that are never primitive: the p-th
+    powers g(x)^p, those with f' = 0, and the even f = g(x^2), those with
+    no odd term.  For odd p, an irreducible even f has the root -x besides
+    x, so -x = x^(p^i) for some 0 < i < d, and x^(2(p^i - 1)) = 1 with
+    2(p^i - 1) < p^d - 1.  For p = 2 the two kinds are the same."""
     q, p = base.order, base.p
     for high in range(q ** (d - 1), 2 * q ** (d - 1)):  # f // x, packed, in order
-        tail = Polynomial.from_packed(base, high).coeffs
-        if any(tail[i - 1] for i in range(1, d + 1) if i % p):
+        tail = Polynomial.from_packed(base, high).coeffs  # c_1, ..., c_d
+        if any(tail[0::2]) and any(tail[i - 1] for i in range(1, d + 1) if i % p):
             yield from (Polynomial(base, (c,) + tail) for c in range(1, q))
 
 

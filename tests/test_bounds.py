@@ -4,6 +4,7 @@ import time
 from fractions import Fraction
 from math import ceil, comb, floor
 
+import numpy as np
 import pytest
 
 from fhsforge import bounds
@@ -143,8 +144,9 @@ def test_pf_identity_trivial_grid():
     assert report.triples_checked == 0  # nN = 1 < 2 everywhere
 
 
-def scalar_pf_sweep(n_max, count_max, ell_max):
-    """Oracle: the triple check in plain Python integers, one triple at a time."""
+def scalar_pf_sweep(n_max, count_max, ell_max, mutate=None):
+    """Oracle: the triple check in plain Python integers, one triple at a time.
+    `mutate`, if given, maps (a1, b1, a2, b2) to the values checked."""
     checked = 0
     bad = []
     for n in range(1, n_max + 1):
@@ -158,6 +160,8 @@ def scalar_pf_sweep(n_max, count_max, ell_max):
                 b1 = (nn - 1) * ell
                 a2 = 2 * big_i * nn - (big_i + 1) * big_i * ell
                 b2 = (nn - 1) * count
+                if mutate is not None:
+                    a1, b1, a2, b2 = mutate(a1, b1, a2, b2)
                 checked += 1
                 if (
                     -(-a1 // b1) != -(-a2 // b2)
@@ -168,9 +172,14 @@ def scalar_pf_sweep(n_max, count_max, ell_max):
     return checked, tuple(sorted(bad))
 
 
+# The int32 bound as the sweep has it, and 0, under which every grid runs in int64.
+INT32_BOUNDS = (bounds._SWEEP_INT32_MAX_NN, 0)
+
+
 def test_pf_sweep_matches_scalar_oracle(monkeypatch):
     # (3, 5, 100) has ell_max > n * N_max; small tiles split both axes
-    for tile in (bounds._SWEEP_TILE, 7, 1):
+    for int32_max_nn, tile in itertools.product(INT32_BOUNDS, (bounds._SWEEP_TILE, 7, 1)):
+        monkeypatch.setattr(bounds, "_SWEEP_INT32_MAX_NN", int32_max_nn)
         monkeypatch.setattr(bounds, "_SWEEP_TILE", tile)
         for grid in [(1, 1, 1), (1, 7, 3), (3, 5, 100), (10, 30, 15), (12, 40, 20)]:
             report = pf_identity_sweep(*grid)
@@ -178,9 +187,90 @@ def test_pf_sweep_matches_scalar_oracle(monkeypatch):
             assert (report.triples_checked, report.counterexamples) == want
 
 
+def test_int32_bound_is_the_largest_that_fits():
+    # every value a tile computes is at most 2M^2, M = n_max * N_max
+    m = bounds._SWEEP_INT32_MAX_NN
+    assert 2 * m**2 <= np.iinfo(np.int32).max < 2 * (m + 1) ** 2
+
+
+@pytest.mark.parametrize("grid,dtype", [
+    ((1, 32767, 1), "int32"),  # ell = 1 at the largest nN: a2 = nN(nN - 1), 2*I*nN = 2M^2
+    ((1, 32768, 1), "int64"),
+    ((2, 16383, 3), "int32"),
+    ((2, 16384, 3), "int64"),
+    ((181, 181, 2), "int32"),
+    ((3, 10923, 2), "int64"),
+], ids=lambda value: value if isinstance(value, str) else "-".join(map(str, value)))
+def test_pf_sweep_on_each_side_of_the_int32_bound(monkeypatch, grid, dtype):
+    dtypes = set()
+    tile = bounds._sweep_tile
+
+    def spy(n, count, ell):
+        dtypes.add(count.dtype)
+        return tile(n, count, ell)
+
+    monkeypatch.setattr(bounds, "_sweep_tile", spy)
+    report = pf_identity_sweep(*grid)
+    assert dtypes == {np.dtype(dtype)}
+    assert (report.triples_checked, report.counterexamples) == scalar_pf_sweep(*grid)
+
+
+def test_pf_tile_extreme_cells_agree_in_both_dtypes():
+    # Cells (n, N, ell) with nN <= M and ell <= M, M the int32 bound, where
+    # the bound's terms peak, masked ones (ell > nN) included: 2*I*nN = 2M^2
+    # at nN = M, ell = 1, and (ell - nN)*nN = M^2/4 at nN = M/2, ell = M.
+    m = bounds._SWEEP_INT32_MAX_NN
+    for n in (1, 2, 181, m // 3, m // 2, m):
+        counts = sorted({1, 2, 3, m // (2 * n), m // n - 1, m // n} & set(range(1, m // n + 1)))
+        ells = sorted({1, 2, 3, n, m // 2, m - 1, m})
+        results = []
+        for dtype in (np.int32, np.int64):
+            count = np.repeat(np.array(counts, dtype=dtype), len(ells))
+            ell = np.tile(np.array(ells, dtype=dtype), len(counts))
+            keep = n * count >= 2
+            results.append(bounds._sweep_tile(n, count[keep], ell[keep]))
+        cells = [(c, e) for c in counts for e in ells if 2 <= n * c and e <= n * c]
+        assert results[0] == results[1] == (len(cells), []), n
+
+
+@pytest.mark.parametrize("int32_max_nn", INT32_BOUNDS, ids=["int32", "int64"])
+@pytest.mark.parametrize("mutate", [
+    lambda a1, b1, a2, b2: (a1, b1, a2 + 1, b2),
+    lambda a1, b1, a2, b2: (a1, b1, a2, b2 + 1),
+], ids=["a2+1", "b2+1"])
+def test_pf_sweep_reports_the_oracles_counterexamples(monkeypatch, int32_max_nn, mutate):
+    # a wrong formula must show: a2 + 1 breaks the identity in every cell,
+    # b2 + 1 only the ceilings, in some cells
+    monkeypatch.setattr(bounds, "_SWEEP_INT32_MAX_NN", int32_max_nn)
+    fractions = bounds._pf_fractions
+
+    def mutated(n, count, ell):
+        big_i, *rest = fractions(n, count, ell)
+        return (big_i, *mutate(*rest))
+
+    monkeypatch.setattr(bounds, "_pf_fractions", mutated)
+    for tile in (bounds._SWEEP_TILE, 7):
+        monkeypatch.setattr(bounds, "_SWEEP_TILE", tile)
+        for grid in [(3, 5, 100), (10, 30, 15)]:
+            report = pf_identity_sweep(*grid)
+            want = scalar_pf_sweep(*grid, mutate=mutate)
+            assert want[1] and not report.ok
+            assert (report.triples_checked, report.counterexamples) == want
+
+
 def test_pf_sweep_refuses_overflowing_grid():
     with pytest.raises(DegenerateParameters):
         pf_identity_sweep(1 << 15, (1 << 15) + 1, 1)
+
+
+def test_pf_sweep_caps_are_inclusive(monkeypatch):
+    monkeypatch.setattr(bounds, "_SWEEP_MAX_N", 5)
+    monkeypatch.setattr(bounds, "_SWEEP_MAX_CELLS", 12)
+    assert pf_identity_sweep(5, 1, 1).ok  # 5 * 1 * 1 cells
+    assert pf_identity_sweep(2, 3, 2).ok  # 6 * 2 = 12 cells
+    for grid in [(6, 1, 1), (2, 3, 3), (1, 4, 4)]:  # n 6; 6 * 3 = 18 cells; 4 * 4
+        with pytest.raises(BoundTooLarge):
+            pf_identity_sweep(*grid)
 
 
 def test_exact_equality_when_ell_divides():

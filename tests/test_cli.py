@@ -1,4 +1,5 @@
 import gzip
+import hashlib
 import json
 import os
 import random
@@ -173,6 +174,84 @@ def test_verify_reads_stored_benchmark_sets(tmp_path, capsys, name):
     code, out, _ = run(capsys, "verify", str(path))
     assert code == 0
     assert f"stored lambda = {lam}; measured (exhaustive) = {lam}" in out.splitlines()
+
+
+# SHA-256 of each paper build's outputs at --budget 0, and of pf-identity's
+# stdout: a change that keeps the outputs byte-identical keeps these.
+PAPER_BUILDS = {
+    "A8k1": (["--family", "A", "--m", "3", "--k", "1"], {
+        "family.json": "585b02e5b118df176b092c0c155c2620f917fab5f4b53fed2b5092c14c7f64af",
+        "code.json": "d16f9f58a7e0537468b364db52a893fa9ce721a342aa3b4712da16c4075a4449",
+        "fhs_set.json": "dc45327f0f5d20903c72aef84f69bc033490e0e7a87eca4d09549f3a142195fe",
+        "bound_report.json": "371ba0592ec2b17b7a542781f91d8b2a241b810072757e26e30dfa3e0fae4bc7",
+    }),
+    "A8k2": (["--family", "A", "--m", "3", "--k", "2"], {
+        "family.json": "a56f110e2fe0483a3ad290efed193c1c62ebc80c6e990777b205fc53c332a44a",
+        "code.json": "32bccf40969a8c4637db1561306289c8d672c15bf5a93976316c089ee79f6fe9",
+        "fhs_set.json": "5d1ff7273d5e60aaf727894f7ecbcfc3b12e21c803ecfe29228ca0f518acdc5b",
+        "bound_report.json": "2cf2871717974345cafd880cdb755c953959253a5d7df590fe049182845e4d56",
+    }),
+    "B5": (["--family", "B", "--q", "5"], {
+        "family.json": "cf2c05f826b13c2a66a988ff63a401eacbc27a4f5cdb95c6368217419ecc2c91",
+        "code.json": "97a31f294152e57eda8811340e7de33d83bfa7fcebea264cc9cdeeae38ab07dc",
+        "fhs_set.json": "fddbbffa89c935bf1c9ce5b449a411bef7c8d8302a4114aef97e0722771fd602",
+        "bound_report.json": "bd7de777b8273e2878e08b07d48f403cad3f8793779b38f0850abea84d222fba",
+    }),
+    "B25": (["--family", "B", "--q", "25"], {
+        "family.json": "cc220026f8de25d252fdbdf8876b4591b51cbf39b7f8c89b15ed5264059487f5",
+        "code.json": "717a0940c42aa61d4ad9bf2b8acdef90755f52fbb8cdf4f6cbf357cfcaff3299",
+        "fhs_set.json": "2979ede6adad8266020f0fcb388011e342a9a865a86a8c53dd3cc4fb560490ef",
+        "bound_report.json": "fe89245a3282fcbaf313cc62fa8b5de884f80ed76a67ea2e849391082cf6dbf3",
+    }),
+    "C32": (["--family", "C", "--q", "32", "--n", "11", "--k", "0"], {
+        "family.json": "ddd5fff3adce9c01e7ba944b6db8c9ee092fed4fd905ca625926f0ee3d19e396",
+        "code.json": "956dd25260a17ed6153a99dddf09c63691e2f30307ad31dc5e760881ada4b6ed",
+        "fhs_set.json": "0715c2e4c68a9cb97dfb1b80d58308bf318e3036fd4b6cd286767077cc9cecbe",
+        "bound_report.json": "c62beb5d13451b69ba22582199a6d79d33d6cb87a4737e359cb894232631bbcd",
+    }),
+    "C512": (["--family", "C", "--q", "512", "--n", "27", "--k", "0"], {
+        "family.json": "f36ffd726c76e9d910f0f2cc10562ca1e64f6b26bfc48a0bd80821c6fb25ccf0",
+        "code.json": "8b216d393b0a1b9a910f54457c636883c3f2c6209c0428e89994768e0154c82e",
+        "fhs_set.json": "da996c2b44fbf10bcb28bdd8c33f090eeebdd4298ca10c36d98e094a4e8644fa",
+        "bound_report.json": "46a9e8a84fea8a722022dbd5ee159f88eb01e72ba0c42808f0beb148c792b497",
+    }),
+}
+PF_IDENTITY_STDOUT = {
+    (): "86fa930270f345df90ec75b2e4ad8e1549ed33a60002dc96f8c855535aadd550",
+    ("--n-max", "80", "--N-max", "400", "--l-max", "120"):
+        "5123bae1c740e7e1184845ca4158d65ceb52555c11f5fb2dc92e44661aaeb36b",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PAPER_BUILDS))
+def test_paper_build_outputs_are_pinned(tmp_path, capsys, name):
+    flags, digests = PAPER_BUILDS[name]
+    code, _, _ = run(capsys, "build", *flags, "--budget", "0", "--out", str(tmp_path))
+    assert code == 0
+    for file, digest in digests.items():
+        assert hashlib.sha256((tmp_path / file).read_bytes()).hexdigest() == digest, file
+
+
+@pytest.mark.parametrize("grid", sorted(PF_IDENTITY_STDOUT), ids=["default", "benchmark"])
+def test_pf_identity_stdout_is_pinned(capsys, grid):
+    code, out, _ = run(capsys, "pf-identity", *grid)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PF_IDENTITY_STDOUT[grid]
+
+
+@pytest.mark.parametrize("grid", [
+    ["--n-max", "1073741824", "--N-max", "1", "--l-max", "1"],
+    ["--n-max", "1", "--N-max", "1000000", "--l-max", "1000"],
+    ["--n-max", "1", "--N-max", "1073741824", "--l-max", "1"],
+], ids=["n-loop", "cells", "cells-at-2^30"])
+def test_runaway_pf_identity_is_refused_at_once(capsys, grid):
+    # each passes the 2^30 check on n_max * N_max; the first ran for hours,
+    # the second for over a minute
+    start = time.monotonic()
+    code, out, err = run(capsys, "pf-identity", *grid)
+    assert time.monotonic() - start < 1.0
+    assert code == 3 and out == ""
+    assert "BoundTooLarge" in err and "Traceback" not in err
 
 
 def test_build_outputs_are_deterministic(tmp_path, capsys):

@@ -5,7 +5,8 @@ lets an exception escape (which a user would see as a traceback), and
 `verify` exits 0 only for a record whose integers are exactly the set it
 certifies.  Token values are kept small so that no example builds more
 than a few thousand codewords, except one huge --n, --m and --cap value
-that the size checks must refuse before any work.
+that the size checks must refuse before any work, and one huge
+pf-identity grid limit that the sweep's caps must refuse the same way.
 """
 
 import contextlib
@@ -45,14 +46,20 @@ BAD = ["-1", "0", "x", "1.5", ""]
 # huge cap leaves the enumeration to the physical-memory check, which is
 # pinned to MEMORY so that it refuses the same codes on every machine:
 # those past 2^22 window keys, as the default cap does, such as the 8^9 of
-# --n 9 --q 8 with an empty defining set.
+# --n 9 --q 8 with an empty defining set.  The grid limits of pf-identity
+# draw 2^30, which passes the sweep's 2^30 check on n_max * N_max when the
+# other limit is 1, and which its n and cell caps then refuse (exit 3).
 NUMBER = BAD + ["1", "2", "3", "4", "5", "7", "8", "9"]
 HUGE = "100000000000001"
+HUGE_GRID = "1073741824"
 MEMORY = cyclic.BYTES_PER_KEY << 22
 VALUES = {
     "--n": NUMBER + [HUGE],
     "--m": NUMBER + [HUGE],
     "--cap": NUMBER + [HUGE],
+    "--n-max": NUMBER + [HUGE_GRID],
+    "--N-max": NUMBER + [HUGE_GRID],
+    "--l-max": NUMBER + [HUGE_GRID],
     "--family": ["A", "B", "C", "Ding", "D", "a"],
     "--defining-set": ["1", "1,2", "0 3", "1, 2, 4", "9", "x", ""],
     "--out": ["out", RECORD],
@@ -177,9 +184,13 @@ FUZZ = settings(derandomize=True, deadline=None, database=None,
          record=[])
 @example(argv=["build", "--family", "A", "--m", "9", "--k", "2", "--cap", HUGE],
          record=[])
+@example(argv=["pf-identity", "--n-max", HUGE_GRID, "--N-max", "1", "--l-max", "1"],
+         record=[])
+@example(argv=["pf-identity", "--n-max", "1", "--N-max", HUGE_GRID, "--l-max", "1"],
+         record=[])
 @given(argv=verify_argv, record=any_record)
 def test_cli_contract(argv, record):
-    # verify on any record, and the huge caps on valid codes
+    # verify on any record, the huge caps on valid codes and the huge grids
     check_contract(argv, record)
 
 

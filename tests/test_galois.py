@@ -491,8 +491,8 @@ def test_kernel_evaluates_polynomials():
 
 
 def _unfiltered_modulus(base, d):
-    """Reference: the packed search of `_canonical_modulus` without the
-    f' = 0 skip."""
+    """Reference: the packed search of `_canonical_modulus` without its
+    skips of the f with f' = 0 and of the even f = g(x^2)."""
     q = base.order
     order = q**d - 1
     x = Polynomial(base, (0, 1))
@@ -510,7 +510,9 @@ def _unfiltered_modulus(base, d):
 
 
 def test_skipping_pth_powers_keeps_the_canonical_modulus():
-    # the primitive moduli of the table fields
-    for p, m in [(2, 2), (2, 4), (2, 8), (2, 10), (3, 2), (3, 4), (3, 6), (5, 3)]:
+    # the primitive moduli of the table fields, and odd-p fields of even
+    # degree, where the even candidates g(x^2) come first
+    for p, m in [(2, 2), (2, 4), (2, 8), (2, 10), (3, 2), (3, 4), (3, 6), (5, 3),
+                 (5, 2), (5, 4), (7, 2), (7, 4), (11, 2), (13, 2), (31, 2)]:
         base = make_field(p, 1)
         assert _canonical_modulus(base, m) == _unfiltered_modulus(base, m), (p, m)
