@@ -16,6 +16,8 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .bounds import optimality_report, pf_identity_sweep
 from .constructions import family_a, family_b, family_c, family_ding
@@ -59,26 +61,58 @@ def _dump(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _dump_set(record: dict) -> str:
+def _format_rows(rows: np.ndarray, open_: bytes, close: bytes, sep: bytes) -> bytes:
+    """The rows of a uint32 array as ASCII text: each row is `open_`, its
+    symbols in decimal joined by ",", then `close`; rows are joined by `sep`.
+
+    Each symbol fills a fixed cell, as many bytes as the largest symbol has
+    digits, and the comma after it.  The digits come from one division by
+    10 per cell column, in uint32 under numpy's old and new casting rules
+    alike, so no Python int is made per symbol; a leading zero is a NUL
+    byte, and one `translate` deletes every NUL at the end."""
+    count, n = rows.shape
+    width = len(str(int(rows.max())))
+    cells = np.empty((count, n, width + 1), np.uint8)
+    cells[:, :, width] = ord(",")
+    ten = np.uint32(10)
+    value = rows  # rows // 10^i at pass i
+    for i in range(width):
+        rest = value // ten
+        char = value - rest * ten + np.uint32(ord("0"))
+        if i:
+            char *= value != 0  # a leading zero becomes NUL
+        cells[:, :, width - 1 - i] = char
+        value = rest
+    body = len(open_) + cells[0].size - 1  # a row up to its last digit
+    tail = close + sep
+    lines = np.empty((count, body + len(tail)), np.uint8)
+    lines[:, :len(open_)] = list(open_)
+    lines[:, len(open_):body + 1] = cells.reshape(count, -1)
+    lines[:, body:] = list(tail)  # over the last comma
+    lines[-1, body + len(close):] = 0  # no separator after the last row
+    return lines.tobytes().translate(None, b"\0")
+
+
+def _dump_set(fset: FhsSet) -> bytes:
     """An FHS set record as `_dump` writes it, except that each sequence
-    takes one line: C512's 9,709 sequences take 9,725 lines, not 281,577.
-
-    All sequences are encoded by one compact `json.dumps`; rows hold only
-    integers, so every "],[" in that text lies between two rows, and the
-    line break goes there."""
-    rest = {key: value for key, value in record.items() if key != "sequences"}
-    head = json.dumps(rest, indent=2, sort_keys=True)[:-2]  # up to the last "\n}"
-    rows = json.dumps(record["sequences"], separators=(",", ":"))[1:-1]
-    rows = rows.replace("],[", "],\n    [")
-    return f'{head},\n  "sequences": [\n    {rows}\n  ]\n}}\n'
+    takes one line: C512's 9,709 sequences take 9,725 lines, not 281,577."""
+    head = json.dumps(fset.to_json_head(), indent=2, sort_keys=True)
+    head = head[:-2]  # up to the last "\n}"
+    rows = _format_rows(fset.seqs[fset.order], b"[", b"]", b",\n    ")
+    return f'{head},\n  "sequences": [\n    '.encode() + rows + b"\n  ]\n}\n"
 
 
-def _write(path: Path, text: str) -> str:
+def _dump_csv(fset: FhsSet) -> bytes:
+    """The rows of an FHS set record, in its order, one comma-separated line each."""
+    return _format_rows(fset.seqs[fset.order], b"", b"\n", b"")
+
+
+def _write(path: Path, data: bytes) -> str:
     try:
-        path.write_text(text)
+        path.write_bytes(data)
     except OSError as exc:
         raise ParseError(f"cannot write {path}: {exc}") from exc
-    return hashlib.sha256(text.encode()).hexdigest()
+    return hashlib.sha256(data).hexdigest()
 
 
 def _poly_str(coeffs) -> str:
@@ -219,19 +253,17 @@ def cmd_build(args) -> int:
     except OSError as exc:
         raise ParseError(f"cannot create {outdir}: {exc}") from exc
     digests = {}
-    family_json = _dump(build.export_dict())
-    digests["family.json"] = _write(outdir / "family.json", family_json)
-    digests["code.json"] = _write(outdir / "code.json", _dump(build.code.export_dict()))
+    digests["family.json"] = _write(outdir / "family.json",
+                                    _dump(build.export_dict()).encode())
+    digests["code.json"] = _write(outdir / "code.json",
+                                  _dump(build.code.export_dict()).encode())
     if build.fhs is not None:
-        record = build.fhs.to_json_dict()
-        digests["fhs_set.json"] = _write(outdir / "fhs_set.json", _dump_set(record))
+        digests["fhs_set.json"] = _write(outdir / "fhs_set.json", _dump_set(build.fhs))
         if args.csv:
-            rows = record["sequences"]
-            csv_text = "\n".join(",".join(map(str, row)) for row in rows) + "\n"
-            digests["fhs_set.csv"] = _write(outdir / "fhs_set.csv", csv_text)
+            digests["fhs_set.csv"] = _write(outdir / "fhs_set.csv", _dump_csv(build.fhs))
     if build.report is not None:
         digests["bound_report.json"] = _write(
-            outdir / "bound_report.json", _dump(build.report.to_json_dict())
+            outdir / "bound_report.json", _dump(build.report.to_json_dict()).encode()
         )
     manifest = {
         "command": "build",
@@ -241,7 +273,7 @@ def cmd_build(args) -> int:
         "wall_clock_s": round(time.monotonic() - start, 3),
         "outputs": digests,
     }
-    _write(outdir / "manifest.json", _dump(manifest))
+    _write(outdir / "manifest.json", _dump(manifest).encode())
 
     for name, value in sorted(build.observations.items()):
         print(f"observed {name}: {value}")

@@ -105,15 +105,18 @@ class FhsSet:
     def size(self) -> int:
         return self.seqs.shape[0]
 
-    def to_json_dict(self) -> dict:
+    def to_json_head(self) -> dict:
+        """The record's fields other than `sequences`."""
         return {
             "n": self.n,
             "ell": self.alphabet_size,
             "N": self.size,
             "lambda": self.max_correlation,
             "provenance": self.provenance,
-            "sequences": self.seqs[self.order].tolist(),
         }
+
+    def to_json_dict(self) -> dict:
+        return {**self.to_json_head(), "sequences": self.seqs[self.order].tolist()}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "FhsSet":

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from fhsforge import cyclic
-from fhsforge.cli import _dump_set, main, make_parser
+from fhsforge.cli import _dump_csv, _dump_set, main, make_parser
 from fhsforge.fhs import FhsSet, correlation
 
 
@@ -140,17 +140,55 @@ def per_row_dump_set(record):
     return f'{head},\n  "sequences": [\n{rows}\n  ]\n}}\n'
 
 
+# the symbols on each side of a change in digit count, up to the largest uint32
+EDGE_SYMBOLS = (0, 9, 10, 99, 100, 10**9 - 1, 10**9, 2**32 - 1)
+
+
+def drawn_sets(seed):
+    """FHS sets with N = 1 or n = 1 among them, some with an all-zero row,
+    and symbols drawn from EDGE_SYMBOLS as often as at random; each set's
+    rows are given shuffled, so the writers must follow its order."""
+    rng = random.Random(seed)
+    seen = set()
+    for _ in range(300):
+        count = rng.choice([1, rng.randrange(1, 30)])
+        n = rng.choice([1, rng.randrange(1, 6)])
+        ell = rng.choice([2, 10, 11, 101, 257, 10**9 + 1, 2**32])
+        edges = [s for s in EDGE_SYMBOLS if s < ell]
+
+        def symbol():
+            return rng.choice(edges) if rng.random() < 0.5 else rng.randrange(ell)
+
+        rows = {tuple(symbol() for _ in range(n)) for _ in range(count)}
+        if rng.random() < 0.3:
+            rows.add((0,) * n)
+        rows = list(rows)
+        rng.shuffle(rows)
+        seen.update(s for row in rows for s in row if s in EDGE_SYMBOLS)
+        if len(rows) == 1:
+            seen.add("N = 1")
+        if n == 1:
+            seen.add("n = 1")
+        if (0,) * n in rows:
+            seen.add("zero row")
+        yield FhsSet(rows, ell, {"family": "B", "q": ell}, rng.randrange(n))
+    assert seen == {*EDGE_SYMBOLS, "N = 1", "n = 1", "zero row"}
+
+
 def test_dump_set_matches_per_row_encoder():
-    rng = random.Random(41)
-    for _ in range(200):
-        count, n = rng.randrange(1, 30), rng.randrange(1, 6)
-        ell = rng.choice([2, 10, 257, 2**32])
-        rows = {tuple(rng.randrange(ell) for _ in range(n)) for _ in range(count)}
-        fset = FhsSet(sorted(rows), ell, {"family": "B", "q": ell}, rng.randrange(n))
+    for fset in drawn_sets(41):
         record = fset.to_json_dict()
-        text = _dump_set(record)
-        assert text == per_row_dump_set(record)
+        text = _dump_set(fset)
+        assert text == per_row_dump_set(record).encode()
         assert json.loads(text) == record
+
+
+def test_dump_csv_matches_per_row_encoder():
+    for fset in drawn_sets(43):
+        rows = fset.to_json_dict()["sequences"]
+        assert _dump_csv(fset) == "".join(
+            ",".join(map(str, row)) + "\n" for row in rows
+        ).encode()
 
 
 def test_csv_rows_follow_the_json_order(tmp_path, capsys):
@@ -176,43 +214,50 @@ def test_verify_reads_stored_benchmark_sets(tmp_path, capsys, name):
     assert f"stored lambda = {lam}; measured (exhaustive) = {lam}" in out.splitlines()
 
 
-# SHA-256 of each paper build's outputs at --budget 0, and of pf-identity's
-# stdout: a change that keeps the outputs byte-identical keeps these.
+# SHA-256 of each paper build's outputs at --csv --budget 0, and of
+# pf-identity's stdout: a change that keeps the outputs byte-identical keeps
+# these.
 PAPER_BUILDS = {
     "A8k1": (["--family", "A", "--m", "3", "--k", "1"], {
         "family.json": "585b02e5b118df176b092c0c155c2620f917fab5f4b53fed2b5092c14c7f64af",
         "code.json": "d16f9f58a7e0537468b364db52a893fa9ce721a342aa3b4712da16c4075a4449",
         "fhs_set.json": "dc45327f0f5d20903c72aef84f69bc033490e0e7a87eca4d09549f3a142195fe",
+        "fhs_set.csv": "c8702990366d0b5221c2f6b4165e00e8ed0cebb9cb2a19c0b0e6e773f867d16f",
         "bound_report.json": "371ba0592ec2b17b7a542781f91d8b2a241b810072757e26e30dfa3e0fae4bc7",
     }),
     "A8k2": (["--family", "A", "--m", "3", "--k", "2"], {
         "family.json": "a56f110e2fe0483a3ad290efed193c1c62ebc80c6e990777b205fc53c332a44a",
         "code.json": "32bccf40969a8c4637db1561306289c8d672c15bf5a93976316c089ee79f6fe9",
         "fhs_set.json": "5d1ff7273d5e60aaf727894f7ecbcfc3b12e21c803ecfe29228ca0f518acdc5b",
+        "fhs_set.csv": "b54342cc0a0e9d1e518ce7de69b9892abc391ac70be923c655df749e1fccc55c",
         "bound_report.json": "2cf2871717974345cafd880cdb755c953959253a5d7df590fe049182845e4d56",
     }),
     "B5": (["--family", "B", "--q", "5"], {
         "family.json": "cf2c05f826b13c2a66a988ff63a401eacbc27a4f5cdb95c6368217419ecc2c91",
         "code.json": "97a31f294152e57eda8811340e7de33d83bfa7fcebea264cc9cdeeae38ab07dc",
         "fhs_set.json": "fddbbffa89c935bf1c9ce5b449a411bef7c8d8302a4114aef97e0722771fd602",
+        "fhs_set.csv": "612480ffc6f2d9318715e3262482c11cc6c349b901bc8553a8ef9cbda809fac7",
         "bound_report.json": "bd7de777b8273e2878e08b07d48f403cad3f8793779b38f0850abea84d222fba",
     }),
     "B25": (["--family", "B", "--q", "25"], {
         "family.json": "cc220026f8de25d252fdbdf8876b4591b51cbf39b7f8c89b15ed5264059487f5",
         "code.json": "717a0940c42aa61d4ad9bf2b8acdef90755f52fbb8cdf4f6cbf357cfcaff3299",
         "fhs_set.json": "2979ede6adad8266020f0fcb388011e342a9a865a86a8c53dd3cc4fb560490ef",
+        "fhs_set.csv": "28d5c2cf5dadd357f67021242a41dd1c131e346e2be96937b91c44296b6c3c3b",
         "bound_report.json": "fe89245a3282fcbaf313cc62fa8b5de884f80ed76a67ea2e849391082cf6dbf3",
     }),
     "C32": (["--family", "C", "--q", "32", "--n", "11", "--k", "0"], {
         "family.json": "ddd5fff3adce9c01e7ba944b6db8c9ee092fed4fd905ca625926f0ee3d19e396",
         "code.json": "956dd25260a17ed6153a99dddf09c63691e2f30307ad31dc5e760881ada4b6ed",
         "fhs_set.json": "0715c2e4c68a9cb97dfb1b80d58308bf318e3036fd4b6cd286767077cc9cecbe",
+        "fhs_set.csv": "f597ffce88ff7d177d0242bfabe131c6a368a277bad88d558f8ec1baa20afadd",
         "bound_report.json": "c62beb5d13451b69ba22582199a6d79d33d6cb87a4737e359cb894232631bbcd",
     }),
     "C512": (["--family", "C", "--q", "512", "--n", "27", "--k", "0"], {
         "family.json": "f36ffd726c76e9d910f0f2cc10562ca1e64f6b26bfc48a0bd80821c6fb25ccf0",
         "code.json": "8b216d393b0a1b9a910f54457c636883c3f2c6209c0428e89994768e0154c82e",
         "fhs_set.json": "da996c2b44fbf10bcb28bdd8c33f090eeebdd4298ca10c36d98e094a4e8644fa",
+        "fhs_set.csv": "7a52c8e68e1b963cfd27b2751c23cb928573c6de6eea55f0c003c2b21996a742",
         "bound_report.json": "46a9e8a84fea8a722022dbd5ee159f88eb01e72ba0c42808f0beb148c792b497",
     }),
 }
@@ -226,10 +271,14 @@ PF_IDENTITY_STDOUT = {
 @pytest.mark.parametrize("name", sorted(PAPER_BUILDS))
 def test_paper_build_outputs_are_pinned(tmp_path, capsys, name):
     flags, digests = PAPER_BUILDS[name]
-    code, _, _ = run(capsys, "build", *flags, "--budget", "0", "--out", str(tmp_path))
+    code, _, _ = run(capsys, "build", *flags, "--csv", "--budget", "0",
+                     "--out", str(tmp_path))
     assert code == 0
     for file, digest in digests.items():
         assert hashlib.sha256((tmp_path / file).read_bytes()).hexdigest() == digest, file
+    # the manifest names the digest of each file's exact bytes
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["outputs"] == digests
 
 
 @pytest.mark.parametrize("grid", sorted(PF_IDENTITY_STDOUT), ids=["default", "benchmark"])
