@@ -300,10 +300,9 @@ def cmd_verify(args) -> int:
     # ValueError covers bytes that are not UTF-8, malformed JSON and an
     # integer past the int-to-str limit; RecursionError, nesting too deep.
     try:
-        data = json.loads(Path(args.path).read_text())
+        fset = FhsSet.from_json_dict(Path(args.path).read_bytes())
     except (OSError, ValueError, RecursionError) as exc:
         raise ParseError(f"cannot read {args.path}: {exc}") from exc
-    fset = FhsSet.from_json_dict(data)
     stored = fset.max_correlation
     if stored is None:
         raise ParseError("stored record has no lambda to verify against")

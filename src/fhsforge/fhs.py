@@ -17,7 +17,9 @@ correlation ends at M(F).
 from __future__ import annotations
 
 import itertools
+import json
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,7 +121,22 @@ class FhsSet:
         return {**self.to_json_head(), "sequences": self.seqs[self.order].tolist()}
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "FhsSet":
+    def from_json_dict(cls, data: dict | bytes) -> "FhsSet":
+        """A set from a record: a parsed JSON object, or the bytes of a JSON
+        file.  Bytes whose `sequences` is a plain array of decimal rows are
+        read by `_decode_record`; any other bytes are decoded as strict
+        UTF-8 and parsed by `json.loads`, whose ValueError or RecursionError
+        propagates.  Both give the same set, or the same ParseError."""
+        arr = None
+        if isinstance(data, bytes):
+            decoded = _decode_record(data)
+            if decoded is None:
+                # universal newlines, as a file read in text mode gives them,
+                # so that json's error positions are those of that text
+                text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+                data = json.loads(text)
+            else:
+                data, arr = decoded
         try:
             seqs = data["sequences"]
             ell = _json_int(data["ell"], "ell")
@@ -133,22 +150,8 @@ class FhsSet:
             _json_int(lam, "lambda")
         if not isinstance(provenance, (dict, type(None))):
             raise ParseError("provenance must be an object")
-        if not isinstance(seqs, list) or any(not isinstance(s, list) for s in seqs):
-            raise ParseError("sequences must be a list of lists")
-        if len(seqs) != count:
-            raise ParseError(f"N = {count} but {len(seqs)} sequences present")
-        if any(len(s) != n for s in seqs):
-            raise ParseError("sequence length differs from declared n")
-        # numpy would truncate 1.7 and coerce True or "3", so the set of
-        # symbol types is checked first, at C speed, then the range.
-        kinds = set(map(type, itertools.chain.from_iterable(seqs))) - {int}
-        if kinds:
-            names = ", ".join(sorted(k.__name__ for k in kinds))
-            raise ParseError(f"symbols must be integers, found {names}")
-        try:
-            arr = np.asarray(seqs, dtype=np.int64)
-        except OverflowError as exc:
-            raise ParseError(f"symbol out of range: {exc}") from exc
+        if arr is None:
+            arr = _list_rows(seqs, count, n)
         if arr.size and (arr.min() < 0 or arr.max() >= min(ell, 1 << 32)):
             raise ParseError(f"symbols must lie in 0..{ell - 1}")
         try:
@@ -162,6 +165,166 @@ class FhsSet:
             f"FhsSet(n={self.n}, N={self.size}, ell={self.alphabet_size}, "
             f"lambda={self.max_correlation})"
         )
+
+
+def _list_rows(seqs, count: int, n: int) -> np.ndarray:
+    """A parsed record's `sequences` as an int64 array, after the checks
+    that a list of lists of exactly N rows of n JSON integers passes."""
+    if not isinstance(seqs, list) or any(not isinstance(s, list) for s in seqs):
+        raise ParseError("sequences must be a list of lists")
+    if len(seqs) != count:
+        raise ParseError(f"N = {count} but {len(seqs)} sequences present")
+    if any(len(s) != n for s in seqs):
+        raise ParseError("sequence length differs from declared n")
+    # numpy would truncate 1.7 and coerce True or "3", so the set of
+    # symbol types is checked first, at C speed, then the range.
+    kinds = set(map(type, itertools.chain.from_iterable(seqs))) - {int}
+    if kinds:
+        names = ", ".join(sorted(k.__name__ for k in kinds))
+        raise ParseError(f"symbols must be integers, found {names}")
+    try:
+        return np.asarray(seqs, dtype=np.int64)
+    except OverflowError as exc:
+        raise ParseError(f"symbol out of range: {exc}") from exc
+
+
+_WHITESPACE = b" \t\n\r"  # JSON's four whitespace bytes
+_KEY = b'"sequences"'
+_ARRAY_OPEN = re.compile(rb"[ \t\n\r]*:[ \t\n\r]*\[")
+# in a plain array, the first "]" then "]" past whitespace closes it
+_ARRAY_CLOSE = re.compile(rb"\][ \t\n\r]*\]")
+_MAX_DIGITS = 10
+_BLOCK = 1 << 16  # bytes, or numbers, per numpy pass: no temporary spans a record
+
+
+def _decode_record(raw: bytes) -> tuple[dict, np.ndarray] | None:
+    """A record's fields and its `sequences` as an (N, n) int64 array,
+    read from the bytes of a JSON file, or None when they are not ASCII or
+    the array is not plain: N rows of n decimal numbers of 1 to 10 digits
+    without leading zeros, N and n the record's own, with whitespace only
+    between tokens.  What it returns is what `json.loads` and the list
+    checks of `FhsSet.from_json_dict` would give.  (Bytes past ASCII fail
+    the ASCII decode of the fields or, in the array, the skeleton.)
+
+    The array is the value of the last `"sequences"` key.  In the fields
+    it is replaced by `NaN` and the rest is parsed by `json.loads`: the one
+    constant that parse meets must be that NaN, at the top level's
+    `sequences`, which rules out a second or nested `sequences` key and a
+    match inside a string.  The numbers are read in numpy from the array's
+    bytes once its whitespace is deleted."""
+    key = raw.rfind(_KEY)
+    opening = _ARRAY_OPEN.match(raw, key + len(_KEY)) if key >= 0 else None
+    closing = opening and _ARRAY_CLOSE.search(raw, opening.end())
+    if not closing:
+        return None
+    start, end = opening.end() - 1, closing.end()
+    marker, constants = object(), []
+
+    def constant(name):
+        constants.append(name)
+        return marker
+
+    try:
+        fields = json.loads((raw[:start] + b"NaN" + raw[end:]).decode("ascii"),
+                            parse_constant=constant)
+    except (ValueError, RecursionError):
+        return None
+    if len(constants) != 1 or type(fields) is not dict \
+            or fields.get("sequences") is not marker:
+        return None
+    count, n = fields.get("N"), fields.get("n")
+    if type(count) is not int or type(n) is not int or count < 1 or n < 1:
+        return None
+    # a number split by whitespace would read as one once it is deleted
+    if _digit_runs(np.frombuffer(raw, np.uint8, end - start, start)) != count * n:
+        return None
+    text = raw.translate(None, _WHITESPACE)
+    first = len(raw[:start].translate(None, _WHITESPACE))
+    last = len(text) - len(raw[end:].translate(None, _WHITESPACE))
+    arr = _decode_rows(np.frombuffer(text, np.uint8, last - first, first), count, n)
+    return None if arr is None else (fields, arr)
+
+
+def _is_digit(chars: np.ndarray) -> np.ndarray:
+    # uint8 wraps below "0", under numpy's old and new casting rules alike
+    return chars - np.uint8(ord("0")) < np.uint8(10)
+
+
+def _digit_runs(chars: np.ndarray) -> int:
+    """The number of runs of digits in `chars`, whose last byte is no digit."""
+    runs = 0
+    for at in range(0, chars.size - 1, _BLOCK):
+        digit = _is_digit(chars[at:at + _BLOCK + 1])  # one byte of overlap
+        runs += int(np.count_nonzero(digit[:-1] > digit[1:]))  # a run's end
+    return runs
+
+
+def _decode_rows(chars: np.ndarray, count: int, n: int) -> np.ndarray | None:
+    """The (count, n) int64 array that `chars`, the bytes of a JSON array
+    without whitespace, holds when they are "[" then `count` rows "[d,...,d]"
+    of n numbers joined by "," then "]", each number 1 to `_MAX_DIGITS`
+    digits without a leading zero; None when they are anything else.
+
+    Every byte that is no digit is a mark, and the marks must be exactly
+    that "[", "," and "]" skeleton.  Rows are then read in blocks of about
+    `_BLOCK` numbers."""
+    marks = count * (n + 2) + 1
+    if chars.size < marks + count * n:  # at least one digit per number
+        return None
+    at = np.empty(marks, np.int32)
+    found = 0
+    for start in range(0, chars.size, _BLOCK):
+        block = np.flatnonzero(~_is_digit(chars[start:start + _BLOCK]))
+        if found + block.size > marks:
+            return None
+        at[found:found + block.size] = block + start
+        found += block.size
+    row = b"[" + b"," * (n - 1) + b"]"
+    if found != marks or chars.take(at).tobytes() != b"[" + b",".join([row] * count) + b"]":
+        return None
+    # row r's marks: "[" in column 0, the commas, "]" in column n, then the
+    # "," or the final "]" after the row; number (r, j) lies between the
+    # marks in columns j and j + 1
+    grid = at[1:].reshape(count, n + 2)
+    values = np.empty((count, n), np.int64)
+    digits = 0
+    step = max(1, _BLOCK // n)
+    for r in range(0, count, step):
+        ends = grid[r:r + step, 1:n + 1]
+        widths = ends - grid[r:r + step, :n] - 1
+        if widths.min() < 1 or widths.max() > _MAX_DIGITS:
+            return None
+        digits += int(widths.sum(dtype=np.int64))
+        if not _horner(chars, ends, widths, values[r:r + step]):
+            return None
+    if digits != chars.size - marks:
+        return None  # digits outside the numbers
+    return values
+
+
+def _horner(chars: np.ndarray, ends: np.ndarray, widths: np.ndarray,
+            out: np.ndarray) -> bool:
+    """Write into `out` the numbers of `widths` digits that end before the
+    positions `ends` of `chars`, in place; False if one has a leading zero.
+
+    The digit columns are right-aligned at the ends and read top column
+    first.  Left of a number its column is a padding 0; the index there may
+    be negative, left of the array, which reads from its end but is masked
+    all the same."""
+    top = int(widths.max())
+    index = (ends - top).astype(np.intp)
+    digit = np.empty(ends.shape, np.uint8)
+    out[...] = 0
+    for i in range(top - 1, -1, -1):  # the digit of 10^i
+        chars.take(index, out=digit)
+        digit -= np.uint8(ord("0"))
+        if i and ((digit == 0) & (widths == i + 1)).any():
+            return False  # a leading zero
+        digit *= widths > i
+        out *= 10
+        out += digit
+        index += 1
+    return True
 
 
 @dataclass(frozen=True)

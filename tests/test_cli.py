@@ -201,17 +201,31 @@ def test_csv_rows_follow_the_json_order(tmp_path, capsys):
     assert rows == record["sequences"] == sorted(record["sequences"])
 
 
-@pytest.mark.parametrize("name", ["A8k1", "A8k2", "B5", "B25"])
+@pytest.mark.parametrize("name", ["A8k1", "A8k2", "B5", "B25", "C512"])
 def test_verify_reads_stored_benchmark_sets(tmp_path, capsys, name):
     # compact records of sets built under the earlier root-of-unity
-    # convention: they are still optimal sets, and verify certifies them
+    # convention: they are still optimal sets, and verify certifies them,
+    # in that layout, in the benchmark's indented one and in build's one
+    # row per line, with the same lambda and witness
     stored = Path(__file__).resolve().parents[1] / "perfbench" / "data" / f"{name}.json.gz"
-    path = tmp_path / f"{name}.json"
-    path.write_bytes(gzip.decompress(stored.read_bytes()))
-    lam = json.loads(path.read_text())["lambda"]
-    code, out, _ = run(capsys, "verify", str(path))
-    assert code == 0
-    assert f"stored lambda = {lam}; measured (exhaustive) = {lam}" in out.splitlines()
+    compact = gzip.decompress(stored.read_bytes())
+    record = json.loads(compact)
+    layouts = {
+        "compact": compact,
+        "indented": (json.dumps(record, indent=2, sort_keys=True) + "\n").encode(),
+        "build": _dump_set(FhsSet.from_json_dict(record)),
+    }
+    lam = record["lambda"]
+    outs = []
+    for layout, text in layouts.items():
+        path = tmp_path / f"{name}-{layout}.json"
+        path.write_bytes(text)
+        code, out, err = run(capsys, "verify", str(path))
+        assert (code, err) == (0, ""), layout
+        assert out.splitlines()[0] == f"stored lambda = {lam}; measured (exhaustive) = {lam}"
+        assert out.splitlines()[1].startswith("witness: ")
+        outs.append(out)
+    assert outs[0] == outs[1] == outs[2]
 
 
 # SHA-256 of each paper build's outputs at --csv --budget 0, and of

@@ -14,6 +14,7 @@ import io
 import json
 import os
 import tempfile
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -124,6 +125,51 @@ raw_records = st.one_of(
 )
 
 
+@dataclass(frozen=True)
+class RecordText:
+    """A record file written out by hand, which may hold a valid record."""
+
+    data: bytes
+
+
+SPACING = ["", " ", "\n  ", "\t", "\r\n", "\r\n\t"]
+PROVENANCE = [
+    '{"family": "imported"}',
+    '{"family": "caf\u00e9"}',  # not ASCII
+    '{"note": "\\"sequences\\": [[0, 1]]"}',  # a key and array inside a string
+    '{"sequences": [[0, 1]]}',  # a nested key
+    '{"x": NaN}',
+]
+EXTRA_FIELDS = ['"sequences": [[0, 1]]', '"x": NaN', '"y": Infinity']
+
+
+@st.composite
+def record_texts(draw):
+    """Records over 0..3 in any layout, with what only their text shows:
+    duplicate and nested `sequences` keys, a string that holds one, NaN
+    elsewhere, numbers split by whitespace or with leading zeros, tabs and
+    CRLF, `[]` and `[[]]`, non-ASCII text and a UTF-8 BOM."""
+    seqs = draw(small_rows)
+    space = draw(st.sampled_from(SPACING))
+    numbers = [[str(value) for value in row] for row in seqs]
+    odd = draw(st.sampled_from([None] * 4 + ["split", "zero"]))
+    if odd:  # one number split by whitespace, or with a leading zero
+        row = draw(st.sampled_from(numbers))
+        at = draw(st.integers(0, len(row) - 1))
+        glue = draw(st.sampled_from(SPACING[1:])) if odd == "split" else ""
+        row[at] = f"{row[at]}{glue}{row[at]}" if glue else f"0{row[at]}"
+    rows = ("," + space).join("[" + ",".join(row) + "]" for row in numbers)
+    array = draw(st.sampled_from(["[" + space + rows + space + "]"] * 6 + ["[]", "[[]]"]))
+    fields = [f'"N": {len(seqs)}', '"ell": 4', f'"lambda": {draw(st.integers(0, 5))}',
+              f'"n": {len(seqs[0])}', f'"provenance": {draw(st.sampled_from(PROVENANCE))}',
+              f'"sequences": {array}']
+    for extra in draw(st.lists(st.sampled_from(EXTRA_FIELDS), max_size=2)):
+        fields.insert(draw(st.integers(0, len(fields))), extra)
+    text = "{" + space + ("," + space).join(fields) + space + "}"
+    bom = draw(st.sampled_from([b""] * 4 + [b"\xef\xbb\xbf"]))
+    return RecordText(bom + text.encode())
+
+
 def exact_lambda(record) -> bool:
     """True when the record holds N distinct length-n rows of exact ints in
     0..ell-1 and its lambda is their exact maximum correlation."""
@@ -153,9 +199,9 @@ def check_contract(argv, record):
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         try:
-            if isinstance(record, bytes):
+            if isinstance(record, (bytes, RecordText)):
                 with open(RECORD, "wb") as fh:
-                    fh.write(record)
+                    fh.write(getattr(record, "data", record))
             else:
                 with open(RECORD, "w") as fh:
                     json.dump(record, fh)
@@ -171,10 +217,12 @@ def check_contract(argv, record):
     certified = code == 0 and not {"--help", "--version"} & set(argv)
     if "verify" in argv[:1] and certified:  # RECORD is the only file there
         assert not isinstance(record, bytes), (argv, record, out.getvalue())
+        if isinstance(record, RecordText):
+            record = json.loads(record.data)
         assert exact_lambda(record), (argv, record, out.getvalue())
 
 
-any_record = st.one_of(records(), records(), records(), raw_records)
+any_record = st.one_of(records(), records(), records(), raw_records, record_texts())
 FUZZ = settings(derandomize=True, deadline=None, database=None,
                 suppress_health_check=[HealthCheck.too_slow])
 
@@ -201,3 +249,10 @@ def test_subcommand_contract(command, data, record):
     # each subcommand draws its own argv, so none is left to the luck of
     # the derandomized seed
     check_contract(data.draw(random_argv(command), label="argv"), record)
+
+
+@settings(FUZZ, max_examples=150)
+@given(argv=verify_argv, record=record_texts())
+def test_verify_record_text_contract(argv, record):
+    # the layouts and textual oddities that only a record's bytes show
+    check_contract(argv, record)

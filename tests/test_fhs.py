@@ -1,10 +1,13 @@
+import io
 import itertools
+import json
 import random
 
 import numpy as np
 import pytest
 
 from fhsforge import fhs
+from fhsforge.cli import _dump_set
 from fhsforge.constructions import family_a, family_b, family_c
 from fhsforge.cyclic import build_code, class_partition
 from fhsforge.errors import (
@@ -239,6 +242,101 @@ def test_fhs_set_parse_errors():
         mutate(data)
         with pytest.raises(ParseError):
             FhsSet.from_json_dict(data)
+
+
+def parsed(data):
+    """What `FhsSet.from_json_dict` makes of `data`: the set's every field,
+    or the error it raises."""
+    try:
+        fset = FhsSet.from_json_dict(data)
+    except (ParseError, ValueError, RecursionError) as exc:
+        return type(exc).__name__, str(exc)
+    return (fset.seqs.tolist(), fset.order.tolist(), fset.alphabet_size,
+            fset.max_correlation, fset.provenance)
+
+
+def parsed_as_list(raw: bytes):
+    """The oracle: the file read as text, as `open` reads it, then
+    `json.loads` and the record's parsed lists."""
+    try:
+        data = json.loads(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8").read())
+    except (ValueError, RecursionError) as exc:
+        return type(exc).__name__, str(exc)
+    return parsed(data)
+
+
+def layouts(fset):
+    """A set's record in the stored compact layout, the indented one of
+    `json.dumps(indent=2)`, and build's one row per line."""
+    record = fset.to_json_dict()
+    return {
+        "compact": json.dumps(record, separators=(",", ":"), sort_keys=True).encode(),
+        "indented": (json.dumps(record, indent=2, sort_keys=True) + "\n").encode(),
+        "build": _dump_set(fset),
+    }
+
+
+def test_record_bytes_read_as_their_parsed_json():
+    # every one-byte substitution, insertion and deletion of a small record
+    # in each layout: the bytes give the set or the error of the list path
+    fset = FhsSet([[0, 1, 10], [2, 10, 1]], 11, {"family": "B", "q": 5}, 1)
+    decoded = 0
+    for layout, raw in layouts(fset).items():
+        assert fhs._decode_record(raw) is not None, layout
+        mutants = {raw[:i] + raw[i + 1:] for i in range(len(raw))}
+        for i in range(len(raw) + 1):
+            for byte in b'0123456789[], \n"-.eN\x0c':
+                mutants.add(raw[:i] + bytes([byte]) + raw[i + 1:])
+                mutants.add(raw[:i] + bytes([byte]) + raw[i:])
+        for mutant in mutants:
+            decoded += fhs._decode_record(mutant) is not None
+            assert parsed(mutant) == parsed_as_list(mutant), mutant
+    assert decoded > 1000  # the decoder itself is under test, not only its fallback
+
+
+@pytest.mark.parametrize("symbol, decoded, kept", [
+    (b"0", True, True), (b"9", True, True), (b"10", True, True),
+    (b"99", True, True), (b"100", True, True), (b"4294967295", True, True),
+    (b"4294967296", True, False), (b"9999999999", True, False),
+    (b"12345678901", False, False), (b"-0", False, True),
+])
+def test_record_bytes_edge_symbols(symbol, decoded, kept):
+    # ten digits are decoded and range-checked; eleven, or a sign, are left
+    # to the list path
+    raw = b'{"N":2,"ell":4294967296,"lambda":0,"n":2,"sequences":[[1,%s],[1,1]]}' % symbol
+    assert (fhs._decode_record(raw) is not None) == decoded
+    assert parsed(raw) == parsed_as_list(raw)
+    if kept:
+        assert FhsSet.from_json_dict(raw).seqs[0, 1] == int(symbol)
+    else:
+        with pytest.raises(ParseError, match=r"symbols must lie in 0\.\.4294967295"):
+            FhsSet.from_json_dict(raw)
+
+
+RECORD = b'{"N":1,"ell":4,"lambda":0,"n":2,%s}'
+
+
+@pytest.mark.parametrize("fields, decoded", [
+    ('"provenance":{"family":"caf\u00e9"},"sequences":[[0,1]]'.encode(), False),
+    (b'"provenance":{"x":NaN},"sequences":[[0,1]]', False),
+    (b'"sequences":[[1,2]],"sequences":[[0,1]]', True),  # the last key wins
+    (b'"sequences":[[0,1]],"provenance":{"sequences":[[1,2]]}', False),
+    (b'"sequences":[[0,1]],"p":"sequences"', False),
+    (b'"sequences":[[0,1 2]]', False),
+    (b'"sequences":[[0,01]]', False),
+    (b'"sequences":[[,1]3]', False),
+    (b'"sequences":[[0,1],[1,0]]', False),
+    (b'"sequences":[[0,1]],"N":0', False),
+    (b'"sequences":[[]],"n":0', False),
+    (b'"sequences":[]', False),
+], ids=["not-ascii", "nan", "duplicate-key", "nested-key", "key-in-string", "split",
+        "leading-zero", "digit-outside", "wrong-N", "no-rows", "empty-row", "empty"])
+def test_record_bytes_decline_rules(fields, decoded):
+    # each but the duplicate key is left to the list path; either way the
+    # bytes give the set or the error that the list path gives
+    raw = RECORD % fields
+    assert (fhs._decode_record(raw) is not None) == decoded
+    assert parsed(raw) == parsed_as_list(raw)
 
 
 # -- exhaustive sweep --------------------------------------------------------------
