@@ -14,7 +14,6 @@ from .bounds import (
 )
 from .constructions import (
     FamilyBuild,
-    FamilyParams,
     family_a,
     family_b,
     family_c,
@@ -56,7 +55,6 @@ __all__ = [
     "CyclicCode",
     "CyclotomicCoset",
     "FamilyBuild",
-    "FamilyParams",
     "FhsSet",
     "FiniteField",
     "Polynomial",

@@ -267,7 +267,7 @@ def cmd_build(args) -> int:
         )
     manifest = {
         "command": "build",
-        "params": build.params.export_dict(),
+        "params": build.params,
         "caps": {"enumeration_cap": cap, "correlation_budget": budget},
         "version": __version__,
         "wall_clock_s": round(time.monotonic() - start, 3),
@@ -284,7 +284,7 @@ def cmd_build(args) -> int:
     if not build.all_claims_hold():
         print("CLAIM MISMATCH")
         return EXIT_MISMATCH
-    if build.fhs is None and build.params.family != "Ding":
+    if build.fhs is None and build.params["family"] != "Ding":
         print("parameters-only (enumeration beyond cap)")
         return EXIT_BUDGET
     if build.fhs is not None and build.survey is None:

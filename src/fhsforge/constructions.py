@@ -28,9 +28,9 @@ from math import gcd
 from .bounds import BoundReport, optimality_report
 from .cyclic import (
     CyclicCode,
+    _full_orbits,
     build_code,
     class_partition,
-    has_full_orbits_nonzero,
     has_full_orbits_outside_constants,
     unit_coset_code,
     ENUMERATION_CAP,
@@ -68,33 +68,13 @@ def largest_bad_m(n: int) -> int:
 
 
 @dataclass
-class FamilyParams:
-    family: str
-    q: int
-    n: int
-    k: int | None = None
-    m: int | None = None
-    p: int | None = None  # smallest prime divisor of q+1 (family A)
-    bad_m: int | None = None  # family C's M
-
-    def export_dict(self) -> dict:
-        out = {"family": self.family, "q": self.q, "n": self.n}
-        if self.m is not None:
-            out["m"] = self.m
-        if self.k is not None:
-            out["k"] = self.k
-        if self.p is not None:
-            out["p"] = self.p
-        if self.bad_m is not None:
-            out["M"] = self.bad_m
-        return out
-
-
-@dataclass
 class FamilyBuild:
-    """A constructed family instance plus everything that was verified."""
+    """A constructed family instance plus everything that was verified.
+    `params` is the instance's exported parameters, `family`, `q` and `n`
+    first: A adds `m`, `k` and `p` (the smallest prime divisor of q+1), C
+    adds `k` and `M`, Ding adds `m`."""
 
-    params: FamilyParams
+    params: dict
     code: CyclicCode
     claimed_N: int | None
     claimed_lambda: int | None
@@ -105,7 +85,7 @@ class FamilyBuild:
     observations: dict = dc_field(default_factory=dict)
 
     def export_dict(self) -> dict:
-        out = self.params.export_dict()
+        out = dict(self.params)
         out["claimed"] = {
             "N": str(self.claimed_N) if self.claimed_N is not None else None,
             "lambda": self.claimed_lambda,
@@ -123,27 +103,21 @@ class FamilyBuild:
 
 def _materialize(
     build: FamilyBuild,
-    mode: str,
     enum_cap: int,
     budget: int | None,
 ) -> FamilyBuild:
+    """Check and, within the caps, build and certify the family's set: one
+    sequence per orbit outside the code's constant words, which are the
+    zero word alone when 0 is in Z."""
     code = build.code
     n, q = code.n, code.field.order
-    predicate = (
-        has_full_orbits_outside_constants(code)
-        if mode == "nonconstant"
-        else has_full_orbits_nonzero(code)
-    )
-    build.checks["orbit_predicate"] = predicate
+    build.checks["orbit_predicate"] = _full_orbits(code)
     lambda_source = "claimed"
     if code.size <= enum_cap:
-        exclude = "constants" if mode == "nonconstant" else "zero"
-        reps, sizes = class_partition(code, exclude=exclude, cap=enum_cap)
+        reps, sizes = class_partition(code, exclude="constants", cap=enum_cap)
         build.checks["class_count"] = len(sizes) == build.claimed_N
         build.checks["class_sizes"] = bool((sizes == n).all())
-        build.fhs = classes_to_fhs(
-            reps, sizes, code, mode, provenance=build.params.export_dict()
-        )
+        build.fhs = classes_to_fhs(reps, sizes, code, provenance=build.params)
         try:
             build.survey = max_nontrivial(build.fhs, budget=budget)
             build.checks["lambda_match"] = build.survey.value == build.claimed_lambda
@@ -178,11 +152,11 @@ def family_a(
     if not 1 <= k <= k_cap:
         raise KOutOfRange(f"k must satisfy 1 <= k <= {k_cap}, got {k}")
     code = build_code(n, make_field(2, m), range(k + 1, q - k + 1))
-    params = FamilyParams("A", q=q, n=n, k=k, m=m, p=p)
+    params = {"family": "A", "q": q, "n": n, "m": m, "k": k, "p": p}
     build = FamilyBuild(
         params, code, claimed_N=(q ** (2 * k + 1) - q) // n, claimed_lambda=2 * k
     )
-    return _materialize(build, "nonconstant", enum_cap, budget)
+    return _materialize(build, enum_cap, budget)
 
 
 def family_b(
@@ -197,9 +171,9 @@ def family_b(
         raise NotOddPrimePower(f"{q} is not an odd prime power")
     n = q + 1
     code = build_code(n, make_field(*pe), range(2, q))
-    params = FamilyParams("B", q=q, n=n)
+    params = {"family": "B", "q": q, "n": n}
     build = FamilyBuild(params, code, claimed_N=q * (q - 1), claimed_lambda=2)
-    return _materialize(build, "nonconstant", enum_cap, budget)
+    return _materialize(build, enum_cap, budget)
 
 
 def family_c(
@@ -224,11 +198,11 @@ def family_c(
     lo = half - k
     defining = set(range(0, lo)) | {n - j for j in range(1, lo)}
     code = build_code(n, make_field(*pe), defining)
-    params = FamilyParams("C", q=q, n=n, k=k, bad_m=bad_m)
+    params = {"family": "C", "q": q, "n": n, "k": k, "M": bad_m}
     build = FamilyBuild(
         params, code, claimed_N=(q ** (2 * k + 2) - 1) // n, claimed_lambda=2 * k + 1
     )
-    return _materialize(build, "nonzero", enum_cap, budget)
+    return _materialize(build, enum_cap, budget)
 
 
 def family_ding(q: int, m: int) -> FamilyBuild:
@@ -237,7 +211,7 @@ def family_ding(q: int, m: int) -> FamilyBuild:
     materialized (the code is not MDS in general)."""
     code = unit_coset_code(q, m)
     n = code.n
-    params = FamilyParams("Ding", q=q, n=n, m=m)
+    params = {"family": "Ding", "q": q, "n": n, "m": m}
     build = FamilyBuild(params, code, claimed_N=None, claimed_lambda=None)
     predicate = has_full_orbits_outside_constants(code)
     build.observations["orbit_predicate"] = predicate

@@ -4,9 +4,8 @@ A cyclic code of length n over GF(q), gcd(n, q) = 1, is pinned down by its
 defining set Z (a union of q-cyclotomic cosets mod n): the generator is
 g(x) = prod_{j in Z} (x - alpha^j) for the canonical primitive n-th root of
 unity alpha (see `RootContext`).  Codewords fall into orbits under the
-cyclic shift; the two orbit predicates below decide, by pure residue
-arithmetic, whether every orbit outside the constant words (resp. outside
-zero) is full.
+cyclic shift; one residue test, `_full_orbits`, decides whether every orbit
+outside the constant words is full, and the two public predicates guard it.
 """
 
 from __future__ import annotations
@@ -42,8 +41,9 @@ from .intmath import multiplicative_order, prime_factors
 ENUMERATION_CAP = 1 << 22
 # Peak bytes per window key of `class_partition`, four int64 arrays in the
 # pointer jumping: 32 by tracemalloc on twelve codes from [31, 21] over GF(2)
-# to [27, 2] over GF(512).  Codes of mostly short orbits need more (41.8 for
-# the binary [105, 21] code, whose orbits have size 21 or less).
+# to [27, 2] over GF(512).  Codes of mostly short orbits need more for the
+# walk that follows (41.8 for the binary [105, 21] code, whose orbits have
+# size 21 or less), which `_orbits` checks once it knows the orbit count.
 BYTES_PER_KEY = 32
 # The factor table of x^n - 1 over GF(q), and the cyclotomic cosets mod n,
 # are refused before any work when n or d = ord_n(q) passes these caps.  On a
@@ -271,29 +271,35 @@ def unit_coset_code(q: int, m: int) -> CyclicCode:
     return build_code(n, field, coset)
 
 
-def has_full_orbits_outside_constants(code: CyclicCode) -> bool:
+def _full_orbits(code: CyclicCode) -> bool:
     """True iff every codeword outside the constant-word subcode has a full
-    shift orbit of size n.
+    shift orbit of size n, whether or not 0 is in Z.
 
-    Requires the constants to be codewords (0 not in Z).  Equivalent residue
-    test: every j outside Z with 1 <= j < n is coprime to n, i.e. every root
-    of h(x)/(x-1) is a primitive n-th root of unity.
+    Residue test: every j outside Z with 0 < j < n is coprime to n, i.e.
+    every root of h(x) other than 1 is a primitive n-th root of unity.  With
+    0 in Z the only constant word is zero.
     """
     zset = set(code.defining_set)
-    if 0 in zset:
-        raise DoesNotContainAllOnes("defining set contains 0")
     return all(math.gcd(j, code.n) == 1 for j in range(1, code.n) if j not in zset)
+
+
+def has_full_orbits_outside_constants(code: CyclicCode) -> bool:
+    """True iff every codeword outside the constant-word subcode has a full
+    shift orbit of size n.  Requires the constants to be codewords (0 not
+    in Z); see `_full_orbits`."""
+    if 0 in code.defining_set:
+        raise DoesNotContainAllOnes("defining set contains 0")
+    return _full_orbits(code)
 
 
 def has_full_orbits_nonzero(code: CyclicCode) -> bool:
     """True iff every nonzero codeword has a full shift orbit of size n,
     i.e. every root of h(x) is a primitive n-th root of unity."""
-    zset = set(code.defining_set)
     if code.dimension == 0:
         raise ZeroCode("the zero code has no nonzero codewords")
-    if 0 not in zset and code.n > 1:
-        return False
-    return all(math.gcd(j, code.n) == 1 for j in range(code.n) if j not in zset)
+    if 0 not in code.defining_set and code.n > 1:
+        return False  # the all-ones word has period 1
+    return _full_orbits(code)
 
 
 def _physical_memory() -> int:
@@ -419,6 +425,15 @@ def _orbits(code: CyclicCode) -> tuple[np.ndarray, np.ndarray]:
     nxt = _shift_map(code)
     sizes = np.bincount(_least_keys(nxt, code.n), minlength=len(nxt))
     least = np.flatnonzero(sizes)
+    # nxt and sizes stay held, int64 per key; the walk's uint32 entries, their
+    # bool masks and `class_partition`'s kept copy take 9 bytes each.  By
+    # tracemalloc the binary [105, 21] code peaks at 87.7 MB of this 127.9.
+    need, memory = 16 * len(nxt) + 9 * code.n * len(least), _physical_memory()
+    if need > memory:
+        raise EnumerationTooLarge(
+            f"the walk of {len(least)} orbits of length {code.n} needs about "
+            f"{need} bytes, more than the {memory} bytes of physical memory"
+        )
     walk = _walk(code, nxt, least)
     object.__setattr__(code, "_min_distance", _least_weight(walk))
     return walk, sizes[least]
@@ -445,7 +460,8 @@ def class_partition(
     after n steps; (b) the walk from the key of g regenerates g, which the
     reversed recurrence would not.  (a) is nxt^n = id: the dropped digit's
     tap -h_k/h_0 is nonzero, so nxt is a permutation, and each cycle holds
-    its least key, which is walked.  Memory is O(q^k), whatever n is.
+    its least key, which is walked.  Memory is 32 bytes per key, then 9 per
+    entry of the (n, orbits) walk; each is checked before its work starts.
 
     Weight is constant on an orbit, so once both checks pass the least
     nonzero weight of the walked representatives is the minimum distance;

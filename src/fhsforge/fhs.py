@@ -518,19 +518,21 @@ def classes_to_fhs(
     reps: np.ndarray,
     sizes: np.ndarray,
     code: CyclicCode,
-    mode: str,
     provenance: dict | None = None,
 ) -> FhsSet:
     """One sequence per full shift orbit of the code, from the orbit
     representatives and sizes that `class_partition` returns.
 
-    mode "nonconstant": orbits of the codewords outside the constant-word
-    subcode; the code must pass the full-orbit predicate for those words and
-    must be longer than the alphabet.  mode "nonzero": orbits of the nonzero
-    codewords, with the corresponding predicate.
+    The defining set Z fixes the orbits.  When 0 is not in Z and n > 1 (mode
+    "nonconstant"), they are those outside the constant-word subcode; the
+    code must pass the full-orbit predicate for those words and must be
+    longer than the alphabet.  Otherwise (mode "nonzero") they are the
+    orbits of the nonzero codewords, with the corresponding predicate.  The
+    provenance records the mode.
     """
     q = code.field.order
-    if mode == "nonconstant":
+    nonconstant = 0 not in code.defining_set and code.n > 1
+    if nonconstant:
         if code.n <= q:
             raise LengthAlphabetViolation(
                 f"length {code.n} must exceed alphabet size {q}"
@@ -539,11 +541,8 @@ def classes_to_fhs(
             raise PredicateFailed(
                 "some codeword outside the constants has a short orbit"
             )
-    elif mode == "nonzero":
-        if not has_full_orbits_nonzero(code):
-            raise PredicateFailed("some nonzero codeword has a short orbit")
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    elif not has_full_orbits_nonzero(code):
+        raise PredicateFailed("some nonzero codeword has a short orbit")
     sizes = np.asarray(sizes)
     if len(sizes) == 0:
         raise EmptySet("no orbits to convert")
@@ -553,5 +552,5 @@ def classes_to_fhs(
             f"orbit of size {sizes[bad[0]]} != {code.n} cannot yield a sequence set"
         )
     info = dict(provenance) if provenance else {"family": "imported"}
-    info.setdefault("mode", mode)
+    info.setdefault("mode", "nonconstant" if nonconstant else "nonzero")
     return FhsSet(reps, q, info)

@@ -4,19 +4,7 @@ from math import gcd, isqrt
 
 
 def is_prime(x: int) -> bool:
-    if x < 2:
-        return False
-    if x < 4:
-        return True
-    if x % 2 == 0:
-        return False
-    f = 3
-    r = isqrt(x)
-    while f <= r:
-        if x % f == 0:
-            return False
-        f += 2
-    return True
+    return x >= 2 and smallest_prime_factor(x) == x
 
 
 def smallest_prime_factor(x: int) -> int:

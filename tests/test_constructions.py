@@ -60,7 +60,7 @@ def test_family_a_q8_k1():
     assert build.claimed_N == 56 and build.claimed_lambda == 2
     assert build.all_claims_hold()
     assert build.report.meets_singleton
-    assert build.params.p == 3
+    assert build.params == {"family": "A", "q": 8, "n": 9, "m": 3, "k": 1, "p": 3}
 
 
 def test_family_a_q4_k1():
@@ -150,7 +150,7 @@ def test_family_c_q8_n9_k0():
     assert parameter_tuple(build.fhs) == (9, 7, 1, 8)
     assert build.all_claims_hold()
     assert build.report.meets_peng_fan and build.report.meets_singleton
-    assert build.params.bad_m == 3
+    assert build.params == {"family": "C", "q": 8, "n": 9, "k": 0, "M": 3}
 
 
 def test_family_c_over_budget():

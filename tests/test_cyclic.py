@@ -397,6 +397,14 @@ def test_nonzero_predicate_against_enumeration():
                 pred = has_full_orbits_nonzero(code)
                 classes = enumerate_classes(code, exclude="zero")
                 assert pred == all(c.size == n for c in classes)
+                # the shared residue test, on either side of 0 in Z; with 0 in
+                # Z the only constant word is zero
+                reps, sizes = class_partition(code, exclude="constants")
+                assert cyclic._full_orbits(code) == bool((sizes == n).all())
+                if 0 in code.defining_set:
+                    zero_reps, zero_sizes = class_partition(code, exclude="zero")
+                    assert np.array_equal(reps, zero_reps)
+                    assert np.array_equal(sizes, zero_sizes)
                 checked += 1
     assert checked > 20
 
@@ -722,6 +730,26 @@ def test_enumeration_past_physical_memory(monkeypatch):
         min_distance_exhaustive(code)
     monkeypatch.setattr(cyclic, "_physical_memory", lambda: distance_need)
     assert min_distance_exhaustive(code) == 3
+
+
+def test_short_orbit_walk_past_physical_memory(monkeypatch):
+    # binary [45, 15] code whose check polynomial's roots are the multiples
+    # of 3: every word has period 15 or less, so the partition outgrows 32
+    # bytes per key, and the walk of its 2,192 orbits is refused once they
+    # are counted
+    code = build_code(45, make_field(2, 1), [j for j in range(45) if j % 3])
+    keys, orbits = 2**15, 2192
+    tracemalloc.start()
+    assert len(class_partition(code)[1]) == orbits
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    need = 16 * keys + 9 * 45 * orbits
+    assert 32 * keys < peak <= need
+    monkeypatch.setattr(cyclic, "_physical_memory", lambda: need - 1)
+    with pytest.raises(EnumerationTooLarge, match="2192 orbits .* physical memory"):
+        class_partition(code)
+    monkeypatch.setattr(cyclic, "_physical_memory", lambda: need)
+    assert len(class_partition(code)[1]) == orbits
 
 
 def test_stored_distance_is_read_after_the_cap_check():

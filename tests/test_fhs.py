@@ -180,7 +180,7 @@ def test_fhs_set_freezes_a_private_copy():
     assert not fset.seqs.flags.writeable
     code = build_code(9, make_field(2, 3), [3, 4, 5, 6])
     reps, sizes = class_partition(code, exclude="constants")
-    fset = classes_to_fhs(reps, sizes, code, "nonconstant")
+    fset = classes_to_fhs(reps, sizes, code)
     first = fset.seqs[0].copy()
     reps[0] = reps[1]
     assert np.array_equal(fset.seqs[0], first)
@@ -585,8 +585,9 @@ def test_classes_to_fhs_example():
     F8 = make_field(2, 3)
     code = build_code(9, F8, [3, 4, 5, 6])
     reps, sizes = class_partition(code, exclude="constants")
-    fset = classes_to_fhs(reps, sizes, code, "nonconstant")
+    fset = classes_to_fhs(reps, sizes, code)
     assert (fset.n, fset.size, fset.alphabet_size) == (9, 3640, 8)
+    assert fset.provenance == {"family": "imported", "mode": "nonconstant"}
     assert np.array_equal(fset.seqs, reps)  # one sequence per orbit, in order
     assert len(np.unique(fset.seqs, axis=0)) == 3640
 
@@ -595,9 +596,17 @@ def test_classes_to_fhs_nonzero_mode():
     F32 = make_field(2, 5)
     code = build_code(11, F32, [j for j in range(11) if j not in (5, 6)])
     reps, sizes = class_partition(code, exclude="zero")
-    fset = classes_to_fhs(reps, sizes, code, "nonzero")
+    fset = classes_to_fhs(reps, sizes, code)
     assert (fset.n, fset.size, fset.alphabet_size) == (11, 93, 32)
+    assert fset.provenance["mode"] == "nonzero"
     assert max_nontrivial(fset).value == 1
+    # n = 1: 0 is not in Z, but every word is constant, so the orbits are the
+    # nonzero ones
+    full = build_code(1, make_field(2, 2), [])
+    reps, sizes = class_partition(full, exclude="zero")
+    fset = classes_to_fhs(reps, sizes, full)
+    assert fset.seqs.tolist() == [[1], [2], [3]]
+    assert fset.provenance["mode"] == "nonzero"
 
 
 def test_classes_to_fhs_requires_long_code():
@@ -606,14 +615,14 @@ def test_classes_to_fhs_requires_long_code():
     code = build_code(7, F8, [1, 2, 4])
     reps, sizes = class_partition(code, exclude="constants")
     with pytest.raises(LengthAlphabetViolation):
-        classes_to_fhs(reps, sizes, code, "nonconstant")
+        classes_to_fhs(reps, sizes, code)
 
 
 def test_classes_to_fhs_predicate_failure():
     F8 = make_field(2, 3)
     code = build_code(9, F8, [4, 5])
     with pytest.raises(PredicateFailed):
-        classes_to_fhs(np.zeros((0, 9)), np.zeros(0), code, "nonconstant")
+        classes_to_fhs(np.zeros((0, 9)), np.zeros(0), code)
 
 
 def test_classes_to_fhs_rejects_short_orbits():
@@ -621,6 +630,6 @@ def test_classes_to_fhs_rejects_short_orbits():
     code = build_code(9, F8, [3, 4, 5, 6])
     reps, sizes = class_partition(code, exclude="none")  # includes size-1 constants
     with pytest.raises(ClassSizeNotFull):
-        classes_to_fhs(reps, sizes, code, "nonconstant")
+        classes_to_fhs(reps, sizes, code)
     with pytest.raises(EmptySet):
-        classes_to_fhs(reps[:0], sizes[:0], code, "nonconstant")
+        classes_to_fhs(reps[:0], sizes[:0], code)

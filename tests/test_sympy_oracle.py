@@ -1,4 +1,5 @@
-"""sympy as an independent oracle for the factor table over prime fields.
+"""sympy as an independent oracle for the factor table over prime fields,
+and for `is_prime`.
 
 sympy factors x^n - 1 and Phi_n(x) mod p with its own algorithms, so it
 shares no code with `factor_x_pow_n_minus_one`, which builds each factor as
@@ -14,7 +15,7 @@ import pytest
 
 from fhsforge.cyclic import factor_x_pow_n_minus_one
 from fhsforge.galois import Polynomial, field_from_order, make_field, root_field
-from fhsforge.intmath import multiplicative_order
+from fhsforge.intmath import is_prime, multiplicative_order
 
 sympy = pytest.importorskip("sympy")
 # sympy 1.13+ warns from inside factor_list(..., modulus=p), where it sorts
@@ -108,3 +109,9 @@ def test_root_field_is_phi_n_when_ord_is_phi():
         phi_n = sympy.Poly(sympy.cyclotomic_poly(n, X), X).all_coeffs()[::-1]
         assert list(ext.modulus.coeffs) == [int(c) % F.p for c in phi_n], (q, n)
         assert np.array_equal(beta, ext.element(Polynomial(F, (0, 1)))), (q, n)
+
+
+def test_is_prime_matches_sympy():
+    # and Ding's n = (8^9 - 1)/7 = 73 * 262657
+    for x in [*range(10**4), 19_173_961]:
+        assert is_prime(x) == sympy.isprime(x), x
