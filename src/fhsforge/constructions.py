@@ -114,7 +114,7 @@ def _materialize(
     build.checks["orbit_predicate"] = _full_orbits(code)
     lambda_source = "claimed"
     if code.size <= enum_cap:
-        reps, sizes = class_partition(code, exclude="constants", cap=enum_cap)
+        reps, sizes = class_partition(code, cap=enum_cap)
         build.checks["class_count"] = len(sizes) == build.claimed_N
         build.checks["class_sizes"] = bool((sizes == n).all())
         build.fhs = classes_to_fhs(reps, sizes, code, provenance=build.params)

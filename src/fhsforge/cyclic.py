@@ -36,14 +36,12 @@ from .galois import (
     make_field,
     root_field,
 )
-from .intmath import multiplicative_order, prime_factors
+from .intmath import multiplicative_order, prime_factors, totient
 
 ENUMERATION_CAP = 1 << 22
-# Peak bytes per window key of `class_partition`, four int64 arrays in the
-# pointer jumping: 32 by tracemalloc on twelve codes from [31, 21] over GF(2)
-# to [27, 2] over GF(512).  Codes of mostly short orbits need more for the
-# walk that follows (41.8 for the binary [105, 21] code, whose orbits have
-# size 21 or less), which `_orbits` checks once it knows the orbit count.
+# Peak bytes per window key of the pointer jumping in `class_partition`, four
+# int64 arrays: 32 by tracemalloc on twelve codes from [31, 21] over GF(2) to
+# [27, 2] over GF(512).
 BYTES_PER_KEY = 32
 # The factor table of x^n - 1 over GF(q), and the cyclotomic cosets mod n,
 # are refused before any work when n or d = ord_n(q) passes these caps.  On a
@@ -307,15 +305,13 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def _check_cap(code: CyclicCode, cap: int, extra: int = 0) -> None:
+def _check_cap(code: CyclicCode, cap: int, need: int) -> None:
     """Refuse, before any work, a code of more than `cap` words, or one
-    whose walk would need more than physical memory: about
-    BYTES_PER_KEY per window key, plus the caller's `extra` bytes."""
-    total = code.field.order**code.dimension
+    whose work would need `need` bytes, more than physical memory."""
+    total = code.size
     if total > cap:
         raise EnumerationTooLarge(f"{total} codewords exceed the cap {cap}")
-    need, memory = BYTES_PER_KEY * total + extra, _physical_memory()
-    if need > memory:
+    if need > (memory := _physical_memory()):
         raise EnumerationTooLarge(
             f"{total} codewords need about {need} bytes, more than the "
             f"{memory} bytes of physical memory"
@@ -350,7 +346,8 @@ def codeword_matrix(code: CyclicCode, cap: int = ENUMERATION_CAP) -> np.ndarray:
     """All q^k codewords as an array of shape (q^k, n), message order:
     row sum_i m_i q^(k-1-i) holds sum_i m_i x^i g(x).  Used only as the
     tests' message-order oracle and the trace's enumeration span."""
-    _check_cap(code, cap, 12 * code.n * code.size)  # odd p: int64 index, uint32 sum
+    # 12 bytes per entry for odd p, an int64 index and a uint32 sum
+    _check_cap(code, cap, (BYTES_PER_KEY + 12 * code.n) * code.size)
     mat = np.zeros((1, code.n), dtype=np.uint32)
     if code.dimension == 0:  # the zero code: g = x^n - 1 has n + 1 coefficients
         return mat
@@ -416,37 +413,41 @@ def _least_keys(nxt: np.ndarray, n: int) -> np.ndarray:
     return best
 
 
-def _orbits(code: CyclicCode) -> tuple[np.ndarray, np.ndarray]:
+def _orbit_count(code: CyclicCode) -> int:
+    """The number of shift orbits of the code, by Burnside's lemma: the
+    phi(s) shifts t with gcd(t, n) = n/s fix exactly the words whose
+    nonzeros, the j outside Z, are multiples of s."""
+    n, zset = code.n, set(code.defining_set)
+    return sum(
+        totient(s) * code.field.order ** sum(j not in zset for j in range(0, n, s))
+        for s in range(1, n + 1) if n % s == 0
+    ) // n
+
+
+def _orbits(code: CyclicCode, count: int) -> tuple[np.ndarray, np.ndarray]:
     """Each orbit's least rotation, one column of an (n, orbits) array in
-    key order, and its size; see `class_partition`.  Stores the least
-    positive column weight on the code as its minimum distance."""
+    key order, and its size; see `class_partition`.  Raises AssertionError
+    unless pointer jumping finds `count` orbits.  Stores the least positive
+    column weight on the code as its minimum distance."""
     if code.dimension == 0:  # the zero code is one orbit
         return np.zeros((code.n, 1), dtype=np.uint32), np.ones(1, dtype=np.intp)
     nxt = _shift_map(code)
     sizes = np.bincount(_least_keys(nxt, code.n), minlength=len(nxt))
     least = np.flatnonzero(sizes)
-    # nxt and sizes stay held, int64 per key; the walk's uint32 entries, their
-    # bool masks and `class_partition`'s kept copy take 9 bytes each.  By
-    # tracemalloc the binary [105, 21] code peaks at 87.7 MB of this 127.9.
-    need, memory = 16 * len(nxt) + 9 * code.n * len(least), _physical_memory()
-    if need > memory:
-        raise EnumerationTooLarge(
-            f"the walk of {len(least)} orbits of length {code.n} needs about "
-            f"{need} bytes, more than the {memory} bytes of physical memory"
-        )
+    if len(least) != count:
+        raise AssertionError(f"{len(least)} orbits, not Burnside's {count}")
     walk = _walk(code, nxt, least)
     object.__setattr__(code, "_min_distance", _least_weight(walk))
     return walk, sizes[least]
 
 
 def class_partition(
-    code: CyclicCode, exclude: str = "none", cap: int = ENUMERATION_CAP
+    code: CyclicCode, exclude: str = "constants", cap: int = ENUMERATION_CAP
 ):
-    """Shift-orbit partition of the codewords as (representatives, sizes).
-
-    exclude: "none", "zero" (drop the zero word) or "constants" (drop the
-    constant-word subcode).  Representatives are least rotations, sorted
-    lexicographically.
+    """Shift-orbit partition of the codewords outside the constant-word
+    subcode, all but the zero word when 0 is in Z, as (representatives,
+    sizes).  Representatives are least rotations, sorted lexicographically.
+    `exclude` must be "constants".
 
     Any k cyclically consecutive positions are an information set, so the
     width-k window key sum_(i<k) c_(t+i) q^(k-1-i) names a word at any shift
@@ -460,33 +461,31 @@ def class_partition(
     after n steps; (b) the walk from the key of g regenerates g, which the
     reversed recurrence would not.  (a) is nxt^n = id: the dropped digit's
     tap -h_k/h_0 is nonzero, so nxt is a permutation, and each cycle holds
-    its least key, which is walked.  Memory is 32 bytes per key, then 9 per
-    entry of the (n, orbits) walk; each is checked before its work starts.
+    its least key, which is walked.  `_orbit_count` gives the orbits in
+    advance, so memory is checked before any work, and `_orbits` checks
+    that pointer jumping finds as many.
 
     Weight is constant on an orbit, so once both checks pass the least
     nonzero weight of the walked representatives is the minimum distance;
     a partition of a code of dimension >= 1 stores it on the code for
     `min_distance_exhaustive`.
     """
-    if exclude not in ("none", "zero", "constants"):
-        raise ValueError(f"unknown exclude mode {exclude!r}")
-    _check_cap(code, cap)
-    walk, sizes = _orbits(code)
-    if exclude == "none":
-        keep = np.ones(len(sizes), dtype=bool)
-    else:  # a kept word differs from zero, or from its own first symbol
-        keep = (walk != (0 if exclude == "zero" else walk[:1])).any(axis=0)
+    if exclude != "constants":
+        raise ValueError(f"exclude must be 'constants', got {exclude!r}")
+    # the pointer jumping, or nxt and sizes held through the walk, whose
+    # entries take 9 bytes with their bool masks and the kept copy
+    orbits, keys = _orbit_count(code), code.size
+    _check_cap(code, cap, max(BYTES_PER_KEY * keys, 16 * keys + 9 * code.n * orbits))
+    walk, sizes = _orbits(code, orbits)
+    keep = (walk != walk[:1]).any(axis=0)  # a kept word is not constant
     return walk.T[keep], sizes[keep]
 
 
-def enumerate_classes(
-    code: CyclicCode, exclude: str = "none", cap: int = ENUMERATION_CAP
-) -> list[EquivalenceClass]:
-    reps, sizes = class_partition(code, exclude, cap)
-    return [
-        EquivalenceClass(tuple(int(s) for s in row), int(c))
-        for row, c in zip(reps, sizes)
-    ]
+def enumerate_classes(code: CyclicCode,
+                      cap: int = ENUMERATION_CAP) -> list[EquivalenceClass]:
+    reps, sizes = class_partition(code, cap=cap)
+    return [EquivalenceClass(tuple(int(s) for s in row), int(c))
+            for row, c in zip(reps, sizes)]
 
 
 def min_distance_exhaustive(code: CyclicCode, cap: int = ENUMERATION_CAP) -> int:
@@ -505,7 +504,8 @@ def min_distance_exhaustive(code: CyclicCode, cap: int = ENUMERATION_CAP) -> int
     if code.dimension == 0:
         raise ZeroCode("the zero code has no minimum distance")
     lead = code.field.order ** (code.dimension - 1)
-    _check_cap(code, cap, 5 * code.n * lead)  # the uint32 walk and its nonzero mask
+    # the shift map, and 5 bytes per entry of the uint32 walk and its mask
+    _check_cap(code, cap, BYTES_PER_KEY * code.size + 5 * code.n * lead)
     if code._min_distance is None:
         words = _walk(code, _shift_map(code), np.arange(lead, 2 * lead))
         object.__setattr__(code, "_min_distance", _least_weight(words))

@@ -238,10 +238,8 @@ def _decode_record(raw: bytes) -> tuple[dict, np.ndarray] | None:
     # a number split by whitespace would read as one once it is deleted
     if _digit_runs(np.frombuffer(raw, np.uint8, end - start, start)) != count * n:
         return None
-    text = raw.translate(None, _WHITESPACE)
-    first = len(raw[:start].translate(None, _WHITESPACE))
-    last = len(text) - len(raw[end:].translate(None, _WHITESPACE))
-    arr = _decode_rows(np.frombuffer(text, np.uint8, last - first, first), count, n)
+    chars = np.frombuffer(raw[start:end].translate(None, _WHITESPACE), np.uint8)
+    arr = _decode_rows(chars, count, n)
     return None if arr is None else (fields, arr)
 
 

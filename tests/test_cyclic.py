@@ -51,6 +51,13 @@ def rotations(word):
     return {tuple(word[t:]) + tuple(word[:t]) for t in range(len(word))}
 
 
+def every_orbit(code):
+    """Every shift orbit of the code, constants included, as (least
+    rotations, sizes), with the orbit count checked against Burnside's."""
+    walk, sizes = cyclic._orbits(code, cyclic._orbit_count(code))
+    return walk.T, sizes
+
+
 # -- cosets -------------------------------------------------------------------
 
 
@@ -395,16 +402,16 @@ def test_nonzero_predicate_against_enumeration():
                     continue
                 code = build_code(n, F, members)
                 pred = has_full_orbits_nonzero(code)
-                classes = enumerate_classes(code, exclude="zero")
-                assert pred == all(c.size == n for c in classes)
+                all_reps, all_sizes = every_orbit(code)
+                nonzero = all_reps.any(axis=1)
+                assert pred == bool((all_sizes[nonzero] == n).all())
                 # the shared residue test, on either side of 0 in Z; with 0 in
                 # Z the only constant word is zero
-                reps, sizes = class_partition(code, exclude="constants")
+                reps, sizes = class_partition(code)
                 assert cyclic._full_orbits(code) == bool((sizes == n).all())
                 if 0 in code.defining_set:
-                    zero_reps, zero_sizes = class_partition(code, exclude="zero")
-                    assert np.array_equal(reps, zero_reps)
-                    assert np.array_equal(sizes, zero_sizes)
+                    assert np.array_equal(reps, all_reps[nonzero])
+                    assert np.array_equal(sizes, all_sizes[nonzero])
                 checked += 1
     assert checked > 20
 
@@ -415,23 +422,25 @@ def test_nonzero_predicate_against_enumeration():
 def test_enumerate_classes_example():
     F8 = make_field(2, 3)
     code = build_code(9, F8, [3, 4, 5, 6])
-    classes = enumerate_classes(code, exclude="constants")
+    classes = enumerate_classes(code)
     assert len(classes) == (8**5 - 8) // 9 == 3640
     assert all(c.size == 9 for c in classes)
 
 
 def test_enumerate_full_space_n2():
     code = build_code(2, make_field(3, 1), [])  # n=2 over GF(3), q=1 mod 2? gcd(2,3)=1
-    classes = enumerate_classes(code, exclude="none")
-    reps = {c.representative: c.size for c in classes}
-    assert reps == {(0, 0): 1, (1, 1): 1, (2, 2): 1, (0, 1): 2, (0, 2): 2, (1, 2): 2}
+    reps, sizes = every_orbit(code)
+    orbits = dict(zip(map(tuple, reps.tolist()), sizes.tolist()))
+    assert orbits == {(0, 0): 1, (1, 1): 1, (2, 2): 1, (0, 1): 2, (0, 2): 2, (1, 2): 2}
+    classes = enumerate_classes(code)
+    assert {c.representative: c.size for c in classes} == {(0, 1): 2, (0, 2): 2, (1, 2): 2}
 
 
 def test_enumerate_family_c_code():
     F32 = make_field(2, 5)
     z = [j for j in range(11) if j not in (5, 6)]
     code = build_code(11, F32, z)
-    classes = enumerate_classes(code, exclude="zero")
+    classes = enumerate_classes(code)  # 0 is in Z: only the zero word is constant
     assert len(classes) == (32**2 - 1) // 11 == 93
     assert all(c.size == 11 for c in classes)
 
@@ -447,11 +456,12 @@ def test_class_sizes_divide_n_and_sum():
         if F.order ** (n - len(members)) > 2**14:
             continue
         code = build_code(n, F, members)
-        classes = enumerate_classes(code)
-        assert sum(c.size for c in classes) == code.size
-        assert all(n % c.size == 0 for c in classes)
-        sub = enumerate_classes(code, exclude="zero")
-        assert sum(c.size for c in sub) == code.size - 1
+        _, sizes = every_orbit(code)
+        assert sizes.sum() == code.size
+        assert all(n % size == 0 for size in sizes.tolist())
+        constants = 1 if 0 in code.defining_set else F.order
+        sub = enumerate_classes(code)
+        assert sum(c.size for c in sub) == code.size - constants
 
 
 def test_representatives_are_least_rotations():
@@ -516,7 +526,7 @@ def test_least_rotation_partition_matches_brute_force():
     for (p, m), n, members in cases:
         code = build_code(n, make_field(p, m), members)
         mat = codeword_matrix(code)
-        reps, sizes = class_partition(code)
+        reps, sizes = every_orbit(code)
         expected = {}
         for row in map(tuple, mat.tolist()):
             orbit = rotations(row)
@@ -536,6 +546,17 @@ def test_least_rotation_partition_checks_information_sets():
             with pytest.raises(AssertionError, match=message):
                 caller(code)
 
+    def miscounted(code, orbits):
+        # pointer jumping over a map that is not the shift finds the wrong
+        # orbit count, and the partition stops there; given that count, its
+        # walk is refused as the distance's is
+        with pytest.raises(AssertionError, match=f"{orbits} orbits, not Burnside's"):
+            class_partition(code)
+        with pytest.raises(AssertionError, match="is not the identity"):
+            cyclic._orbits(code, orbits)
+        with pytest.raises(AssertionError, match="is not the identity"):
+            min_distance_exhaustive(code)
+
     code = build_code(7, make_field(2, 1), [1, 2, 4])
     h = code.check
     assert h.coeffs != h.coeffs[::-1]
@@ -546,7 +567,7 @@ def test_least_rotation_partition_checks_information_sets():
     wrong = CyclicCode(code.field, 7, code.defining_set, code.generator,
                        h + Polynomial(code.field, (0, 0, 1)))
     assert not (Polynomial.x_pow_n_minus_one(code.field, 7) % wrong.check).is_zero()
-    refused(wrong, "is not the identity")
+    miscounted(wrong, 5)
     # the same two over GF(7), n = 6, k = 3, Z = {1, 2, 3}, where the
     # feedback adds through the q x q table
     code = build_code(6, make_field(7, 1), [1, 2, 3])
@@ -558,7 +579,7 @@ def test_least_rotation_partition_checks_information_sets():
                        h + Polynomial(code.field, (0, 1)))
     assert wrong.check.coeffs[0] != 0
     assert not (Polynomial.x_pow_n_minus_one(code.field, 6) % wrong.check).is_zero()
-    refused(wrong, "is not the identity")
+    miscounted(wrong, 79)
 
 
 def _universe(max_words):
@@ -584,19 +605,44 @@ def test_class_partition_matches_the_matrix_kernel():
     for code in _universe(1 << 12):
         mat = codeword_matrix(code)
         ref = least_rotation_partition(mat, code.field.order, code.dimension)
-        for exclude in ("none", "zero", "constants"):
-            if exclude == "zero":
-                keep = ref[0].any(axis=1)
-            elif exclude == "constants":
-                keep = (ref[0] != ref[0][:, :1]).any(axis=1)
-            else:
-                keep = slice(None)
-            reps, sizes = class_partition(code, exclude)
+        keep = (ref[0] != ref[0][:, :1]).any(axis=1)
+        for (reps, sizes), kept in ((every_orbit(code), slice(None)),
+                                    (class_partition(code), keep)):
             assert reps.dtype == np.uint32 and sizes.dtype == np.int64
-            assert np.array_equal(reps, ref[0][keep]), (code, exclude)
-            assert np.array_equal(sizes, ref[1][keep]), (code, exclude)
+            assert np.array_equal(reps, ref[0][kept]), code
+            assert np.array_equal(sizes, ref[1][kept]), code
         checked += 1
     assert checked > 1000
+
+
+def orbit_count_by_periods(mat):
+    """The number of orbits of the rows of a rotation-closed matrix: each
+    row's orbit has its least period as size, so the rows add up n / period
+    to n times the orbit count."""
+    n = mat.shape[1]
+    period = np.zeros(len(mat), dtype=np.int64)
+    for t in (t for t in range(1, n + 1) if n % t == 0):
+        fixed = (mat == np.roll(mat, t, axis=1)).all(axis=1)
+        period[(period == 0) & fixed] = t
+    weighted = int((n // period).sum())
+    assert weighted % n == 0
+    return weighted // n
+
+
+def test_orbit_count_matches_pointer_jumping_and_periods():
+    # each code of the universe and the same code with 0 added to Z, which
+    # gives a zero code where Z held every nonzero coset; n = 1 gives the
+    # full space and the zero code of length 1
+    codes = [build_code(5, make_field(2, 2), range(5))]  # a zero code
+    for code in _universe(1 << 12):
+        codes += [code, build_code(code.n, code.field, (0, *code.defining_set))]
+    for code in codes:
+        count = cyclic._orbit_count(code)
+        assert count == orbit_count_by_periods(codeword_matrix(code)), code
+        assert count == len(cyclic._orbits(code, count)[1]), code
+    assert sum(code.n == 1 for code in codes) == 14
+    assert sum(code.dimension == 0 for code in codes) == 136
+    assert len(codes) > 2000
 
 
 def test_partition_memory_does_not_scale_with_n():
@@ -657,8 +703,8 @@ def test_min_distance_sweep_against_the_codeword_matrix():
     # every code of dimension >= 1 over GF(2), GF(3), GF(4) and GF(5) with
     # n <= 15 and at most 2^12 words, k up to 12: the walk weighs only the
     # keys with leading digit 1, the message-order matrix every word.  The
-    # distance a partition stores, whatever it excludes, is read on fresh
-    # code objects beside the walk's own.
+    # distance stored by a partition, or by a walk of every orbit, is read
+    # on fresh code objects beside the walk's own.
     dims = set()
     for q in (2, 3, 4, 5):
         F = field_from_order(q)
@@ -675,10 +721,10 @@ def test_min_distance_sweep_against_the_codeword_matrix():
                     weights = np.count_nonzero(codeword_matrix(code), axis=1)
                     d = weights[weights > 0].min()
                     assert min_distance_exhaustive(code) == d, code
-                    for exclude in ("none", "zero", "constants"):
+                    for partition in (class_partition, every_orbit):
                         code = build_code(n, F, members)
-                        class_partition(code, exclude)
-                        assert min_distance_exhaustive(code) == d, (code, exclude)
+                        partition(code)
+                        assert min_distance_exhaustive(code) == d, (code, partition)
                     dims.add(code.dimension)
     assert dims == set(range(1, 13))
 
@@ -693,17 +739,21 @@ def test_large_field_k1_builds_no_add_table(monkeypatch):
     F = make_field(3, 12)
     code = build_code(2, F, [0])  # g = x - 1: the words (-c, c)
     assert code.dimension == 1
-    reps, sizes = class_partition(code)
+    reps, sizes = every_orbit(code)
     assert sizes.tolist() == [1] + [2] * ((F.order - 1) // 2)
     assert reps[0].tolist() == [0, 0]
+    assert class_partition(code)[1].tolist() == sizes[1:].tolist()
     assert min_distance_exhaustive(code) == 2
 
 
 def test_zero_code_is_one_orbit_of_size_one():
     code = build_code(5, make_field(2, 2), range(5))
     assert code.dimension == 0
-    reps, sizes = class_partition(code)
+    reps, sizes = every_orbit(code)
     assert reps.tolist() == [[0] * 5] and sizes.tolist() == [1]
+    # its one word is constant
+    reps, sizes = class_partition(code)
+    assert reps.shape == (0, 5) and sizes.tolist() == []
 
 
 def test_enumeration_cap():
@@ -716,15 +766,16 @@ def test_enumeration_cap():
 
 
 def test_enumeration_past_physical_memory(monkeypatch):
-    # [7, 4] Hamming code: the partition needs 32 bytes per window key, the
-    # minimum distance also 5 bytes per entry of its (7, 2^3) walk
+    # [7, 4] Hamming code: the partition needs 32 bytes per window key (its
+    # walk of 4 orbits, 16 * 16 + 9 * 7 * 4 = 508 bytes, fits), the minimum
+    # distance also 5 bytes per entry of its (7, 2^3) walk
     code = build_code(7, make_field(2, 1), [1, 2, 4])
     partition_need, distance_need = 32 * 16, 32 * 16 + 5 * 7 * 8
     monkeypatch.setattr(cyclic, "_physical_memory", lambda: partition_need - 1)
     with pytest.raises(EnumerationTooLarge, match="physical memory"):
         class_partition(code)
     monkeypatch.setattr(cyclic, "_physical_memory", lambda: partition_need)
-    assert len(class_partition(code)[1]) == 4
+    assert class_partition(code)[1].tolist() == [7, 7]
     monkeypatch.setattr(cyclic, "_physical_memory", lambda: distance_need - 1)
     with pytest.raises(EnumerationTooLarge, match="physical memory"):
         min_distance_exhaustive(code)
@@ -734,22 +785,29 @@ def test_enumeration_past_physical_memory(monkeypatch):
 
 def test_short_orbit_walk_past_physical_memory(monkeypatch):
     # binary [45, 15] code whose check polynomial's roots are the multiples
-    # of 3: every word has period 15 or less, so the partition outgrows 32
-    # bytes per key, and the walk of its 2,192 orbits is refused once they
-    # are counted
+    # of 3: every word has period 15 or less, so the walk of its 2,192
+    # orbits outgrows 32 bytes per key.  Burnside's count sizes it before
+    # the shift map is built.
     code = build_code(45, make_field(2, 1), [j for j in range(45) if j % 3])
-    keys, orbits = 2**15, 2192
+    keys, orbits, kept = 2**15, 2192, 2190  # all but the two constant words
+    assert cyclic._orbit_count(code) == orbits
     tracemalloc.start()
-    assert len(class_partition(code)[1]) == orbits
+    assert len(class_partition(code)[1]) == kept
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     need = 16 * keys + 9 * 45 * orbits
-    assert 32 * keys < peak <= need
+    assert need == 1_412_048 and 32 * keys < peak <= need
+
+    def no_shift_map(code):
+        raise AssertionError("the shift map was built")
+
     monkeypatch.setattr(cyclic, "_physical_memory", lambda: need - 1)
-    with pytest.raises(EnumerationTooLarge, match="2192 orbits .* physical memory"):
+    monkeypatch.setattr(cyclic, "_shift_map", no_shift_map)
+    with pytest.raises(EnumerationTooLarge, match=f"{need} bytes, .* physical memory"):
         class_partition(code)
+    monkeypatch.undo()
     monkeypatch.setattr(cyclic, "_physical_memory", lambda: need)
-    assert len(class_partition(code)[1]) == orbits
+    assert len(class_partition(code)[1]) == kept
 
 
 def test_stored_distance_is_read_after_the_cap_check():
@@ -773,13 +831,15 @@ def test_stored_distance_is_not_part_of_the_code():
 
 
 def test_class_partition_exclusions():
+    # the constant words are the only exclusion; the other modes are gone
     F8 = make_field(2, 3)
     code = build_code(9, F8, [3, 4, 5, 6])
-    reps_all, sizes_all = class_partition(code, "none")
-    reps_nz, _ = class_partition(code, "zero")
-    reps_nc, _ = class_partition(code, "constants")
-    assert len(reps_all) == len(reps_nz) + 1 == len(reps_nc) + 8
-    assert int(sizes_all.sum()) == 8**5
+    reps, sizes = class_partition(code, "constants")
+    assert len(reps) == len(every_orbit(code)[1]) - 8
+    assert int(sizes.sum()) == 8**5 - 8
+    for exclude in ("none", "zero", "nonzero", None):
+        with pytest.raises(ValueError, match="exclude must be 'constants'"):
+            class_partition(code, exclude)
 
 
 # -- minimum distance -----------------------------------------------------------

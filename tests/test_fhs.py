@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from fhsforge import fhs
+from fhsforge import cyclic, fhs
 from fhsforge.cli import _dump_set
 from fhsforge.constructions import family_a, family_b, family_c
 from fhsforge.cyclic import build_code, class_partition
@@ -595,16 +595,17 @@ def test_classes_to_fhs_example():
 def test_classes_to_fhs_nonzero_mode():
     F32 = make_field(2, 5)
     code = build_code(11, F32, [j for j in range(11) if j not in (5, 6)])
-    reps, sizes = class_partition(code, exclude="zero")
+    reps, sizes = class_partition(code)  # 0 is in Z: only zero is constant
     fset = classes_to_fhs(reps, sizes, code)
     assert (fset.n, fset.size, fset.alphabet_size) == (11, 93, 32)
     assert fset.provenance["mode"] == "nonzero"
     assert max_nontrivial(fset).value == 1
     # n = 1: 0 is not in Z, but every word is constant, so the orbits are the
-    # nonzero ones
+    # nonzero ones, which the partition excludes; every orbit, zero dropped
     full = build_code(1, make_field(2, 2), [])
-    reps, sizes = class_partition(full, exclude="zero")
-    fset = classes_to_fhs(reps, sizes, full)
+    walk, sizes = cyclic._orbits(full, cyclic._orbit_count(full))
+    nonzero = walk.any(axis=0)
+    fset = classes_to_fhs(walk.T[nonzero], sizes[nonzero], full)
     assert fset.seqs.tolist() == [[1], [2], [3]]
     assert fset.provenance["mode"] == "nonzero"
 
@@ -628,7 +629,8 @@ def test_classes_to_fhs_predicate_failure():
 def test_classes_to_fhs_rejects_short_orbits():
     F8 = make_field(2, 3)
     code = build_code(9, F8, [3, 4, 5, 6])
-    reps, sizes = class_partition(code, exclude="none")  # includes size-1 constants
+    walk, sizes = cyclic._orbits(code, cyclic._orbit_count(code))
+    reps = walk.T  # every orbit, the size-1 constants included
     with pytest.raises(ClassSizeNotFull):
         classes_to_fhs(reps, sizes, code)
     with pytest.raises(EmptySet):
