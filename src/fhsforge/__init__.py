@@ -22,7 +22,6 @@ from .constructions import (
 )
 from .cyclic import (
     CyclicCode,
-    CyclotomicCoset,
     build_code,
     class_partition,
     cyclotomic_cosets,
@@ -53,7 +52,6 @@ __all__ = [
     "BoundReport",
     "CorrelationSurvey",
     "CyclicCode",
-    "CyclotomicCoset",
     "FamilyBuild",
     "FhsSet",
     "FiniteField",

@@ -3,8 +3,10 @@
 Subcommands: cosets, factor, code, mindist, build, verify, bounds,
 pf-identity.  Exit codes: 0 verified/optimal, 2 verified-but-claim-mismatch,
 3 over budget, parameters-only, or a factor table, bound or pf-identity
-grid past its size caps, 4 input error, usage errors included.  The codeword enumeration cap
-is set by --cap alone; `build --params-only` is `--cap 1`.
+grid past its size caps, 4 input error, usage errors included.  The codeword
+enumeration cap is set by --cap alone; under `build --cap 1` no family code
+is enumerated.  `build` removes from --out the outputs of an earlier build
+that it does not write itself.
 """
 
 from __future__ import annotations
@@ -142,11 +144,11 @@ def cmd_cosets(args) -> int:
         print(_dump({
             "n": args.n,
             "q": args.q,
-            "cosets": [list(c.members) for c in cosets],
+            "cosets": [list(c) for c in cosets],
         }), end="")
     else:
         for c in cosets:
-            print(f"C_{c.representative} = {{{', '.join(map(str, c.members))}}}")
+            print(f"C_{c[0]} = {{{', '.join(map(str, c))}}}")
     return EXIT_OK
 
 
@@ -158,14 +160,14 @@ def cmd_factor(args) -> int:
             "n": args.n,
             "q": args.q,
             "factors": [
-                {"coset": list(c.members), "coefficients": list(m.coeffs)}
+                {"coset": list(c), "coefficients": list(m.coeffs)}
                 for c, m in factors
             ],
         }), end="")
     else:
         print(f"x^{args.n} - 1 over GF({args.q}):")
         for c, m in factors:
-            print(f"  C_{c.representative}: {_poly_str(m.coeffs)}")
+            print(f"  C_{c[0]}: {_poly_str(m.coeffs)}")
     return EXIT_OK
 
 
@@ -173,11 +175,9 @@ def _code_from_args(args):
     field = field_from_order(args.q)
     residues = _parse_residues(args.defining_set)
     if args.cosets_given:
-        expanded = []
-        for coset in cyclotomic_cosets(args.n, args.q):
-            if any(r in coset.members for r in residues):
-                expanded.extend(coset.members)
-        residues = expanded
+        # the given residues stay, so that build_code refuses one outside 0..n-1
+        residues += [j for coset in cyclotomic_cosets(args.n, args.q)
+                     if any(r in coset for r in residues) for j in coset]
     return build_code(args.n, field, residues)
 
 
@@ -226,8 +226,6 @@ def cmd_pf_identity(args) -> int:
 def cmd_build(args) -> int:
     start = time.monotonic()
     cap = _enum_cap(args)
-    if args.cap_one:  # every family code has at least two words: none is enumerated
-        cap = 1
     budget = _budget(args)
     kwargs = dict(enum_cap=cap, budget=budget)
     if args.family == "A":
@@ -247,24 +245,28 @@ def cmd_build(args) -> int:
             raise ParseError("family Ding needs --q and --m")
         build = family_ding(args.q, args.m)
 
+    outputs = {"family.json": _dump(build.export_dict()).encode(),
+               "code.json": _dump(build.code.export_dict()).encode()}
+    if build.fhs is not None:
+        outputs["fhs_set.json"] = _dump_set(build.fhs)
+        if args.csv:
+            outputs["fhs_set.csv"] = _dump_csv(build.fhs)
+    if build.report is not None:
+        outputs["bound_report.json"] = _dump(build.report.to_json_dict()).encode()
     outdir = Path(args.out)
     try:
         outdir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ParseError(f"cannot create {outdir}: {exc}") from exc
-    digests = {}
-    digests["family.json"] = _write(outdir / "family.json",
-                                    _dump(build.export_dict()).encode())
-    digests["code.json"] = _write(outdir / "code.json",
-                                  _dump(build.code.export_dict()).encode())
-    if build.fhs is not None:
-        digests["fhs_set.json"] = _write(outdir / "fhs_set.json", _dump_set(build.fhs))
-        if args.csv:
-            digests["fhs_set.csv"] = _write(outdir / "fhs_set.csv", _dump_csv(build.fhs))
-    if build.report is not None:
-        digests["bound_report.json"] = _write(
-            outdir / "bound_report.json", _dump(build.report.to_json_dict()).encode()
-        )
+    # an earlier build's output that this one does not write would sit
+    # beside this manifest, unlisted, and `verify` would read it
+    for name in ("fhs_set.json", "fhs_set.csv", "bound_report.json"):
+        if name not in outputs:
+            try:
+                (outdir / name).unlink(missing_ok=True)
+            except OSError as exc:
+                raise ParseError(f"cannot remove {outdir / name}: {exc}") from exc
+    digests = {name: _write(outdir / name, data) for name, data in outputs.items()}
     manifest = {
         "command": "build",
         "params": build.params,
@@ -371,8 +373,6 @@ def make_parser() -> argparse.ArgumentParser:
     s.add_argument("--m", type=int)
     s.add_argument("--k", type=int)
     s.add_argument("--n", type=int)
-    s.add_argument("--params-only", action="store_true", dest="cap_one",
-                   help="the same as --cap 1")
     s.add_argument("--out", default=".")
     s.add_argument("--csv", action="store_true")
     s.add_argument("--cap", type=int, default=None)

@@ -3,9 +3,11 @@
 A cyclic code of length n over GF(q), gcd(n, q) = 1, is pinned down by its
 defining set Z (a union of q-cyclotomic cosets mod n): the generator is
 g(x) = prod_{j in Z} (x - alpha^j) for the canonical primitive n-th root of
-unity alpha (see `RootContext`).  Codewords fall into orbits under the
-cyclic shift; one residue test, `_full_orbits`, decides whether every orbit
-outside the constant words is full, and the two public predicates guard it.
+unity alpha.  A coset is the sorted tuple of its members, and
+`_factor_table`, the one cache, holds each coset's factor of x^n - 1 per
+(p, m, n).  Codewords fall into orbits under the cyclic shift; one
+residue test, `_full_orbits`, decides whether every orbit outside the
+constant words is full, and the two public predicates guard it.
 """
 
 from __future__ import annotations
@@ -52,23 +54,11 @@ FACTOR_LENGTH_CAP = 1 << 17
 FACTOR_DEGREE_CAP = 64
 
 
-@dataclass(frozen=True)
-class CyclotomicCoset:
-    n: int
-    q: int
-    members: tuple[int, ...]
-
-    @property
-    def representative(self) -> int:
-        return self.members[0]
-
-    def __len__(self):
-        return len(self.members)
-
-
-def cyclotomic_cosets(n: int, q: int) -> list[CyclotomicCoset]:
+def cyclotomic_cosets(n: int, q: int) -> list[tuple[int, ...]]:
     """All distinct q-cyclotomic cosets mod n, sorted by representative.
-    Refused (`FactorTableTooLarge`) before any work when n > FACTOR_LENGTH_CAP."""
+    Each is the sorted tuple of its members, so coset[0] is its
+    representative.  Refused (`FactorTableTooLarge`) before any work when
+    n > FACTOR_LENGTH_CAP."""
     if n < 1:
         raise NonPositiveLength(f"length must be positive, got {n}")
     if n > FACTOR_LENGTH_CAP:
@@ -89,11 +79,12 @@ def cyclotomic_cosets(n: int, q: int) -> list[CyclotomicCoset]:
             seen[j] = True
             members.append(j)
             j = j * q % n
-        out.append(CyclotomicCoset(n, q, tuple(sorted(members))))
+        out.append(tuple(sorted(members)))
     return out
 
 
-class RootContext:
+@lru_cache(maxsize=None)
+def _factor_table(p: int, m: int, n: int) -> tuple[tuple[tuple[int, ...], Polynomial], ...]:
     """The canonical primitive n-th root of unity alpha for GF(q), and the
     minimal polynomial over GF(q) of each of its powers.
 
@@ -121,65 +112,55 @@ class RootContext:
     A table is refused (`FactorTableTooLarge`) before any work when n
     exceeds FACTOR_LENGTH_CAP or d exceeds FACTOR_DEGREE_CAP.
     """
-
-    def __init__(self, field: FiniteField, n: int):
-        q = field.order
-        self.cosets = cyclotomic_cosets(n, q)
-        d = multiplicative_order(q, n)
-        if d > FACTOR_DEGREE_CAP:
-            raise FactorTableTooLarge(
-                f"x^{n} - 1 splits over GF({q}^{d}), past the degree cap "
-                f"{FACTOR_DEGREE_CAP}"
+    field = make_field(p, m)
+    q = field.order
+    cosets = cyclotomic_cosets(n, q)
+    d = multiplicative_order(q, n)
+    if d > FACTOR_DEGREE_CAP:
+        raise FactorTableTooLarge(
+            f"x^{n} - 1 splits over GF({q}^{d}), past the degree cap "
+            f"{FACTOR_DEGREE_CAP}"
+        )
+    ext, beta = root_field(field, n)
+    reps = {c[0]: None for c in cosets}
+    checkpoints = {n // r for r in prime_factors(n)}
+    u = np.empty((n, field.m), dtype=np.int64)
+    power = ext.one
+    for k in range(n):
+        if k in checkpoints and ext.is_one(power):
+            raise AssertionError(f"beta^{k} = 1: beta does not have order {n}")
+        if k in reps:
+            reps[k] = power
+        u[k] = power[0]
+        power = ext.mul(power, beta)
+    if not ext.is_one(power):
+        raise AssertionError(f"beta^{n} != 1")
+    u = (u @ field.p ** np.arange(field.m)).tolist()
+    under_beta = [None] * n
+    packed = [0] * n
+    for coset in cosets:
+        j, size = coset[0], len(coset)
+        mj = berlekamp_massey(field, [u[j * k % n] for k in range(2 * size)])
+        if mj.degree != size or mj.leading() != 1:
+            raise AssertionError(
+                f"the factor of C_{j} is not monic of degree {size}"
             )
-        ext, beta = root_field(field, n)
-        reps = {c.representative: None for c in self.cosets}
-        checkpoints = {n // r for r in prime_factors(n)}
-        u = np.empty((n, field.m), dtype=np.int64)
-        power = ext.one
-        for k in range(n):
-            if k in checkpoints and ext.is_one(power):
-                raise AssertionError(f"beta^{k} = 1: beta does not have order {n}")
-            if k in reps:
-                reps[k] = power
-            u[k] = power[0]
-            power = ext.mul(power, beta)
-        if not ext.is_one(power):
-            raise AssertionError(f"beta^{n} != 1")
-        u = (u @ field.p ** np.arange(field.m)).tolist()
-        under_beta = [None] * n
-        packed = [0] * n
-        for coset in self.cosets:
-            j, size = coset.representative, len(coset)
-            mj = berlekamp_massey(field, [u[j * k % n] for k in range(2 * size)])
-            if mj.degree != size or mj.leading() != 1:
-                raise AssertionError(
-                    f"the factor of C_{j} is not monic of degree {size}"
-                )
-            if ext.evaluate(mj, reps[j]).any():
-                raise AssertionError(f"the factor of C_{j} does not vanish at beta^{j}")
-            key = sum(c * q**i for i, c in enumerate(mj.coeffs))
-            for i in coset.members:
-                under_beta[i] = mj
-                packed[i] = key
-        s = min((j for j in range(n) if math.gcd(j, n) == 1), key=packed.__getitem__)
-        self.minimal_polynomials = [under_beta[s * j % n] for j in range(n)]
-
-
-@lru_cache(maxsize=None)
-def _root_context(p: int, m: int, n: int) -> RootContext:
-    return RootContext(make_field(p, m), n)
-
-
-def root_context(field: FiniteField, n: int) -> RootContext:
-    return _root_context(field.p, field.m, n)
+        if ext.evaluate(mj, reps[j]).any():
+            raise AssertionError(f"the factor of C_{j} does not vanish at beta^{j}")
+        key = sum(c * q**i for i, c in enumerate(mj.coeffs))
+        for i in coset:
+            under_beta[i] = mj
+            packed[i] = key
+    s = min((j for j in range(n) if math.gcd(j, n) == 1), key=packed.__getitem__)
+    return tuple((c, under_beta[s * c[0] % n]) for c in cosets)
 
 
 def factor_x_pow_n_minus_one(
     field: FiniteField, n: int
-) -> list[tuple[CyclotomicCoset, Polynomial]]:
-    """Irreducible factors of x^n - 1 over GF(q), one per cyclotomic coset."""
-    ctx = root_context(field, n)
-    return [(c, ctx.minimal_polynomials[c.representative]) for c in ctx.cosets]
+) -> list[tuple[tuple[int, ...], Polynomial]]:
+    """Irreducible factors of x^n - 1 over GF(q), one per cyclotomic coset,
+    as (coset, factor) pairs in coset order; see `_factor_table`."""
+    return list(_factor_table(field.p, field.m, n))
 
 
 @dataclass(frozen=True)
@@ -204,22 +185,19 @@ class CyclicCode:
     def size(self) -> int:
         return self.field.order**self.dimension
 
-    def context(self) -> RootContext:
-        return root_context(self.field, self.n)
-
     def export_dict(self) -> dict:
-        key = self.field.export_key()
+        field = self.field
+        # cosets are ordered by least member: the coset of 1 is second when n > 1
+        alpha_factor = _factor_table(field.p, field.m, self.n)[1 % self.n][1]
         return {
             "n": self.n,
-            "p": key["p"],
-            "m": key["m"],
-            "modulus": key["modulus"],
+            "p": field.p,
+            "m": field.m,
+            "modulus": list(field.modulus),
             "defining_set": list(self.defining_set),
             "dimension": self.dimension,
             "generator": list(self.generator.coeffs),
-            "alpha_minimal_polynomial": list(
-                self.context().minimal_polynomials[1 % self.n].coeffs
-            ),
+            "alpha_minimal_polynomial": list(alpha_factor.coeffs),
         }
 
     def __repr__(self):
@@ -238,14 +216,13 @@ def build_code(n: int, field: FiniteField, defining_set) -> CyclicCode:
         zset.add(j)
     if {j * field.order % n for j in zset} != zset:
         raise NotCosetClosed(f"{sorted(zset)} is not a union of cosets mod {n}")
-    ctx = root_context(field, n)
     # multiply out the factors of the smaller of g and h, an O(min(|Z|, k)^2)
     # product, and divide x^n - 1 by it for the other
     small_is_g = 2 * len(zset) <= n
     small = Polynomial.one(field)
-    for coset in ctx.cosets:
-        if (coset.representative in zset) == small_is_g:
-            small = small * ctx.minimal_polynomials[coset.representative]
+    for coset, factor in _factor_table(field.p, field.m, n):
+        if (coset[0] in zset) == small_is_g:
+            small = small * factor
     xn1 = Polynomial.x_pow_n_minus_one(field, n)
     large, rem = divmod(xn1, small)
     if not rem.is_zero():

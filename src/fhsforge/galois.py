@@ -184,9 +184,6 @@ class FiniteField:
     def __repr__(self):
         return f"GF({self.order})"
 
-    def export_key(self) -> dict:
-        return {"p": self.p, "m": self.m, "modulus": list(self.modulus)}
-
 
 _FIELD_CACHE: dict[tuple[int, int], FiniteField] = {}
 

@@ -69,6 +69,16 @@ def test_code_cosets_given(capsys):
     assert json.loads(out)["defining_set"] == [3, 4, 5, 6]
 
 
+@pytest.mark.parametrize("command", ["code", "mindist"])
+@pytest.mark.parametrize("residue", ["100", "-1"])
+def test_cosets_given_refuses_a_residue_out_of_range(capsys, command, residue):
+    # the residue used to be dropped: 1,100 gave Z = {1, 8}, and -1 the full code
+    code, out, err = run(capsys, command, "--n", "9", "--q", "8",
+                         f"--defining-set=1,{residue}", "--cosets-given")
+    assert code == 4 and out == ""
+    assert err == f"error: NotCosetClosed: residue {residue} outside 0..8\n"
+
+
 def test_mindist(capsys):
     code, out, _ = run(capsys, "mindist", "--n", "9", "--q", "8",
                        "--defining-set", "3,4,5,6")
@@ -362,19 +372,29 @@ def test_verify_budget_and_sampled(tmp_path, capsys):
 def test_build_params_only_exit_code(tmp_path, capsys):
     out_dir = tmp_path / "a8"
     code, out, _ = run(capsys, "build", "--family", "A", "--m", "4", "--k", "8",
-                       "--params-only", "--out", str(out_dir))
+                       "--cap", "1", "--out", str(out_dir))
     assert code == 3
     assert not (out_dir / "fhs_set.json").exists()
     family = json.loads((out_dir / "family.json").read_text())
     assert family["claimed"]["N"] == "17361641481138401520"
     report = json.loads((out_dir / "bound_report.json").read_text())
     assert report["meets"]["singleton"] is True
-    # --params-only is --cap 1
-    cap_dir = tmp_path / "a8-cap1"
-    assert run(capsys, "build", "--family", "A", "--m", "4", "--k", "8",
-               "--cap", "1", "--out", str(cap_dir)) == (code, out, "")
-    for name in ("family.json", "code.json", "bound_report.json"):
-        assert (cap_dir / name).read_bytes() == (out_dir / name).read_bytes()
+
+
+def test_build_removes_stale_outputs(tmp_path, capsys):
+    # each build leaves exactly its manifest's outputs: B5's CSV, then
+    # A8k1's set, used to stay beside a later build's manifest
+    builds = [
+        (["--family", "B", "--q", "5", "--csv"], 0),
+        (["--family", "A", "--m", "3", "--k", "1"], 0),
+        (["--family", "A", "--m", "4", "--k", "8", "--cap", "1"], 3),
+        (["--family", "Ding", "--q", "2", "--m", "4"], 0),
+    ]
+    for argv, exit_code in builds:
+        assert run(capsys, "build", *argv, "--out", str(tmp_path))[0] == exit_code
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        names = {path.name for path in tmp_path.iterdir()}
+        assert names == {*manifest["outputs"], "manifest.json"}, argv
 
 
 def test_build_sampled_exit_code(tmp_path, capsys):
@@ -536,7 +556,8 @@ def test_negative_budget_is_input_error(tmp_path, capsys, b5_record):
     ["pf-identity", "--threads", "2"],
     ["no-such-command"],
     ["verify", "F", "--budget", "abc"],
-], ids=["sampled", "samples-seed", "threads", "subcommand", "budget"])
+    ["build", "--family", "A", "--m", "4", "--k", "8", "--params-only"],
+], ids=["sampled", "samples-seed", "threads", "subcommand", "budget", "params-only"])
 def test_usage_error_is_input_error(capsys, argv):
     # exit 2 would read as a claim mismatch
     code, out, err = run(capsys, *argv)
@@ -546,10 +567,10 @@ def test_usage_error_is_input_error(capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
-    ["build", "--family", "A", "--m", "128", "--k", "1", "--params-only"],
-    ["build", "--family", "B", "--q", "2305843009213693951", "--params-only"],
+    ["build", "--family", "A", "--m", "128", "--k", "1", "--cap", "1"],
+    ["build", "--family", "B", "--q", "2305843009213693951", "--cap", "1"],
     ["build", "--family", "C", "--q", "2305843009213693951", "--n", "3", "--k", "0",
-     "--params-only"],
+     "--cap", "1"],
     ["factor", "--n", "3", "--q", "2305843009213693951"],
     ["build", "--family", "A", "--m", "100000000000000", "--k", "1"],
 ], ids=["family-A", "family-B", "family-C", "factor", "family-A-m-1e14"])
@@ -647,9 +668,7 @@ BUILD_B5 = ["build", "--family", "B", "--q", "5"]
     MINDIST_98 + ["--cap", "-1"],
     BUILD_B5 + ["--cap", "0"],
     BUILD_B5 + ["--cap", "-1"],
-    BUILD_B5 + ["--params-only", "--cap", "0"],
-], ids=["mindist-cap-0", "mindist-cap-neg", "build-cap-0", "build-cap-neg",
-        "build-params-only-cap-0"])
+], ids=["mindist-cap-0", "mindist-cap-neg", "build-cap-0", "build-cap-neg"])
 def test_cap_below_one_is_input_error(tmp_path, capsys, argv):
     # neither 0 nor a negative cap means "the default" or "no codewords"
     out_dir = tmp_path / "out"
@@ -692,7 +711,7 @@ def test_unprintable_sphere_bound_is_null(tmp_path, capsys):
     # prints, and took seconds to sum; the build used to exit 1 with a traceback
     start = time.monotonic()
     code, out, err = run(capsys, "build", "--family", "A", "--m", "12", "--k", "1",
-                         "--params-only", "--out", str(tmp_path))
+                         "--cap", "1", "--out", str(tmp_path))
     assert time.monotonic() - start < 5.0
     assert code == 3 and "Traceback" not in err
     assert "parameters-only (enumeration beyond cap)" in out
@@ -723,7 +742,7 @@ def test_report_under_a_lower_int_to_str_limit(tmp_path):
     env = {**os.environ, "PYTHONINTMAXSTRDIGITS": "640"}
     proc = subprocess.run(
         [sys.executable, "-m", "fhsforge", "build", "--family", "A", "--m", "11",
-         "--k", "1", "--params-only", "--out", str(tmp_path)],
+         "--k", "1", "--cap", "1", "--out", str(tmp_path)],
         capture_output=True, text=True, timeout=120, env=env,
     )
     assert proc.returncode in (0, 3) and "Traceback" not in proc.stderr

@@ -32,13 +32,13 @@ OPTIONS = {
     "factor": ["--n", "--q", "--json"],
     "code": ["--n", "--q", "--defining-set", "--cosets-given", "--json"],
     "mindist": ["--n", "--q", "--defining-set", "--cosets-given", "--cap"],
-    "build": ["--family", "--q", "--m", "--k", "--n", "--params-only", "--out",
-              "--csv", "--cap", "--budget"],
+    "build": ["--family", "--q", "--m", "--k", "--n", "--out", "--csv", "--cap",
+              "--budget"],
     "verify": ["--budget"],
     "bounds": ["--n", "--N", "--ell", "--lambda"],
     "pf-identity": ["--n-max", "--N-max", "--l-max"],
 }
-SWITCHES = {"--json", "--cosets-given", "--params-only", "--csv"}
+SWITCHES = {"--json", "--cosets-given", "--csv"}
 BAD = ["-1", "0", "x", "1.5", ""]
 # At most 9, --m included: Ding's length (q^m - 1)/(q - 1) reaches 48,427,561
 # at q = m = 9, and a factor table past the size caps is refused (exit 3)

@@ -288,7 +288,7 @@ def test_factor_table_over_extension_fields(q):
         for coset, mj in factor_x_pow_n_minus_one(F, n):
             assert mj.leading() == 1 and _ben_or(mj) is not None, (n, coset)
             assert mj.degree == len(coset), (n, coset)
-            for j in coset.members:
+            for j in coset:
                 factor_of[j] = mj
         m1 = factor_of[1 % n]
         assert list(m1.coeffs) == least_packed_phi_factor(F, n, m1.degree), n

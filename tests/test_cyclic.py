@@ -21,7 +21,6 @@ from fhsforge.cyclic import (
     has_full_orbits_nonzero,
     has_full_orbits_outside_constants,
     min_distance_exhaustive,
-    root_context,
     unit_coset_code,
 )
 from fhsforge.errors import (
@@ -63,31 +62,31 @@ def every_orbit(code):
 
 def test_cosets_mod9_over_8():
     cosets = cyclotomic_cosets(9, 8)
-    assert [c.members for c in cosets] == [(0,), (1, 8), (2, 7), (3, 6), (4, 5)]
+    assert cosets == [(0,), (1, 8), (2, 7), (3, 6), (4, 5)]
 
 
 def test_cosets_singletons_when_q_is_1_mod_n():
     cosets = cyclotomic_cosets(5, 11)
-    assert [c.members for c in cosets] == [(0,), (1,), (2,), (3,), (4,)]
+    assert cosets == [(0,), (1,), (2,), (3,), (4,)]
 
 
 def test_cosets_mod17_over_16():
     cosets = cyclotomic_cosets(17, 16)
-    assert cosets[0].members == (0,)
-    assert all(c.members == (i, 17 - i) for i, c in enumerate(cosets[1:], start=1))
+    assert cosets[0] == (0,)
+    assert all(c == (i, 17 - i) for i, c in enumerate(cosets[1:], start=1))
 
 
 def test_cosets_partition_property():
     for n, q in [(9, 8), (15, 2), (21, 4), (26, 3), (30, 7), (13, 3)]:
         cosets = cyclotomic_cosets(n, q)
-        flat = [j for c in cosets for j in c.members]
+        flat = [j for c in cosets for j in c]
         assert sorted(flat) == list(range(n))
         for c in cosets:
-            t = c.representative
+            t = c[0]
             # |C_t| is the least j with t*q^j = t (mod n)
             size = next(j for j in range(1, n + 1) if t * pow(q, j, n) % n == t)
-            assert len(c.members) == size
-            assert {j * q % n for j in c.members} == set(c.members)
+            assert len(c) == size
+            assert {j * q % n for j in c} == set(c)
 
 
 def test_cosets_nonpositive_length():
@@ -95,7 +94,7 @@ def test_cosets_nonpositive_length():
         cyclotomic_cosets(0, 2)
     for n in (-1, -3):
         with pytest.raises(NonPositiveLength):
-            root_context(make_field(2, 1), n)
+            factor_x_pow_n_minus_one(make_field(2, 1), n)
 
 
 def test_cosets_not_coprime():
@@ -141,7 +140,7 @@ FROZEN_TABLES = {
 @pytest.mark.parametrize("q,n", sorted(FROZEN_TABLES))
 def test_frozen_factor_tables(q, n):
     factors = factor_x_pow_n_minus_one(field_from_order(q), n)
-    got = {c.representative: list(mj.coeffs) for c, mj in factors}
+    got = {c[0]: list(mj.coeffs) for c, mj in factors}
     assert got == FROZEN_TABLES[q, n]
 
 
@@ -160,7 +159,7 @@ def test_factor_tables_are_frozen():
         | {(p, n) for p in (2, 3, 5, 7, 11, 13) for n in range(1, 60) if n % p}
         | set(PAPER_PAIRS)
     )
-    tables = [[q, n, [[list(c.members), list(mj.coeffs)]
+    tables = [[q, n, [[list(c), list(mj.coeffs)]
                       for c, mj in factor_x_pow_n_minus_one(field_from_order(q), n)]]
               for q, n in pairs]
     text = json.dumps(tables, separators=(",", ":"))
@@ -190,14 +189,14 @@ def test_tables_do_not_depend_on_the_root_field(monkeypatch):
     pairs = [(q, n) for q in (2, 3, 4, 5, 7, 8, 9) for n in range(1, 31)
              if math.gcd(q, n) == 1]
     pairs += PAPER_PAIRS
-    streamed = {pair: root_context(field_from_order(pair[0]), pair[1])
+    streamed = {pair: factor_x_pow_n_minus_one(field_from_order(pair[0]), pair[1])
                 for pair in pairs}
     monkeypatch.setattr(cyclic, "root_field", packed_root_field)
     moved = 0
-    for (q, n), ctx in streamed.items():
+    for (q, n), table in streamed.items():
         F = field_from_order(q)
-        packed = cyclic.RootContext(F, n)
-        assert packed.minimal_polynomials == ctx.minimal_polynomials, (q, n)
+        packed = cyclic._factor_table.__wrapped__(F.p, F.m, n)
+        assert list(packed) == table, (q, n)
         moved += root_field(F, n)[0].modulus != packed_root_field(F, n)[0].modulus
     assert moved > len(pairs) // 2  # the two searches mostly pick different f
 
@@ -213,7 +212,7 @@ def test_factor_table_self_check_catches_a_wrong_factor(monkeypatch):
 
     monkeypatch.setattr(cyclic, "berlekamp_massey", off_by_one)
     with pytest.raises(AssertionError, match="does not vanish"):
-        cyclic.RootContext(make_field(3, 1), 13)
+        cyclic._factor_table.__wrapped__(3, 1, 13)
 
 
 def test_factor_table_size_caps():
@@ -221,14 +220,31 @@ def test_factor_table_size_caps():
     # ord_n(q) past the degree cap before any field work
     start = time.monotonic()
     with pytest.raises(FactorTableTooLarge, match="length cap"):
-        root_context(make_field(2, 3), 19_173_961)
+        factor_x_pow_n_minus_one(make_field(2, 3), 19_173_961)
     with pytest.raises(FactorTableTooLarge, match="length cap"):
         cyclotomic_cosets(10**12 + 1, 2)
     with pytest.raises(FactorTableTooLarge, match="degree cap"):
-        root_context(make_field(2, 1), 131)
+        factor_x_pow_n_minus_one(make_field(2, 1), 131)
     assert time.monotonic() - start < 1.0
     assert cyclic.FACTOR_LENGTH_CAP >= 19_531  # family_ding(5, 7) is accepted
     assert cyclic.FACTOR_DEGREE_CAP >= 58  # so is the sympy oracle's d = 58
+
+
+def test_one_cached_table_per_field_and_length(monkeypatch):
+    # the per-(p, m, n) table is the only cache: the factors, a code built
+    # from them and the code's export share one root-field search
+    cyclic._factor_table.cache_clear()
+    searches = []
+
+    def counted(field, n):
+        searches.append((field.order, n))
+        return root_field(field, n)
+
+    monkeypatch.setattr(cyclic, "root_field", counted)
+    F = make_field(2, 3)
+    factor_x_pow_n_minus_one(F, 9)
+    build_code(9, F, [3, 4, 5, 6]).export_dict()
+    assert searches == [(8, 9)]
 
 
 def test_build_mds_code_9_5_5():
@@ -242,12 +258,12 @@ def test_build_mds_code_9_5_5():
 def canonical_root(F, n):
     """(alpha, f): alpha in GF(q)[y]/(f), f of degree ord_n(q).
 
-    alpha is found here, not read from the context: it is any root of m_1,
-    the context's factor of the coset of 1, among the powers of root_field's
+    alpha is found here, not read from the table: it is any root of m_1,
+    the table's factor of the coset of 1, among the powers of root_field's
     n-th root of unity modulo f."""
     ext, beta = root_field(F, n)
     f, beta = ext.modulus, ext.polynomial(beta)
-    m1 = root_context(F, n).minimal_polynomials[1 % n]
+    m1 = next(mj for coset, mj in factor_x_pow_n_minus_one(F, n) if 1 % n in coset)
     alpha = next(a for a in (pow_mod(beta, s, f) for s in range(n))
                  if evaluate(m1, a, f).is_zero())
     return alpha, f
@@ -325,7 +341,7 @@ def test_predicate_on_example_codes():
 def test_predicate_true_for_prime_length():
     F = make_field(3, 1)
     for coset in cyclotomic_cosets(13, 3)[1:]:
-        code = build_code(13, F, coset.members)
+        code = build_code(13, F, coset)
         assert has_full_orbits_outside_constants(code)
 
 
@@ -343,7 +359,8 @@ def small_period_witness(code: CyclicCode) -> tuple[int, ...] | None:
     bad = [j for j in range(1, code.n) if j not in zset and math.gcd(j, code.n) > 1]
     if not bad:
         return None
-    factors = code.context().minimal_polynomials
+    factors = {j: mj for coset, mj in factor_x_pow_n_minus_one(code.field, code.n)
+               for j in coset}
     xn1 = Polynomial.x_pow_n_minus_one(code.field, code.n)
     w = xn1 // (factors[0] * factors[bad[0]])
     coeffs = list(w.coeffs) + [0] * (code.n - len(w.coeffs))
@@ -396,7 +413,7 @@ def test_nonzero_predicate_against_enumeration():
         cosets = cyclotomic_cosets(n, q)
         for r in range(1, len(cosets) + 1):
             for combo in itertools.combinations(cosets, r):
-                members = [j for c in combo for j in c.members]
+                members = [j for c in combo for j in c]
                 k = n - len(members)
                 if k == 0 or q**k > 2**14:
                     continue
@@ -452,7 +469,7 @@ def test_class_sizes_divide_n_and_sum():
         F = make_field(p, m)
         cosets = cyclotomic_cosets(n, F.order)
         chosen = [c for c in cosets if rng.random() < 0.5]
-        members = [j for c in chosen for j in c.members]
+        members = [j for c in chosen for j in c]
         if F.order ** (n - len(members)) > 2**14:
             continue
         code = build_code(n, F, members)
@@ -591,7 +608,7 @@ def _universe(max_words):
         for n in range(1, 31):
             if math.gcd(n, q) != 1:
                 continue
-            nonzero = [c.members for c in cyclotomic_cosets(n, q)[1:]]
+            nonzero = cyclotomic_cosets(n, q)[1:]
             for r in range(len(nonzero) + 1):
                 for combo in itertools.combinations(nonzero, r):
                     members = [j for c in combo for j in c]
@@ -711,7 +728,7 @@ def test_min_distance_sweep_against_the_codeword_matrix():
         for n in range(1, 16):
             if math.gcd(n, q) != 1:
                 continue
-            cosets = [c.members for c in cyclotomic_cosets(n, q)]
+            cosets = cyclotomic_cosets(n, q)
             for r in range(len(cosets)):
                 for combo in itertools.combinations(cosets, r):
                     members = [j for c in combo for j in c]

@@ -88,7 +88,7 @@ def test_alpha_labelling_matches_sympy(p):
     F = make_field(p, 1)
     for n in _lengths(p):
         table = factor_x_pow_n_minus_one(F, n)
-        factor_of = {j: mj.coeffs for coset, mj in table for j in coset.members}
+        factor_of = {j: mj.coeffs for coset, mj in table for j in coset}
         m1 = min(_sympy_factors(sympy.cyclotomic_poly(n, X), p),
                  key=lambda f: _packed(f, p))
         assert factor_of[1 % n] == m1, (p, n)
