@@ -118,6 +118,7 @@ def _materialize(
         build.checks["class_count"] = len(sizes) == build.claimed_N
         build.checks["class_sizes"] = bool((sizes == n).all())
         build.fhs = classes_to_fhs(reps, sizes, code, provenance=build.params)
+        del reps, sizes  # the set holds its own copy through the certificate
         try:
             build.survey = max_nontrivial(build.fhs, budget=budget)
             build.checks["lambda_match"] = build.survey.value == build.claimed_lambda

@@ -352,7 +352,8 @@ def _shift_map(code: CyclicCode) -> np.ndarray:
     fb = np.zeros((1, 1), dtype=np.uint32)  # each key's feedback c_(t+k)
     for i in range(k):  # -h_(i+1) / h_0 weighs digit q^i
         fb = _step(field, tap_multiples[:, i : i + 1], fb)
-    return np.arange(q**k) % q ** (k - 1) * q + fb.ravel()
+    # key a * q^(k-1) + b steps to b * q + its feedback, row a of fb
+    return (np.arange(0, q**k, q)[None, :] + fb.reshape(q, -1)).ravel()
 
 
 def _walk(code: CyclicCode, nxt: np.ndarray, keys: np.ndarray) -> np.ndarray:
@@ -384,9 +385,10 @@ def _least_weight(words: np.ndarray) -> int:
 def _least_keys(nxt: np.ndarray, n: int) -> np.ndarray:
     """Each key's least key over its first 2^ceil(log2 n) >= n steps of `nxt`."""
     best, jump = np.arange(len(nxt)), nxt
-    for _ in range((n - 1).bit_length()):  # best: least of 2^r steps; jump = nxt^(2^r)
+    for r in range((n - 1).bit_length()):  # best: least of 2^(r+1) steps
+        if r:  # jump = nxt^(2^r), squared only for a round that reads it
+            jump = jump[jump]
         np.minimum(best, best[jump], out=best)
-        jump = jump[jump]
     return best
 
 

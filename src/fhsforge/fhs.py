@@ -382,9 +382,23 @@ def _repeat(key: np.ndarray, span: int) -> tuple[int, int] | None:
 
 
 def _rotation_table(seqs: np.ndarray) -> np.ndarray:
-    """Each row written twice, as int64: rotation s of row i is
-    table[i, s:s + n]."""
-    return np.concatenate([seqs, seqs], axis=1).astype(np.int64)
+    """Each row written twice, in the set's own uint32 symbols, 8 bytes per
+    rotation: rotation s of row i is table[i, s:s + n]."""
+    return np.concatenate([seqs, seqs], axis=1)
+
+
+def _rerank(key: np.ndarray, out: np.ndarray) -> int:
+    """Write into `out`, an int64 array of `key`'s shape, each value of
+    `key` as its rank among the distinct values, np.unique's inverse, and
+    return their count.  Holds 17 bytes per entry, np.unique 49."""
+    flat = key.ravel()
+    order = np.argsort(flat)
+    ranked = flat[order]
+    step = ranked[1:] != ranked[:-1]
+    ranked[0] = 0
+    np.cumsum(step, out=ranked[1:])
+    out.ravel()[order] = ranked
+    return int(ranked[-1]) + 1
 
 
 def _collision(table: np.ndarray, size: int) -> tuple[int, int, int] | None:
@@ -405,42 +419,51 @@ def _collision(table: np.ndarray, size: int) -> tuple[int, int, int] | None:
     first colliding set in lexicographic order is the least of its class,
     so this walk meets it first, with the key and pair the walk over all
     sets would give.
+
+    Beside the table it holds `size` - 1 int64 key buffers of N * n
+    entries, re-ranks a partial key in its own buffer, or once, at the
+    root, into one more, and frees all of them when it returns.
     """
     n = table.shape[1] // 2
     base = int(table[:, :n].max()) + 1
     # one buffer per depth below the root, reused by every prefix there
     keys = np.empty((size - 1, table.shape[0], n), dtype=np.int64)
     gaps = [0] * size  # gaps[d] = p_d - p_{d-1}; gaps[0] sorts below all
-
-    def search(key, span, last, depth, period):
-        # positions p_0 = 0 < ... < p_{depth-1} = last; gaps[1:depth] is a
-        # prenecklace of period `period`
-        if depth == size:
-            return _repeat(key, span)
-        if span * base > _KEY_LIMIT:
-            values, inverse = np.unique(key.ravel(), return_inverse=True)
-            key, span = inverse.reshape(key.shape), len(values)
-        low = last + max(gaps[depth - period], 1)
-        high = n - (size - depth) * gaps[1] if depth > 1 else n // size
-        for p in range(low, high + 1):
-            gap = gaps[depth] = p - last
-            grown = period if gap == gaps[depth - period] else depth
-            if depth == size - 1:
-                end, back = n - p, gaps[size - grown]
-                if end < back or (end == back and size % grown):
-                    continue
-            child = np.multiply(key, base, out=keys[depth - 1])
-            child += table[:, p:p + n]
-            hit = search(child, span * base, p, depth + 1, grown)
-            if hit is not None:
-                return hit
-        return None
-
-    hit = search(table[:, :n], base, 0, 1, 1)
+    hit = _search(table, keys, gaps, base, table[:, :n], base, 0, 1, 1)
     if hit is None:
         return None
     (i, s), (j, s2) = divmod(hit[0], n), divmod(hit[1], n)
     return i, j, (s2 - s) % n
+
+
+def _search(table, keys, gaps, base, key, span, last, depth, period):
+    """The first repeat of `_collision`'s walk below one prefix: positions
+    p_0 = 0 < ... < p_{depth-1} = last, whose `key` holds values below
+    `span`; gaps[1:depth] is a prenecklace of period `period`."""
+    size, n = len(gaps), table.shape[1] // 2
+    if depth == size:
+        return _repeat(key, span)
+    if span * base > _KEY_LIMIT:
+        # the root's key is the table itself; a deeper one is its parent's
+        # buffer, rewritten for the next prefix only after this one returns
+        out = key if depth > 1 else np.empty(key.shape, dtype=np.int64)
+        key, span = out, _rerank(key, out)
+    low = last + max(gaps[depth - period], 1)
+    high = n - (size - depth) * gaps[1] if depth > 1 else n // size
+    for p in range(low, high + 1):
+        gap = gaps[depth] = p - last
+        grown = period if gap == gaps[depth - period] else depth
+        if depth == size - 1:
+            end, back = n - p, gaps[size - grown]
+            if end < back or (end == back and size % grown):
+                continue
+        # int64 whatever the key's width: the loop is picked from the inputs
+        child = np.multiply(key, base, out=keys[depth - 1], dtype=np.int64)
+        child += table[:, p:p + n]
+        hit = _search(table, keys, gaps, base, child, span * base, p, depth + 1, grown)
+        if hit is not None:
+            return hit
+    return None
 
 
 def max_nontrivial(
@@ -455,15 +478,19 @@ def max_nontrivial(
     collision proves M(F) = c.  The test at L keys N * n rotations at each
     of about C(n, L)/n position sets, one per rotation class, so the walk
     costs about C(n, M(F) + 1)/n * N * n in all.  The rotation table is
-    built once for the whole walk.
+    built once for the whole walk, and nothing the walk allocates outlives
+    the call.
 
     Refuses with BudgetExceeded before any test that would take the
     rotations keyed so far past the budget; budget=None lifts it.  The
     budget counts `_rotation_classes(n, L)` * N * n rotations per test,
     exactly what a test without a collision keys.  Under
     any budget it also refuses a set of more than 2^30 rotations, whose
-    keys could overflow, and a test whose estimated peak, 16 * (L + 1)
-    bytes per rotation plus the bincount floor, exceeds physical memory.
+    keys could overflow, and a test whose peak could exceed physical
+    memory.  That peak is at most 8 * (L + 3) * N * n bytes plus 8 per
+    bin of the largest bincount, max(4 * N * n, 2^20): the table, each of
+    the L - 1 key buffers and a re-ranked root key take 8 bytes per
+    rotation, and the last step's temporaries, bins and all, the rest.
     """
     count, n = fset.size, fset.n
     if count == 1 and n < 2:
@@ -486,7 +513,7 @@ def max_nontrivial(
                 f"collision tests up to L = {size} key {keyed} rotations, "
                 f"which exceed budget {budget}"
             )
-        peak = 16 * (size + 1) * rotations + 8 * _BINCOUNT_FLOOR
+        peak = 8 * (size + 3) * rotations + 8 * max(4 * rotations, _BINCOUNT_FLOOR)
         if peak > memory:
             raise BudgetExceeded(
                 f"the collision test at L = {size} needs about {peak} bytes, "

@@ -1,7 +1,10 @@
+import functools
+import gc
 import io
 import itertools
 import json
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -555,15 +558,122 @@ def test_walk_budget_refuses_large_m():
 
 
 def test_memory_refusal_under_any_budget(monkeypatch):
-    # M = 1, so the walk tests L = 1 and L = 2; the test at L needs an
-    # estimated 16 * (L + 1) bytes per rotation plus the bincount floor
+    # M = 1, so the walk tests L = 1 and L = 2; the test at L needs at most
+    # 8 * (L + 3) bytes per rotation plus 8 per bin of the bincount floor
     fset = FhsSet([[0, 1, 2, 3, 4], [0, 2, 4, 1, 3]], 5)
     assert max_nontrivial(fset).value == scalar_max_nontrivial(fset.seqs.tolist()) == 1
-    need = 16 * 3 * 10 + (8 << 20)
+    need = 8 * 5 * 10 + (8 << 20)
     monkeypatch.setattr(fhs, "_physical_memory", lambda: need - 1)
     for budget in (None, 10**10):
         with pytest.raises(BudgetExceeded, match="L = 2 needs about"):
             max_nontrivial(fset, budget=budget)
+    monkeypatch.setattr(fhs, "_physical_memory", lambda: need)
+    assert max_nontrivial(fset, budget=None).value == 1
+
+
+def test_root_key_multiplies_in_int64():
+    # the table holds uint32 symbols, and numpy picks the multiply's loop
+    # from its inputs, not from `out`: 65536 * 65537 must not wrap at 2^32
+    fset = FhsSet([[65536, 0, 1], [0, 65536, 2]], 65537)
+    survey = max_nontrivial(fset)
+    assert (survey.value, survey.witness) == (1, (0, 1, 2))
+    assert scalar_max_nontrivial(fset.seqs.tolist()) == 1
+
+
+def test_wide_alphabets_match_scalar_oracle():
+    # 2^16 < ell < 2^31: depth 1 keeps the table's uint32 key, which no
+    # re-rank widens, so its products pass 2^32.  Wrapped at 2^32, the keys
+    # of (m, 0) and (0, m * ell - 2^32) would be equal, m = ceil(2^32 / ell)
+    rng = random.Random(47)
+    for _ in range(60):
+        ell = rng.randrange(2**16 + 1, 2**31)
+        m = -(-2**32 // ell)
+        palette = [0, ell - 1, m, m * ell - 2**32, rng.randrange(ell)]
+        count, n = rng.randrange(1, 6), rng.randrange(2, 9)
+        rows = {tuple(rng.choice(palette) for _ in range(n)) for _ in range(count)}
+        fset = FhsSet(sorted(rows), ell)
+        survey = max_nontrivial(fset, budget=None)
+        assert survey.value == scalar_max_nontrivial(fset.seqs.tolist())
+        i, j, t = survey.witness
+        assert correlation(fset.seqs[i].tolist(), fset.seqs[j].tolist(), t) == survey.value
+
+
+def test_nothing_outlives_the_certificate():
+    # with the cyclic collector off, only reference counts free memory: the
+    # table and key buffers must not sit in a cycle after the call
+    fset = family_b(25, budget=1).fhs
+    max_nontrivial(fset)  # numpy's first-call caches
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        survey = max_nontrivial(fset)
+        left = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+        if enabled:
+            gc.enable()
+    assert survey.value == 2
+    assert left < 4096
+
+
+@functools.lru_cache(maxsize=None)
+def c512_rows():
+    """The (27, 9709, 1; 512) set's rows, 262,143 rotations, as int64."""
+    return family_c(512, 27, 0, budget=1).fhs.seqs.astype(np.int64)
+
+
+@pytest.mark.parametrize("scale, shift, ell, branch", [
+    (2, 0, 1024, "bincount"),  # 1023^2 bins, just under 4 * N * n
+    (4096, 7, 2**21, "sort"),
+    (2**23, 5, 2**32, "rerank"),  # (2^32 - 2^23 + 6)^2 > 2^62 at depth 1
+], ids=["bincount", "sort", "rerank"])
+def test_memory_estimate_bounds_the_peak(monkeypatch, scale, shift, ell, branch):
+    # M = 1, so the last test is at L = 2, whose estimate is the walk's
+    # largest; tracemalloc sees every numpy buffer
+    fset = FhsSet(c512_rows() * scale + shift, ell)
+    rotations = fset.size * fset.n
+    need = 8 * 5 * rotations + 8 * max(4 * rotations, 1 << 20)
+    spans, reranked, tests = [], [], []
+    repeat, rerank, collision = fhs._repeat, fhs._rerank, fhs._collision
+
+    def spying_repeat(key, span):
+        spans.append(span)
+        return repeat(key, span)
+
+    def spying_rerank(key, out):
+        reranked.append(key.dtype)
+        return rerank(key, out)
+
+    def spying_collision(table, size):
+        tests.append(size)
+        return collision(table, size)
+
+    monkeypatch.setattr(fhs, "_repeat", spying_repeat)
+    monkeypatch.setattr(fhs, "_rerank", spying_rerank)
+    tracemalloc.start()
+    try:
+        survey = max_nontrivial(fset, budget=None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    i, j, t = survey.witness
+    assert survey.value == correlation(fset.seqs[i].tolist(), fset.seqs[j].tolist(), t) == 1
+    bincount = [span <= max(4 * rotations, 1 << 20) for span in spans]
+    if branch == "bincount":
+        assert 2 * rotations < spans[-1] <= 4 * rotations
+    else:
+        assert not any(bincount)
+    assert reranked == ([np.uint32] if branch == "rerank" else [])
+    assert peak <= need
+
+    monkeypatch.setattr(fhs, "_collision", spying_collision)
+    monkeypatch.setattr(fhs, "_physical_memory", lambda: need - 1)
+    with pytest.raises(BudgetExceeded, match="L = 2 needs about"):
+        max_nontrivial(fset, budget=None)
+    assert tests == [1]  # refused before the test at L = 2 allocates
     monkeypatch.setattr(fhs, "_physical_memory", lambda: need)
     assert max_nontrivial(fset, budget=None).value == 1
 
