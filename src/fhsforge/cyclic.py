@@ -5,9 +5,10 @@ defining set Z (a union of q-cyclotomic cosets mod n): the generator is
 g(x) = prod_{j in Z} (x - alpha^j) for the canonical primitive n-th root of
 unity alpha.  A coset is the sorted tuple of its members, and
 `_factor_table`, the one cache, holds each coset's factor of x^n - 1 per
-(p, m, n).  Codewords fall into orbits under the cyclic shift; one
-residue test, `_full_orbits`, decides whether every orbit outside the
-constant words is full, and the two public predicates guard it.
+(p, m, n), with one vectorized check that each vanishes where it should.
+Codewords fall into orbits under the cyclic shift; one residue test,
+`_full_orbits`, decides whether every orbit outside the constant words is
+full, and the two public predicates guard it.
 """
 
 from __future__ import annotations
@@ -47,11 +48,13 @@ ENUMERATION_CAP = 1 << 22
 BYTES_PER_KEY = 32
 # The factor table of x^n - 1 over GF(q), and the cyclotomic cosets mod n,
 # are refused before any work when n or d = ord_n(q) passes these caps.  On a
-# 2-core Xeon guest a table costs at most about 75 us per residue
-# (n = 131,071 over GF(2^17), d = 1: 10 s), and d = 58..66 over GF(11) and
-# GF(13) takes under 2 s.
+# 2-core Xeon guest n = 131,071 over GF(2^17) (d = 1) takes 3.0 s, d = 53
+# over GF(2^16) and GF(2^20) 6 to 17 s, and d = 58..66 over GF(11) and
+# GF(13) under 2 s.
 FACTOR_LENGTH_CAP = 1 << 17
 FACTOR_DEGREE_CAP = 64
+# Digits per block of the factor table's vanishing check, `_values_at_powers`.
+_CHECK_BLOCK = 1 << 14
 
 
 def cyclotomic_cosets(n: int, q: int) -> list[tuple[int, ...]]:
@@ -91,8 +94,8 @@ def _factor_table(p: int, m: int, n: int) -> tuple[tuple[tuple[int, ...], Polyno
     The table is computed in GF(q^d) = GF(q)[y]/(f), d = ord_n(q), on the
     `ExtensionField` kernel, under the root beta of order n that
     `galois.root_field` gives with f: f = Phi_n and beta = y when
-    d = phi(n), else a searched f.  alpha is fixed by its minimal
-    polynomial, not by f or beta: alpha is a root of m_1, the monic
+    d = phi(n), else the stream field of degree d.  alpha is fixed by its
+    minimal polynomial, not by f or beta: alpha is a root of m_1, the monic
     irreducible factor of Phi_n(x) over GF(q) whose packed value
     sum_i c_i q^i is smallest.  Conjugate roots give the same labelling, so
     any root of m_1 will do.  The factors are computed once under beta and
@@ -104,13 +107,15 @@ def _factor_table(p: int, m: int, n: int) -> tuple[tuple[tuple[int, ...], Polyno
     Berlekamp-Massey over GF(q), of u_k = the constant coefficient of
     beta^(jk), k < 2|C_j|.  The table checks, in near-linear time, that
     beta^n = 1 and beta^(n/r) != 1 for every prime r | n, and that each
-    m_j is monic of degree |C_j| with m_j(beta^j) = 0.  Then beta has order
-    n, m_j vanishes on the |C_j| distinct conjugates beta^c, c in C_j, so
+    m_j is monic of degree |C_j| with m_j(beta^j) = 0, the last for all
+    cosets in one pass, `_values_at_powers`.  Then beta has order n, m_j
+    vanishes on the |C_j| distinct conjugates beta^c, c in C_j, so
     m_j = prod_(c in C_j) (x - beta^c), and since the cosets partition
     0..n-1, the factors multiply to prod_(s<n) (x - beta^s) = x^n - 1.
 
     A table is refused (`FactorTableTooLarge`) before any work when n
-    exceeds FACTOR_LENGTH_CAP or d exceeds FACTOR_DEGREE_CAP.
+    exceeds FACTOR_LENGTH_CAP or d exceeds FACTOR_DEGREE_CAP.  Under them,
+    the (n, d) uint32 table of the powers of beta takes n*d*4 <= 32 MiB.
     """
     field = make_field(p, m)
     q = field.order
@@ -122,22 +127,19 @@ def _factor_table(p: int, m: int, n: int) -> tuple[tuple[tuple[int, ...], Polyno
             f"{FACTOR_DEGREE_CAP}"
         )
     ext, beta = root_field(field, n)
-    reps = {c[0]: None for c in cosets}
     checkpoints = {n // r for r in prime_factors(n)}
-    u = np.empty((n, field.m), dtype=np.int64)
+    weights = field.p ** np.arange(field.m)
+    powers = np.empty((n, ext.d), dtype=np.uint32)
     power = ext.one
     for k in range(n):
         if k in checkpoints and ext.is_one(power):
             raise AssertionError(f"beta^{k} = 1: beta does not have order {n}")
-        if k in reps:
-            reps[k] = power
-        u[k] = power[0]
+        powers[k] = power @ weights
         power = ext.mul(power, beta)
     if not ext.is_one(power):
         raise AssertionError(f"beta^{n} != 1")
-    u = (u @ field.p ** np.arange(field.m)).tolist()
-    under_beta = [None] * n
-    packed = [0] * n
+    u = powers[:, 0].tolist()
+    under_beta, packed, factors = [None] * n, [0] * n, []
     for coset in cosets:
         j, size = coset[0], len(coset)
         mj = berlekamp_massey(field, [u[j * k % n] for k in range(2 * size)])
@@ -145,14 +147,44 @@ def _factor_table(p: int, m: int, n: int) -> tuple[tuple[tuple[int, ...], Polyno
             raise AssertionError(
                 f"the factor of C_{j} is not monic of degree {size}"
             )
-        if ext.evaluate(mj, reps[j]).any():
-            raise AssertionError(f"the factor of C_{j} does not vanish at beta^{j}")
+        factors.append(mj)
         key = sum(c * q**i for i, c in enumerate(mj.coeffs))
         for i in coset:
             under_beta[i] = mj
             packed[i] = key
+    nonzero = _values_at_powers(field, powers, [c[0] for c in cosets], factors)
+    if nonzero.any():
+        j = cosets[int(nonzero.any(axis=1).argmax())][0]
+        raise AssertionError(f"the factor of C_{j} does not vanish at beta^{j}")
     s = min((j for j in range(n) if math.gcd(j, n) == 1), key=packed.__getitem__)
     return tuple((c, under_beta[s * c[0] % n]) for c in cosets)
+
+
+def _values_at_powers(field: FiniteField, powers: np.ndarray, exponents,
+                      polys) -> np.ndarray:
+    """Row t: the coefficient indices of polys[t](beta^exponents[t]), for
+    nonzero polys over GF(q), row k of `powers` those of beta^k, beta^n = 1.
+    Each term c_i beta^(j*i mod n) is a gathered row scaled by `products`,
+    and one `np.add.reduceat` sums the terms' base-p digits per polynomial,
+    in blocks of whole polynomials of at most _CHECK_BLOCK digits (or one,
+    of at most 65 * 64 * 20 under the caps), 8 bytes per temporary digit."""
+    (n, d), p = powers.shape, field.p
+    weights = p ** np.arange(field.m, dtype=np.uint32)
+    sizes = np.array([len(f.coeffs) for f in polys])
+    ends = np.cumsum(sizes)
+    out, start = np.empty((len(polys), d), dtype=np.uint32), 0
+    while start < len(polys):
+        before = ends[start] - sizes[start]
+        stop = np.searchsorted(ends, before + _CHECK_BLOCK // (d * field.m), "right")
+        block = range(start, max(stop, start + 1))
+        rows = powers[[exponents[t] * i % n for t in block
+                       for i in range(len(polys[t].coeffs))]]
+        coef = np.array([c for t in block for c in polys[t].coeffs])[:, None]
+        digits = field.products(coef, rows)[..., None] // weights % p
+        offsets = ends[block] - sizes[block] - before
+        out[block] = np.add.reduceat(digits, offsets, axis=0) % p @ weights
+        start = block.stop
+    return out
 
 
 def factor_x_pow_n_minus_one(
@@ -331,7 +363,7 @@ def codeword_matrix(code: CyclicCode, cap: int = ENUMERATION_CAP) -> np.ndarray:
     field, g = code.field, _generator_row(code)
     scalars = np.arange(field.order)
     for i in reversed(range(code.dimension)):
-        mat = _step(field, field.multiples(np.roll(g, i), scalars), mat)
+        mat = _step(field, field.products(scalars[:, None], np.roll(g, i)), mat)
     return mat
 
 
@@ -347,8 +379,8 @@ def _shift_map(code: CyclicCode) -> np.ndarray:
     """The shift map on the q^k window keys (k >= 1); see `class_partition`."""
     field, h, k = code.field, code.check.coeffs, code.dimension
     q, scalars = field.order, np.arange(field.order)
-    taps = field.multiples(np.array(h[1:]), np.array([field.neg(field.inv(h[0]))]))[0]
-    tap_multiples = field.multiples(taps, scalars)  # column i: every c * tap i
+    taps = field.products(np.array(h[1:]), field.neg(field.inv(h[0])))
+    tap_multiples = field.products(scalars[:, None], taps)  # column i: every c * tap i
     fb = np.zeros((1, 1), dtype=np.uint32)  # each key's feedback c_(t+k)
     for i in range(k):  # -h_(i+1) / h_0 weighs digit q^i
         fb = _step(field, tap_multiples[:, i : i + 1], fb)

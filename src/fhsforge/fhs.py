@@ -371,8 +371,9 @@ def _repeat(key: np.ndarray, span: int) -> tuple[int, int] | None:
         value = int(counts.argmax())
         if counts[value] < 2:
             return None
-        first, second = np.flatnonzero(flat == value)[:2]
-        return int(first), int(second)
+        equal = flat == value  # a bool mask, not an 8-byte index of each match
+        equal[first := int(equal.argmax())] = False
+        return first, int(equal.argmax())
     order = np.argsort(flat, kind="stable")
     ranked = flat[order]
     equal = np.flatnonzero(ranked[1:] == ranked[:-1])

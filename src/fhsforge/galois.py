@@ -11,9 +11,9 @@ is the designated primitive element.
 `Polynomial` is GF(q)[x]: generators, x^n - 1, remainders and gcds.  An
 extension GF(q^d) = GF(q)[y]/(f) has no tables: `ExtensionField` multiplies
 its elements as numpy digit planes, and `root_field` gives one with an n-th
-root of unity: f is Phi_n when that is irreducible, else found by a seeded
-search.  `berlekamp_massey` gives the minimal polynomial over GF(q) of a
-linear recurring sequence in GF(q).
+root of unity: f is Phi_n when Rabin's test on monomials proves it
+irreducible, else one seeded stream field per degree.  `berlekamp_massey`
+gives the minimal polynomial over GF(q) of a linear recurring sequence.
 """
 
 from __future__ import annotations
@@ -172,11 +172,10 @@ class FiniteField:
             self._add_table = out.astype(np.uint32)
         return self._add_table
 
-    def multiples(self, a: np.ndarray, scalars: np.ndarray) -> np.ndarray:
-        """c * a for every c in `scalars`, stacked along a new first axis."""
-        log_t = self._np_log
-        out = self._np_exp[np.add.outer(log_t[scalars], log_t[a]) % (self.order - 1)]
-        out[np.logical_or.outer(scalars == 0, a == 0)] = 0
+    def products(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """a * b, broadcast, by one log/antilog gather."""
+        out = self._np_exp[(self._np_log[a] + self._np_log[b]) % (self.order - 1)]
+        out[(a == 0) | (b == 0)] = 0
         return out
 
     # -- misc ----------------------------------------------------------------
@@ -186,6 +185,7 @@ class FiniteField:
 
 
 _FIELD_CACHE: dict[tuple[int, int], FiniteField] = {}
+_STREAM_FIELDS: dict[tuple[int, int, int], Polynomial] = {}  # see `root_field`
 
 
 def make_field(p: int, m: int) -> FiniteField:
@@ -230,8 +230,12 @@ def _canonical_modulus(base: FiniteField, d: int) -> Polynomial:
     """The primitive monic f of degree d over the prime field `base` with the
     smallest packed value sum_i c_i p^i: the first candidate in packed order
     that is irreducible and under which x has order p^d - 1."""
-    what = f"every candidate of degree {d} over GF({base.p})"
-    return _first_root(_packed(base, d), 1, base.order**d - 1, what)[0].modulus
+    x = Polynomial(base, (0, 1))
+    for f in _packed(base, d):
+        ext = _ben_or(f)
+        if ext is not None and _has_order(ext, ext.element(x), base.order**d - 1):
+            return f
+    raise AssertionError(f"no candidate of degree {d} over GF({base.p}) is primitive")
 
 
 def _packed(base: FiniteField, d: int):
@@ -523,16 +527,6 @@ class ExtensionField:
     def is_one(self, a: np.ndarray) -> bool:
         return np.array_equal(a, self.one)
 
-    def evaluate(self, poly: Polynomial, a: np.ndarray) -> np.ndarray:
-        """poly(a) for a polynomial over GF(q), by Horner's rule."""
-        coeffs = self._digits(poly.coeffs)[::-1]
-        out = np.zeros_like(self.one)
-        out[0] = coeffs[0]
-        for c in coeffs[1:]:
-            out = self.mul(out, a)
-            out[0] = (out[0] + c) % self.base.p
-        return out
-
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         d, m, p = self.d, self.base.m, self.base.p
         wide = 2 * m - 1
@@ -568,41 +562,52 @@ def root_field(base: FiniteField, n: int) -> tuple[ExtensionField, np.ndarray]:
     """(GF(q)[y]/(f), beta) with f monic irreducible of degree d = ord_n(q)
     and beta a root of unity of order exactly n, for n >= 1 coprime to q.
 
-    When d = phi(n), f is the cyclotomic polynomial Phi_n, irreducible over
-    GF(q) exactly then (Lidl & Niederreiter, Finite Fields, Thm 2.47), and
-    beta = y is one of its roots.  Otherwise f is the first candidate of a
-    fixed dense stream under which beta = y^((q^d - 1)/n) has order n:
+    When d = phi(n), f is the cyclotomic polynomial Phi_n and beta = y,
+    proved by `_monomial_rabin` with no Ben-Or and no kernel power, so not
+    resting on Lidl & Niederreiter's Thm 2.47: a failure raises.  Otherwise
+    f is the first candidate that Ben-Or accepts from a fixed dense stream:
     candidate i is monic of degree d, its lower coefficients the base-q
-    digits of SHAKE-256("p:m:d:i") mod q^d, skipped if f(0) = 0.  It
-    depends on (p, m, d) alone, not on the Python version or PYTHONHASHSEED.
-    About one candidate in d is irreducible (Rabin 1980), and a share
-    prod_(r | n) (1 - 1/r) of those, every primitive f among them, passes.
-    Phi_n takes the same Ben-Or and order tests as a stream candidate, so
-    the field's proof does not rest on the theorem: if it fails them, the
-    search raises AssertionError.
+    digits of SHAKE-256("p:m:d:i") mod q^d, skipped if f(0) = 0.  f depends
+    on (p, m, d) alone, not on n, the Python version or PYTHONHASHSEED, and
+    is kept per process.  beta = g^((q^d - 1)/n) for the first nonzero g in
+    packed order from y, reduced mod f, that gives beta order n; GF(q^d)* is
+    cyclic, so the search ends at a generator.
     """
     q = base.order
     d = multiplicative_order(q, n)
     if totient(n) == d:
         phi = _cyclotomic(base, n, prime_factors(n))
-        return _first_root([phi], 1, n, f"Phi_{n} over GF({q})")
-    return _first_root(_stream(base, d), (q**d - 1) // n, n, "the stream")
-
-
-def _first_root(candidates, exponent: int, order: int, what: str):
-    """(GF(q)[y]/(f), y^exponent) for the first candidate f that Ben-Or
-    accepts and under which y^exponent has order exactly `order`; `what`
-    names the candidates in the AssertionError raised if none is."""
-    radicals = prime_factors(order)
-    for f in candidates:
-        ext = _ben_or(f)
-        if ext is None:
-            continue
-        beta = ext.pow(ext.element(Polynomial(f.field, (0, 1))), exponent)
-        short = any(ext.is_one(ext.pow(beta, order // r)) for r in radicals)
-        if not short and ext.is_one(ext.pow(beta, order)):
+        if phi.degree != d or not _monomial_rabin(phi, n):
+            raise AssertionError(f"Phi_{n} over GF({q}) fails the field or the order test")
+        ext = ExtensionField(phi)
+        return ext, ext.element(Polynomial(base, (0, 1)))
+    f = _STREAM_FIELDS.get((base.p, base.m, d))
+    ext = ExtensionField(f) if f else next(filter(None, map(_ben_or, _stream(base, d))))
+    _STREAM_FIELDS[base.p, base.m, d] = ext.modulus
+    for packed in range(q, q ** (d + 1)):
+        g = ext.element(Polynomial.from_packed(base, packed))
+        if g.any() and _has_order(ext, beta := ext.pow(g, (q**d - 1) // n), n):
             return ext, beta
-    raise AssertionError(f"{what} fails the field or the order test")
+    raise AssertionError(f"GF({q}^{d}) has no element of order {n}")
+
+
+def _monomial_rabin(f: Polynomial, n: int) -> bool:
+    """Whether f, monic of degree D >= 1 with q^D = 1 mod n, divides x^n - 1
+    and is irreducible with y of order n.  Modulo f, x^k = x^(k mod n), so
+    x^(q^D) = x, and Rabin's test (1980) needs one gcd of a monomial per
+    prime s | D; y then has order n iff x^(n/r) != 1 for each prime r | n."""
+    F, D, x = f.field, f.degree, Polynomial(f.field, (0, 1))
+    return (D >= 1 and f.leading() == 1 and pow(F.order, D, n) == 1 % n
+            and (Polynomial.x_pow_n_minus_one(F, n) % f).is_zero()
+            and all(pow_mod(x, n // r, f).coeffs != (1,) for r in prime_factors(n))
+            and all(poly_gcd(pow_mod(x, pow(F.order, D // s, n), f) - x, f).degree == 0
+                    for s in prime_factors(D)))
+
+
+def _has_order(ext: ExtensionField, beta: np.ndarray, order: int) -> bool:
+    """Whether beta has order exactly `order` in the field `ext`."""
+    short = any(ext.is_one(ext.pow(beta, order // r)) for r in prime_factors(order))
+    return not short and ext.is_one(ext.pow(beta, order))
 
 
 def _cyclotomic(base: FiniteField, n: int, radicals: list[int]) -> Polynomial:

@@ -44,6 +44,7 @@ from fhsforge.galois import (
     root_field,
 )
 from fhsforge.intmath import is_prime, multiplicative_order, prime_factors
+from test_galois import horner
 
 
 def rotations(word):
@@ -213,6 +214,53 @@ def test_factor_table_self_check_catches_a_wrong_factor(monkeypatch):
     monkeypatch.setattr(cyclic, "berlekamp_massey", off_by_one)
     with pytest.raises(AssertionError, match="does not vanish"):
         cyclic._factor_table.__wrapped__(3, 1, 13)
+
+
+@pytest.mark.parametrize("block", [1, cyclic._CHECK_BLOCK])
+def test_values_at_powers_match_horner(monkeypatch, block):
+    # sum_i c_i beta^(j*i mod n), gathered from the power table and summed
+    # in blocks, against Horner's rule on the kernel at beta^j, for random
+    # nonzero polynomials over each kind of field
+    monkeypatch.setattr(cyclic, "_CHECK_BLOCK", block)
+    rng = random.Random(3)
+    for (p, m), n in [((2, 1), 21), ((3, 1), 13), ((2, 3), 9), ((3, 2), 11),
+                      ((5, 2), 26), ((2, 4), 17)]:
+        F = make_field(p, m)
+        ext, beta = root_field(F, n)
+        weights = p ** np.arange(m)
+        powers, power = np.empty((n, ext.d), dtype=np.uint32), ext.one
+        for k in range(n):
+            powers[k] = power @ weights
+            power = ext.mul(power, beta)
+        exponents = [rng.randrange(n) for _ in range(12)]
+        polys = [Polynomial(F, [rng.randrange(F.order) for _ in range(rng.randrange(9))]
+                            + [rng.randrange(1, F.order)]) for _ in exponents]
+        got = cyclic._values_at_powers(F, powers, exponents, polys)
+        for row, j, g in zip(got, exponents, polys):
+            want = horner(ext, g, ext.pow(beta, j)) @ weights
+            assert row.tolist() == want.tolist(), (p, m, n, j, g)
+
+
+def test_one_coset_blocks_give_the_same_table(monkeypatch):
+    # family_ding(9, 5)'s table, n = 7,381 over GF(9), with the vanishing
+    # check forced to one coset per block
+    table = factor_x_pow_n_minus_one(make_field(3, 2), 7381)
+    monkeypatch.setattr(cyclic, "_CHECK_BLOCK", 1)
+    assert list(cyclic._factor_table.__wrapped__(3, 2, 7381)) == table
+
+
+def test_factor_table_memory_bound():
+    # family_ding(5, 7)'s cold table, n = 19,531 over GF(5), d = 7: the
+    # power table is n * d * 4 = 547 KB, and the check's blocks are bounded
+    cyclic._factor_table.cache_clear()
+    tracemalloc.start()
+    try:
+        table = factor_x_pow_n_minus_one(make_field(5, 1), 19531)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(table) == 1 + 19530 // 7
+    assert peak <= 4 << 20
 
 
 def test_factor_table_size_caps():

@@ -571,6 +571,34 @@ def test_memory_refusal_under_any_budget(monkeypatch):
     assert max_nontrivial(fset, budget=None).value == 1
 
 
+@pytest.mark.parametrize("sort_branch", [False, True])
+def test_repeat_matches_flatnonzero_reference(monkeypatch, sort_branch):
+    # the bincount branch gives the first two indices of the most frequent
+    # value, the sort branch those of the least repeated value, or None
+    if sort_branch:
+        monkeypatch.setattr(fhs, "_BINCOUNT_FLOOR", 0)
+    rng = np.random.default_rng(17)
+    found = []
+    for _ in range(300):
+        rows, cols = int(rng.integers(1, 5)), int(rng.integers(1, 40))
+        size = rows * cols
+        span = 9 * size if sort_branch else int(rng.integers(1, 4 * size + 1))
+        if span >= size and rng.random() < 0.3:  # distinct keys
+            flat = rng.choice(span, size=size, replace=False)
+        else:
+            pool = rng.choice(span, size=min(span, int(rng.integers(1, size + 1))),
+                              replace=False)
+            flat = rng.choice(pool, size=size)
+        counts = np.bincount(flat)
+        want = None
+        if counts.max() >= 2:
+            value = np.flatnonzero(counts >= 2)[0] if sort_branch else counts.argmax()
+            want = tuple(int(i) for i in np.flatnonzero(flat == value)[:2])
+        assert _repeat(flat.reshape(rows, cols).astype(np.int64), span) == want
+        found.append(want is not None)
+    assert 30 < sum(found) < 270
+
+
 def test_root_key_multiplies_in_int64():
     # the table holds uint32 symbols, and numpy picks the multiply's loop
     # from its inputs, not from `out`: 65536 * 65537 must not wrap at 2^32

@@ -27,7 +27,7 @@ from fhsforge.galois import (
     pow_mod,
     root_field,
 )
-from fhsforge.intmath import is_prime, multiplicative_order
+from fhsforge.intmath import is_prime, multiplicative_order, prime_factors, totient
 
 SMALL_ORDERS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2),
                 (2, 4), (5, 2), (3, 3), (7, 2), (2, 6)]
@@ -284,9 +284,9 @@ def test_poly_ext_root_of_unity():
 # (p, m, n): the low coefficients of root_field's f, below y^d
 FROZEN_ROOT_FIELDS = {
     (2, 1, 29): [1] * 28,  # Phi_29, since ord_29(2) = 28 = phi(29)
-    (2, 3, 9): [7, 1],
+    (2, 3, 9): [7, 5],
     (3, 1, 13): [2, 2, 0],
-    (5, 2, 26): [19, 4],
+    (5, 2, 26): [4, 14],
     (2, 10, 13): [227, 764, 1009, 343, 909, 603],
     (2, 20, 17): [19127, 909129],
 }
@@ -294,8 +294,9 @@ FROZEN_ROOT_FIELDS = {
 
 @pytest.mark.parametrize("p,m,n", sorted(FROZEN_ROOT_FIELDS))
 def test_root_field_is_frozen(p, m, n):
-    # the stream is keyed by (p, m, d) through SHAKE-256 alone, so f is the
-    # same on every run, Python version and hash seed
+    # the stream is keyed by (p, m, d) through SHAKE-256 alone, and f is its
+    # first irreducible candidate, so f is the same for every n of the same
+    # degree and on every run, Python version and hash seed
     f = root_field(make_field(p, m), n)[0].modulus
     assert list(f.coeffs[:-1]) == FROZEN_ROOT_FIELDS[p, m, n]
     assert f.leading() == 1
@@ -319,6 +320,57 @@ def test_root_field_checks_phi_n(monkeypatch, p, m, n):
         monkeypatch.setattr(galois, "_cyclotomic", lambda *_: order_15)
         with pytest.raises(AssertionError, match=f"Phi_{n}"):
             root_field(base, n)
+
+
+def test_monomial_rabin_decides_phi_n():
+    # Rabin's test on monomials calls Phi_n irreducible exactly when
+    # ord_n(q) = phi(n), and exactly when Ben-Or does, for every n <= 60
+    # coprime to q
+    pairs = 0
+    for q in (2, 3, 4, 5, 7, 8, 9, 11, 13):
+        F = field_from_order(q)
+        for n in range(1, 61):
+            if math.gcd(n, q) != 1:
+                continue
+            phi = galois._cyclotomic(F, n, prime_factors(n))
+            proved = galois._monomial_rabin(phi, n)
+            assert proved == (multiplicative_order(q, n) == totient(n)), (q, n)
+            assert proved == (_ben_or(phi) is not None), (q, n)
+            pairs += 1
+    assert pairs == 381
+    # Phi_5 over GF(3) is irreducible of degree 4 = ord_10(3) and divides
+    # x^10 - 1, but its root has order 5, not 10
+    assert not galois._monomial_rabin(galois._cyclotomic(make_field(3, 1), 5, [5]), 10)
+
+
+def test_second_length_of_a_degree_runs_no_ben_or(monkeypatch):
+    # the stream field of degree d is kept per (p, m, d): n = 21 and n = 63
+    # both have d = ord_n(2) = 6 < phi(n), and the second takes the kept f
+    monkeypatch.setattr(galois, "_STREAM_FIELDS", {})
+    F = make_field(2, 1)
+    f = root_field(F, 21)[0].modulus
+
+    def refuse(poly):
+        raise AssertionError("Ben-Or ran for a kept degree")
+
+    monkeypatch.setattr(galois, "_ben_or", refuse)
+    ext, beta = root_field(F, 63)
+    assert ext.modulus == f and galois._has_order(ext, beta, 63)
+
+
+def test_element_search_moves_past_y():
+    # in these stream fields y^((q^d - 1)/n) has order below n, so beta is a
+    # power of a later element, of order n by brute force
+    for p, m, n in [(2, 3, 9), (5, 2, 26)]:
+        F = make_field(p, m)
+        ext, beta = root_field(F, n)
+        f, b = ext.modulus, ext.polynomial(beta)
+        y_power = pow_mod(Polynomial(F, (0, 1)), (F.order**ext.d - 1) // n, f)
+        assert b != y_power
+        acc, order = b, 1
+        while acc != Polynomial.one(F):
+            acc, order = acc * b % f, order + 1
+        assert order == n
 
 
 def test_canonical_modulus_generalises_the_field_search():
@@ -475,6 +527,17 @@ def test_kernel_matches_polynomial_arithmetic(p, m):
         assert ext.polynomial(ext.pow(ext.element(rand(d)), 0)) == Polynomial.one(F)
 
 
+def horner(ext, poly, a):
+    """Oracle: poly(a) on the kernel, by Horner's rule."""
+    coeffs = ext._digits(poly.coeffs)[::-1]
+    out = np.zeros_like(ext.one)
+    out[0] = coeffs[0]
+    for c in coeffs[1:]:
+        out = ext.mul(out, a)
+        out[0] = (out[0] + c) % ext.base.p
+    return out
+
+
 def test_kernel_evaluates_polynomials():
     # g(a) by Horner's rule on the kernel against the sum of c_i a^i
     F = make_field(3, 2)
@@ -487,7 +550,7 @@ def test_kernel_evaluates_polynomials():
         direct = Polynomial.zero(F)
         for i, c in enumerate(g.coeffs):
             direct = direct + pow_mod(a, i, f).scale(c)
-        assert ext.polynomial(ext.evaluate(g, ext.element(a))) == direct % f
+        assert ext.polynomial(horner(ext, g, ext.element(a))) == direct % f
 
 
 def _unfiltered_modulus(base, d):
