@@ -12,6 +12,7 @@ that it does not write itself.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -337,7 +338,10 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(f"{self.prog}: {message}")
 
 
+@functools.lru_cache(maxsize=None)
 def make_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: parsing leaves it unchanged, and each
+    `main` call gets its own namespace."""
     parser = _Parser(
         prog="fhsforge",
         description="Optimal frequency-hopping sequence sets from MDS cyclic "

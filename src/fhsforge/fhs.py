@@ -364,13 +364,24 @@ _BINCOUNT_FLOOR = 1 << 20
 
 def _repeat(key: np.ndarray, span: int) -> tuple[int, int] | None:
     """Two flat indices of `key` (values in 0..span-1) holding the same
-    value, or None when all values are distinct."""
+    value, or None when all values are distinct.
+
+    Over a narrow span a `span`-byte bitmap of the values seen decides
+    whether all are distinct; with more keys than values a repeat is
+    certain and the bitmap is skipped.  Only a test that has a repeat
+    counts the keys with bincount, 8 bytes per bin, to locate its pair:
+    the first two indices of the most frequent value.  Over a wide span
+    one sort both decides and locates: the first two indices of the least
+    repeated value."""
     flat = key.ravel()
     if span <= max(4 * flat.size, _BINCOUNT_FLOOR):
-        counts = np.bincount(flat)
-        value = int(counts.argmax())
-        if counts[value] < 2:
-            return None
+        if flat.size <= span:
+            seen = np.zeros(span, dtype=bool)
+            seen[flat] = True
+            if np.count_nonzero(seen) == flat.size:
+                return None
+            del seen
+        value = int(np.bincount(flat).argmax())
         equal = flat == value  # a bool mask, not an 8-byte index of each match
         equal[first := int(equal.argmax())] = False
         return first, int(equal.argmax())
@@ -440,7 +451,13 @@ def _collision(table: np.ndarray, size: int) -> tuple[int, int, int] | None:
 def _search(table, keys, gaps, base, key, span, last, depth, period):
     """The first repeat of `_collision`'s walk below one prefix: positions
     p_0 = 0 < ... < p_{depth-1} = last, whose `key` holds values below
-    `span`; gaps[1:depth] is a prenecklace of period `period`."""
+    `span`; gaps[1:depth] is a prenecklace of period `period`.
+
+    A child's key is key * base + its window of the table, written into
+    the buffer of its depth.  At the last depth before the leaves, from
+    depth 2 on, `key` is its parent's buffer, so it is multiplied by base
+    once, in place, and each leaf is one add; at depth 1 it is the table
+    itself, never written."""
     size, n = len(gaps), table.shape[1] // 2
     if depth == size:
         return _repeat(key, span)
@@ -451,16 +468,23 @@ def _search(table, keys, gaps, base, key, span, last, depth, period):
         key, span = out, _rerank(key, out)
     low = last + max(gaps[depth - period], 1)
     high = n - (size - depth) * gaps[1] if depth > 1 else n // size
+    leaf = depth == size - 1
+    scaled = leaf and depth > 1
+    if scaled:  # in place, as the re-rank above
+        np.multiply(key, base, out=key)
     for p in range(low, high + 1):
         gap = gaps[depth] = p - last
         grown = period if gap == gaps[depth - period] else depth
-        if depth == size - 1:
+        if leaf:
             end, back = n - p, gaps[size - grown]
             if end < back or (end == back and size % grown):
                 continue
-        # int64 whatever the key's width: the loop is picked from the inputs
-        child = np.multiply(key, base, out=keys[depth - 1], dtype=np.int64)
-        child += table[:, p:p + n]
+        if scaled:
+            child = np.add(key, table[:, p:p + n], out=keys[depth - 1])
+        else:
+            # int64 whatever the key's width: the loop is picked from the inputs
+            child = np.multiply(key, base, out=keys[depth - 1], dtype=np.int64)
+            child += table[:, p:p + n]
         hit = _search(table, keys, gaps, base, child, span * base, p, depth + 1, grown)
         if hit is not None:
             return hit
@@ -492,6 +516,8 @@ def max_nontrivial(
     bin of the largest bincount, max(4 * N * n, 2^20): the table, each of
     the L - 1 key buffers and a re-ranked root key take 8 bytes per
     rotation, and the last step's temporaries, bins and all, the rest.
+    Only a test with a repeat runs that bincount; one without holds a
+    bitmap of one byte per bin, so the bound holds with room to spare.
     """
     count, n = fset.size, fset.n
     if count == 1 and n < 2:

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from fhsforge import cyclic
+from fhsforge import cli, cyclic
 from fhsforge.cli import _dump_csv, _dump_set, main, make_parser
 from fhsforge.fhs import FhsSet, correlation
 
@@ -285,6 +285,16 @@ PAPER_BUILDS = {
         "bound_report.json": "46a9e8a84fea8a722022dbd5ee159f88eb01e72ba0c42808f0beb148c792b497",
     }),
 }
+# `verify` stdout on each paper build's fhs_set.json: the certificate's
+# value and witness.
+PAPER_VERIFY_STDOUT = {
+    "A8k1": (2, "sequences[0], sequences[7], 8"),
+    "A8k2": (4, "sequences[0], sequences[7], 8"),
+    "B5": (2, "sequences[0], sequences[0], 1"),
+    "B25": (2, "sequences[0], sequences[0], 1"),
+    "C32": (1, "sequences[0], sequences[0], 9"),
+    "C512": (1, "sequences[0], sequences[0], 25"),
+}
 PF_IDENTITY_STDOUT = {
     (): "86fa930270f345df90ec75b2e4ad8e1549ed33a60002dc96f8c855535aadd550",
     ("--n-max", "80", "--N-max", "400", "--l-max", "120"):
@@ -303,6 +313,11 @@ def test_paper_build_outputs_are_pinned(tmp_path, capsys, name):
     # the manifest names the digest of each file's exact bytes
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["outputs"] == digests
+    lam, probe = PAPER_VERIFY_STDOUT[name]
+    assert run(capsys, "verify", str(tmp_path / "fhs_set.json")) == (0, (
+        f"stored lambda = {lam}; measured (exhaustive) = {lam}\n"
+        f"witness: correlation({probe}) = {lam}\n"
+    ), "")
 
 
 @pytest.mark.parametrize("grid", sorted(PF_IDENTITY_STDOUT), ids=["default", "benchmark"])
@@ -461,6 +476,39 @@ def test_readme_cli_block_parses():
     for line in lines:
         args = parser.parse_args(shlex.split(line)[1:])
         assert callable(args.func), line
+
+
+def test_one_parser_serves_every_call(tmp_path, capsys, monkeypatch):
+    # main's parser is built once per process; across subcommands, a usage
+    # error and --version, each call gives what a fresh parser gives
+    out = tmp_path / "b5"
+    calls = [
+        ["cosets", "--n", "9", "--q", "8"],
+        ["build", "--family", "B", "--q", "5", "--out", str(out)],
+        ["cosets", "--n", "9"],  # --q missing
+        ["verify", str(out / "fhs_set.json")],
+        ["--version"],
+        ["bounds", "--n", "6", "--N", "20", "--ell", "5", "--lambda", "2"],
+        ["verify", str(out / "fhs_set.json"), "--budget", "-1"],
+        ["factor", "--n", "9", "--q", "8", "--json"],
+        ["cosets", "--n", "17", "--q", "16", "--json"],
+    ]
+
+    def outcomes():
+        got = []
+        for argv in calls:
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # --version
+                code = exc.code
+            got.append((code, *capsys.readouterr()))
+        return got
+
+    cached = outcomes()
+    assert make_parser() is make_parser()
+    monkeypatch.setattr(cli, "make_parser", make_parser.__wrapped__)
+    assert outcomes() == cached
+    assert [code for code, _, _ in cached] == [0, 0, 4, 0, 0, 0, 4, 0, 0]
 
 
 def test_console_entry_point():

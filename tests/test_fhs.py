@@ -390,8 +390,10 @@ def test_budget_refusal():
 
 def oracle_sets(rng):
     """Random sets; sets holding two rotations of one row (M = n); length-1
-    sets (M = 0); and sets whose symbols come near 2^32, so that keys would
-    pass 2^62 and the re-rank and sort path runs."""
+    sets (M = 0); sets whose symbols come near 2^32, so that keys would
+    pass 2^62 and the re-rank and sort path runs; and longer sets over few
+    symbols, M >= 2, whose walk tests L >= 3 and so scales the key of a
+    last prefix at depth >= 2, some of them re-ranked at the root."""
     for _ in range(120):
         yield random_set(rng, rng.randrange(1, 7), rng.randrange(3, 8), rng.randrange(2, 5))
     for _ in range(40):
@@ -408,6 +410,13 @@ def oracle_sets(rng):
     for _ in range(40):
         palette = [ell - 1] + [rng.randrange(ell) for _ in range(2)]
         count, n = rng.randrange(1, 6), rng.randrange(2, 8)
+        rows = {tuple(rng.choice(palette) for _ in range(n)) for _ in range(count)}
+        yield FhsSet(sorted(rows), ell)
+    for _ in range(30):
+        yield random_set(rng, rng.randrange(2, 6), rng.randrange(7, 11), rng.randrange(2, 9))
+    for _ in range(30):
+        palette = [ell - 1, ell - 2] + [rng.randrange(ell) for _ in range(rng.randrange(1, 5))]
+        count, n = rng.randrange(2, 5), rng.randrange(7, 11)
         rows = {tuple(rng.choice(palette) for _ in range(n)) for _ in range(count)}
         yield FhsSet(sorted(rows), ell)
 
@@ -571,6 +580,16 @@ def test_memory_refusal_under_any_budget(monkeypatch):
     assert max_nontrivial(fset, budget=None).value == 1
 
 
+def repeat_reference(flat, least):
+    """The first two indices of the least repeated value, or of the most
+    frequent one, or None when all values are distinct."""
+    counts = np.bincount(flat)
+    if counts.max() < 2:
+        return None
+    value = np.flatnonzero(counts >= 2)[0] if least else counts.argmax()
+    return tuple(int(i) for i in np.flatnonzero(flat == value)[:2])
+
+
 @pytest.mark.parametrize("sort_branch", [False, True])
 def test_repeat_matches_flatnonzero_reference(monkeypatch, sort_branch):
     # the bincount branch gives the first two indices of the most frequent
@@ -589,14 +608,51 @@ def test_repeat_matches_flatnonzero_reference(monkeypatch, sort_branch):
             pool = rng.choice(span, size=min(span, int(rng.integers(1, size + 1))),
                               replace=False)
             flat = rng.choice(pool, size=size)
-        counts = np.bincount(flat)
-        want = None
-        if counts.max() >= 2:
-            value = np.flatnonzero(counts >= 2)[0] if sort_branch else counts.argmax()
-            want = tuple(int(i) for i in np.flatnonzero(flat == value)[:2])
+        want = repeat_reference(flat, sort_branch)
         assert _repeat(flat.reshape(rows, cols).astype(np.int64), span) == want
         found.append(want is not None)
     assert 30 < sum(found) < 270
+
+    cases = []  # (keys, span)
+    for size in (1, 2, 3, 8, 60, 1000, 4096):
+        # a Singleton-optimal set's keys at L = lambda + 1: every value
+        # once, size == span; then one repeat planted at the first flat
+        # index and one at the last, which the bitmap alone must catch
+        perm = rng.permutation(size)
+        cases.append((perm, size))
+        for end in (0, size - 1):
+            if size > 1:
+                planted = perm.copy()
+                planted[end] = perm[(end + int(rng.integers(1, size))) % size]
+                cases.append((planted, size))
+        # more keys than values: a repeat is certain, no bitmap is made
+        if size > 1:
+            span = int(rng.integers(1, size))
+            cases.append((rng.integers(0, span, size=size), span))
+        # distinct keys over a wider span
+        span = 9 * size if sort_branch else int(rng.integers(size, 4 * size + 1))
+        cases.append((rng.choice(span, size=size, replace=False), span))
+    for flat, span in cases:
+        rows = 2 if flat.size % 2 == 0 else 1
+        key = flat.reshape(rows, -1).astype(np.int64)
+        least = span > max(4 * flat.size, fhs._BINCOUNT_FLOOR)  # the sort branch
+        assert _repeat(key, span) == repeat_reference(flat, least), (flat, span)
+
+
+def test_repeat_of_distinct_keys_holds_only_a_bitmap():
+    # the usual test at L = lambda + 1 has no repeat: the bincount branch
+    # decides it with a span-byte bitmap, not 8 bytes per bin
+    span = 1 << 20
+    key = np.random.default_rng(5).choice(span, size=1 << 18, replace=False)
+    key = key.reshape(512, 512).astype(np.int64)
+    assert _repeat(key, span) is None  # numpy's first-call caches
+    tracemalloc.start()
+    try:
+        assert _repeat(key, span) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= span + (64 << 10)
 
 
 def test_root_key_multiplies_in_int64():
