@@ -9,10 +9,10 @@ bounds on the maximum nontrivial Hamming correlation are
 and their ceilings coincide whenever nN >= ell.  Writing nN = I*ell + J,
 the exact difference is PF2 - PF1 = (ell - J)*J / ((nN - 1) * ell * N);
 cross-multiplied by the common denominator this is a pure integer identity,
-which is what the sweep checks, in numpy tiles of int32 when its grid
-provably fits and of int64 otherwise.  The Singleton and
-sphere-packing bounds cap the set size N from above.  No floating point
-anywhere in this module.
+which is what the sweep checks, one ell at a time over chunks of (n, N)
+pairs, in int32 when its grid provably fits and in int64 otherwise.  The
+Singleton and sphere-packing bounds cap the set size N from above.  No
+floating point anywhere in this module.
 """
 
 from __future__ import annotations
@@ -222,26 +222,29 @@ class PfSweepReport:
         }
 
 
-# Cells per numpy tile of the sweep.  Each temporary, at most 64 KiB, stays
-# below glibc's 128 KiB mmap threshold, so it is recycled from the heap, not
-# mapped and zero-filled afresh: tiles of 2^16 cells took twice as long.
+# Pairs (n, N) per int32 chunk of the sweep, and so at most as many cells
+# per numpy tile; an int64 chunk holds half as many.  Each temporary takes
+# 32 KiB, so it is recycled from glibc's heap, not mapped or grown and
+# zero-filled afresh.  Tiles of 2^16 cells took twice as long, and so did
+# int64 tiles of 2^13 cells on some heap layouts: the heap gave their
+# 64 KiB temporaries back to the system and page-faulted them in again.
 _SWEEP_TILE = 1 << 13
 # The largest M = n_max * N_max swept: no value a tile computes passes
 # 2M^2 = 2^61 (see `pf_identity_sweep`).
 _SWEEP_MAX_NN = 1 << 30
 # The largest M = n_max * N_max swept in int32: the largest M with 2M^2 < 2^31.
 _SWEEP_INT32_MAX_NN = 32767
-# Runaway caps, refused before any work.  On a 2-core guest the n loop
-# costs about 46 us per n and the tiles at most about 38 ns per int64 cell,
-# so the largest accepted grids take about 25 s for each cap.
-_SWEEP_MAX_N = 1 << 19
+# The runaway cap, refused before any work.  On a 2-core guest the sweep
+# costs at most about 21 ns per int64 cell, and the largest accepted grids
+# take about 10 s.
 _SWEEP_MAX_CELLS = 1 << 29
 
 
-def _sweep_tile(n: int, count, ell) -> tuple[int, list[tuple]]:
-    """Check the triples (n, count[i], ell[i]) of one tile, on the same
-    formulas as `peng_fan_1` and `peng_fan_2`: `count` and `ell` are flat
-    arrays of one integer dtype, so that no operation broadcasts.
+def _sweep_tile(n, count, ell) -> tuple[int, list[tuple]]:
+    """Check the triples (n[i], count[i], ell) of one tile, on the same
+    formulas as `peng_fan_1` and `peng_fan_2`: `n` and `count` are flat
+    arrays of one integer dtype, with n*count >= ell everywhere, and `ell`
+    is a scalar of that dtype, so that I = nN // ell divides by a scalar.
 
     Two divisions per cell: I and c1 = ceil(a1/b1).  The rest are products:
     J = nN - I*ell, and c2 == c1 iff (c1 - 1)*b2 < a2 <= c1*b2, exact as
@@ -256,49 +259,49 @@ def _sweep_tile(n: int, count, ell) -> tuple[int, list[tuple]]:
     # denominator (nN-1)*ell*N
     diff = a2 * ell - a1 * count
     wrong = (a2 <= upper - b2) | (a2 > upper) | (diff != (ell - j) * j) | (diff < 0)
-    inside = ell <= nn
     bad = []
     if wrong.any():
         bad = [
-            (n, int(count[i]), int(ell[i]), int(c1[i]),
+            (int(n[i]), int(count[i]), int(ell), int(c1[i]),
              _ceil_ratio(int(a2[i]), int(b2[i])))
-            for i in np.flatnonzero(wrong & inside)
+            for i in np.flatnonzero(wrong)
         ]
-    return int(np.count_nonzero(inside)), bad
+    return count.size, bad
 
 
 def pf_identity_sweep(n_max: int, count_max: int, ell_max: int) -> PfSweepReport:
     """Check both Peng-Fan assertions on every grid triple with nN >= max(ell, 2):
     the two ceilings agree, and the difference identity holds exactly.
 
-    Each n's (N, ell) slab is cut into tiles of at most _SWEEP_TILE cells,
-    each checked by `_sweep_tile` in the narrowest integer dtype that holds
-    every value it computes.  Numpy wraps integer overflow silently, so
-    that choice rests on this bound.  Let M = n_max * N_max.  A tile holds
-    N <= N_max, 2 <= nN <= M and ell <= min(ell_max, n N_max) <= M, and
-    computes the cells with ell > nN too, where I = 0 and J = nN, before
-    it masks them.  Every value it computes is at most 2M^2 in size:
+    The pairs (n, N) with nN >= 2 are walked in n-major order, in chunks of
+    _SWEEP_TILE pairs, or half as many in int64.  A chunk is sorted by nN
+    when some nN is below its last ell, min(ell_max, its largest nN); then
+    for each ell from 1 to that one, `_sweep_tile` checks the suffix of
+    pairs with nN >= ell, found by binary search, with ell a scalar.  Every
+    tile checks at least one cell, and no cell outside the grid's triples
+    is computed.  The tiles run in the narrowest integer dtype that holds
+    every value they compute.  Numpy wraps integer overflow silently, so
+    that choice rests on this bound.  Let M = n_max * N_max.  Every cell
+    has 1 <= ell <= nN <= M, n <= nN and N <= nN, and every value a tile
+    computes is at most 2M^2 in size:
 
-    * nN, I <= nN/ell, I*ell <= nN and J < max(ell, nN + 1) are at most M;
-    * a1 = (nN - ell)*n and a1*N = (nN - ell)*nN are below M^2, as
-      |nN - ell| < M and n <= nN, and b1 = (nN - 1)*ell and
-      b2 = (nN - 1)*N are below M^2, so the ceiling's dividend
-      a1 + b1 - 1 is below 2M^2;
+    * nN, I <= nN/ell, I*ell <= nN and J < ell are at most M;
+    * a1 = (nN - ell)*n and a1*N = (nN - ell)*nN lie in [0, M^2), and
+      b1 = (nN - 1)*ell and b2 = (nN - 1)*N are below M^2, so the
+      ceiling's dividend a1 + b1 - 1 is below 2M^2;
     * 2*I*nN <= 2*nN^2/ell <= 2M^2, the largest value, reached at ell = 1
       and nN = M; (I + 1)*I <= (I + 1)*I*ell <= (I + 1)*nN <= M^2 + M;
     * a2 = I*(nN + J - ell) lies in [0, nN^2/ell], so a2*ell <= M^2;
-    * 0 <= c1 <= n inside and -n < c1 <= 0 outside (there
-      -a1/b1 < n/(nN - 1)), so c1*b2 and (c1 - 1)*b2 are at most
-      n*(nN - 1)*N < M^2;
-    * a2*ell - a1*N lies in (-M^2, 2M^2), and (ell - J)*J is at most
-      ell^2/4 inside and (ell - nN)*nN < M^2 outside.
+    * 0 <= c1 <= n, as nN - ell <= (nN - 1)*ell, so c1*b2 and
+      (c1 - 1)*b2 lie in (-M^2, M^2);
+    * a2*ell - a1*N lies in (-M^2, M^2], and (ell - J)*J <= ell^2/4.
 
-    So the tiles run in int32 when 2M^2 < 2^31, M <= _SWEEP_INT32_MAX_NN,
-    and in int64 otherwise.  Grids with M > 2^30, where 2M^2 could pass
-    2^61, are refused (`DegenerateParameters`).  Runaway grids are refused
-    too, with `BoundTooLarge` before any work: n_max > _SWEEP_MAX_N, or
-    M * min(ell_max, M), a bound on the cells the tiles hold, above
-    _SWEEP_MAX_CELLS."""
+    The pair index (n - 1)*N_max + N - 1 and ell are below M too.  So the
+    tiles run in int32 when 2M^2 < 2^31, M <= _SWEEP_INT32_MAX_NN, and in
+    int64 otherwise.  Grids with M > 2^30, where 2M^2 could pass 2^61, are
+    refused (`DegenerateParameters`).  Runaway grids are refused too, with
+    `BoundTooLarge` before any work: M * min(ell_max, M), a bound on the
+    cells checked, above _SWEEP_MAX_CELLS."""
     if n_max < 1 or count_max < 1 or ell_max < 1:
         raise DegenerateParameters("grid limits must be positive")
     nn_max = n_max * count_max
@@ -307,27 +310,32 @@ def pf_identity_sweep(n_max: int, count_max: int, ell_max: int) -> PfSweepReport
             f"n_max * N_max = {nn_max} exceeds 2^30: "
             f"products could overflow int64"
         )
-    if n_max > _SWEEP_MAX_N or nn_max * min(ell_max, nn_max) > _SWEEP_MAX_CELLS:
+    if nn_max * min(ell_max, nn_max) > _SWEEP_MAX_CELLS:
         raise BoundTooLarge(
-            f"the sweep over ({n_max}, {count_max}, {ell_max}) passes its caps: "
-            f"n_max <= {_SWEEP_MAX_N} and "
+            f"the sweep over ({n_max}, {count_max}, {ell_max}) passes its cap: "
             f"n_max * N_max * min(ell_max, n_max * N_max) <= {_SWEEP_MAX_CELLS}"
         )
-    dtype = np.int32 if nn_max <= _SWEEP_INT32_MAX_NN else np.int64
+    if nn_max <= _SWEEP_INT32_MAX_NN:
+        dtype, step = np.int32, _SWEEP_TILE
+    else:  # half as many pairs, so that each array still takes 32 KiB
+        dtype, step = np.int64, -(-_SWEEP_TILE // 2)
     checked = 0
     bad = []
-    for n in range(1, n_max + 1):
-        cols = min(ell_max, n * count_max, _SWEEP_TILE)
-        rows = _SWEEP_TILE // cols
-        for lo in range(-(-2 // n), count_max + 1, rows):  # from nN >= 2
-            hi = min(lo + rows, count_max + 1)
-            counts = np.arange(lo, hi, dtype=dtype)
-            top = min(ell_max, n * (hi - 1))
-            for start in range(1, top + 1, cols):
-                ells = np.arange(start, min(start + cols, top + 1), dtype=dtype)
-                count = np.repeat(counts, len(ells))
-                ell = np.tile(ells, len(counts))
-                tile_checked, tile_bad = _sweep_tile(n, count, ell)
-                checked += tile_checked
-                bad += tile_bad
+    # pair p = (n - 1) * N_max + N - 1; p = 0 is (1, 1), where nN = 1
+    for lo in range(1, nn_max, step):
+        pair = np.arange(lo, min(lo + step, nn_max), dtype=dtype)
+        n = pair // count_max
+        count = pair - n * count_max + 1
+        n += 1
+        nn = n * count
+        ells = np.arange(1, min(ell_max, int(nn.max())) + 1, dtype=dtype)
+        starts = [0] * ells.size
+        if nn.min() < ells.size:
+            order = np.argsort(nn, kind="stable")
+            n, count = n[order], count[order]
+            starts = np.searchsorted(nn[order], ells).tolist()
+        for ell, start in zip(ells, starts):
+            tile_checked, tile_bad = _sweep_tile(n[start:], count[start:], ell)
+            checked += tile_checked
+            bad += tile_bad
     return PfSweepReport(n_max, count_max, ell_max, checked, tuple(sorted(bad)))

@@ -330,12 +330,25 @@ def _add_code_args(sub):
     sub.add_argument("--json", action="store_true")
 
 
+class _Exit(Exception):
+    """A parser's request to end with `status`, after --help or --version."""
+
+    def __init__(self, status: int):
+        super().__init__(status)
+        self.status = status
+
+
 class _Parser(argparse.ArgumentParser):
     """Usage errors raise ParseError (exit 4) instead of exiting with 2,
-    which means a claim mismatch here."""
+    which means a claim mismatch here.  So argparse calls `exit` only
+    after --help or --version have printed, and it raises _Exit, so that
+    `main` returns their status instead of exiting."""
 
     def error(self, message):
         raise ParseError(f"{self.prog}: {message}")
+
+    def exit(self, status=0, message=None):
+        raise _Exit(status)
 
 
 @functools.lru_cache(maxsize=None)
@@ -408,6 +421,8 @@ def main(argv=None) -> int:
     try:
         args = make_parser().parse_args(argv)
         return args.func(args)
+    except _Exit as exc:
+        return exc.status
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

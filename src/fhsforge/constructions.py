@@ -3,7 +3,9 @@
 Family A: length q+1 over GF(q), q = 2^m.  The parity check is (x-1) times
 the first k coset polynomials, giving a [q+1, 2k+1, q-2k+1] MDS code whose
 orbits outside the constants are full; one representative per orbit yields a
-(q+1, (q^(2k+1)-q)/(q+1), 2k; q) set meeting the Singleton bound.
+(q+1, (q^(2k+1)-q)/(q+1), 2k; q) set meeting the Singleton bound.  At k = 1
+this is (q+1, q(q-1), 2; q), family B's parameters at even q, which meets
+the Peng-Fan bound too.
 
 Family B: the odd-q analogue with k fixed to 1: a [q+1, 3, q-1] code giving
 a (q+1, q(q-1), 2; q) set meeting both the Peng-Fan and Singleton bounds.

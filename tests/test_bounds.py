@@ -177,14 +177,32 @@ INT32_BOUNDS = (bounds._SWEEP_INT32_MAX_NN, 0)
 
 
 def test_pf_sweep_matches_scalar_oracle(monkeypatch):
-    # (3, 5, 100) has ell_max > n * N_max; small tiles split both axes
+    # (3, 5, 100) has ell_max > n * N_max; (7, 3, 25) and (4, 9, 50) have
+    # ell_max above some chunk's largest nN, and chunks of 7 pairs that
+    # straddle an n boundary; every tile is a non-empty suffix with
+    # nN >= ell, ell a scalar of the tile's dtype
+    tile_fn = bounds._sweep_tile
+
+    def spy(n, count, ell):
+        assert n.dtype == count.dtype == np.asarray(ell).dtype and np.ndim(ell) == 0
+        assert count.size and (n * count >= ell).all()
+        return tile_fn(n, count, ell)
+
+    monkeypatch.setattr(bounds, "_sweep_tile", spy)
     for int32_max_nn, tile in itertools.product(INT32_BOUNDS, (bounds._SWEEP_TILE, 7, 1)):
         monkeypatch.setattr(bounds, "_SWEEP_INT32_MAX_NN", int32_max_nn)
         monkeypatch.setattr(bounds, "_SWEEP_TILE", tile)
-        for grid in [(1, 1, 1), (1, 7, 3), (3, 5, 100), (10, 30, 15), (12, 40, 20)]:
+        for grid in [(1, 1, 1), (1, 7, 3), (3, 5, 100), (10, 30, 15), (12, 40, 20),
+                     (7, 3, 25), (4, 9, 50)]:
             report = pf_identity_sweep(*grid)
             want = scalar_pf_sweep(*grid)
             assert (report.triples_checked, report.counterexamples) == want
+
+
+def test_pf_sweep_over_many_n():
+    # n = 2..2^19 + 1 at N = 1, ell = 1: 2^19 triples, past the old n cap
+    report = pf_identity_sweep(2**19 + 1, 1, 1)
+    assert report.ok and report.triples_checked == 2**19
 
 
 def test_int32_bound_is_the_largest_that_fits():
@@ -216,21 +234,23 @@ def test_pf_sweep_on_each_side_of_the_int32_bound(monkeypatch, grid, dtype):
 
 
 def test_pf_tile_extreme_cells_agree_in_both_dtypes():
-    # Cells (n, N, ell) with nN <= M and ell <= M, M the int32 bound, where
-    # the bound's terms peak, masked ones (ell > nN) included: 2*I*nN = 2M^2
-    # at nN = M, ell = 1, and (ell - nN)*nN = M^2/4 at nN = M/2, ell = M.
+    # Cells (n, N, ell) with 2 <= nN <= M and ell <= nN, M the int32 bound,
+    # where the bound's terms peak: 2*I*nN = 2M^2 at nN = M, ell = 1, and
+    # a1 = (M - 1)*M at n = nN = M, ell = 1, b1 = (M - 1)*M at ell = nN = M.
     m = bounds._SWEEP_INT32_MAX_NN
-    for n in (1, 2, 181, m // 3, m // 2, m):
-        counts = sorted({1, 2, 3, m // (2 * n), m // n - 1, m // n} & set(range(1, m // n + 1)))
-        ells = sorted({1, 2, 3, n, m // 2, m - 1, m})
+    ns = (1, 2, 181, m // 3, m // 2, m)
+    pairs = [
+        (n, c) for n in ns
+        for c in sorted({1, 2, 3, m // (2 * n), m // n - 1, m // n} & set(range(1, m // n + 1)))
+        if n * c >= 2
+    ]
+    for ell in sorted({1, 2, 3, *ns, m - 1}):
+        inside = [(n, c) for n, c in pairs if n * c >= ell]
         results = []
         for dtype in (np.int32, np.int64):
-            count = np.repeat(np.array(counts, dtype=dtype), len(ells))
-            ell = np.tile(np.array(ells, dtype=dtype), len(counts))
-            keep = n * count >= 2
-            results.append(bounds._sweep_tile(n, count[keep], ell[keep]))
-        cells = [(c, e) for c in counts for e in ells if 2 <= n * c and e <= n * c]
-        assert results[0] == results[1] == (len(cells), []), n
+            n, count = np.array(inside, dtype=dtype).T
+            results.append(bounds._sweep_tile(n, count, dtype(ell)))
+        assert results[0] == results[1] == (len(inside), []), ell
 
 
 @pytest.mark.parametrize("int32_max_nn", INT32_BOUNDS, ids=["int32", "int64"])
@@ -264,11 +284,10 @@ def test_pf_sweep_refuses_overflowing_grid():
 
 
 def test_pf_sweep_caps_are_inclusive(monkeypatch):
-    monkeypatch.setattr(bounds, "_SWEEP_MAX_N", 5)
     monkeypatch.setattr(bounds, "_SWEEP_MAX_CELLS", 12)
-    assert pf_identity_sweep(5, 1, 1).ok  # 5 * 1 * 1 cells
+    assert pf_identity_sweep(12, 1, 1).ok  # 12 * 1 cells
     assert pf_identity_sweep(2, 3, 2).ok  # 6 * 2 = 12 cells
-    for grid in [(6, 1, 1), (2, 3, 3), (1, 4, 4)]:  # n 6; 6 * 3 = 18 cells; 4 * 4
+    for grid in [(13, 1, 1), (2, 3, 3), (1, 4, 4)]:  # 13 * 1; 6 * 3 = 18; 4 * 4
         with pytest.raises(BoundTooLarge):
             pf_identity_sweep(*grid)
 

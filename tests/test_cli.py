@@ -331,10 +331,10 @@ def test_pf_identity_stdout_is_pinned(capsys, grid):
     ["--n-max", "1073741824", "--N-max", "1", "--l-max", "1"],
     ["--n-max", "1", "--N-max", "1000000", "--l-max", "1000"],
     ["--n-max", "1", "--N-max", "1073741824", "--l-max", "1"],
-], ids=["n-loop", "cells", "cells-at-2^30"])
+], ids=["n-at-2^30", "cells", "cells-at-2^30"])
 def test_runaway_pf_identity_is_refused_at_once(capsys, grid):
-    # each passes the 2^30 check on n_max * N_max; the first ran for hours,
-    # the second for over a minute
+    # each passes the 2^30 check on n_max * N_max, and the cell cap refuses
+    # it; the second ran for over a minute before there was a cap
     start = time.monotonic()
     code, out, err = run(capsys, "pf-identity", *grid)
     assert time.monotonic() - start < 1.0
@@ -497,11 +497,7 @@ def test_one_parser_serves_every_call(tmp_path, capsys, monkeypatch):
     def outcomes():
         got = []
         for argv in calls:
-            try:
-                code = main(argv)
-            except SystemExit as exc:  # --version
-                code = exc.code
-            got.append((code, *capsys.readouterr()))
+            got.append((main(argv), *capsys.readouterr()))
         return got
 
     cached = outcomes()
@@ -509,6 +505,18 @@ def test_one_parser_serves_every_call(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "make_parser", make_parser.__wrapped__)
     assert outcomes() == cached
     assert [code for code, _, _ in cached] == [0, 0, 4, 0, 0, 0, 4, 0, 0]
+
+
+@pytest.mark.parametrize("argv", [["--version"], ["--help"], ["build", "--help"]],
+                         ids=" ".join)
+def test_help_and_version_return_zero(capsys, argv):
+    # main returns their status, as on every other path, and prints what
+    # the console prints, which exits 0
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and out and err == ""
+    proc = subprocess.run([sys.executable, "-m", "fhsforge", *argv],
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, out, "")
 
 
 def test_console_entry_point():

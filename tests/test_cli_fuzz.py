@@ -49,7 +49,7 @@ BAD = ["-1", "0", "x", "1.5", ""]
 # those past 2^22 window keys, as the default cap does, such as the 8^9 of
 # --n 9 --q 8 with an empty defining set.  The grid limits of pf-identity
 # draw 2^30, which passes the sweep's 2^30 check on n_max * N_max when the
-# other limit is 1, and which its n and cell caps then refuse (exit 3).
+# other limit is 1, and which its cell cap then refuses (exit 3).
 NUMBER = BAD + ["1", "2", "3", "4", "5", "7", "8", "9"]
 HUGE = "100000000000001"
 HUGE_GRID = "1073741824"
@@ -206,10 +206,7 @@ def check_contract(argv, record):
                 with open(RECORD, "w") as fh:
                     json.dump(record, fh)
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                try:
-                    code = main(argv)
-                except SystemExit as exc:  # --help and --version
-                    code = exc.code
+                code = main(argv)
         finally:
             os.chdir(cwd)
     assert code in (0, 2, 3, 4), (argv, code, err.getvalue())

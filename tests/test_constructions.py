@@ -76,6 +76,16 @@ def test_family_a_q16_k1():
     assert build.all_claims_hold()
 
 
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_family_a_k1_meets_peng_fan(m):
+    # (q+1, q(q-1), 2; q): family B's parameters at even q, with pf2 = 2
+    build = family_a(m, 1)
+    q = 1 << m
+    assert parameter_tuple(build.fhs) == (q + 1, q * (q - 1), 2, q)
+    assert build.all_claims_hold()
+    assert build.report.pf2 == 2 and build.report.meets_peng_fan
+
+
 def test_family_a_class_count_without_correlation():
     # correlation budget one short of the walk's count, (1 + 14 + 14) rotation
     # classes at L = 1, 4, 5 of N * n = 32,760 rotations: classes still
