@@ -1,5 +1,5 @@
 """fhsforge: optimal frequency-hopping sequence sets from MDS cyclic codes,
-verified against the Peng-Fan, Singleton and sphere-packing bounds."""
+verified against the Peng-Fan and Singleton bounds."""
 
 __version__ = "0.1.0"
 
@@ -10,7 +10,6 @@ from .bounds import (
     peng_fan_2,
     pf_identity_sweep,
     singleton_max_size,
-    sphere_packing_max_size,
 )
 from .constructions import (
     FamilyBuild,
@@ -81,7 +80,6 @@ __all__ = [
     "pow_mod",
     "singleton_max_size",
     "smallest_prime_factor",
-    "sphere_packing_max_size",
     "unit_coset_code",
     "__version__",
 ]

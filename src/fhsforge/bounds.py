@@ -11,8 +11,8 @@ the exact difference is PF2 - PF1 = (ell - J)*J / ((nN - 1) * ell * N);
 cross-multiplied by the common denominator this is a pure integer identity,
 which is what the sweep checks, one ell at a time over chunks of (n, N)
 pairs, in int32 when its grid provably fits and in int64 otherwise.  The
-Singleton and sphere-packing bounds cap the set size N from above.  No
-floating point anywhere in this module.
+Singleton bound caps the set size N from above.  No floating point anywhere
+in this module.
 """
 
 from __future__ import annotations
@@ -85,21 +85,6 @@ def singleton_max_size(n: int, lam: int, ell: int) -> int:
     return ell ** (lam + 1) // n
 
 
-def sphere_packing_max_size(n: int, lam: int, ell: int) -> int:
-    """Upper bound on N from the sphere-packing bound:
-    floor( ell^n / ( n * sum_{i<=floor((n-lam-1)/2)} C(n,i) (ell-1)^i ) )."""
-    if not (0 <= lam < n and ell > 1):
-        raise PreconditionViolated(
-            f"need 0 <= lambda < n and ell > 1, got ({n}, {lam}, {ell})"
-        )
-    # the terms C(n, i) (ell - 1)^i, each from the last by one exact division
-    term = ball = 1
-    for i in range((n - lam - 1) // 2):
-        term = term * (n - i) * (ell - 1) // (i + 1)
-        ball += term
-    return ell**n // (n * ball)
-
-
 def _printable_digits() -> int:
     """The digits a report may print: PRINTABLE_DIGITS, or the interpreter's
     int-to-str limit when that is lower (0 means no limit), read at report
@@ -108,16 +93,15 @@ def _printable_digits() -> int:
     return min(PRINTABLE_DIGITS, limit) if limit else PRINTABLE_DIGITS
 
 
-def _below_printable(a: int, x: int, b: int, y: int, n: int) -> bool:
-    """Whether a^x < 10^D * n * b^y, D = `_printable_digits()`, for a >= 2
-    and b, n >= 1.  As 64 log2(a) >= bl(a^64) - 1 and 64 log2(b) <
-    bl(b^64), bl the bit length, a wide gap answers no before either power
-    is taken."""
+def _below_printable(a: int, x: int, n: int) -> bool:
+    """Whether a^x < 10^D * n, D = `_printable_digits()`, for a >= 2 and
+    n >= 1.  As 64 log2(a) >= bl(a^64) - 1, bl the bit length, a wide gap
+    answers no before the power is taken."""
     printable = 10 ** _printable_digits()
-    gap = x * ((a**64).bit_length() - 1) - y * (b**64).bit_length()
+    gap = x * ((a**64).bit_length() - 1)
     if gap >= 64 * (n.bit_length() + printable.bit_length()):
         return False
-    return a**x < printable * n * b**y
+    return a**x < printable * n
 
 
 @dataclass(frozen=True)
@@ -131,11 +115,8 @@ class BoundReport:
     pf1: int
     pf2: int
     singleton_max_N: int
-    sphere_max_N: int | None  # None: it might not print in full
     meets_peng_fan: bool
     meets_singleton: bool
-    meets_sphere: bool | None
-    lambda_source: str
 
     def to_json_dict(self) -> dict:
         return {
@@ -148,41 +129,32 @@ class BoundReport:
             "pf1": self.pf1,
             "pf2": self.pf2,
             "singleton_max_N": str(self.singleton_max_N),
-            "sphere_max_N": (
-                None if self.sphere_max_N is None else str(self.sphere_max_N)
-            ),
             "meets": {
                 "peng_fan": self.meets_peng_fan,
                 "singleton": self.meets_singleton,
-                "sphere": self.meets_sphere,
             },
-            "lambda_source": self.lambda_source,
         }
 
 
-def optimality_report(
-    n: int, count: int, ell: int, lam: int, lambda_source: str = "claimed"
-) -> BoundReport:
-    """Evaluate all four bounds at (n, N, ell, lambda) and record which are met.
+def optimality_report(n: int, count: int, ell: int, lam: int) -> BoundReport:
+    """Evaluate the Peng-Fan and Singleton bounds at (n, N, ell, lambda) and
+    record which are met.
 
     Refused (`BoundTooLarge`) before any work when nN or the Singleton value
     has more than D digits, D = PRINTABLE_DIGITS or the interpreter's lower
-    int-to-str limit.  The sphere-packing value is None unless its upper
-    bound ell^n / (n (ell - 1)^r), r the radius, has not."""
+    int-to-str limit."""
     if n < 1 or count < 1 or ell <= 1 or not 0 <= lam < n or n * count < 2:
         raise InconsistentParameters(
             f"parameters ({n}, {count}, {lam}; {ell}) are out of range"
         )
     nn = n * count
     digits = _printable_digits()
-    if nn >= 10**digits or not _below_printable(ell, lam + 1, 1, 0, n):
+    if nn >= 10**digits or not _below_printable(ell, lam + 1, n):
         raise BoundTooLarge(f"nN or Singleton's N has over {digits} digits")
     big_i, j = divmod(nn, ell)
     pf1 = peng_fan_1(n, count, ell)
     pf2 = peng_fan_2(n, count, ell)
     singleton = singleton_max_size(n, lam, ell)
-    fits = _below_printable(ell, n, ell - 1, (n - lam - 1) // 2, n)
-    sphere = sphere_packing_max_size(n, lam, ell) if fits else None
     return BoundReport(
         n=n,
         N=count,
@@ -193,11 +165,8 @@ def optimality_report(
         pf1=pf1,
         pf2=pf2,
         singleton_max_N=singleton,
-        sphere_max_N=sphere,
         meets_peng_fan=(lam == pf2),
         meets_singleton=(count == singleton),
-        meets_sphere=None if sphere is None else count == sphere,
-        lambda_source=lambda_source,
     )
 
 

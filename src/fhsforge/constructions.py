@@ -114,7 +114,6 @@ def _materialize(
     code = build.code
     n, q = code.n, code.field.order
     build.checks["orbit_predicate"] = _full_orbits(code)
-    lambda_source = "claimed"
     if code.size <= enum_cap:
         reps, sizes = class_partition(code, cap=enum_cap)
         build.checks["class_count"] = len(sizes) == build.claimed_N
@@ -124,15 +123,12 @@ def _materialize(
         try:
             build.survey = max_nontrivial(build.fhs, budget=budget)
             build.checks["lambda_match"] = build.survey.value == build.claimed_lambda
-            lambda_source = "exhaustive"
             build.fhs.max_correlation = build.survey.value
         except BudgetExceeded:
             build.fhs.max_correlation = build.claimed_lambda
     else:
         build.checks["class_count"] = None
-    build.report = optimality_report(
-        n, build.claimed_N, q, build.claimed_lambda, lambda_source=lambda_source
-    )
+    build.report = optimality_report(n, build.claimed_N, q, build.claimed_lambda)
     build.checks["meets_singleton"] = build.report.meets_singleton
     return build
 

@@ -2,7 +2,7 @@ import itertools
 import random
 import time
 from fractions import Fraction
-from math import ceil, comb, floor
+from math import ceil
 
 import numpy as np
 import pytest
@@ -14,7 +14,6 @@ from fhsforge.bounds import (
     peng_fan_2,
     pf_identity_sweep,
     singleton_max_size,
-    sphere_packing_max_size,
 )
 from fhsforge.errors import (
     BoundTooLarge,
@@ -31,13 +30,6 @@ def pf_reference(n, count, ell):
     pf1 = ceil(Fraction((nn - ell) * n, (nn - 1) * ell))
     pf2 = ceil(Fraction(2 * big_i * nn - (big_i + 1) * big_i * ell, (nn - 1) * count))
     return pf1, pf2
-
-
-def sphere_reference(n, lam, ell):
-    """Oracle: rational evaluation of the ball-counting quotient."""
-    radius = (n - lam - 1) // 2
-    ball = sum(comb(n, i) * (ell - 1) ** i for i in range(radius + 1))
-    return floor(Fraction(ell**n, n * ball))
 
 
 # -- Peng-Fan lower bounds ---------------------------------------------------------
@@ -77,7 +69,7 @@ def test_peng_fan_degenerate():
         peng_fan_2(0, 5, 5)
 
 
-# -- Singleton / sphere-packing upper bounds ----------------------------------------
+# -- Singleton upper bound -----------------------------------------------------------
 
 
 def test_singleton_values():
@@ -100,32 +92,11 @@ def test_singleton_monotonicity():
             assert singleton_max_size(n - 1, lam, ell) >= v
 
 
-def test_sphere_values():
-    # lambda = n-1 collapses the ball to a single word
-    assert sphere_packing_max_size(9, 8, 8) == 8**9 // 9
-    assert sphere_packing_max_size(15, 10, 2) == 18  # 2^15 // (15 * 121)
-    assert sphere_packing_max_size(15, 2, 2) == 0    # radius 6 ball outweighs 2^15
-    for args in [(15, 10, 2), (15, 2, 2), (26, 2, 25), (11, 1, 32)]:
-        assert sphere_packing_max_size(*args) == sphere_reference(*args)
-    for n, ell in itertools.product(range(1, 16), range(2, 7)):
-        for lam in range(n):
-            assert sphere_packing_max_size(n, lam, ell) == sphere_reference(n, lam, ell)
-
-
-def test_sphere_monotonic_in_lambda():
-    for n, ell in [(15, 2), (11, 32), (9, 8)]:
-        for lam in range(1, n):
-            assert sphere_packing_max_size(n, lam, ell) >= \
-                sphere_packing_max_size(n, lam - 1, ell)
-
-
 def test_bound_preconditions():
     with pytest.raises(PreconditionViolated):
         singleton_max_size(5, 5, 4)
     with pytest.raises(PreconditionViolated):
         singleton_max_size(5, 2, 1)
-    with pytest.raises(PreconditionViolated):
-        sphere_packing_max_size(5, 7, 4)
 
 
 # -- the two-bound identity -----------------------------------------------------------
@@ -322,10 +293,9 @@ def test_both_ceilings_one_when_n_at_most_ell():
 
 
 def test_report_family_b_q25():
-    report = optimality_report(26, 600, 25, 2, lambda_source="exhaustive")
+    report = optimality_report(26, 600, 25, 2)
     assert report.meets_peng_fan
     assert report.meets_singleton
-    assert not report.meets_sphere
     assert (report.I, report.J) == (624, 0)
 
 
@@ -352,9 +322,12 @@ def test_report_dropped_sequence_loses_optimality():
 
 def test_report_json_shape():
     data = optimality_report(11, 93, 32, 1).to_json_dict()
-    assert data["meets"] == {"peng_fan": True, "singleton": True, "sphere": False}
+    # the report is a function of (n, N, ell, lambda) alone: two bounds and
+    # what meets them, no record of how lambda was found
+    assert set(data) == {"n", "N", "ell", "lambda", "I", "J", "pf1", "pf2",
+                         "singleton_max_N", "meets"}
+    assert data["meets"] == {"peng_fan": True, "singleton": True}
     assert data["singleton_max_N"] == "93"
-    assert isinstance(data["sphere_max_N"], str)
     assert data["lambda"] == 1
 
 
@@ -366,20 +339,16 @@ def test_report_inconsistent_parameters():
 
 
 def test_report_values_past_the_printable_digits():
-    # A q=2^11 k=1 keeps its 2,780-digit sphere value; from A q=2^12 on, and
-    # at n = 3,000,000 over two symbols, the value is null at once, where it
-    # had up to 6,171 digits (no str()) or took minutes to sum
-    kept = optimality_report(2049, 4192256, 2048, 2)
-    assert kept.sphere_max_N == sphere_reference(2049, 2, 2048)
-    assert len(kept.to_json_dict()["sphere_max_N"]) == 2780
+    # A q=2^11 to 2^14 k=1, and n = 3,000,000 over two symbols, report at
+    # once: no value of theirs comes near the printable digits
     start = time.monotonic()
-    for args in [(4097, 16773120, 4096, 2), (16385, 268402688, 16384, 2),
-                 (3_000_000, 1, 2, 1)]:
+    for args in [(2049, 4192256, 2048, 2), (4097, 16773120, 4096, 2),
+                 (16385, 268402688, 16384, 2), (3_000_000, 1, 2, 1)]:
         report = optimality_report(*args)
-        assert report.sphere_max_N is None and report.meets_sphere is None
-        data = report.to_json_dict()
-        assert data["sphere_max_N"] is None and data["meets"]["sphere"] is None
-    # a Singleton value or an nN past them is refused before any work
+        assert report.singleton_max_N == singleton_max_size(args[0], args[3], args[2])
+        assert report.to_json_dict()["singleton_max_N"] == str(report.singleton_max_N)
+    # a Singleton value or an nN past the printable digits is refused
+    # before any work
     with pytest.raises(BoundTooLarge, match="Singleton"):
         optimality_report(100_000, 1, 2, 99_999)
     with pytest.raises(BoundTooLarge, match="nN"):
@@ -389,13 +358,12 @@ def test_report_values_past_the_printable_digits():
 
 def test_printable_test_is_exact_at_the_boundary():
     # the bit-length shortcut never decides against the exact comparison
-    # b^y with y = x // 2 stands for the sphere bound's (ell - 1)^radius
     limit = 10**bounds.PRINTABLE_DIGITS
-    for a, b, n in [(2, 1, 1), (2, 1, 3_000_000), (3, 2, 5), (1024, 1023, 4097),
-                    (2048, 2047, 2049), (7, 1, 100)]:
-        below = lambda x: a**x < limit * n * b ** (x // 2)
+    for a, n in [(2, 1), (2, 3_000_000), (3, 5), (1024, 4097), (2048, 2049),
+                 (7, 100), (16384, 16385)]:
+        below = lambda x: a**x < limit * n
         x0 = next(x for x in itertools.count(1, 16) if not below(x))
         xs = range(x0 - 40, x0 + 40)
         assert below(xs[0]) and not below(xs[-1])
         for x in xs:
-            assert bounds._below_printable(a, x, b, x // 2, n) == below(x), (a, x, b, n)
+            assert bounds._below_printable(a, x, n) == below(x), (a, x, n)

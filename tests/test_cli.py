@@ -112,7 +112,9 @@ def test_build_and_verify_round_trip(tmp_path, capsys):
                  "family.json", "code.json", "manifest.json"):
         assert (out_dir / name).exists()
     report = json.loads((out_dir / "bound_report.json").read_text())
-    assert report["lambda"] == 2 and report["lambda_source"] == "exhaustive"
+    assert report["lambda"] == 2
+    family = json.loads((out_dir / "family.json").read_text())
+    assert family["verified"]["correlation"] == "exhaustive"
     manifest = json.loads((out_dir / "manifest.json").read_text())
     assert manifest["outputs"]["fhs_set.json"]
 
@@ -247,42 +249,42 @@ PAPER_BUILDS = {
         "code.json": "d16f9f58a7e0537468b364db52a893fa9ce721a342aa3b4712da16c4075a4449",
         "fhs_set.json": "dc45327f0f5d20903c72aef84f69bc033490e0e7a87eca4d09549f3a142195fe",
         "fhs_set.csv": "c8702990366d0b5221c2f6b4165e00e8ed0cebb9cb2a19c0b0e6e773f867d16f",
-        "bound_report.json": "371ba0592ec2b17b7a542781f91d8b2a241b810072757e26e30dfa3e0fae4bc7",
+        "bound_report.json": "74c2c5dd76850126a2697d5c22651e64f39cead16603cfb598555e624a72ab17",
     }),
     "A8k2": (["--family", "A", "--m", "3", "--k", "2"], {
         "family.json": "a56f110e2fe0483a3ad290efed193c1c62ebc80c6e990777b205fc53c332a44a",
         "code.json": "32bccf40969a8c4637db1561306289c8d672c15bf5a93976316c089ee79f6fe9",
         "fhs_set.json": "5d1ff7273d5e60aaf727894f7ecbcfc3b12e21c803ecfe29228ca0f518acdc5b",
         "fhs_set.csv": "b54342cc0a0e9d1e518ce7de69b9892abc391ac70be923c655df749e1fccc55c",
-        "bound_report.json": "2cf2871717974345cafd880cdb755c953959253a5d7df590fe049182845e4d56",
+        "bound_report.json": "f1d13478302f85e9fc128b6077f46b82da6c7bdbe68baf33f4c9e2fff9f953df",
     }),
     "B5": (["--family", "B", "--q", "5"], {
         "family.json": "cf2c05f826b13c2a66a988ff63a401eacbc27a4f5cdb95c6368217419ecc2c91",
         "code.json": "97a31f294152e57eda8811340e7de33d83bfa7fcebea264cc9cdeeae38ab07dc",
         "fhs_set.json": "fddbbffa89c935bf1c9ce5b449a411bef7c8d8302a4114aef97e0722771fd602",
         "fhs_set.csv": "612480ffc6f2d9318715e3262482c11cc6c349b901bc8553a8ef9cbda809fac7",
-        "bound_report.json": "bd7de777b8273e2878e08b07d48f403cad3f8793779b38f0850abea84d222fba",
+        "bound_report.json": "00fe9a5b214dcfcd516ce487a48e8acc6efcac1d2521781aae573924a48c1806",
     }),
     "B25": (["--family", "B", "--q", "25"], {
         "family.json": "cc220026f8de25d252fdbdf8876b4591b51cbf39b7f8c89b15ed5264059487f5",
         "code.json": "717a0940c42aa61d4ad9bf2b8acdef90755f52fbb8cdf4f6cbf357cfcaff3299",
         "fhs_set.json": "2979ede6adad8266020f0fcb388011e342a9a865a86a8c53dd3cc4fb560490ef",
         "fhs_set.csv": "28d5c2cf5dadd357f67021242a41dd1c131e346e2be96937b91c44296b6c3c3b",
-        "bound_report.json": "fe89245a3282fcbaf313cc62fa8b5de884f80ed76a67ea2e849391082cf6dbf3",
+        "bound_report.json": "a5ab8c9f109c47e14e47c761afc63afbb2103741455ff70939cdfb6bb06d0a40",
     }),
     "C32": (["--family", "C", "--q", "32", "--n", "11", "--k", "0"], {
         "family.json": "ddd5fff3adce9c01e7ba944b6db8c9ee092fed4fd905ca625926f0ee3d19e396",
         "code.json": "956dd25260a17ed6153a99dddf09c63691e2f30307ad31dc5e760881ada4b6ed",
         "fhs_set.json": "0715c2e4c68a9cb97dfb1b80d58308bf318e3036fd4b6cd286767077cc9cecbe",
         "fhs_set.csv": "f597ffce88ff7d177d0242bfabe131c6a368a277bad88d558f8ec1baa20afadd",
-        "bound_report.json": "c62beb5d13451b69ba22582199a6d79d33d6cb87a4737e359cb894232631bbcd",
+        "bound_report.json": "fb681ad3d6700bc2bb1486ff9da87843eed186502a05d13707cb79eca30c5f41",
     }),
     "C512": (["--family", "C", "--q", "512", "--n", "27", "--k", "0"], {
         "family.json": "f36ffd726c76e9d910f0f2cc10562ca1e64f6b26bfc48a0bd80821c6fb25ccf0",
         "code.json": "8b216d393b0a1b9a910f54457c636883c3f2c6209c0428e89994768e0154c82e",
         "fhs_set.json": "da996c2b44fbf10bcb28bdd8c33f090eeebdd4298ca10c36d98e094a4e8644fa",
         "fhs_set.csv": "7a52c8e68e1b963cfd27b2751c23cb928573c6de6eea55f0c003c2b21996a742",
-        "bound_report.json": "46a9e8a84fea8a722022dbd5ee159f88eb01e72ba0c42808f0beb148c792b497",
+        "bound_report.json": "156e31ea176041f8b34a0761f43457e4cd2ac32afb6b0228ebf7559cb011c371",
     }),
 }
 # `verify` stdout on each paper build's fhs_set.json: the certificate's
@@ -313,6 +315,12 @@ def test_paper_build_outputs_are_pinned(tmp_path, capsys, name):
     # the manifest names the digest of each file's exact bytes
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["outputs"] == digests
+    # the build's bound report is `bounds` stdout for the set's parameters
+    record = json.loads((tmp_path / "fhs_set.json").read_text())
+    params = [arg for key in ("n", "N", "ell", "lambda")
+              for arg in (f"--{key}", str(record[key]))]
+    assert run(capsys, "bounds", *params) == (
+        0, (tmp_path / "bound_report.json").read_text(), "")
     lam, probe = PAPER_VERIFY_STDOUT[name]
     assert run(capsys, "verify", str(tmp_path / "fhs_set.json")) == (0, (
         f"stored lambda = {lam}; measured (exhaustive) = {lam}\n"
@@ -419,8 +427,8 @@ def test_build_sampled_exit_code(tmp_path, capsys):
                        "--budget", "10", "--out", str(out_dir))
     assert code == 3
     assert "correlation not verified (over budget" in out
-    report = json.loads((out_dir / "bound_report.json").read_text())
-    assert report["lambda_source"] == "claimed"
+    family = json.loads((out_dir / "family.json").read_text())
+    assert family["verified"]["correlation"] == "none"
 
 
 def test_build_c32_k1_exact_at_default_budget(tmp_path, capsys):
@@ -763,8 +771,9 @@ def test_verify_large_m_exits_on_budget(tmp_path, capsys):
 
 
 def test_unprintable_sphere_bound_is_null(tmp_path, capsys):
-    # A q = 2^12: the sphere-packing value has 6,171 digits, past what str()
-    # prints, and took seconds to sum; the build used to exit 1 with a traceback
+    # A q = 2^12 at --cap 1: the report holds the two bounds alone, written
+    # at once; the sphere-packing value it once held had 6,171 digits, past
+    # what str() prints, and the build exited 1 with a traceback
     start = time.monotonic()
     code, out, err = run(capsys, "build", "--family", "A", "--m", "12", "--k", "1",
                          "--cap", "1", "--out", str(tmp_path))
@@ -772,35 +781,34 @@ def test_unprintable_sphere_bound_is_null(tmp_path, capsys):
     assert code == 3 and "Traceback" not in err
     assert "parameters-only (enumeration beyond cap)" in out
     report = json.loads((tmp_path / "bound_report.json").read_text())
-    assert report["sphere_max_N"] is None and report["meets"]["sphere"] is None
+    assert "sphere_max_N" not in report and "sphere" not in report["meets"]
     assert report["singleton_max_N"] == "16773120" and report["meets"]["singleton"]
 
 
-@pytest.mark.parametrize("argv,exit_code", [
-    (["bounds", "--n", "3000000", "--N", "1", "--ell", "2", "--lambda", "1"], 0),
-    (["bounds", "--n", "100000", "--N", "1", "--ell", "2", "--lambda", "99999"], 3),
-], ids=["sphere-null", "singleton-refused"])
-def test_bounds_past_the_printable_digits(capsys, argv, exit_code):
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--n", "100000", "--N", "1", "--ell", "2", "--lambda", "99999"],
+], ids=["singleton-refused"])
+def test_bounds_past_the_printable_digits(capsys, argv):
     start = time.monotonic()
     code, out, err = run(capsys, *argv)
     assert time.monotonic() - start < 2.0
-    assert code == exit_code and "Traceback" not in err
-    if code == 0:
-        assert json.loads(out)["sphere_max_N"] is None
-    else:
-        assert "BoundTooLarge" in err
+    assert code == 3 and out == "" and "Traceback" not in err
+    assert "BoundTooLarge" in err
 
 
-def test_report_under_a_lower_int_to_str_limit(tmp_path):
-    # A q = 2^11: the 2,780-digit sphere value prints under the default
-    # limit, but not under 640 digits, where the build exited 1 with a
-    # traceback; the report now reads the interpreter's limit
-    env = {**os.environ, "PYTHONINTMAXSTRDIGITS": "640"}
-    proc = subprocess.run(
-        [sys.executable, "-m", "fhsforge", "build", "--family", "A", "--m", "11",
-         "--k", "1", "--cap", "1", "--out", str(tmp_path)],
-        capture_output=True, text=True, timeout=120, env=env,
-    )
-    assert proc.returncode in (0, 3) and "Traceback" not in proc.stderr
-    report = json.loads((tmp_path / "bound_report.json").read_text())
-    assert report["sphere_max_N"] is None and report["meets"]["sphere"] is None
+def test_report_under_a_lower_int_to_str_limit():
+    # 2^2201 // 2201, the Singleton value, has 660 digits: it prints under
+    # the default limit, but not under 640 digits, where the report is
+    # refused, as it reads the interpreter's limit, not a traceback
+    argv = [sys.executable, "-m", "fhsforge", "bounds", "--n", "2201", "--N", "1",
+            "--ell", "2", "--lambda", "2200"]
+    for limit, exit_code in [(None, 0), ("640", 3)]:
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONINTMAXSTRDIGITS"}
+        if limit:
+            env["PYTHONINTMAXSTRDIGITS"] = limit
+        proc = subprocess.run(argv, capture_output=True, text=True, timeout=120, env=env)
+        assert proc.returncode == exit_code and "Traceback" not in proc.stderr
+        if limit:
+            assert "BoundTooLarge" in proc.stderr and proc.stdout == ""
+        else:
+            assert len(json.loads(proc.stdout)["singleton_max_N"]) == 660

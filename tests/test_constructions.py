@@ -173,7 +173,7 @@ def test_family_c_over_budget():
     assert build.survey is None
     assert "lambda_match" not in build.checks
     assert build.fhs.max_correlation == 3
-    assert build.report.lambda_source == "claimed"
+    assert build.export_dict()["verified"]["correlation"] == "none"
     assert build.report.meets_singleton
 
 
