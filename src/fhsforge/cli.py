@@ -224,27 +224,35 @@ def cmd_pf_identity(args) -> int:
     return EXIT_OK if report.ok else EXIT_MISMATCH
 
 
+# each family's builder and the flags it needs; Ding's takes no caps
+_FAMILIES = {
+    "A": (family_a, ("m", "k")),
+    "B": (family_b, ("q",)),
+    "C": (family_c, ("q", "n", "k")),
+    "Ding": (lambda q, m, enum_cap, budget: family_ding(q, m), ("q", "m")),
+}
+# a claim's line once proved, and the message of a build that exits 3
+# because it is the first claim, by name, that was not proved
+_PROVED = {"lambda_match": "correlation sweep: exhaustive, max = {}"}
+_UNPROVED = {
+    "class_count": "parameters-only (enumeration beyond cap)",
+    "class_sizes": "parameters-only (enumeration beyond cap)",
+    "lambda_match": "correlation not verified (over budget; raise --budget, "
+                    "or lift it with --budget 0)",
+}
+
+
 def cmd_build(args) -> int:
     start = time.monotonic()
     cap = _enum_cap(args)
     budget = _budget(args)
-    kwargs = dict(enum_cap=cap, budget=budget)
-    if args.family == "A":
-        if args.m is None or args.k is None:
-            raise ParseError("family A needs --m and --k")
-        build = family_a(args.m, args.k, **kwargs)
-    elif args.family == "B":
-        if args.q is None:
-            raise ParseError("family B needs --q")
-        build = family_b(args.q, **kwargs)
-    elif args.family == "C":
-        if args.q is None or args.n is None or args.k is None:
-            raise ParseError("family C needs --q, --n and --k")
-        build = family_c(args.q, args.n, args.k, **kwargs)
-    else:
-        if args.q is None or args.m is None:
-            raise ParseError("family Ding needs --q and --m")
-        build = family_ding(args.q, args.m)
+    builder, flags = _FAMILIES[args.family]
+    values = [getattr(args, flag) for flag in flags]
+    if None in values:
+        *rest, last = [f"--{flag}" for flag in flags]
+        needs = f"{', '.join(rest)} and {last}" if rest else last
+        raise ParseError(f"family {args.family} needs {needs}")
+    build = builder(*values, enum_cap=cap, budget=budget)
 
     outputs = {"family.json": _dump(build.export_dict()).encode(),
                "code.json": _dump(build.code.export_dict()).encode()}
@@ -278,24 +286,18 @@ def cmd_build(args) -> int:
     }
     _write(outdir / "manifest.json", _dump(manifest).encode())
 
-    for name, value in sorted(build.observations.items()):
-        print(f"observed {name}: {value}")
-    for name, value in sorted(build.checks.items()):
-        print(f"check {name}: {value}")
-    if build.survey is not None:
-        print(f"correlation sweep: exhaustive, max = {build.survey.value}")
-    if not build.all_claims_hold():
+    verdicts = build.verdicts()
+    for name, verdict in verdicts.items():
+        print(f"check {name}: {verdict}")
+    for name, (_, proved) in sorted(build.claims.items()):
+        if name in _PROVED and proved is not None:
+            print(_PROVED[name].format(proved))
+    if False in verdicts.values():
         print("CLAIM MISMATCH")
         return EXIT_MISMATCH
-    if build.fhs is None and build.params["family"] != "Ding":
-        print("parameters-only (enumeration beyond cap)")
-        return EXIT_BUDGET
-    if build.fhs is not None and build.survey is None:
-        print("correlation not verified (over budget; raise --budget, "
-              "or lift it with --budget 0)")
-        return EXIT_BUDGET
-    print("verified")
-    return EXIT_OK
+    unproved = [name for name, verdict in verdicts.items() if verdict is None]
+    print(_UNPROVED[unproved[0]] if unproved else "verified")
+    return EXIT_BUDGET if unproved else EXIT_OK
 
 
 def cmd_verify(args) -> int:
@@ -385,7 +387,7 @@ def make_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=cmd_mindist)
 
     s = subs.add_parser("build", help="construct a family instance and verify it")
-    s.add_argument("--family", choices=["A", "B", "C", "Ding"], required=True)
+    s.add_argument("--family", choices=list(_FAMILIES), required=True)
     s.add_argument("--q", type=int)
     s.add_argument("--m", type=int)
     s.add_argument("--k", type=int)

@@ -16,15 +16,16 @@ MDS code all of whose nonzero orbits are full, hence an
 (n, (q^(2k+2)-1)/n, 2k+1; q) set meeting the Singleton bound (both bounds
 when k = 0).
 
-Builders verify whatever fits the enumeration cap and correlation budget:
-orbit counts and sizes exactly, then the exact correlation certificate.
-Every builder refuses a field order above the table cap before any
-factoring, so a huge q fails at once instead of trial-dividing for ever.
+Builders prove what fits the enumeration cap and correlation budget, orbit
+counts and sizes exactly, then the exact correlation certificate, and record
+each claim beside its proof in `FamilyBuild.claims`.  Every builder refuses
+a field order above the table cap before any factoring, so a huge q fails at
+once instead of trial-dividing for ever.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from math import gcd
 
 from .bounds import BoundReport, optimality_report
@@ -71,65 +72,58 @@ def largest_bad_m(n: int) -> int:
 
 @dataclass
 class FamilyBuild:
-    """A constructed family instance plus everything that was verified.
-    `params` is the instance's exported parameters, `family`, `q` and `n`
-    first: A adds `m`, `k` and `p` (the smallest prime divisor of q+1), C
-    adds `k` and `M`, Ding adds `m`."""
+    """A constructed family instance and its claims.  `params` is the
+    instance's exported parameters, `family`, `q` and `n` first: A adds
+    `m`, `k` and `p` (the smallest prime divisor of q+1), C adds `k` and
+    `M`, Ding adds `m`.  `claims` maps each claim's name to (claimed,
+    proved), proved None where the caps stopped the proof."""
 
     params: dict
     code: CyclicCode
-    claimed_N: int | None
-    claimed_lambda: int | None
+    claims: dict
     fhs: FhsSet | None = None
     survey: CorrelationSurvey | None = None
     report: BoundReport | None = None
-    checks: dict = dc_field(default_factory=dict)
-    observations: dict = dc_field(default_factory=dict)
+
+    def verdicts(self) -> dict:
+        """Each claim's name, sorted, to whether it was proved as claimed,
+        or to None where it was not proved."""
+        return {name: None if proved is None else proved == claimed
+                for name, (claimed, proved) in sorted(self.claims.items())}
 
     def export_dict(self) -> dict:
-        out = dict(self.params)
-        out["claimed"] = {
-            "N": str(self.claimed_N) if self.claimed_N is not None else None,
-            "lambda": self.claimed_lambda,
-        }
-        out["verified"] = {
-            "class_count": self.checks.get("class_count"),
-            "correlation": "none" if self.survey is None else "exhaustive",
-        }
-        return out
-
-    def all_claims_hold(self) -> bool:
-        """True when every check that actually ran came out clean."""
-        return all(v for v in self.checks.values() if v is not None)
+        """`params` and the claims, each integer a decimal string, so that
+        any JSON reader reads an N past 2^53 exactly."""
+        return {**self.params, "claims": {
+            name: {key: str(v) if type(v) is int else v
+                   for key, v in zip(("claimed", "proved"), claim)}
+            for name, claim in self.claims.items()}}
 
 
-def _materialize(
-    build: FamilyBuild,
-    enum_cap: int,
-    budget: int | None,
-) -> FamilyBuild:
+def _materialize(params: dict, code: CyclicCode, N: int, lam: int,
+                 enum_cap: int, budget: int | None) -> FamilyBuild:
     """Check and, within the caps, build and certify the family's set: one
     sequence per orbit outside the code's constant words, which are the
-    zero word alone when 0 is in Z."""
-    code = build.code
+    zero word alone when 0 is in Z.  The paper claims N sequences, all of
+    length n, with maximum correlation lam."""
     n, q = code.n, code.field.order
-    build.checks["orbit_predicate"] = _full_orbits(code)
+    build = FamilyBuild(params, code, {"orbit_predicate": (True, _full_orbits(code))})
+    count = all_full = measured = None
     if code.size <= enum_cap:
         reps, sizes = class_partition(code, cap=enum_cap)
-        build.checks["class_count"] = len(sizes) == build.claimed_N
-        build.checks["class_sizes"] = bool((sizes == n).all())
-        build.fhs = classes_to_fhs(reps, sizes, code, provenance=build.params)
+        count, all_full = len(sizes), bool((sizes == n).all())
+        build.fhs = classes_to_fhs(reps, sizes, code, provenance=params)
         del reps, sizes  # the set holds its own copy through the certificate
         try:
             build.survey = max_nontrivial(build.fhs, budget=budget)
-            build.checks["lambda_match"] = build.survey.value == build.claimed_lambda
-            build.fhs.max_correlation = build.survey.value
+            measured = build.survey.value
         except BudgetExceeded:
-            build.fhs.max_correlation = build.claimed_lambda
-    else:
-        build.checks["class_count"] = None
-    build.report = optimality_report(n, build.claimed_N, q, build.claimed_lambda)
-    build.checks["meets_singleton"] = build.report.meets_singleton
+            pass
+        build.fhs.max_correlation = lam if measured is None else measured
+    build.report = optimality_report(n, N, q, lam)
+    build.claims.update(class_count=(N, count), class_sizes=(True, all_full),
+                        lambda_match=(lam, measured),
+                        meets_singleton=(True, build.report.meets_singleton))
     return build
 
 
@@ -152,10 +146,8 @@ def family_a(
         raise KOutOfRange(f"k must satisfy 1 <= k <= {k_cap}, got {k}")
     code = build_code(n, make_field(2, m), range(k + 1, q - k + 1))
     params = {"family": "A", "q": q, "n": n, "m": m, "k": k, "p": p}
-    build = FamilyBuild(
-        params, code, claimed_N=(q ** (2 * k + 1) - q) // n, claimed_lambda=2 * k
-    )
-    return _materialize(build, enum_cap, budget)
+    N = (q ** (2 * k + 1) - q) // n
+    return _materialize(params, code, N, 2 * k, enum_cap, budget)
 
 
 def family_b(
@@ -171,8 +163,7 @@ def family_b(
     n = q + 1
     code = build_code(n, make_field(*pe), range(2, q))
     params = {"family": "B", "q": q, "n": n}
-    build = FamilyBuild(params, code, claimed_N=q * (q - 1), claimed_lambda=2)
-    return _materialize(build, enum_cap, budget)
+    return _materialize(params, code, q * (q - 1), 2, enum_cap, budget)
 
 
 def family_c(
@@ -198,10 +189,8 @@ def family_c(
     defining = set(range(0, lo)) | {n - j for j in range(1, lo)}
     code = build_code(n, make_field(*pe), defining)
     params = {"family": "C", "q": q, "n": n, "k": k, "M": bad_m}
-    build = FamilyBuild(
-        params, code, claimed_N=(q ** (2 * k + 2) - 1) // n, claimed_lambda=2 * k + 1
-    )
-    return _materialize(build, enum_cap, budget)
+    N = (q ** (2 * k + 2) - 1) // n
+    return _materialize(params, code, N, 2 * k + 1, enum_cap, budget)
 
 
 def family_ding(q: int, m: int) -> FamilyBuild:
@@ -211,9 +200,5 @@ def family_ding(q: int, m: int) -> FamilyBuild:
     code = unit_coset_code(q, m)
     n = code.n
     params = {"family": "Ding", "q": q, "n": n, "m": m}
-    build = FamilyBuild(params, code, claimed_N=None, claimed_lambda=None)
-    predicate = has_full_orbits_outside_constants(code)
-    build.observations["orbit_predicate"] = predicate
-    build.observations["length_is_prime"] = is_prime(n)
-    build.checks["predicate_matches_primality"] = predicate == is_prime(n)
-    return build
+    return FamilyBuild(params, code, {"predicate_matches_primality": (
+        is_prime(n), has_full_orbits_outside_constants(code))})

@@ -83,7 +83,7 @@ def test_criterion_4_family_a_q8():
             build = family_a(3, k)
             fset = build.fhs
             assert fset.size == want_n
-            assert build.checks["class_sizes"] is True
+            assert build.verdicts()["class_sizes"] is True
             assert build.survey.value == want_lambda
             assert singleton_max_size(9, want_lambda, 8) == want_n
             assert build.report.meets_singleton
@@ -105,7 +105,7 @@ def test_criterion_6_family_c():
     with criterion("6 family C"):
         small = family_c(32, 11, 0)
         assert parameter_tuple(small.fhs) == (11, 93, 1, 32)
-        assert small.checks["class_sizes"] is True
+        assert small.verdicts()["class_sizes"] is True
         assert small.survey.value == 1
         assert small.report.meets_singleton and small.report.meets_peng_fan
 
@@ -113,7 +113,7 @@ def test_criterion_6_family_c():
         # 14 * 262,143 rotations (one position set at L = 1, 13 at L = 2)
         big = family_c(512, 27, 0, budget=None)
         assert parameter_tuple(big.fhs) == (27, 9709, 1, 512)
-        assert big.checks["class_sizes"] is True
+        assert big.verdicts()["class_sizes"] is True
         assert big.survey.value == 1
         assert big.report.meets_singleton and big.report.meets_peng_fan
 
@@ -121,11 +121,10 @@ def test_criterion_6_family_c():
         # and the budget counts 3.8 * 10^7, inside the default budget, so
         # lambda = 3 is exact
         k1 = family_c(32, 11, 1)
-        assert k1.claimed_N == 95325
-        assert k1.checks["class_count"] is True
+        assert k1.claims["class_count"] == (95325, 95325)
         assert k1.report.meets_singleton
         assert k1.survey.value == 3
-        assert k1.checks["lambda_match"] is True
+        assert k1.claims["lambda_match"] == (3, 3)
         i, j, t = k1.survey.witness
         seqs = k1.fhs.seqs
         assert (i, t) != (j, 0)

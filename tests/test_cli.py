@@ -12,9 +12,9 @@ from pathlib import Path
 
 import pytest
 
-from fhsforge import cli, cyclic
+from fhsforge import cli, constructions, cyclic
 from fhsforge.cli import _dump_csv, _dump_set, main, make_parser
-from fhsforge.fhs import FhsSet, correlation
+from fhsforge.fhs import CorrelationSurvey, FhsSet, correlation
 
 
 def run(capsys, *argv):
@@ -114,7 +114,7 @@ def test_build_and_verify_round_trip(tmp_path, capsys):
     report = json.loads((out_dir / "bound_report.json").read_text())
     assert report["lambda"] == 2
     family = json.loads((out_dir / "family.json").read_text())
-    assert family["verified"]["correlation"] == "exhaustive"
+    assert family["claims"]["lambda_match"] == {"claimed": "2", "proved": "2"}
     manifest = json.loads((out_dir / "manifest.json").read_text())
     assert manifest["outputs"]["fhs_set.json"]
 
@@ -245,42 +245,42 @@ def test_verify_reads_stored_benchmark_sets(tmp_path, capsys, name):
 # these.
 PAPER_BUILDS = {
     "A8k1": (["--family", "A", "--m", "3", "--k", "1"], {
-        "family.json": "585b02e5b118df176b092c0c155c2620f917fab5f4b53fed2b5092c14c7f64af",
+        "family.json": "8cb1772655e2f7b727e0f6cec07647d7d58d78b3d64bfe355e3849b22f00f944",
         "code.json": "d16f9f58a7e0537468b364db52a893fa9ce721a342aa3b4712da16c4075a4449",
         "fhs_set.json": "dc45327f0f5d20903c72aef84f69bc033490e0e7a87eca4d09549f3a142195fe",
         "fhs_set.csv": "c8702990366d0b5221c2f6b4165e00e8ed0cebb9cb2a19c0b0e6e773f867d16f",
         "bound_report.json": "74c2c5dd76850126a2697d5c22651e64f39cead16603cfb598555e624a72ab17",
     }),
     "A8k2": (["--family", "A", "--m", "3", "--k", "2"], {
-        "family.json": "a56f110e2fe0483a3ad290efed193c1c62ebc80c6e990777b205fc53c332a44a",
+        "family.json": "ae4de2878081fb1a658ffb7d3c5f1aefa16972bf74778806dcedd1cf5884ea69",
         "code.json": "32bccf40969a8c4637db1561306289c8d672c15bf5a93976316c089ee79f6fe9",
         "fhs_set.json": "5d1ff7273d5e60aaf727894f7ecbcfc3b12e21c803ecfe29228ca0f518acdc5b",
         "fhs_set.csv": "b54342cc0a0e9d1e518ce7de69b9892abc391ac70be923c655df749e1fccc55c",
         "bound_report.json": "f1d13478302f85e9fc128b6077f46b82da6c7bdbe68baf33f4c9e2fff9f953df",
     }),
     "B5": (["--family", "B", "--q", "5"], {
-        "family.json": "cf2c05f826b13c2a66a988ff63a401eacbc27a4f5cdb95c6368217419ecc2c91",
+        "family.json": "4851e687a2ab3c76e39fb67615335cb821fa6723469b54ad4eaa2c42b7be09a0",
         "code.json": "97a31f294152e57eda8811340e7de33d83bfa7fcebea264cc9cdeeae38ab07dc",
         "fhs_set.json": "fddbbffa89c935bf1c9ce5b449a411bef7c8d8302a4114aef97e0722771fd602",
         "fhs_set.csv": "612480ffc6f2d9318715e3262482c11cc6c349b901bc8553a8ef9cbda809fac7",
         "bound_report.json": "00fe9a5b214dcfcd516ce487a48e8acc6efcac1d2521781aae573924a48c1806",
     }),
     "B25": (["--family", "B", "--q", "25"], {
-        "family.json": "cc220026f8de25d252fdbdf8876b4591b51cbf39b7f8c89b15ed5264059487f5",
+        "family.json": "db7928ec34508e9f7aba4b5543f74980893f153a4cb8924e6b8aed63d03df8bc",
         "code.json": "717a0940c42aa61d4ad9bf2b8acdef90755f52fbb8cdf4f6cbf357cfcaff3299",
         "fhs_set.json": "2979ede6adad8266020f0fcb388011e342a9a865a86a8c53dd3cc4fb560490ef",
         "fhs_set.csv": "28d5c2cf5dadd357f67021242a41dd1c131e346e2be96937b91c44296b6c3c3b",
         "bound_report.json": "a5ab8c9f109c47e14e47c761afc63afbb2103741455ff70939cdfb6bb06d0a40",
     }),
     "C32": (["--family", "C", "--q", "32", "--n", "11", "--k", "0"], {
-        "family.json": "ddd5fff3adce9c01e7ba944b6db8c9ee092fed4fd905ca625926f0ee3d19e396",
+        "family.json": "7ca34dbe9e3435de4da7f592e226d310822997dd09d559d685011dfbc0f3deab",
         "code.json": "956dd25260a17ed6153a99dddf09c63691e2f30307ad31dc5e760881ada4b6ed",
         "fhs_set.json": "0715c2e4c68a9cb97dfb1b80d58308bf318e3036fd4b6cd286767077cc9cecbe",
         "fhs_set.csv": "f597ffce88ff7d177d0242bfabe131c6a368a277bad88d558f8ec1baa20afadd",
         "bound_report.json": "fb681ad3d6700bc2bb1486ff9da87843eed186502a05d13707cb79eca30c5f41",
     }),
     "C512": (["--family", "C", "--q", "512", "--n", "27", "--k", "0"], {
-        "family.json": "f36ffd726c76e9d910f0f2cc10562ca1e64f6b26bfc48a0bd80821c6fb25ccf0",
+        "family.json": "0d3f6d5b3cd04a71cc59acdc6536f4e213e237cdebc99f6f7695a6da88d08ca7",
         "code.json": "8b216d393b0a1b9a910f54457c636883c3f2c6209c0428e89994768e0154c82e",
         "fhs_set.json": "da996c2b44fbf10bcb28bdd8c33f090eeebdd4298ca10c36d98e094a4e8644fa",
         "fhs_set.csv": "7a52c8e68e1b963cfd27b2751c23cb928573c6de6eea55f0c003c2b21996a742",
@@ -304,12 +304,24 @@ PF_IDENTITY_STDOUT = {
 }
 
 
+def check_lines(family):
+    """The `check` lines a build prints for its family.json's claims: each
+    claim, by name, proved as claimed (True or False) or not proved (None)."""
+    return [f"check {name}: {None if c['proved'] is None else c['proved'] == c['claimed']}"
+            for name, c in sorted(family["claims"].items())]
+
+
 @pytest.mark.parametrize("name", sorted(PAPER_BUILDS))
 def test_paper_build_outputs_are_pinned(tmp_path, capsys, name):
     flags, digests = PAPER_BUILDS[name]
-    code, _, _ = run(capsys, "build", *flags, "--csv", "--budget", "0",
-                     "--out", str(tmp_path))
+    code, out, _ = run(capsys, "build", *flags, "--csv", "--budget", "0",
+                       "--out", str(tmp_path))
     assert code == 0
+    # stdout's verdicts are those of the written claims, every one proved
+    family = json.loads((tmp_path / "family.json").read_text())
+    checks = [line for line in out.splitlines() if line.startswith("check ")]
+    assert checks == check_lines(family)
+    assert checks and all(line.endswith(": True") for line in checks)
     for file, digest in digests.items():
         assert hashlib.sha256((tmp_path / file).read_bytes()).hexdigest() == digest, file
     # the manifest names the digest of each file's exact bytes
@@ -399,7 +411,8 @@ def test_build_params_only_exit_code(tmp_path, capsys):
     assert code == 3
     assert not (out_dir / "fhs_set.json").exists()
     family = json.loads((out_dir / "family.json").read_text())
-    assert family["claimed"]["N"] == "17361641481138401520"
+    assert family["claims"]["class_count"] == {
+        "claimed": "17361641481138401520", "proved": None}
     report = json.loads((out_dir / "bound_report.json").read_text())
     assert report["meets"]["singleton"] is True
 
@@ -428,7 +441,7 @@ def test_build_sampled_exit_code(tmp_path, capsys):
     assert code == 3
     assert "correlation not verified (over budget" in out
     family = json.loads((out_dir / "family.json").read_text())
-    assert family["verified"]["correlation"] == "none"
+    assert family["claims"]["lambda_match"] == {"claimed": "2", "proved": None}
 
 
 def test_build_c32_k1_exact_at_default_budget(tmp_path, capsys):
@@ -457,11 +470,69 @@ def test_build_ding(tmp_path, capsys):
     assert "predicate_matches_primality: True" in out
 
 
+@pytest.mark.parametrize("argv, exit_code, pinned", [
+    (["--family", "B", "--q", "5", "--budget", "10"], 3, {
+        "lambda_match": {"claimed": "2", "proved": None}}),
+    (["--family", "A", "--m", "4", "--k", "8", "--cap", "1"], 3, {
+        "class_count": {"claimed": "17361641481138401520", "proved": None},
+        "class_sizes": {"claimed": True, "proved": None},
+        "lambda_match": {"claimed": "16", "proved": None}}),
+    # n = 15 is not prime, and has a short orbit; n = 13 is, and has none
+    (["--family", "Ding", "--q", "2", "--m", "4"], 0, {
+        "predicate_matches_primality": {"claimed": False, "proved": False}}),
+    (["--family", "Ding", "--q", "3", "--m", "3"], 0, {
+        "predicate_matches_primality": {"claimed": True, "proved": True}}),
+], ids=["B5-over-budget", "A-past-the-cap", "Ding-n15", "Ding-n13"])
+def test_build_claims_record_what_was_proved(tmp_path, capsys, argv, exit_code, pinned):
+    # family.json holds proved: null exactly for the claims the caps
+    # stopped, and stdout prints their verdict as None
+    code, out, _ = run(capsys, "build", *argv, "--out", str(tmp_path))
+    assert code == exit_code
+    family = json.loads((tmp_path / "family.json").read_text())
+    claims = family["claims"]
+    assert {name: claims[name] for name in pinned} == pinned
+    unproved = {name for name, c in claims.items() if c["proved"] is None}
+    assert unproved == {name for name, c in pinned.items() if c["proved"] is None}
+    checks = [line for line in out.splitlines() if line.startswith("check ")]
+    assert checks == check_lines(family)
+    assert {line[6:-6] for line in checks if line.endswith(": None")} == unproved
+    assert not any(line.startswith("observed ") for line in out.splitlines())
+
+
+@pytest.mark.parametrize("patch, argv, lines", [
+    # the certificate measures 3 where the paper claims 2
+    ("max_nontrivial", ["--family", "B", "--q", "5"],
+     ["check lambda_match: False", "correlation sweep: exhaustive, max = 3"]),
+    # a refuted claim outranks the unproved ones past the cap
+    ("_full_orbits", ["--family", "B", "--q", "5", "--cap", "1"],
+     ["check class_count: None", "check orbit_predicate: False"]),
+], ids=["lambda", "predicate-past-the-cap"])
+def test_build_claim_mismatch_exits_2(tmp_path, capsys, monkeypatch, patch, argv, lines):
+    fakes = {"max_nontrivial": lambda fset, budget: CorrelationSurvey(3, (0, 0, 1), 0),
+             "_full_orbits": lambda code: False}
+    monkeypatch.setattr(constructions, patch, fakes[patch])
+    code, out, _ = run(capsys, "build", *argv, "--out", str(tmp_path))
+    assert code == 2
+    got = out.splitlines()
+    assert set(lines) <= set(got) and got[-1] == "CLAIM MISMATCH"
+    family = json.loads((tmp_path / "family.json").read_text())
+    assert [line for line in got if line.startswith("check ")] == check_lines(family)
+
+
 def test_build_input_errors(tmp_path, capsys):
     assert run(capsys, "build", "--family", "B", "--q", "4",
                "--out", str(tmp_path))[0] == 4
-    assert run(capsys, "build", "--family", "A", "--q", "8",
-               "--out", str(tmp_path))[0] == 4  # missing --m/--k
+    # a missing flag is named before any work, and nothing is written
+    for argv, message in [
+        (["--family", "A", "--q", "8"], "family A needs --m and --k"),
+        (["--family", "A", "--m", "3"], "family A needs --m and --k"),
+        (["--family", "B", "--m", "3"], "family B needs --q"),
+        (["--family", "C", "--q", "32", "--n", "11"], "family C needs --q, --n and --k"),
+        (["--family", "Ding", "--q", "2"], "family Ding needs --q and --m"),
+    ]:
+        code, out, err = run(capsys, "build", *argv, "--out", str(tmp_path / "o"))
+        assert (code, out, err) == (4, "", f"error: {message}\n"), argv
+        assert not (tmp_path / "o").exists()
 
 
 def test_enumeration_cap_env(tmp_path, capsys, monkeypatch):
@@ -770,7 +841,7 @@ def test_verify_large_m_exits_on_budget(tmp_path, capsys):
     assert "exceed budget" in out
 
 
-def test_unprintable_sphere_bound_is_null(tmp_path, capsys):
+def test_params_only_a_m12_build_is_instant(tmp_path, capsys):
     # A q = 2^12 at --cap 1: the report holds the two bounds alone, written
     # at once; the sphere-packing value it once held had 6,171 digits, past
     # what str() prints, and the build exited 1 with a traceback
@@ -785,12 +856,11 @@ def test_unprintable_sphere_bound_is_null(tmp_path, capsys):
     assert report["singleton_max_N"] == "16773120" and report["meets"]["singleton"]
 
 
-@pytest.mark.parametrize("argv", [
-    ["bounds", "--n", "100000", "--N", "1", "--ell", "2", "--lambda", "99999"],
-], ids=["singleton-refused"])
-def test_bounds_past_the_printable_digits(capsys, argv):
+def test_bounds_past_the_printable_digits(capsys):
+    # the Singleton value 2^100000 // 100000 has 30,098 digits: refused
     start = time.monotonic()
-    code, out, err = run(capsys, *argv)
+    code, out, err = run(capsys, "bounds", "--n", "100000", "--N", "1",
+                         "--ell", "2", "--lambda", "99999")
     assert time.monotonic() - start < 2.0
     assert code == 3 and out == "" and "Traceback" not in err
     assert "BoundTooLarge" in err

@@ -33,6 +33,11 @@ def parameter_tuple(fset):
     return (fset.n, fset.size, fset.max_correlation, fset.alphabet_size)
 
 
+def all_proved(build):
+    """Every claim of the build proved as claimed."""
+    return all(verdict is True for verdict in build.verdicts().values())
+
+
 def test_smallest_prime_factor():
     assert smallest_prime_factor(9) == 3
     assert smallest_prime_factor(17) == 17
@@ -57,8 +62,9 @@ def test_largest_bad_m():
 def test_family_a_q8_k1():
     build = family_a(3, 1)
     assert parameter_tuple(build.fhs) == (9, 56, 2, 8)
-    assert build.claimed_N == 56 and build.claimed_lambda == 2
-    assert build.all_claims_hold()
+    assert build.claims["class_count"] == (56, 56)
+    assert build.claims["lambda_match"] == (2, 2)
+    assert all_proved(build)
     assert build.report.meets_singleton
     assert build.params == {"family": "A", "q": 8, "n": 9, "m": 3, "k": 1, "p": 3}
 
@@ -66,14 +72,14 @@ def test_family_a_q8_k1():
 def test_family_a_q4_k1():
     build = family_a(2, 1)
     assert parameter_tuple(build.fhs) == (5, 12, 2, 4)
-    assert build.all_claims_hold()
+    assert all_proved(build)
     assert min_distance_exhaustive(build.code) == 5 - 3 + 1  # MDS [5, 3, 3]
 
 
 def test_family_a_q16_k1():
     build = family_a(4, 1)
     assert parameter_tuple(build.fhs) == (17, 240, 2, 16)
-    assert build.all_claims_hold()
+    assert all_proved(build)
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
@@ -82,7 +88,7 @@ def test_family_a_k1_meets_peng_fan(m):
     build = family_a(m, 1)
     q = 1 << m
     assert parameter_tuple(build.fhs) == (q + 1, q * (q - 1), 2, q)
-    assert build.all_claims_hold()
+    assert all_proved(build)
     assert build.report.pf2 == 2 and build.report.meets_peng_fan
 
 
@@ -92,9 +98,10 @@ def test_family_a_class_count_without_correlation():
     # verified, no survey
     build = family_a(3, 2, budget=950_039)
     assert build.fhs.size == 3640
-    assert build.checks["class_count"] is True
+    assert build.claims["class_count"] == (3640, 3640)
     assert build.survey is None
-    assert "lambda_match" not in build.checks
+    assert build.claims["lambda_match"] == (4, None)
+    assert build.verdicts()["lambda_match"] is None
 
 
 def test_family_a_k_window():
@@ -113,9 +120,10 @@ def test_family_a_k_window():
 def test_family_a_params_only():
     build = family_a(4, 8, enum_cap=1)
     assert build.fhs is None
-    assert build.claimed_N == (16**17 - 16) // 17 == 17361641481138401520
-    assert build.claimed_lambda == 16
-    assert build.checks["class_count"] is None
+    assert build.claims["class_count"] == ((16**17 - 16) // 17, None)
+    assert build.claims["class_count"][0] == 17361641481138401520
+    assert build.claims["lambda_match"] == (16, None)
+    assert build.verdicts()["class_count"] is None
     assert build.report.meets_singleton
     assert build.survey is None
 
@@ -126,7 +134,7 @@ def test_family_a_params_only():
 def test_family_b_q5():
     build = family_b(5)
     assert parameter_tuple(build.fhs) == (6, 20, 2, 5)
-    assert build.all_claims_hold()
+    assert all_proved(build)
     assert build.report.meets_peng_fan and build.report.meets_singleton
     assert min_distance_exhaustive(build.code) == 4  # [6, 3, 4] MDS
 
@@ -134,7 +142,7 @@ def test_family_b_q5():
 def test_family_b_q9():
     build = family_b(9)
     assert parameter_tuple(build.fhs) == (10, 72, 2, 9)
-    assert build.all_claims_hold()
+    assert all_proved(build)
     assert build.report.meets_peng_fan and build.report.meets_singleton
 
 
@@ -150,7 +158,7 @@ def test_family_b_rejects_bad_q():
 def test_family_c_q32_n11_k0():
     build = family_c(32, 11, 0)
     assert parameter_tuple(build.fhs) == (11, 93, 1, 32)
-    assert build.all_claims_hold()
+    assert all_proved(build)
     assert build.report.meets_peng_fan and build.report.meets_singleton
     assert min_distance_exhaustive(build.code) == 11 - 2 + 1
 
@@ -158,7 +166,7 @@ def test_family_c_q32_n11_k0():
 def test_family_c_q8_n9_k0():
     build = family_c(8, 9, 0)
     assert parameter_tuple(build.fhs) == (9, 7, 1, 8)
-    assert build.all_claims_hold()
+    assert all_proved(build)
     assert build.report.meets_peng_fan and build.report.meets_singleton
     assert build.params == {"family": "C", "q": 8, "n": 9, "k": 0, "M": 3}
 
@@ -167,13 +175,13 @@ def test_family_c_over_budget():
     # the test at L = 1 keys N * n = 1,048,575 rotations, over this budget:
     # the orbits are still counted, and lambda is the claimed one
     build = family_c(32, 11, 1, budget=10**6)
-    assert build.claimed_N == (32**4 - 1) // 11 == 95325
-    assert build.claimed_lambda == 3
-    assert build.checks["class_count"] is True
+    assert build.claims["class_count"] == ((32**4 - 1) // 11, 95325)
+    assert build.claims["class_count"][0] == 95325
+    assert build.verdicts()["class_count"] is True
     assert build.survey is None
-    assert "lambda_match" not in build.checks
+    assert build.claims["lambda_match"] == (3, None)
     assert build.fhs.max_correlation == 3
-    assert build.export_dict()["verified"]["correlation"] == "none"
+    assert build.export_dict()["claims"]["lambda_match"] == {"claimed": "3", "proved": None}
     assert build.report.meets_singleton
 
 
@@ -192,7 +200,7 @@ def test_family_c_k_cap_via_bad_m():
     # n = 33: M = 15, so (n-3)/2 - M = 0
     build = family_c(32, 33, 0)
     assert parameter_tuple(build.fhs) == (33, 31, 1, 32)
-    assert build.all_claims_hold()
+    assert all_proved(build)
     with pytest.raises(KOutOfRange):
         family_c(32, 33, 1)
 
@@ -203,16 +211,16 @@ def test_family_c_k_cap_via_bad_m():
 def test_family_ding_matches_primality():
     for q, m, n_prime in [(2, 4, False), (3, 3, True), (2, 5, True)]:
         build = family_ding(q, m)
-        assert build.checks["predicate_matches_primality"] is True
-        assert build.observations["orbit_predicate"] == n_prime
-        assert build.all_claims_hold()
+        assert build.verdicts() == {"predicate_matches_primality": True}
+        assert build.claims["predicate_matches_primality"] == (n_prime, n_prime)
+        assert all_proved(build)
         assert build.fhs is None
 
 
 def test_family_ding_9_5_passes_the_table_checks():
     # n = 7,381: the table of 1,477 cosets checks itself in near-linear time
     build = family_ding(9, 5)
-    assert build.all_claims_hold()
+    assert all_proved(build)
     factors = factor_x_pow_n_minus_one(build.code.field, 7381)
     assert sum(mj.degree for _, mj in factors) == 7381
     assert all(mj.degree == len(c) and mj.leading() == 1 for c, mj in factors)
@@ -222,11 +230,18 @@ def test_export_shapes():
     build = family_b(5)
     data = build.export_dict()
     assert data["family"] == "B" and data["q"] == 5 and data["n"] == 6
-    assert data["claimed"] == {"N": "20", "lambda": 2}
-    assert data["verified"] == {"class_count": True, "correlation": "exhaustive"}
+    # integers are decimal strings, booleans stay booleans
+    assert data["claims"] == {
+        "class_count": {"claimed": "20", "proved": "20"},
+        "class_sizes": {"claimed": True, "proved": True},
+        "lambda_match": {"claimed": "2", "proved": "2"},
+        "meets_singleton": {"claimed": True, "proved": True},
+        "orbit_predicate": {"claimed": True, "proved": True},
+    }
+    assert "claimed" not in data and "verified" not in data
     ding = family_ding(2, 4).export_dict()
-    assert ding["claimed"]["N"] is None
-    assert ding["verified"]["correlation"] == "none"
+    assert ding["claims"] == {
+        "predicate_matches_primality": {"claimed": False, "proved": False}}
 
 
 # -- the root-of-unity convention ------------------------------------------------
