@@ -10,9 +10,10 @@ and their ceilings coincide whenever nN >= ell.  Writing nN = I*ell + J,
 the exact difference is PF2 - PF1 = (ell - J)*J / ((nN - 1) * ell * N);
 cross-multiplied by the common denominator this is a pure integer identity,
 which is what the sweep checks, one ell at a time over chunks of (n, N)
-pairs, in int32 when its grid provably fits and in int64 otherwise.  The
-Singleton bound caps the set size N from above.  No floating point anywhere
-in this module.
+pairs, in int32 when its grid provably fits and in int64 otherwise.  As
+PF1 lies within 1 below n/ell, its ceiling is ceil(n/ell) or one less, so
+the sweep divides only by the scalar ell.  The Singleton bound caps the set
+size N from above.  No floating point anywhere in this module.
 """
 
 from __future__ import annotations
@@ -40,32 +41,41 @@ def _ceil_ratio(a: int, b: int) -> int:
     return (a + b - 1) // b
 
 
-def _pf_fractions(n, count, ell):
+def _pair_terms(n, count):
+    """(nN, nN - 1, 2nN, (nN - 1)*N): the terms of `_pf_fractions` that do
+    not depend on ell, for Python ints and integer numpy arrays alike."""
+    nn = n * count
+    nn1 = nn - 1
+    return nn, nn1, 2 * nn, nn1 * count
+
+
+def _pf_fractions(n, count, ell, terms):
     """(I, a1, b1, a2, b2) with I = floor(nN / ell), PF1 = a1/b1 and
     PF2 = a2/b2, for Python ints and integer numpy arrays alike (numpy's //
-    floors like Python's)."""
-    nn = n * count
+    floors like Python's); `terms` is `_pair_terms(n, count)`.  PF2's
+    numerator 2*I*nN - (I+1)*I*ell is taken as I*(2nN - (I+1)*ell)."""
+    nn, nn1, nn2, b2 = terms
     big_i = nn // ell
     return (
         big_i,
         (nn - ell) * n,
-        (nn - 1) * ell,
-        2 * big_i * nn - (big_i + 1) * big_i * ell,
-        (nn - 1) * count,
+        nn1 * ell,
+        big_i * (nn2 - (big_i + 1) * ell),
+        b2,
     )
 
 
 def peng_fan_1(n: int, count: int, ell: int) -> int:
     """Ceiling of the first Peng-Fan lower bound on M(F)."""
     _check_pf(n, count, ell)
-    _, a1, b1, _, _ = _pf_fractions(n, count, ell)
+    _, a1, b1, _, _ = _pf_fractions(n, count, ell, _pair_terms(n, count))
     return _ceil_ratio(a1, b1)
 
 
 def peng_fan_2(n: int, count: int, ell: int) -> int:
     """Ceiling of the second Peng-Fan lower bound on M(F)."""
     _check_pf(n, count, ell)
-    _, _, _, a2, b2 = _pf_fractions(n, count, ell)
+    _, _, _, a2, b2 = _pf_fractions(n, count, ell, _pair_terms(n, count))
     return _ceil_ratio(a2, b2)
 
 
@@ -209,20 +219,24 @@ _SWEEP_INT32_MAX_NN = 32767
 _SWEEP_MAX_CELLS = 1 << 29
 
 
-def _sweep_tile(n, count, ell) -> tuple[int, list[tuple]]:
+def _sweep_tile(n, count, ell, terms) -> tuple[int, list[tuple]]:
     """Check the triples (n[i], count[i], ell) of one tile, on the same
     formulas as `peng_fan_1` and `peng_fan_2`: `n` and `count` are flat
-    arrays of one integer dtype, with n*count >= ell everywhere, and `ell`
-    is a scalar of that dtype, so that I = nN // ell divides by a scalar.
+    arrays of one integer dtype, with n*count >= ell everywhere, `terms` is
+    `_pair_terms(n, count)`, and `ell` is a scalar of that dtype, so that
+    every division is by a scalar.
 
-    Two divisions per cell: I and c1 = ceil(a1/b1).  The rest are products:
-    J = nN - I*ell, and c2 == c1 iff (c1 - 1)*b2 < a2 <= c1*b2, exact as
-    b2 = (nN - 1)*N >= 1.  c2 itself is taken in Python ints, only for a
-    cell that is reported."""
-    nn = n * count
-    big_i, a1, b1, a2, b2 = _pf_fractions(n, count, ell)
+    Two divisions per cell, both by ell: I = nN // ell and k = ceil(n/ell).
+    As n/ell - a1/b1 = n(ell - 1)/(ell(nN - 1)) lies in [0, 1] (see
+    `pf_identity_sweep`), c1 = ceil(a1/b1) is k - 1 when a1 <= (k - 1)*b1
+    and k otherwise.  The rest are products: J = nN - I*ell, and c2 == c1
+    iff (c1 - 1)*b2 < a2 <= c1*b2, exact as b2 = (nN - 1)*N >= 1.  Both
+    ceilings of a reported cell are taken again in Python ints."""
+    nn = terms[0]
+    big_i, a1, b1, a2, b2 = _pf_fractions(n, count, ell, terms)
     j = nn - big_i * ell
-    c1 = _ceil_ratio(a1, b1)
+    k = (n + (ell - 1)) // ell
+    c1 = k - (a1 <= (k - 1) * b1)
     upper = c1 * b2
     # exact difference and sign, cross-multiplied by the common
     # denominator (nN-1)*ell*N
@@ -231,7 +245,8 @@ def _sweep_tile(n, count, ell) -> tuple[int, list[tuple]]:
     bad = []
     if wrong.any():
         bad = [
-            (int(n[i]), int(count[i]), int(ell), int(c1[i]),
+            (int(n[i]), int(count[i]), int(ell),
+             _ceil_ratio(int(a1[i]), int(b1[i])),
              _ceil_ratio(int(a2[i]), int(b2[i])))
             for i in np.flatnonzero(wrong)
         ]
@@ -248,21 +263,34 @@ def pf_identity_sweep(n_max: int, count_max: int, ell_max: int) -> PfSweepReport
     for each ell from 1 to that one, `_sweep_tile` checks the suffix of
     pairs with nN >= ell, found by binary search, with ell a scalar.  Every
     tile checks at least one cell, and no cell outside the grid's triples
-    is computed.  The tiles run in the narrowest integer dtype that holds
-    every value they compute.  Numpy wraps integer overflow silently, so
-    that choice rests on this bound.  Let M = n_max * N_max.  Every cell
-    has 1 <= ell <= nN <= M, n <= nN and N <= nN, and every value a tile
+    is computed.  The chunk's pair terms nN, nN - 1, 2nN and (nN - 1)*N
+    (`_pair_terms`) are taken once per chunk, and each tile gets their
+    suffix.
+
+    A tile finds c1 = ceil(a1/b1) with no division by a vector.  Every cell
+    has n, N, ell >= 1 and nN >= ell, and
+
+        n/ell - a1/b1 = n(ell - 1) / (ell(nN - 1)),
+
+    which lies in [0, 1], as ell(nN - 1) - n(ell - 1) = ell*n(N - 1) +
+    (n - ell) >= 0: at least n when N >= 2, and ell <= n = nN when N = 1.
+    So c1 is k - 1 or k, k = ceil(n/ell) = (n + ell - 1) // ell, and it is
+    k - 1 exactly when a1 <= (k - 1)*b1.
+
+    The tiles run in the narrowest integer dtype that holds every value
+    they compute.  Numpy wraps integer overflow silently, so that choice
+    rests on this bound.  Let M = n_max * N_max.  Every cell has
+    1 <= ell <= nN <= M, n <= nN and N <= nN, and every value a tile
     computes is at most 2M^2 in size:
 
-    * nN, I <= nN/ell, I*ell <= nN and J < ell are at most M;
+    * nN, I <= nN/ell, I*ell <= nN and J < ell are at most M, and 2nN,
+      n + ell - 1 and (I + 1)*ell <= nN + ell are at most 2M;
     * a1 = (nN - ell)*n and a1*N = (nN - ell)*nN lie in [0, M^2), and
-      b1 = (nN - 1)*ell and b2 = (nN - 1)*N are below M^2, so the
-      ceiling's dividend a1 + b1 - 1 is below 2M^2;
-    * 2*I*nN <= 2*nN^2/ell <= 2M^2, the largest value, reached at ell = 1
-      and nN = M; (I + 1)*I <= (I + 1)*I*ell <= (I + 1)*nN <= M^2 + M;
-    * a2 = I*(nN + J - ell) lies in [0, nN^2/ell], so a2*ell <= M^2;
-    * 0 <= c1 <= n, as nN - ell <= (nN - 1)*ell, so c1*b2 and
-      (c1 - 1)*b2 lie in (-M^2, M^2);
+      b1 = (nN - 1)*ell and b2 = (nN - 1)*N are below M^2;
+    * 2nN - (I + 1)*ell = nN + J - ell lies in [0, nN), so
+      a2 = I*(nN + J - ell) lies in [0, nN^2/ell] and a2*ell <= M^2;
+    * k - 1 < n/ell, so (k - 1)*b1 < n(nN - 1) < M^2;
+    * 0 <= c1 <= k <= n, so c1*b2 and (c1 - 1)*b2 lie in (-M^2, M^2);
     * a2*ell - a1*N lies in (-M^2, M^2], and (ell - J)*J <= ell^2/4.
 
     The pair index (n - 1)*N_max + N - 1 and ell are below M too.  So the
@@ -303,8 +331,11 @@ def pf_identity_sweep(n_max: int, count_max: int, ell_max: int) -> PfSweepReport
             order = np.argsort(nn, kind="stable")
             n, count = n[order], count[order]
             starts = np.searchsorted(nn[order], ells).tolist()
+        terms = _pair_terms(n, count)
         for ell, start in zip(ells, starts):
-            tile_checked, tile_bad = _sweep_tile(n[start:], count[start:], ell)
+            tile_checked, tile_bad = _sweep_tile(
+                n[start:], count[start:], ell, [t[start:] for t in terms]
+            )
             checked += tile_checked
             bad += tile_bad
     return PfSweepReport(n_max, count_max, ell_max, checked, tuple(sorted(bad)))

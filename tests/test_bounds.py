@@ -115,9 +115,29 @@ def test_pf_identity_trivial_grid():
     assert report.triples_checked == 0  # nN = 1 < 2 everywhere
 
 
+def scalar_pf_cell(n, count, ell, mutate=None):
+    """Oracle: the triple check of one cell (n, N, ell), 2 <= nN, ell <= nN,
+    in plain Python integers: the reported tuple, or None when the cell
+    holds.  `mutate`, if given, maps (a1, b1, a2, b2) to the values checked."""
+    nn = n * count
+    big_i, j = divmod(nn, ell)
+    a1 = (nn - ell) * n
+    b1 = (nn - 1) * ell
+    a2 = 2 * big_i * nn - (big_i + 1) * big_i * ell
+    b2 = (nn - 1) * count
+    if mutate is not None:
+        a1, b1, a2, b2 = mutate(a1, b1, a2, b2)
+    if (
+        -(-a1 // b1) != -(-a2 // b2)
+        or a2 * ell - a1 * count != (ell - j) * j
+        or a2 * ell < a1 * count
+    ):
+        return (n, count, ell, -(-a1 // b1), -(-a2 // b2))
+    return None
+
+
 def scalar_pf_sweep(n_max, count_max, ell_max, mutate=None):
-    """Oracle: the triple check in plain Python integers, one triple at a time.
-    `mutate`, if given, maps (a1, b1, a2, b2) to the values checked."""
+    """Oracle: `scalar_pf_cell` on every grid triple with nN >= max(ell, 2)."""
     checked = 0
     bad = []
     for n in range(1, n_max + 1):
@@ -126,20 +146,10 @@ def scalar_pf_sweep(n_max, count_max, ell_max, mutate=None):
             if nn < 2:
                 continue
             for ell in range(1, min(ell_max, nn) + 1):
-                big_i, j = divmod(nn, ell)
-                a1 = (nn - ell) * n
-                b1 = (nn - 1) * ell
-                a2 = 2 * big_i * nn - (big_i + 1) * big_i * ell
-                b2 = (nn - 1) * count
-                if mutate is not None:
-                    a1, b1, a2, b2 = mutate(a1, b1, a2, b2)
                 checked += 1
-                if (
-                    -(-a1 // b1) != -(-a2 // b2)
-                    or a2 * ell - a1 * count != (ell - j) * j
-                    or a2 * ell < a1 * count
-                ):
-                    bad.append((n, count, ell, -(-a1 // b1), -(-a2 // b2)))
+                cell = scalar_pf_cell(n, count, ell, mutate)
+                if cell is not None:
+                    bad.append(cell)
     return checked, tuple(sorted(bad))
 
 
@@ -151,13 +161,16 @@ def test_pf_sweep_matches_scalar_oracle(monkeypatch):
     # (3, 5, 100) has ell_max > n * N_max; (7, 3, 25) and (4, 9, 50) have
     # ell_max above some chunk's largest nN, and chunks of 7 pairs that
     # straddle an n boundary; every tile is a non-empty suffix with
-    # nN >= ell, ell a scalar of the tile's dtype
+    # nN >= ell, ell a scalar of the tile's dtype, and its pair terms are
+    # the suffix's own
     tile_fn = bounds._sweep_tile
 
-    def spy(n, count, ell):
+    def spy(n, count, ell, terms):
         assert n.dtype == count.dtype == np.asarray(ell).dtype and np.ndim(ell) == 0
         assert count.size and (n * count >= ell).all()
-        return tile_fn(n, count, ell)
+        assert all(t.dtype == n.dtype for t in terms)
+        assert all((t == want).all() for t, want in zip(terms, bounds._pair_terms(n, count)))
+        return tile_fn(n, count, ell, terms)
 
     monkeypatch.setattr(bounds, "_sweep_tile", spy)
     for int32_max_nn, tile in itertools.product(INT32_BOUNDS, (bounds._SWEEP_TILE, 7, 1)):
@@ -194,9 +207,9 @@ def test_pf_sweep_on_each_side_of_the_int32_bound(monkeypatch, grid, dtype):
     dtypes = set()
     tile = bounds._sweep_tile
 
-    def spy(n, count, ell):
+    def spy(n, count, ell, terms):
         dtypes.add(count.dtype)
-        return tile(n, count, ell)
+        return tile(n, count, ell, terms)
 
     monkeypatch.setattr(bounds, "_sweep_tile", spy)
     report = pf_identity_sweep(*grid)
@@ -208,6 +221,9 @@ def test_pf_tile_extreme_cells_agree_in_both_dtypes():
     # Cells (n, N, ell) with 2 <= nN <= M and ell <= nN, M the int32 bound,
     # where the bound's terms peak: 2*I*nN = 2M^2 at nN = M, ell = 1, and
     # a1 = (M - 1)*M at n = nN = M, ell = 1, b1 = (M - 1)*M at ell = nN = M.
+    # With them, the ends of the lemma behind c1 = ceil(a1/b1) in {k - 1, k},
+    # k = ceil(n/ell): N = 1 with ell = n, where a1 = 0; ell = 1, where
+    # a1/b1 = n exactly; ell | n with N >= 2; and ell = nN.
     m = bounds._SWEEP_INT32_MAX_NN
     ns = (1, 2, 181, m // 3, m // 2, m)
     pairs = [
@@ -215,28 +231,52 @@ def test_pf_tile_extreme_cells_agree_in_both_dtypes():
         for c in sorted({1, 2, 3, m // (2 * n), m // n - 1, m // n} & set(range(1, m // n + 1)))
         if n * c >= 2
     ]
-    for ell in sorted({1, 2, 3, *ns, m - 1}):
-        inside = [(n, c) for n, c in pairs if n * c >= ell]
+    cells = {(n, c, ell) for n, c in pairs for ell in {1, 2, 3, *ns, m - 1, n * c}
+             if ell <= n * c}
+    cells |= {(n, 1, n) for n in ns if n >= 2}
+    cells |= {(n, c, d) for n, c in pairs if c >= 2
+              for d in range(1, n + 1) if n % d == 0}
+    for ell in sorted({cell[2] for cell in cells}):
+        inside = sorted((n, c) for n, c, e in cells if e == ell)
+        want = [scalar_pf_cell(n, c, ell) for n, c in inside]
+        assert want == [None] * len(inside)
         results = []
         for dtype in (np.int32, np.int64):
             n, count = np.array(inside, dtype=dtype).T
-            results.append(bounds._sweep_tile(n, count, dtype(ell)))
+            results.append(
+                bounds._sweep_tile(n, count, dtype(ell), bounds._pair_terms(n, count)))
         assert results[0] == results[1] == (len(inside), []), ell
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+def test_pf_tile_terms_keep_the_tile_dtype(dtype):
+    # an int32 tile silently widened to int64 would pass every oracle test
+    # and only run slower
+    n = np.array([1, 2, 3, 7], dtype=dtype)
+    count = np.array([2, 5, 1, 3], dtype=dtype)
+    terms = bounds._pair_terms(n, count)
+    fractions = bounds._pf_fractions(n, count, dtype(2), terms)
+    assert [t.dtype for t in (*terms, *fractions)] == [np.dtype(dtype)] * 9
 
 
 @pytest.mark.parametrize("int32_max_nn", INT32_BOUNDS, ids=["int32", "int64"])
 @pytest.mark.parametrize("mutate", [
     lambda a1, b1, a2, b2: (a1, b1, a2 + 1, b2),
     lambda a1, b1, a2, b2: (a1, b1, a2, b2 + 1),
-], ids=["a2+1", "b2+1"])
+    lambda a1, b1, a2, b2: (a1 + 1, b1, a2, b2),
+    lambda a1, b1, a2, b2: (a1 - 1, b1, a2, b2),
+    lambda a1, b1, a2, b2: (a1, b1 + 1, a2, b2),
+], ids=["a2+1", "b2+1", "a1+1", "a1-1", "b1+1"])
 def test_pf_sweep_reports_the_oracles_counterexamples(monkeypatch, int32_max_nn, mutate):
-    # a wrong formula must show: a2 + 1 breaks the identity in every cell,
-    # b2 + 1 only the ceilings, in some cells
+    # a wrong formula must show: a2 + 1 and a1 +- 1 break the identity in
+    # every cell, b2 + 1 and b1 + 1 only the ceilings, in some cells; the
+    # a1 and b1 mutations feed the tile's ceiling c1, which the lemma takes
+    # from ceil(n/ell).  (b1 - 1 is left out: at nN = 2, ell = 1 it is 0.)
     monkeypatch.setattr(bounds, "_SWEEP_INT32_MAX_NN", int32_max_nn)
     fractions = bounds._pf_fractions
 
-    def mutated(n, count, ell):
-        big_i, *rest = fractions(n, count, ell)
+    def mutated(n, count, ell, terms):
+        big_i, *rest = fractions(n, count, ell, terms)
         return (big_i, *mutate(*rest))
 
     monkeypatch.setattr(bounds, "_pf_fractions", mutated)
@@ -247,6 +287,13 @@ def test_pf_sweep_reports_the_oracles_counterexamples(monkeypatch, int32_max_nn,
             want = scalar_pf_sweep(*grid, mutate=mutate)
             assert want[1] and not report.ok
             assert (report.triples_checked, report.counterexamples) == want
+
+
+def test_pf_sweep_benchmark_grid_count():
+    # the grid and count that perfbench's paper-build checks: a kernel change
+    # that alters the count fails here first
+    report = pf_identity_sweep(80, 400, 120)
+    assert report.ok and report.triples_checked == 3_808_774
 
 
 def test_pf_sweep_refuses_overflowing_grid():
