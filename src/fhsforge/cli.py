@@ -26,11 +26,11 @@ from .bounds import optimality_report, pf_identity_sweep
 from .constructions import family_a, family_b, family_c, family_ding
 from .cyclic import (
     ENUMERATION_CAP,
+    _full_orbits,
+    _short_constants,
     build_code,
     cyclotomic_cosets,
     factor_x_pow_n_minus_one,
-    has_full_orbits_nonzero,
-    has_full_orbits_outside_constants,
     min_distance_exhaustive,
 )
 from .errors import BoundTooLarge, BudgetExceeded, FactorTableTooLarge
@@ -184,17 +184,17 @@ def _code_from_args(args):
 
 def cmd_code(args) -> int:
     code = _code_from_args(args)
-    info = code.export_dict()
-    zset = set(code.defining_set)
-    if 0 not in zset:
-        info["full_orbits_outside_constants"] = has_full_orbits_outside_constants(code)
-    if code.dimension > 0:
-        info["full_orbits_nonzero"] = has_full_orbits_nonzero(code)
+    info, nonzeros = code.export_dict(), code.nonzeros
+    full = _full_orbits(code.n, nonzeros)
+    if 0 in nonzeros:
+        info["full_orbits_outside_constants"] = full
+    if nonzeros:
+        info["full_orbits_nonzero"] = full and not _short_constants(code.n, nonzeros)
     if args.json:
         print(_dump(info), end="")
     else:
         print(f"[{code.n}, {code.dimension}] cyclic code over GF({code.field.order})")
-        print(f"  defining set: {sorted(zset)}")
+        print(f"  defining set: {list(code.defining_set)}")
         print(f"  g(x) = {_poly_str(code.generator.coeffs)}")
         print(f"  h(x) = {_poly_str(code.check.coeffs)}")
         for key in ("full_orbits_outside_constants", "full_orbits_nonzero"):
@@ -224,13 +224,9 @@ def cmd_pf_identity(args) -> int:
     return EXIT_OK if report.ok else EXIT_MISMATCH
 
 
-# each family's builder and the flags it needs; Ding's takes no caps
-_FAMILIES = {
-    "A": (family_a, ("m", "k")),
-    "B": (family_b, ("q",)),
-    "C": (family_c, ("q", "n", "k")),
-    "Ding": (lambda q, m, enum_cap, budget: family_ding(q, m), ("q", "m")),
-}
+# the flags each family's builder needs; `cmd_build` looks the builder up
+# by name when it runs, and Ding's takes no caps
+_FAMILIES = {"A": ("m", "k"), "B": ("q",), "C": ("q", "n", "k"), "Ding": ("q", "m")}
 # a claim's line once proved, and the message of a build that exits 3
 # because it is the first claim, by name, that was not proved
 _PROVED = {"lambda_match": "correlation sweep: exhaustive, max = {}"}
@@ -246,13 +242,14 @@ def cmd_build(args) -> int:
     start = time.monotonic()
     cap = _enum_cap(args)
     budget = _budget(args)
-    builder, flags = _FAMILIES[args.family]
+    flags = _FAMILIES[args.family]
     values = [getattr(args, flag) for flag in flags]
     if None in values:
         *rest, last = [f"--{flag}" for flag in flags]
         needs = f"{', '.join(rest)} and {last}" if rest else last
         raise ParseError(f"family {args.family} needs {needs}")
-    build = builder(*values, enum_cap=cap, budget=budget)
+    caps = {} if args.family == "Ding" else {"enum_cap": cap, "budget": budget}
+    build = globals()[f"family_{args.family.lower()}"](*values, **caps)
 
     outputs = {"family.json": _dump(build.export_dict()).encode(),
                "code.json": _dump(build.code.export_dict()).encode()}

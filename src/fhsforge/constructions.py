@@ -34,7 +34,6 @@ from .cyclic import (
     _full_orbits,
     build_code,
     class_partition,
-    has_full_orbits_outside_constants,
     unit_coset_code,
     ENUMERATION_CAP,
 )
@@ -107,7 +106,8 @@ def _materialize(params: dict, code: CyclicCode, N: int, lam: int,
     zero word alone when 0 is in Z.  The paper claims N sequences, all of
     length n, with maximum correlation lam."""
     n, q = code.n, code.field.order
-    build = FamilyBuild(params, code, {"orbit_predicate": (True, _full_orbits(code))})
+    predicate = _full_orbits(n, code.nonzeros)
+    build = FamilyBuild(params, code, {"orbit_predicate": (True, predicate)})
     count = all_full = measured = None
     if code.size <= enum_cap:
         reps, sizes = class_partition(code, cap=enum_cap)
@@ -196,9 +196,11 @@ def family_c(
 def family_ding(q: int, m: int) -> FamilyBuild:
     """The [n, n-m, 3] unit-coset code demo: its nonconstant orbits are all
     full exactly when n = (q^m - 1)/(q - 1) is prime.  No sequence set is
-    materialized (the code is not MDS in general)."""
+    materialized (the code is not MDS in general).  m = 1, n = 1, is refused."""
+    if m < 2:
+        raise KOutOfRange(f"need m > 1, got {m}")
     code = unit_coset_code(q, m)
     n = code.n
     params = {"family": "Ding", "q": q, "n": n, "m": m}
     return FamilyBuild(params, code, {"predicate_matches_primality": (
-        is_prime(n), has_full_orbits_outside_constants(code))})
+        is_prime(n), _full_orbits(n, code.nonzeros))})

@@ -6,9 +6,9 @@ g(x) = prod_{j in Z} (x - alpha^j) for the canonical primitive n-th root of
 unity alpha.  A coset is the sorted tuple of its members, and
 `_factor_table`, the one cache, holds each coset's factor of x^n - 1 per
 (p, m, n), with one vectorized check that each vanishes where it should.
-Codewords fall into orbits under the cyclic shift; one residue test,
-`_full_orbits`, decides whether every orbit outside the constant words is
-full, and the two public predicates guard it.
+Codewords fall into orbits under the cyclic shift.  `_orbit_census`, the
+residue test `_full_orbits` and the constant-word rule `_short_constants`
+work from (n, q, nonzeros) alone, the nonzeros being the j outside Z.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .galois import (
     make_field,
     root_field,
 )
-from .intmath import multiplicative_order, prime_factors, totient
+from .intmath import multiplicative_order, prime_factors
 
 ENUMERATION_CAP = 1 << 22
 # Peak bytes per window key of the pointer jumping in `class_partition`, four
@@ -217,6 +217,11 @@ class CyclicCode:
     def size(self) -> int:
         return self.field.order**self.dimension
 
+    @property
+    def nonzeros(self) -> tuple[int, ...]:
+        """The j outside Z: the alpha^j are the roots of h(x)."""
+        return tuple(sorted(set(range(self.n)).difference(self.defining_set)))
+
     def export_dict(self) -> dict:
         field = self.field
         # cosets are ordered by least member: the coset of 1 is second when n > 1
@@ -278,16 +283,17 @@ def unit_coset_code(q: int, m: int) -> CyclicCode:
     return build_code(n, field, coset)
 
 
-def _full_orbits(code: CyclicCode) -> bool:
-    """True iff every codeword outside the constant-word subcode has a full
-    shift orbit of size n, whether or not 0 is in Z.
+def _full_orbits(n: int, nonzeros) -> bool:
+    """The paper's residue test: True iff every codeword outside the
+    constant words has a full shift orbit, whether or not 0 is in Z: every
+    nonzero j != 0 is coprime to n, so h's roots other than 1 are primitive."""
+    return all(math.gcd(j, n) == 1 for j in nonzeros if j)
 
-    Residue test: every j outside Z with 0 < j < n is coprime to n, i.e.
-    every root of h(x) other than 1 is a primitive n-th root of unity.  With
-    0 in Z the only constant word is zero.
-    """
-    zset = set(code.defining_set)
-    return all(math.gcd(j, code.n) == 1 for j in range(1, code.n) if j not in zset)
+
+def _short_constants(n: int, nonzeros) -> bool:
+    """True iff the code holds nonzero constant words, of orbit size
+    1 < n: 0 is a nonzero (the all-ones word is a codeword) and n > 1."""
+    return 0 in nonzeros and n > 1
 
 
 def has_full_orbits_outside_constants(code: CyclicCode) -> bool:
@@ -296,17 +302,7 @@ def has_full_orbits_outside_constants(code: CyclicCode) -> bool:
     in Z); see `_full_orbits`."""
     if 0 in code.defining_set:
         raise DoesNotContainAllOnes("defining set contains 0")
-    return _full_orbits(code)
-
-
-def has_full_orbits_nonzero(code: CyclicCode) -> bool:
-    """True iff every nonzero codeword has a full shift orbit of size n,
-    i.e. every root of h(x) is a primitive n-th root of unity."""
-    if code.dimension == 0:
-        raise ZeroCode("the zero code has no nonzero codewords")
-    if 0 not in code.defining_set and code.n > 1:
-        return False  # the all-ones word has period 1
-    return _full_orbits(code)
+    return _full_orbits(code.n, code.nonzeros)
 
 
 def _physical_memory() -> int:
@@ -424,32 +420,41 @@ def _least_keys(nxt: np.ndarray, n: int) -> np.ndarray:
     return best
 
 
-def _orbit_count(code: CyclicCode) -> int:
-    """The number of shift orbits of the code, by Burnside's lemma: the
-    phi(s) shifts t with gcd(t, n) = n/s fix exactly the words whose
-    nonzeros, the j outside Z, are multiples of s."""
-    n, zset = code.n, set(code.defining_set)
-    return sum(
-        totient(s) * code.field.order ** sum(j not in zset for j in range(0, n, s))
-        for s in range(1, n + 1) if n % s == 0
-    ) // n
+def _orbit_census(n: int, q: int, nonzeros) -> dict[int, int]:
+    """The number of shift orbits of each exact size d | n that has any, in
+    the cyclic code of length n over GF(q) with the given nonzeros.
+
+    The shift by e | n fixes the q^f(e) words whose nonzeros are multiples
+    of n/e, f(e) = #{j in nonzeros : (n/e) | j}, and each has an exact
+    period dividing e.  So in ascending d, the words of exact period d are
+    q^f(d) less those of each smaller period e | d, d to an orbit."""
+    low = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    words = {}
+    for d in sorted({*low, *(n // d for d in low)}):
+        fixed = q ** sum(j % (n // d) == 0 for j in nonzeros)
+        words[d] = fixed - sum(w for e, w in words.items() if d % e == 0)
+    return {d: w // d for d, w in words.items() if w}
 
 
-def _orbits(code: CyclicCode, count: int) -> tuple[np.ndarray, np.ndarray]:
+def _orbits(code: CyclicCode, census: dict) -> tuple[np.ndarray, np.ndarray]:
     """Each orbit's least rotation, one column of an (n, orbits) array in
     key order, and its size; see `class_partition`.  Raises AssertionError
-    unless pointer jumping finds `count` orbits.  Stores the least positive
-    column weight on the code as its minimum distance."""
+    unless pointer jumping finds as many orbits of each size as `census`,
+    the code's `_orbit_census`.  Stores the least positive column weight on
+    the code as its minimum distance."""
     if code.dimension == 0:  # the zero code is one orbit
         return np.zeros((code.n, 1), dtype=np.uint32), np.ones(1, dtype=np.intp)
     nxt = _shift_map(code)
     sizes = np.bincount(_least_keys(nxt, code.n), minlength=len(nxt))
     least = np.flatnonzero(sizes)
-    if len(least) != count:
-        raise AssertionError(f"{len(least)} orbits, not Burnside's {count}")
+    sizes = sizes[least]
+    found = {d: c for d, c in enumerate(np.bincount(sizes).tolist()) if c}
+    if found != census:
+        raise AssertionError(f"{len(least)} orbits of sizes {found}, "
+                             f"not the census's {census}")
     walk = _walk(code, nxt, least)
     object.__setattr__(code, "_min_distance", _least_weight(walk))
-    return walk, sizes[least]
+    return walk, sizes
 
 
 def class_partition(
@@ -472,9 +477,9 @@ def class_partition(
     after n steps; (b) the walk from the key of g regenerates g, which the
     reversed recurrence would not.  (a) is nxt^n = id: the dropped digit's
     tap -h_k/h_0 is nonzero, so nxt is a permutation, and each cycle holds
-    its least key, which is walked.  `_orbit_count` gives the orbits in
-    advance, so memory is checked before any work, and `_orbits` checks
-    that pointer jumping finds as many.
+    its least key, which is walked.  `_orbit_census` gives the orbits of
+    each size in advance, so memory is checked before any work, and
+    `_orbits` checks that pointer jumping finds the same sizes.
 
     Weight is constant on an orbit, so once both checks pass the least
     nonzero weight of the walked representatives is the minimum distance;
@@ -485,9 +490,10 @@ def class_partition(
         raise ValueError(f"exclude must be 'constants', got {exclude!r}")
     # the pointer jumping, or nxt and sizes held through the walk, whose
     # entries take 9 bytes with their bool masks and the kept copy
-    orbits, keys = _orbit_count(code), code.size
+    census = _orbit_census(code.n, code.field.order, code.nonzeros)
+    orbits, keys = sum(census.values()), code.size
     _check_cap(code, cap, max(BYTES_PER_KEY * keys, 16 * keys + 9 * code.n * orbits))
-    walk, sizes = _orbits(code, orbits)
+    walk, sizes = _orbits(code, census)
     keep = (walk != walk[:1]).any(axis=0)  # a kept word is not constant
     return walk.T[keep], sizes[keep]
 

@@ -12,6 +12,9 @@ its agreement from P to P - p, so one such set per rotation class, about
 C(n, L)/n of the C(n-1, L-1), is tested for a key collision; that decides
 M(F) >= L, and a walk over L that jumps past each colliding pair's exact
 correlation ends at M(F).
+
+The full orbits of a cyclic code become a set in `classes_to_fhs`, on the
+full-orbit test and the constant-word rule of `cyclic`.
 """
 
 from __future__ import annotations
@@ -24,12 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cyclic import (
-    CyclicCode,
-    _physical_memory,
-    has_full_orbits_nonzero,
-    has_full_orbits_outside_constants,
-)
+from .cyclic import CyclicCode, _full_orbits, _physical_memory, _short_constants
 from .errors import (
     BudgetExceeded,
     ClassSizeNotFull,
@@ -575,34 +573,24 @@ def classes_to_fhs(
     """One sequence per full shift orbit of the code, from the orbit
     representatives and sizes that `class_partition` returns.
 
-    The defining set Z fixes the orbits.  When 0 is not in Z and n > 1 (mode
-    "nonconstant"), they are those outside the constant-word subcode; the
-    code must pass the full-orbit predicate for those words and must be
-    longer than the alphabet.  Otherwise (mode "nonzero") they are the
-    orbits of the nonzero codewords, with the corresponding predicate.  The
-    provenance records the mode.
+    The orbits are those outside the constant words, and the code must pass
+    the full-orbit test.  The provenance records the mode: "nonconstant"
+    when the code holds nonzero constant words (`_short_constants`), and
+    then n must exceed q, else "nonzero".
     """
-    q = code.field.order
-    nonconstant = 0 not in code.defining_set and code.n > 1
-    if nonconstant:
-        if code.n <= q:
-            raise LengthAlphabetViolation(
-                f"length {code.n} must exceed alphabet size {q}"
-            )
-        if not has_full_orbits_outside_constants(code):
-            raise PredicateFailed(
-                "some codeword outside the constants has a short orbit"
-            )
-    elif not has_full_orbits_nonzero(code):
-        raise PredicateFailed("some nonzero codeword has a short orbit")
+    q, n, nonzeros = code.field.order, code.n, code.nonzeros
+    nonconstant = _short_constants(n, nonzeros)
+    if nonconstant and n <= q:
+        raise LengthAlphabetViolation(f"length {n} must exceed alphabet size {q}")
+    if not _full_orbits(n, nonzeros):
+        raise PredicateFailed("some codeword outside the constants has a short orbit")
     sizes = np.asarray(sizes)
-    if len(sizes) == 0:
+    if len(sizes) == 0 or not nonzeros:
         raise EmptySet("no orbits to convert")
-    bad = np.flatnonzero(sizes != code.n)
+    bad = np.flatnonzero(sizes != n)
     if bad.size:
-        raise ClassSizeNotFull(
-            f"orbit of size {sizes[bad[0]]} != {code.n} cannot yield a sequence set"
-        )
+        raise ClassSizeNotFull(f"orbit of size {sizes[bad[0]]} != {n} cannot "
+                               "yield a sequence set")
     info = dict(provenance) if provenance else {"family": "imported"}
     info.setdefault("mode", "nonconstant" if nonconstant else "nonzero")
     return FhsSet(reps, q, info)

@@ -470,6 +470,29 @@ def test_build_ding(tmp_path, capsys):
     assert "predicate_matches_primality: True" in out
 
 
+def test_build_ding_refuses_m_below_2(tmp_path, capsys):
+    # m = 1 gives n = 1, where the residue test holds vacuously and n is not
+    # prime: refused before any work, as family A refuses it
+    code, out, err = run(capsys, "build", "--family", "Ding", "--q", "2", "--m", "1",
+                         "--out", str(tmp_path / "d"))
+    assert (code, out, err) == (4, "", "error: KOutOfRange: need m > 1, got 1\n")
+    assert not (tmp_path / "d").exists()
+
+
+def test_build_looks_up_its_builder_when_it_runs(tmp_path, capsys, monkeypatch):
+    # a wrapper bound to the module name after import, as a tracer binds
+    # one, is the builder that runs
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return constructions.family_b(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "family_b", spy)
+    code, _, _ = run(capsys, "build", "--family", "B", "--q", "5", "--out", str(tmp_path))
+    assert code == 0 and calls == [(5,)]
+
+
 @pytest.mark.parametrize("argv, exit_code, pinned", [
     (["--family", "B", "--q", "5", "--budget", "10"], 3, {
         "lambda_match": {"claimed": "2", "proved": None}}),
@@ -509,7 +532,7 @@ def test_build_claims_record_what_was_proved(tmp_path, capsys, argv, exit_code, 
 ], ids=["lambda", "predicate-past-the-cap"])
 def test_build_claim_mismatch_exits_2(tmp_path, capsys, monkeypatch, patch, argv, lines):
     fakes = {"max_nontrivial": lambda fset, budget: CorrelationSurvey(3, (0, 0, 1), 0),
-             "_full_orbits": lambda code: False}
+             "_full_orbits": lambda n, nonzeros: False}
     monkeypatch.setattr(constructions, patch, fakes[patch])
     code, out, _ = run(capsys, "build", *argv, "--out", str(tmp_path))
     assert code == 2

@@ -18,13 +18,13 @@ from fhsforge.cyclic import (
     cyclotomic_cosets,
     enumerate_classes,
     factor_x_pow_n_minus_one,
-    has_full_orbits_nonzero,
     has_full_orbits_outside_constants,
     min_distance_exhaustive,
     unit_coset_code,
 )
 from fhsforge.errors import (
     DoesNotContainAllOnes,
+    EmptySet,
     EnumerationTooLarge,
     FactorTableTooLarge,
     GcdConditionViolated,
@@ -33,6 +33,7 @@ from fhsforge.errors import (
     NotCosetClosed,
     ZeroCode,
 )
+from fhsforge.fhs import classes_to_fhs
 from fhsforge.galois import (
     ExtensionField,
     FiniteField,
@@ -51,11 +52,21 @@ def rotations(word):
     return {tuple(word[t:]) + tuple(word[:t]) for t in range(len(word))}
 
 
+def census(code):
+    return cyclic._orbit_census(code.n, code.field.order, code.nonzeros)
+
+
 def every_orbit(code):
     """Every shift orbit of the code, constants included, as (least
-    rotations, sizes), with the orbit count checked against Burnside's."""
-    walk, sizes = cyclic._orbits(code, cyclic._orbit_count(code))
+    rotations, sizes), with the orbit sizes checked against the census."""
+    walk, sizes = cyclic._orbits(code, census(code))
     return walk.T, sizes
+
+
+def full_orbits_nonzero(code):
+    """Whether every nonzero codeword has a full shift orbit."""
+    n, nonzeros = code.n, code.nonzeros
+    return cyclic._full_orbits(n, nonzeros) and not cyclic._short_constants(n, nonzeros)
 
 
 # -- cosets -------------------------------------------------------------------
@@ -445,12 +456,14 @@ def test_nonzero_orbit_predicate():
     # family-C style code: h = M_5, defining set everything but {5, 6}
     z = [j for j in range(11) if j not in (5, 6)]
     code = build_code(11, F32, z)
-    assert has_full_orbits_nonzero(code)
+    assert full_orbits_nonzero(code)
     # a code containing the all-ones word fails: that word has period 1
     code2 = build_code(9, make_field(2, 3), [3, 4, 5, 6])
-    assert not has_full_orbits_nonzero(code2)
-    with pytest.raises(ZeroCode):
-        has_full_orbits_nonzero(build_code(3, make_field(2, 1), [0, 1, 2]))
+    assert not full_orbits_nonzero(code2)
+    # the zero code has no nonzero codewords, so no orbits to convert
+    zero = build_code(3, make_field(2, 1), [0, 1, 2])
+    with pytest.raises(EmptySet):
+        classes_to_fhs(*class_partition(zero), zero)
 
 
 def test_nonzero_predicate_against_enumeration():
@@ -466,14 +479,14 @@ def test_nonzero_predicate_against_enumeration():
                 if k == 0 or q**k > 2**14:
                     continue
                 code = build_code(n, F, members)
-                pred = has_full_orbits_nonzero(code)
+                pred = full_orbits_nonzero(code)
                 all_reps, all_sizes = every_orbit(code)
                 nonzero = all_reps.any(axis=1)
                 assert pred == bool((all_sizes[nonzero] == n).all())
                 # the shared residue test, on either side of 0 in Z; with 0 in
                 # Z the only constant word is zero
                 reps, sizes = class_partition(code)
-                assert cyclic._full_orbits(code) == bool((sizes == n).all())
+                assert cyclic._full_orbits(n, code.nonzeros) == bool((sizes == n).all())
                 if 0 in code.defining_set:
                     assert np.array_equal(reps, all_reps[nonzero])
                     assert np.array_equal(sizes, all_sizes[nonzero])
@@ -611,14 +624,15 @@ def test_least_rotation_partition_checks_information_sets():
             with pytest.raises(AssertionError, match=message):
                 caller(code)
 
-    def miscounted(code, orbits):
-        # pointer jumping over a map that is not the shift finds the wrong
-        # orbit count, and the partition stops there; given that count, its
-        # walk is refused as the distance's is
-        with pytest.raises(AssertionError, match=f"{orbits} orbits, not Burnside's"):
+    def miscounted(code, found):
+        # pointer jumping over a map that is not the shift finds orbit sizes
+        # the census does not count, and the partition stops there; given
+        # those sizes, its walk is refused as the distance's is
+        orbits = sum(found.values())
+        with pytest.raises(AssertionError, match=f"{orbits} orbits of sizes"):
             class_partition(code)
         with pytest.raises(AssertionError, match="is not the identity"):
-            cyclic._orbits(code, orbits)
+            cyclic._orbits(code, found)
         with pytest.raises(AssertionError, match="is not the identity"):
             min_distance_exhaustive(code)
 
@@ -632,7 +646,7 @@ def test_least_rotation_partition_checks_information_sets():
     wrong = CyclicCode(code.field, 7, code.defining_set, code.generator,
                        h + Polynomial(code.field, (0, 0, 1)))
     assert not (Polynomial.x_pow_n_minus_one(code.field, 7) % wrong.check).is_zero()
-    miscounted(wrong, 5)
+    miscounted(wrong, {1: 2, 3: 2, 8: 1})
     # the same two over GF(7), n = 6, k = 3, Z = {1, 2, 3}, where the
     # feedback adds through the q x q table
     code = build_code(6, make_field(7, 1), [1, 2, 3])
@@ -644,7 +658,21 @@ def test_least_rotation_partition_checks_information_sets():
                        h + Polynomial(code.field, (0, 1)))
     assert wrong.check.coeffs[0] != 0
     assert not (Polynomial.x_pow_n_minus_one(code.field, 6) % wrong.check).is_zero()
-    miscounted(wrong, 79)
+    miscounted(wrong, {1: 18, 2: 12, 3: 8, 4: 5, 5: 6, 6: 6, 7: 1, 8: 23})
+
+
+def test_orbit_sizes_are_checked_not_only_counted():
+    # [9, 5] over GF(8): 8 constants, 8^5 - 8 words in 3640 orbits of size 9.
+    # A census with the same 3648 orbits, one of them moved to size 3,
+    # still stops the partition.
+    code = build_code(9, make_field(2, 3), [3, 4, 5, 6])
+    sizes = census(code)
+    assert sizes == {1: 8, 9: 3640}
+    moved = {1: 8, 3: 1, 9: 3639}
+    assert sum(moved.values()) == sum(sizes.values())
+    with pytest.raises(AssertionError, match="3648 orbits of sizes .* not the census's"):
+        cyclic._orbits(code, moved)
+    assert len(cyclic._orbits(code, sizes)[1]) == 3648
 
 
 def _universe(max_words):
@@ -680,18 +708,18 @@ def test_class_partition_matches_the_matrix_kernel():
     assert checked > 1000
 
 
-def orbit_count_by_periods(mat):
-    """The number of orbits of the rows of a rotation-closed matrix: each
-    row's orbit has its least period as size, so the rows add up n / period
-    to n times the orbit count."""
+def orbit_census_by_periods(mat):
+    """The number of orbits of each size among the rows of a rotation-closed
+    matrix: each row's orbit has its least period d as size, and holds d
+    rows of that period."""
     n = mat.shape[1]
     period = np.zeros(len(mat), dtype=np.int64)
     for t in (t for t in range(1, n + 1) if n % t == 0):
         fixed = (mat == np.roll(mat, t, axis=1)).all(axis=1)
         period[(period == 0) & fixed] = t
-    weighted = int((n // period).sum())
-    assert weighted % n == 0
-    return weighted // n
+    rows = np.bincount(period)
+    assert all(rows[d] % d == 0 for d in np.flatnonzero(rows))
+    return {int(d): int(rows[d]) // int(d) for d in np.flatnonzero(rows)}
 
 
 def test_orbit_count_matches_pointer_jumping_and_periods():
@@ -702,9 +730,9 @@ def test_orbit_count_matches_pointer_jumping_and_periods():
     for code in _universe(1 << 12):
         codes += [code, build_code(code.n, code.field, (0, *code.defining_set))]
     for code in codes:
-        count = cyclic._orbit_count(code)
-        assert count == orbit_count_by_periods(codeword_matrix(code)), code
-        assert count == len(cyclic._orbits(code, count)[1]), code
+        sizes = census(code)
+        assert sizes == orbit_census_by_periods(codeword_matrix(code)), code
+        assert sum(sizes.values()) == len(cyclic._orbits(code, sizes)[1]), code
     assert sum(code.n == 1 for code in codes) == 14
     assert sum(code.dimension == 0 for code in codes) == 136
     assert len(codes) > 2000
@@ -851,11 +879,11 @@ def test_enumeration_past_physical_memory(monkeypatch):
 def test_short_orbit_walk_past_physical_memory(monkeypatch):
     # binary [45, 15] code whose check polynomial's roots are the multiples
     # of 3: every word has period 15 or less, so the walk of its 2,192
-    # orbits outgrows 32 bytes per key.  Burnside's count sizes it before
-    # the shift map is built.
+    # orbits outgrows 32 bytes per key.  The census sizes it before the
+    # shift map is built.
     code = build_code(45, make_field(2, 1), [j for j in range(45) if j % 3])
     keys, orbits, kept = 2**15, 2192, 2190  # all but the two constant words
-    assert cyclic._orbit_count(code) == orbits
+    assert sum(census(code).values()) == orbits
     tracemalloc.start()
     assert len(class_partition(code)[1]) == kept
     peak = tracemalloc.get_traced_memory()[1]

@@ -34,6 +34,7 @@ from fhsforge.fhs import (
     nominal_comparisons,
 )
 from fhsforge.galois import make_field
+from test_cyclic import census
 
 
 def auto_peak(x) -> int:
@@ -797,7 +798,7 @@ def test_classes_to_fhs_nonzero_mode():
     # n = 1: 0 is not in Z, but every word is constant, so the orbits are the
     # nonzero ones, which the partition excludes; every orbit, zero dropped
     full = build_code(1, make_field(2, 2), [])
-    walk, sizes = cyclic._orbits(full, cyclic._orbit_count(full))
+    walk, sizes = cyclic._orbits(full, census(full))
     nonzero = walk.any(axis=0)
     fset = classes_to_fhs(walk.T[nonzero], sizes[nonzero], full)
     assert fset.seqs.tolist() == [[1], [2], [3]]
@@ -823,7 +824,7 @@ def test_classes_to_fhs_predicate_failure():
 def test_classes_to_fhs_rejects_short_orbits():
     F8 = make_field(2, 3)
     code = build_code(9, F8, [3, 4, 5, 6])
-    walk, sizes = cyclic._orbits(code, cyclic._orbit_count(code))
+    walk, sizes = cyclic._orbits(code, census(code))
     reps = walk.T  # every orbit, the size-1 constants included
     with pytest.raises(ClassSizeNotFull):
         classes_to_fhs(reps, sizes, code)
