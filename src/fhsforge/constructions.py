@@ -1,26 +1,24 @@
 """The three MDS-code families of optimal FHS sets, with claimed-parameter checks.
 
-Family A: length q+1 over GF(q), q = 2^m.  The parity check is (x-1) times
-the first k coset polynomials, giving a [q+1, 2k+1, q-2k+1] MDS code whose
-orbits outside the constants are full; one representative per orbit yields a
-(q+1, (q^(2k+1)-q)/(q+1), 2k; q) set meeting the Singleton bound.  At k = 1
-this is (q+1, q(q-1), 2; q), family B's parameters at even q, which meets
-the Peng-Fan bound too.
+Each family is the cyclic code whose nonzeros, the j outside its defining
+set Z, are one cyclic interval: {-k..k} for A, {-1, 0, 1} for B and
+{lo..n - lo}, lo = (n-1)/2 - k, for C.  Its claims follow from the K
+nonzeros alone (`_claimed`): N = (q^K - q)/n full orbits outside the
+constant words when 0 is a nonzero, (q^K - 1)/n otherwise, and
+lambda = K - 1, meeting the Singleton bound.
 
-Family B: the odd-q analogue with k fixed to 1: a [q+1, 3, q-1] code giving
-a (q+1, q(q-1), 2; q) set meeting both the Peng-Fan and Singleton bounds.
+A: length q+1 over GF(q), q = 2^m, K = 2k+1: (q+1, (q^(2k+1)-q)/(q+1), 2k; q).
+B: length q+1 over GF(q), q odd, K = 3: (q+1, q(q-1), 2; q), as is A at
+k = 1; both meet the Peng-Fan bound too.
+C: length n an odd divisor of q+1, K = 2k+2: (n, (q^(2k+2)-1)/n, 2k+1; q),
+meeting Peng-Fan too when k = 0.
 
-Family C: length n an odd divisor of q+1.  The parity check is the product
-of the k+1 coset polynomials nearest (n-1)/2, giving an [n, 2k+2, n-2k-1]
-MDS code all of whose nonzero orbits are full, hence an
-(n, (q^(2k+2)-1)/n, 2k+1; q) set meeting the Singleton bound (both bounds
-when k = 0).
-
-Builders prove what fits the enumeration cap and correlation budget, orbit
-counts and sizes exactly, then the exact correlation certificate, and record
-each claim beside its proof in `FamilyBuild.claims`.  Every builder refuses
-a field order above the table cap before any factoring, so a huge q fails at
-once instead of trial-dividing for ever.
+Builders report the bounds first, then prove what fits the enumeration cap
+and correlation budget, orbit counts and sizes exactly, then the exact
+correlation certificate, and record each claim beside its proof in
+`FamilyBuild.claims`.  Every builder refuses a field order above the table
+cap before any factoring, and a report past its printable digits before
+any code is built.
 """
 
 from __future__ import annotations
@@ -51,7 +49,7 @@ from .fhs import (
     classes_to_fhs,
     max_nontrivial,
 )
-from .galois import FIELD_ORDER_CAP, check_field_order, make_field
+from .galois import FIELD_ORDER_CAP, FiniteField, check_field_order, make_field
 from .intmath import is_prime, is_prime_power, smallest_prime_factor
 
 
@@ -99,32 +97,43 @@ class FamilyBuild:
             for name, claim in self.claims.items()}}
 
 
-def _materialize(params: dict, code: CyclicCode, N: int, lam: int,
+def _claimed(q: int, n: int, nonzeros) -> tuple[int, int]:
+    """The claimed (N, lambda) of the length-n MDS code over GF(q) with
+    these K nonzeros: one sequence per full orbit outside the constant
+    words, N = (q^K - q)/n when 0 is a nonzero and (q^K - 1)/n otherwise,
+    and lambda = K - 1, the Singleton-optimal shape."""
+    K = len(nonzeros)
+    return (q**K - (q if 0 in nonzeros else 1)) // n, K - 1
+
+
+def _materialize(params: dict, field: FiniteField, n: int, nonzeros: set,
                  enum_cap: int, budget: int | None) -> FamilyBuild:
-    """Check and, within the caps, build and certify the family's set: one
-    sequence per orbit outside the code's constant words, which are the
-    zero word alone when 0 is in Z.  The paper claims N sequences, all of
-    length n, with maximum correlation lam."""
-    n, q = code.n, code.field.order
-    predicate = _full_orbits(n, code.nonzeros)
-    build = FamilyBuild(params, code, {"orbit_predicate": (True, predicate)})
-    count = all_full = measured = None
+    """Check and, within the caps, build and certify the family's set from
+    the code of length n over `field` with these nonzeros, Z = Z_n less
+    them: one sequence per orbit outside the code's constant words, which
+    are the zero word alone when 0 is in Z.  The bound report comes first,
+    so an instance whose report is refused builds no code."""
+    q = field.order
+    N, lam = _claimed(q, n, nonzeros)
+    report = optimality_report(n, N, q, lam)
+    code = build_code(n, field, set(range(n)) - nonzeros)
+    fhs = survey = count = all_full = measured = None
     if code.size <= enum_cap:
         reps, sizes = class_partition(code, cap=enum_cap)
         count, all_full = len(sizes), bool((sizes == n).all())
-        build.fhs = classes_to_fhs(reps, sizes, code, provenance=params)
+        fhs = classes_to_fhs(reps, sizes, code, provenance=params)
         del reps, sizes  # the set holds its own copy through the certificate
         try:
-            build.survey = max_nontrivial(build.fhs, budget=budget)
-            measured = build.survey.value
+            survey = max_nontrivial(fhs, budget=budget)
+            measured = survey.value
         except BudgetExceeded:
             pass
-        build.fhs.max_correlation = lam if measured is None else measured
-    build.report = optimality_report(n, N, q, lam)
-    build.claims.update(class_count=(N, count), class_sizes=(True, all_full),
-                        lambda_match=(lam, measured),
-                        meets_singleton=(True, build.report.meets_singleton))
-    return build
+        fhs.max_correlation = lam if measured is None else measured
+    claims = {"orbit_predicate": (True, _full_orbits(n, nonzeros)),
+              "class_count": (N, count), "class_sizes": (True, all_full),
+              "lambda_match": (lam, measured),
+              "meets_singleton": (True, report.meets_singleton)}
+    return FamilyBuild(params, code, claims, fhs, survey, report)
 
 
 def family_a(
@@ -144,10 +153,9 @@ def family_a(
     k_cap = min(p - 1, 1 << (m - 1))
     if not 1 <= k <= k_cap:
         raise KOutOfRange(f"k must satisfy 1 <= k <= {k_cap}, got {k}")
-    code = build_code(n, make_field(2, m), range(k + 1, q - k + 1))
     params = {"family": "A", "q": q, "n": n, "m": m, "k": k, "p": p}
-    N = (q ** (2 * k + 1) - q) // n
-    return _materialize(params, code, N, 2 * k, enum_cap, budget)
+    return _materialize(params, make_field(2, m), n,
+                        {j % n for j in range(-k, k + 1)}, enum_cap, budget)
 
 
 def family_b(
@@ -161,9 +169,8 @@ def family_b(
     if pe is None or pe[0] == 2:
         raise NotOddPrimePower(f"{q} is not an odd prime power")
     n = q + 1
-    code = build_code(n, make_field(*pe), range(2, q))
     params = {"family": "B", "q": q, "n": n}
-    return _materialize(params, code, q * (q - 1), 2, enum_cap, budget)
+    return _materialize(params, make_field(*pe), n, {q, 0, 1}, enum_cap, budget)
 
 
 def family_c(
@@ -184,13 +191,10 @@ def family_c(
     k_cap = (n - 3) // 2 - bad_m
     if not 0 <= k <= k_cap:
         raise KOutOfRange(f"k must satisfy 0 <= k <= {k_cap}, got {k}")
-    half = (n - 1) // 2
-    lo = half - k
-    defining = set(range(0, lo)) | {n - j for j in range(1, lo)}
-    code = build_code(n, make_field(*pe), defining)
+    lo = (n - 1) // 2 - k
     params = {"family": "C", "q": q, "n": n, "k": k, "M": bad_m}
-    N = (q ** (2 * k + 2) - 1) // n
-    return _materialize(params, code, N, 2 * k + 1, enum_cap, budget)
+    return _materialize(params, make_field(*pe), n, set(range(lo, n - lo + 1)),
+                        enum_cap, budget)
 
 
 def family_ding(q: int, m: int) -> FamilyBuild:

@@ -363,14 +363,6 @@ def codeword_matrix(code: CyclicCode, cap: int = ENUMERATION_CAP) -> np.ndarray:
     return mat
 
 
-@dataclass(frozen=True)
-class EquivalenceClass:
-    """A shift orbit: its lexicographically least rotation and its size."""
-
-    representative: tuple[int, ...]
-    size: int
-
-
 def _shift_map(code: CyclicCode) -> np.ndarray:
     """The shift map on the q^k window keys (k >= 1); see `class_partition`."""
     field, h, k = code.field, code.check.coeffs, code.dimension
@@ -489,20 +481,16 @@ def class_partition(
     if exclude != "constants":
         raise ValueError(f"exclude must be 'constants', got {exclude!r}")
     # the pointer jumping, or nxt and sizes held through the walk, whose
-    # entries take 9 bytes with their bool masks and the kept copy
+    # entries take 8 bytes with the kept copy; 9 are counted
     census = _orbit_census(code.n, code.field.order, code.nonzeros)
     orbits, keys = sum(census.values()), code.size
     _check_cap(code, cap, max(BYTES_PER_KEY * keys, 16 * keys + 9 * code.n * orbits))
     walk, sizes = _orbits(code, census)
-    keep = (walk != walk[:1]).any(axis=0)  # a kept word is not constant
+    keep = sizes > 1  # the shift fixes exactly the constant words
     return walk.T[keep], sizes[keep]
 
 
-def enumerate_classes(code: CyclicCode,
-                      cap: int = ENUMERATION_CAP) -> list[EquivalenceClass]:
-    reps, sizes = class_partition(code, cap=cap)
-    return [EquivalenceClass(tuple(int(s) for s in row), int(c))
-            for row, c in zip(reps, sizes)]
+enumerate_classes = class_partition  # the partition under the trace's name
 
 
 def min_distance_exhaustive(code: CyclicCode, cap: int = ENUMERATION_CAP) -> int:

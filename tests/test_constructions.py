@@ -1,5 +1,6 @@
 import pytest
 
+from fhsforge import constructions
 from fhsforge.constructions import (
     family_a,
     family_b,
@@ -13,7 +14,7 @@ from fhsforge.cyclic import (
     has_full_orbits_outside_constants,
     min_distance_exhaustive,
 )
-from fhsforge.errors import KOutOfRange, NotOddDivisor, NotOddPrimePower
+from fhsforge.errors import BoundTooLarge, KOutOfRange, NotOddDivisor, NotOddPrimePower
 from fhsforge.galois import (
     Polynomial,
     _ben_or,
@@ -203,6 +204,17 @@ def test_family_c_k_cap_via_bad_m():
     assert all_proved(build)
     with pytest.raises(KOutOfRange):
         family_c(32, 33, 1)
+
+
+def test_unprintable_report_is_refused_before_the_code(monkeypatch):
+    # nN = 2557^1262 - 1 has over 4,300 digits: the bound report is
+    # refused before any factor table or code is built
+    def no_code(*args):
+        raise AssertionError("build_code ran before the bound report")
+
+    monkeypatch.setattr(constructions, "build_code", no_code)
+    with pytest.raises(BoundTooLarge):
+        family_c(2557, 1279, 630, enum_cap=1)
 
 
 # -- the unit-coset demo ----------------------------------------------------------

@@ -15,7 +15,8 @@ field order is checked, not only those that enumerate.
 from collections import Counter
 
 from fhsforge.bounds import optimality_report, singleton_max_size
-from fhsforge.constructions import family_a, family_b, family_c, largest_bad_m
+from fhsforge.constructions import (
+    _claimed, family_a, family_b, family_c, largest_bad_m)
 from fhsforge.cyclic import _full_orbits, _orbit_census
 from fhsforge.errors import BoundTooLarge
 from fhsforge.intmath import is_prime, is_prime_power, smallest_prime_factor
@@ -49,7 +50,8 @@ def instances(q_max, past_cap=False):
 
 
 def claimed(family, q, n, k):
-    """The paper's (N, lambda) for the instance."""
+    """The paper's (N, lambda) for the instance, per family: the oracle for
+    the builders' one formula from the nonzeros, `_claimed`."""
     if family == "A":
         return (q ** (2 * k + 1) - q) // n, 2 * k
     if family == "B":
@@ -63,11 +65,12 @@ def short_orbits(census, n):
 
 
 def check_admissible(q_max):
-    """Check the theorem on every admissible instance with q <= q_max: no
-    orbit is short, the residue test agrees, the census's full orbits are
-    the claimed N, and the set meets Singleton.  It meets Peng-Fan exactly
-    for B, A with k = 1 and C with k = 0.  A report past its printable
-    digits is refused, and there Singleton's N is compared directly.
+    """Check the theorem on every admissible instance with q <= q_max: the
+    builders' claims from the nonzeros are the paper's, no orbit is short,
+    the residue test agrees, the census's full orbits are the claimed N,
+    and the set meets Singleton.  It meets Peng-Fan exactly for B, A with
+    k = 1 and C with k = 0.  A report past its printable digits is
+    refused, and there Singleton's N is compared directly.
     Returns the instances checked per family, and the count of refused
     reports as "unprintable"."""
     checked = Counter()
@@ -77,6 +80,7 @@ def check_admissible(q_max):
         assert not short_orbits(census, n), where
         assert _full_orbits(n, nonzeros), where
         count, lam = claimed(family, q, n, k)
+        assert _claimed(q, n, nonzeros) == (count, lam), where
         assert census[n] == count, where
         try:
             report = optimality_report(n, count, q, lam)
