@@ -121,6 +121,7 @@ def _materialize(params: dict, field: FiniteField, n: int, nonzeros: set,
     if code.size <= enum_cap:
         reps, sizes = class_partition(code, cap=enum_cap)
         count, all_full = len(sizes), bool((sizes == n).all())
+    if all_full:  # a short orbit refutes class_sizes, and makes no set
         fhs = classes_to_fhs(reps, sizes, code, provenance=params)
         del reps, sizes  # the set holds its own copy through the certificate
         try:

@@ -334,24 +334,14 @@ def _step(field: FiniteField, heads: np.ndarray, tail: np.ndarray) -> np.ndarray
     significant in the row order; for `_shift_map` and `codeword_matrix`."""
     if len(tail) == 1 and not tail.any():
         return heads
-    if field.p == 2:
-        out = heads[:, None, :] ^ tail
-    else:
-        # A tail past the zero word spans the multiples of a feedback tap or
-        # a generator shift, so k >= 2: the q^2-entry add table is in the cap.
-        if len(tail) < field.order:
-            raise AssertionError(
-                f"tail of {len(tail)} words is shorter than q = {field.order}"
-            )
-        out = field.add_table().ravel()[(heads * field.order)[:, None, :] + tail]
-    return out.reshape(-1, heads.shape[1])
+    return field.sums(heads[:, None, :], tail).reshape(-1, heads.shape[1])
 
 
 def codeword_matrix(code: CyclicCode, cap: int = ENUMERATION_CAP) -> np.ndarray:
     """All q^k codewords as an array of shape (q^k, n), message order:
     row sum_i m_i q^(k-1-i) holds sum_i m_i x^i g(x).  Used only as the
     tests' message-order oracle and the trace's enumeration span."""
-    # 12 bytes per entry for odd p, an int64 index and a uint32 sum
+    # 12 bytes per entry; the uint32 sum and, for m > 1, one uint32 digit take 8
     _check_cap(code, cap, (BYTES_PER_KEY + 12 * code.n) * code.size)
     mat = np.zeros((1, code.n), dtype=np.uint32)
     if code.dimension == 0:  # the zero code: g = x^n - 1 has n + 1 coefficients
@@ -480,8 +470,9 @@ def class_partition(
     """
     if exclude != "constants":
         raise ValueError(f"exclude must be 'constants', got {exclude!r}")
-    # the pointer jumping, or nxt and sizes held through the walk, whose
-    # entries take 8 bytes with the kept copy; 9 are counted
+    # the pointer jumping, or nxt and sizes held through the walk: 8 bytes per
+    # entry with the kept copy, 9 counted, as with 8 [26, 13] over GF(3), even
+    # nonzeros, peaks 264 bytes over, within the 1-2.5 KiB of numpy bookkeeping
     census = _orbit_census(code.n, code.field.order, code.nonzeros)
     orbits, keys = sum(census.values()), code.size
     _check_cap(code, cap, max(BYTES_PER_KEY * keys, 16 * keys + 9 * code.n * orbits))

@@ -60,7 +60,6 @@ class FiniteField:
         self.order = p**m
         self.modulus = modulus
         self._build_tables()
-        self._add_table: np.ndarray | None = None
 
     # -- construction ------------------------------------------------------
 
@@ -154,23 +153,22 @@ class FiniteField:
 
     # -- vectorized arithmetic on numpy index arrays -------------------------
 
-    def add_table(self) -> np.ndarray:
-        """The q x q addition table, built on first use and kept.
-
-        Entry [a, b] is a + b: the base-p digits of the packed indices added
-        mod p, one digit per pass.
-        """
-        if self._add_table is None:
-            p = self.p
-            e = np.arange(self.order, dtype=np.int64)
-            out = np.zeros((self.order, self.order), dtype=np.int64)
-            w = 1
-            for _ in range(self.m):
-                digit = e // w % p
-                out += (digit[:, None] + digit) % p * w
-                w *= p
-            self._add_table = out.astype(np.uint32)
-        return self._add_table
+    def sums(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """a + b, broadcast, for uint32 index arrays: the base-p digits of
+        the packed indices added mod p, one digit per pass."""
+        p = self.p
+        if p == 2:
+            return a ^ b
+        out = a + b if self.m == 1 else a % p + b % p
+        out %= p
+        for i in range(1, self.m):
+            w = p**i
+            digit = a // w + b // w
+            digit %= p
+            digit *= w
+            out += digit
+            del digit  # before the next one, so that two never coexist
+        return out
 
     def products(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """a * b, broadcast, by one log/antilog gather."""

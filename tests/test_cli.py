@@ -10,6 +10,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fhsforge import cli, constructions, cyclic
@@ -529,17 +530,23 @@ def test_build_claims_record_what_was_proved(tmp_path, capsys, argv, exit_code, 
     # a refuted claim outranks the unproved ones past the cap
     ("_full_orbits", ["--family", "B", "--q", "5", "--cap", "1"],
      ["check class_count: None", "check orbit_predicate: False"]),
-], ids=["lambda", "predicate-past-the-cap"])
+    # a partition with one orbit of size 1: no set is made of a short orbit
+    ("class_partition", ["--family", "B", "--q", "5"],
+     ["check class_sizes: False", "check lambda_match: None"]),
+], ids=["lambda", "predicate-past-the-cap", "short-orbit"])
 def test_build_claim_mismatch_exits_2(tmp_path, capsys, monkeypatch, patch, argv, lines):
     fakes = {"max_nontrivial": lambda fset, budget: CorrelationSurvey(3, (0, 0, 1), 0),
-             "_full_orbits": lambda n, nonzeros: False}
+             "_full_orbits": lambda n, nonzeros: False,
+             "class_partition": lambda code, cap: (
+                 np.zeros((1, code.n), dtype=np.uint32), np.ones(1, dtype=np.intp))}
     monkeypatch.setattr(constructions, patch, fakes[patch])
-    code, out, _ = run(capsys, "build", *argv, "--out", str(tmp_path))
-    assert code == 2
+    code, out, err = run(capsys, "build", *argv, "--out", str(tmp_path))
+    assert code == 2 and err == ""
     got = out.splitlines()
     assert set(lines) <= set(got) and got[-1] == "CLAIM MISMATCH"
     family = json.loads((tmp_path / "family.json").read_text())
     assert [line for line in got if line.startswith("check ")] == check_lines(family)
+    assert (tmp_path / "fhs_set.json").exists() == (patch == "max_nontrivial")
 
 
 def test_build_input_errors(tmp_path, capsys):

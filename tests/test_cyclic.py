@@ -36,7 +36,6 @@ from fhsforge.errors import (
 from fhsforge.fhs import classes_to_fhs
 from fhsforge.galois import (
     ExtensionField,
-    FiniteField,
     Polynomial,
     _ben_or,
     field_from_order,
@@ -601,7 +600,7 @@ def test_least_rotation_partition_matches_brute_force():
         ((2, 6), 13, [j for j in range(13) if j not in (1, 12)]),
         ((2, 9), 27, list(range(1, 27))),
         ((3, 1), 1, []),
-        # odd characteristic with k >= 2, which adds through the q x q table
+        # odd characteristic with k >= 2, which adds digit by digit mod p
         ((5, 1), 6, [2, 3, 4]),
         ((3, 2), 10, [j for j in range(10) if j not in (0, 1, 9)]),
         ((3, 12), 2, [0]),
@@ -653,7 +652,7 @@ def test_least_rotation_partition_checks_information_sets():
     assert not (Polynomial.x_pow_n_minus_one(code.field, 7) % wrong.check).is_zero()
     miscounted(wrong, {1: 2, 3: 2, 8: 1})
     # the same two over GF(7), n = 6, k = 3, Z = {1, 2, 3}, where the
-    # feedback adds through the q x q table
+    # feedback adds mod 7
     code = build_code(6, make_field(7, 1), [1, 2, 3])
     h = code.check
     mirror = CyclicCode(code.field, 6, code.defining_set, code.generator,
@@ -827,13 +826,8 @@ def test_min_distance_sweep_against_the_codeword_matrix():
     assert dims == set(range(1, 13))
 
 
-def test_large_field_k1_builds_no_add_table(monkeypatch):
-    # GF(3^12), n = 2, k = 1: the q^2-entry add table would hold 2.8 * 10^11
-    # entries; one generator shift adds nothing, so no table is built
-    def refuse(self):
-        raise AssertionError("add table built")
-
-    monkeypatch.setattr(FiniteField, "add_table", refuse)
+def test_large_field_k1_partition():
+    # GF(3^12), n = 2, k = 1: 531,441 words from one generator shift
     F = make_field(3, 12)
     code = build_code(2, F, [0])  # g = x - 1: the words (-c, c)
     assert code.dimension == 1
@@ -906,6 +900,25 @@ def test_short_orbit_walk_past_physical_memory(monkeypatch):
     monkeypatch.undo()
     monkeypatch.setattr(cyclic, "_physical_memory", lambda: need)
     assert len(class_partition(code)[1]) == kept
+
+
+@pytest.mark.parametrize("q", [401, 101, 25])
+def test_partition_memory_rule_holds_for_odd_q(monkeypatch, q):
+    # [q + 1, 2] over GF(q), Z = all but {1, n - 1}: the feedback adds digit
+    # by digit, so no allocation outlives the rule's 32 bytes per key by
+    # more than numpy's bookkeeping, and a machine 4 KiB short of the traced
+    # peak refuses the partition before any work
+    n = q + 1
+    code = build_code(n, field_from_order(q), [j for j in range(n) if j not in (1, n - 1)])
+    tracemalloc.start()
+    try:
+        class_partition(code)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    monkeypatch.setattr(cyclic, "_physical_memory", lambda: peak - 4096)
+    with pytest.raises(EnumerationTooLarge, match="physical memory"):
+        class_partition(code)
 
 
 def test_stored_distance_is_read_after_the_cap_check():

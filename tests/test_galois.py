@@ -500,6 +500,17 @@ def test_zech_addition_matches_digits(p, m):
             assert F.sub(a, b) == _digitwise(p, m, a, b, -1)
 
 
+@pytest.mark.parametrize("p,m", [(2, 4), (3, 1), (7, 1), (3, 2), (5, 2), (3, 3),
+                                 (7, 2), (3, 5)])
+def test_array_sums_match_scalar_addition(p, m):
+    # every pair, broadcast, against the scalar rule: XOR, mod p, or Zech
+    F = make_field(p, m)
+    a = np.arange(F.order, dtype=np.uint32)
+    sums = F.sums(a[:, None], a[None, :])
+    assert sums.dtype == np.uint32
+    assert sums.tolist() == [[F.add(i, j) for j in range(F.order)] for i in range(F.order)]
+
+
 # -- the GF(q^d) kernel ----------------------------------------------------------
 
 KERNEL_FIELDS = [
