@@ -209,10 +209,10 @@ class PfSweepReport:
 # 64 KiB temporaries back to the system and page-faulted them in again.
 _SWEEP_TILE = 1 << 13
 # The largest M = n_max * N_max swept: no value a tile computes passes
-# 2M^2 = 2^61 (see `pf_identity_sweep`).
+# M^2 = 2^60 (see `pf_identity_sweep`).
 _SWEEP_MAX_NN = 1 << 30
-# The largest M = n_max * N_max swept in int32: the largest M with 2M^2 < 2^31.
-_SWEEP_INT32_MAX_NN = 32767
+# The largest M = n_max * N_max swept in int32: the largest M with M^2 < 2^31.
+_SWEEP_INT32_MAX_NN = 46340
 # The runaway cap, refused before any work.  On a 2-core guest the sweep
 # costs at most about 21 ns per int64 cell, and the largest accepted grids
 # take about 10 s.
@@ -281,10 +281,11 @@ def pf_identity_sweep(n_max: int, count_max: int, ell_max: int) -> PfSweepReport
     they compute.  Numpy wraps integer overflow silently, so that choice
     rests on this bound.  Let M = n_max * N_max.  Every cell has
     1 <= ell <= nN <= M, n <= nN and N <= nN, and every value a tile
-    computes is at most 2M^2 in size:
+    computes is at most M^2 in size:
 
     * nN, I <= nN/ell, I*ell <= nN and J < ell are at most M, and 2nN,
-      n + ell - 1 and (I + 1)*ell <= nN + ell are at most 2M;
+      n + ell - 1 and (I + 1)*ell <= nN + ell are at most 2M <= M^2, as
+      a grid with a cell has M >= 2;
     * a1 = (nN - ell)*n and a1*N = (nN - ell)*nN lie in [0, M^2), and
       b1 = (nN - 1)*ell and b2 = (nN - 1)*N are below M^2;
     * 2nN - (I + 1)*ell = nN + J - ell lies in [0, nN), so
@@ -294,8 +295,8 @@ def pf_identity_sweep(n_max: int, count_max: int, ell_max: int) -> PfSweepReport
     * a2*ell - a1*N lies in (-M^2, M^2], and (ell - J)*J <= ell^2/4.
 
     The pair index (n - 1)*N_max + N - 1 and ell are below M too.  So the
-    tiles run in int32 when 2M^2 < 2^31, M <= _SWEEP_INT32_MAX_NN, and in
-    int64 otherwise.  Grids with M > 2^30, where 2M^2 could pass 2^61, are
+    tiles run in int32 when M^2 < 2^31, M <= _SWEEP_INT32_MAX_NN, and in
+    int64 otherwise.  Grids with M > 2^30, where M^2 could pass 2^60, are
     refused (`DegenerateParameters`).  Runaway grids are refused too, with
     `BoundTooLarge` before any work: M * min(ell_max, M), a bound on the
     cells checked, above _SWEEP_MAX_CELLS."""

@@ -19,8 +19,6 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .bounds import optimality_report, pf_identity_sweep
 from .constructions import family_a, family_b, family_c, family_ding
@@ -62,52 +60,6 @@ def _budget(args) -> int | None:
 
 def _dump(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
-
-
-def _format_rows(rows: np.ndarray, open_: bytes, close: bytes, sep: bytes) -> bytes:
-    """The rows of a uint32 array as ASCII text: each row is `open_`, its
-    symbols in decimal joined by ",", then `close`; rows are joined by `sep`.
-
-    Each symbol fills a fixed cell, as many bytes as the largest symbol has
-    digits, and the comma after it.  The digits come from one division by
-    10 per cell column, in uint32 under numpy's old and new casting rules
-    alike, so no Python int is made per symbol; a leading zero is a NUL
-    byte, and one `translate` deletes every NUL at the end."""
-    count, n = rows.shape
-    width = len(str(int(rows.max())))
-    cells = np.empty((count, n, width + 1), np.uint8)
-    cells[:, :, width] = ord(",")
-    ten = np.uint32(10)
-    value = rows  # rows // 10^i at pass i
-    for i in range(width):
-        rest = value // ten
-        char = value - rest * ten + np.uint32(ord("0"))
-        if i:
-            char *= value != 0  # a leading zero becomes NUL
-        cells[:, :, width - 1 - i] = char
-        value = rest
-    body = len(open_) + cells[0].size - 1  # a row up to its last digit
-    tail = close + sep
-    lines = np.empty((count, body + len(tail)), np.uint8)
-    lines[:, :len(open_)] = list(open_)
-    lines[:, len(open_):body + 1] = cells.reshape(count, -1)
-    lines[:, body:] = list(tail)  # over the last comma
-    lines[-1, body + len(close):] = 0  # no separator after the last row
-    return lines.tobytes().translate(None, b"\0")
-
-
-def _dump_set(fset: FhsSet) -> bytes:
-    """An FHS set record as `_dump` writes it, except that each sequence
-    takes one line: C512's 9,709 sequences take 9,725 lines, not 281,577."""
-    head = json.dumps(fset.to_json_head(), indent=2, sort_keys=True)
-    head = head[:-2]  # up to the last "\n}"
-    rows = _format_rows(fset.seqs[fset.order], b"[", b"]", b",\n    ")
-    return f'{head},\n  "sequences": [\n    '.encode() + rows + b"\n  ]\n}\n"
-
-
-def _dump_csv(fset: FhsSet) -> bytes:
-    """The rows of an FHS set record, in its order, one comma-separated line each."""
-    return _format_rows(fset.seqs[fset.order], b"", b"\n", b"")
 
 
 def _write(path: Path, data: bytes) -> str:
@@ -193,7 +145,7 @@ def cmd_code(args) -> int:
     if args.json:
         print(_dump(info), end="")
     else:
-        print(f"[{code.n}, {code.dimension}] cyclic code over GF({code.field.order})")
+        print(f"[{code.n}, {code.dimension}] cyclic code over {code.field}")
         print(f"  defining set: {list(code.defining_set)}")
         print(f"  g(x) = {_poly_str(code.generator.coeffs)}")
         print(f"  h(x) = {_poly_str(code.check.coeffs)}")
@@ -207,7 +159,7 @@ def cmd_mindist(args) -> int:
     code = _code_from_args(args)
     d = min_distance_exhaustive(code, cap=_enum_cap(args))
     mds = d == code.n - code.dimension + 1
-    print(f"[{code.n}, {code.dimension}, {d}] over GF({code.field.order})"
+    print(f"[{code.n}, {code.dimension}, {d}] over {code.field}"
           f"{'  (MDS)' if mds else ''}")
     return EXIT_OK
 
@@ -254,9 +206,9 @@ def cmd_build(args) -> int:
     outputs = {"family.json": _dump(build.export_dict()).encode(),
                "code.json": _dump(build.code.export_dict()).encode()}
     if build.fhs is not None:
-        outputs["fhs_set.json"] = _dump_set(build.fhs)
+        outputs["fhs_set.json"] = build.fhs.to_json_bytes()
         if args.csv:
-            outputs["fhs_set.csv"] = _dump_csv(build.fhs)
+            outputs["fhs_set.csv"] = build.fhs.to_csv_bytes()
     if build.report is not None:
         outputs["bound_report.json"] = _dump(build.report.to_json_dict()).encode()
     outdir = Path(args.out)

@@ -62,6 +62,7 @@ def _json_int(value, what: str) -> int:
 class FhsSet:
     """A set of N distinct length-n sequences over the alphabet 0..ell-1.
 
+    The symbols are checked once, as given, before they become uint32.
     `seqs` keeps the rows in the order given; `order` indexes them in
     lexicographic order, the order a record is written in."""
 
@@ -72,14 +73,15 @@ class FhsSet:
         provenance: dict | None = None,
         max_correlation: int | None = None,
     ):
-        # a private copy: the caller's array stays writeable
-        arr = np.array(sequences, dtype=np.uint32)
+        arr = np.asarray(sequences)
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise EmptySet("an FHS set needs at least one nonempty sequence")
-        if arr.size and int(arr.max()) >= alphabet_size:
-            raise LengthAlphabetViolation(
-                f"symbol {int(arr.max())} outside alphabet of size {alphabet_size}"
-            )
+        # before the cast, which would wrap -1 or 2^32 and truncate 1.7
+        if not np.issubdtype(arr.dtype, np.integer) \
+                or (arr.dtype.kind == "i" and arr.min() < 0) \
+                or arr.max() >= min(alphabet_size, 1 << 32):
+            raise LengthAlphabetViolation(f"symbols must lie in 0..{alphabet_size - 1}")
+        arr = arr.astype(np.uint32)  # a private copy: the caller's array stays writeable
         # Each row as one big-endian byte string: the bytes compare in the
         # rows' lexicographic order, so one stable argsort sorts the rows,
         # and equal neighbours in that order are duplicate rows.
@@ -105,7 +107,7 @@ class FhsSet:
     def size(self) -> int:
         return self.seqs.shape[0]
 
-    def to_json_head(self) -> dict:
+    def _json_head(self) -> dict:
         """The record's fields other than `sequences`."""
         return {
             "n": self.n,
@@ -116,7 +118,21 @@ class FhsSet:
         }
 
     def to_json_dict(self) -> dict:
-        return {**self.to_json_head(), "sequences": self.seqs[self.order].tolist()}
+        return {**self._json_head(), "sequences": self.seqs[self.order].tolist()}
+
+    def to_json_bytes(self) -> bytes:
+        """The record as `json.dumps(indent=2, sort_keys=True)` writes it,
+        with a final newline, except that each sequence takes one line:
+        C512's 9,709 sequences take 9,725 lines, not 281,577.  Its
+        `sequences` is the plain array that `_decode_record` reads."""
+        head = json.dumps(self._json_head(), indent=2, sort_keys=True)
+        head = head[:-2]  # up to the last "\n}"
+        rows = _format_rows(self.seqs[self.order], b"[", b"]", b",\n    ")
+        return f'{head},\n  "sequences": [\n    '.encode() + rows + b"\n  ]\n}\n"
+
+    def to_csv_bytes(self) -> bytes:
+        """The record's rows, in its order, one comma-separated line each."""
+        return _format_rows(self.seqs[self.order], b"", b"\n", b"")
 
     @classmethod
     def from_json_dict(cls, data: dict | bytes) -> "FhsSet":
@@ -150,8 +166,6 @@ class FhsSet:
             raise ParseError("provenance must be an object")
         if arr is None:
             arr = _list_rows(seqs, count, n)
-        if arr.size and (arr.min() < 0 or arr.max() >= min(ell, 1 << 32)):
-            raise ParseError(f"symbols must lie in 0..{ell - 1}")
         try:
             obj = cls(arr, ell, provenance, lam)
         except (ValueError, LengthAlphabetViolation, EmptySet) as exc:
@@ -175,7 +189,7 @@ def _list_rows(seqs, count: int, n: int) -> np.ndarray:
     if any(len(s) != n for s in seqs):
         raise ParseError("sequence length differs from declared n")
     # numpy would truncate 1.7 and coerce True or "3", so the set of
-    # symbol types is checked first, at C speed, then the range.
+    # symbol types is checked first, at C speed; `FhsSet` checks the range.
     kinds = set(map(type, itertools.chain.from_iterable(seqs))) - {int}
     if kinds:
         names = ", ".join(sorted(k.__name__ for k in kinds))
@@ -321,6 +335,38 @@ def _horner(chars: np.ndarray, ends: np.ndarray, widths: np.ndarray,
         out += digit
         index += 1
     return True
+
+
+def _format_rows(rows: np.ndarray, open_: bytes, close: bytes, sep: bytes) -> bytes:
+    """The rows of a uint32 array as ASCII text: each row is `open_`, its
+    symbols in decimal joined by ",", then `close`; rows are joined by `sep`.
+
+    Each symbol fills a fixed cell, as many bytes as the largest symbol has
+    digits, and the comma after it.  The digits come from one division by
+    10 per cell column, in uint32 under numpy's old and new casting rules
+    alike, so no Python int is made per symbol; a leading zero is a NUL
+    byte, and one `translate` deletes every NUL at the end."""
+    count, n = rows.shape
+    width = len(str(int(rows.max())))
+    cells = np.empty((count, n, width + 1), np.uint8)
+    cells[:, :, width] = ord(",")
+    ten = np.uint32(10)
+    value = rows  # rows // 10^i at pass i
+    for i in range(width):
+        rest = value // ten
+        char = value - rest * ten + np.uint32(ord("0"))
+        if i:
+            char *= value != 0  # a leading zero becomes NUL
+        cells[:, :, width - 1 - i] = char
+        value = rest
+    body = len(open_) + cells[0].size - 1  # a row up to its last digit
+    tail = close + sep
+    lines = np.empty((count, body + len(tail)), np.uint8)
+    lines[:, :len(open_)] = list(open_)
+    lines[:, len(open_):body + 1] = cells.reshape(count, -1)
+    lines[:, body:] = list(tail)  # over the last comma
+    lines[-1, body + len(close):] = 0  # no separator after the last row
+    return lines.tobytes().translate(None, b"\0")
 
 
 @dataclass(frozen=True)

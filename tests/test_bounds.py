@@ -190,18 +190,19 @@ def test_pf_sweep_over_many_n():
 
 
 def test_int32_bound_is_the_largest_that_fits():
-    # every value a tile computes is at most 2M^2, M = n_max * N_max
+    # every value a tile computes is at most M^2, M = n_max * N_max
     m = bounds._SWEEP_INT32_MAX_NN
-    assert 2 * m**2 <= np.iinfo(np.int32).max < 2 * (m + 1) ** 2
+    assert m**2 <= np.iinfo(np.int32).max < (m + 1) ** 2
 
 
 @pytest.mark.parametrize("grid,dtype", [
-    ((1, 32767, 1), "int32"),  # ell = 1 at the largest nN: a2 = nN(nN - 1), 2*I*nN = 2M^2
-    ((1, 32768, 1), "int64"),
+    ((1, 46340, 1), "int32"),  # ell = 1 at the largest nN: a2 = nN(nN - 1) < M^2
+    ((1, 46341, 1), "int64"),
     ((2, 16383, 3), "int32"),
-    ((2, 16384, 3), "int64"),
+    ((2, 23170, 3), "int32"),
+    ((2, 23171, 3), "int64"),
     ((181, 181, 2), "int32"),
-    ((3, 10923, 2), "int64"),
+    ((3, 15447, 2), "int64"),
 ], ids=lambda value: value if isinstance(value, str) else "-".join(map(str, value)))
 def test_pf_sweep_on_each_side_of_the_int32_bound(monkeypatch, grid, dtype):
     dtypes = set()
@@ -219,7 +220,7 @@ def test_pf_sweep_on_each_side_of_the_int32_bound(monkeypatch, grid, dtype):
 
 def test_pf_tile_extreme_cells_agree_in_both_dtypes():
     # Cells (n, N, ell) with 2 <= nN <= M and ell <= nN, M the int32 bound,
-    # where the bound's terms peak: 2*I*nN = 2M^2 at nN = M, ell = 1, and
+    # where the bound's terms peak: a2 = nN(nN - 1) at nN = M, ell = 1, and
     # a1 = (M - 1)*M at n = nN = M, ell = 1, b1 = (M - 1)*M at ell = nN = M.
     # With them, the ends of the lemma behind c1 = ceil(a1/b1) in {k - 1, k},
     # k = ceil(n/ell): N = 1 with ell = n, where a1 = 0; ell = 1, where

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from fhsforge import cli, constructions, cyclic
-from fhsforge.cli import _dump_csv, _dump_set, main, make_parser
+from fhsforge.cli import main, make_parser
 from fhsforge.fhs import CorrelationSurvey, FhsSet, correlation
 
 
@@ -191,7 +191,7 @@ def drawn_sets(seed):
 def test_dump_set_matches_per_row_encoder():
     for fset in drawn_sets(41):
         record = fset.to_json_dict()
-        text = _dump_set(fset)
+        text = fset.to_json_bytes()
         assert text == per_row_dump_set(record).encode()
         assert json.loads(text) == record
 
@@ -199,7 +199,7 @@ def test_dump_set_matches_per_row_encoder():
 def test_dump_csv_matches_per_row_encoder():
     for fset in drawn_sets(43):
         rows = fset.to_json_dict()["sequences"]
-        assert _dump_csv(fset) == "".join(
+        assert fset.to_csv_bytes() == "".join(
             ",".join(map(str, row)) + "\n" for row in rows
         ).encode()
 
@@ -226,7 +226,7 @@ def test_verify_reads_stored_benchmark_sets(tmp_path, capsys, name):
     layouts = {
         "compact": compact,
         "indented": (json.dumps(record, indent=2, sort_keys=True) + "\n").encode(),
-        "build": _dump_set(FhsSet.from_json_dict(record)),
+        "build": FhsSet.from_json_dict(record).to_json_bytes(),
     }
     lam = record["lambda"]
     outs = []

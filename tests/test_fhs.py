@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from fhsforge import cyclic, fhs
-from fhsforge.cli import _dump_set
 from fhsforge.constructions import family_a, family_b, family_c
 from fhsforge.cyclic import build_code, class_partition
 from fhsforge.errors import (
@@ -155,6 +154,20 @@ def test_fhs_set_validation():
         FhsSet(np.empty((0, 4), dtype=np.uint32), 4)
 
 
+@pytest.mark.parametrize("sequences, ell", [
+    (np.array([[-1, 0]], dtype=np.int64), 2**40),
+    (np.array([[2**32, 1]], dtype=np.int64), 2**40),
+    (np.array([[0.0, 1.7]]), 3),
+    (np.array([[True, False]]), 2),
+    ([[2**32, 0]], 2**40),
+    ([[2**70, 1]], 2**80),
+], ids=["negative", "past-uint32", "float", "bool", "list-past-uint32", "list-object"])
+def test_symbols_are_checked_before_the_cast(sequences, ell):
+    # a cast to uint32 would wrap, truncate or overflow each of these
+    with pytest.raises(LengthAlphabetViolation, match=rf"symbols must lie in 0\.\.{ell - 1}$"):
+        FhsSet(sequences, ell)
+
+
 def test_duplicate_rows_are_refused():
     # rows equal only as byte strings of the whole row count as duplicates;
     # the symbols near 2^32 fill every byte of a uint32
@@ -276,7 +289,7 @@ def layouts(fset):
     return {
         "compact": json.dumps(record, separators=(",", ":"), sort_keys=True).encode(),
         "indented": (json.dumps(record, indent=2, sort_keys=True) + "\n").encode(),
-        "build": _dump_set(fset),
+        "build": fset.to_json_bytes(),
     }
 
 

@@ -10,14 +10,22 @@ field order is checked, not only those that enumerate.
 `check_admissible(q_max)` is the check; CI runs it up to q = 4096:
 
     python -c 'import sys; sys.path.insert(0, "tests"); import test_theorem; print(test_theorem.check_admissible(4096))'
+
+`check_every_code(n_max, q_max, limit)` checks the theorem itself on every
+cyclic code that holds the constants, not only on the families; CI runs it
+with more unions per (n, q) than Tier-1:
+
+    python -c 'import sys; sys.path.insert(0, "tests"); import test_theorem; print(test_theorem.check_every_code(40, 32, 2**10))'
 """
 
+import math
+import random
 from collections import Counter
 
 from fhsforge.bounds import optimality_report, singleton_max_size
 from fhsforge.constructions import (
     _claimed, family_a, family_b, family_c, largest_bad_m)
-from fhsforge.cyclic import _full_orbits, _orbit_census
+from fhsforge.cyclic import _full_orbits, _orbit_census, cyclotomic_cosets
 from fhsforge.errors import BoundTooLarge
 from fhsforge.intmath import is_prime, is_prime_power, smallest_prime_factor
 
@@ -130,3 +138,40 @@ def test_one_step_past_each_cap_has_a_short_orbit():
     assert past == {"A": 9, "C": 254}
     assert full == [("A", 4), ("A", 16), ("A", 256)]
 
+
+def coset_unions(n, q, limit):
+    """The nonzeros {0} plus each union of the q-cyclotomic cosets mod n
+    other than {0}: all of them when there are at most `limit` unions, else
+    `limit` distinct ones, drawn with a seed of (n, q)."""
+    cosets = cyclotomic_cosets(n, q)[1:]
+    total = 1 << len(cosets)
+    masks = range(total)
+    if total > limit:
+        masks = random.Random(f"{n},{q}").sample(masks, limit)
+    for mask in masks:
+        yield {0, *(j for i, coset in enumerate(cosets) if mask >> i & 1 for j in coset)}
+
+
+def check_every_code(n_max, q_max, limit):
+    """Check the theorem on the cyclic codes of length n <= n_max over
+    GF(q), q <= q_max a prime power coprime to n, that hold the constants:
+    the orbit census shows only sizes 1 and n exactly when the residue test
+    holds, and q orbits of size 1, the constant words.  The census counts
+    fixed words and the test reads gcds, so neither derives the other.
+    Returns the number of codes checked."""
+    checked = 0
+    for q in filter(is_prime_power, range(2, q_max + 1)):
+        for n in range(1, n_max + 1):
+            if math.gcd(n, q) != 1:
+                continue
+            for nonzeros in coset_unions(n, q, limit):
+                census = _orbit_census(n, q, nonzeros)
+                where = (n, q, sorted(nonzeros))
+                assert _full_orbits(n, nonzeros) == (not short_orbits(census, n)), where
+                assert census[1] == q, where
+                checked += 1
+    return checked
+
+
+def test_theorem_on_every_cyclic_code():
+    assert check_every_code(40, 32, 2**8) == 44228
