@@ -81,7 +81,8 @@ class FhsSet:
                 or (arr.dtype.kind == "i" and arr.min() < 0) \
                 or arr.max() >= min(alphabet_size, 1 << 32):
             raise LengthAlphabetViolation(f"symbols must lie in 0..{alphabet_size - 1}")
-        arr = arr.astype(np.uint32)  # a private copy: the caller's array stays writeable
+        # a private C-ordered copy: the caller's array stays writeable
+        arr = arr.astype(np.uint32, order="C")
         # Each row as one big-endian byte string: the bytes compare in the
         # rows' lexicographic order, so one stable argsort sorts the rows,
         # and equal neighbours in that order are duplicate rows.
@@ -457,10 +458,14 @@ def _rerank(key: np.ndarray, out: np.ndarray) -> int:
     return int(ranked[-1]) + 1
 
 
-def _collision(table: np.ndarray, size: int) -> tuple[int, int, int] | None:
+def _collision(
+    seqs: np.ndarray, table: np.ndarray, size: int
+) -> tuple[int, int, int] | None:
     """A probe (i, j, t), not the trivial (i, i, 0), with
     correlation(seqs[i], seqs[j], t) >= size, or None when there is none;
-    `table` is `_rotation_table(seqs)`.
+    `table` is `_rotation_table(seqs)`.  The root's key, each rotation's
+    symbol at position 0, is `seqs` itself, C-ordered like every key, so
+    the test at L = 1 keys it with no copy.
 
     For a set P of `size` positions that contains 0, each rotation is keyed
     by its symbols at P, so two equal keys are two distinct rotations that
@@ -480,12 +485,12 @@ def _collision(table: np.ndarray, size: int) -> tuple[int, int, int] | None:
     entries, re-ranks a partial key in its own buffer, or once, at the
     root, into one more, and frees all of them when it returns.
     """
-    n = table.shape[1] // 2
-    base = int(table[:, :n].max()) + 1
+    n = seqs.shape[1]
+    base = int(seqs.max()) + 1
     # one buffer per depth below the root, reused by every prefix there
-    keys = np.empty((size - 1, table.shape[0], n), dtype=np.int64)
+    keys = np.empty((size - 1, *seqs.shape), dtype=np.int64)
     gaps = [0] * size  # gaps[d] = p_d - p_{d-1}; gaps[0] sorts below all
-    hit = _search(table, keys, gaps, base, table[:, :n], base, 0, 1, 1)
+    hit = _search(table, keys, gaps, base, seqs, base, 0, 1, 1)
     if hit is None:
         return None
     (i, s), (j, s2) = divmod(hit[0], n), divmod(hit[1], n)
@@ -500,13 +505,13 @@ def _search(table, keys, gaps, base, key, span, last, depth, period):
     A child's key is key * base + its window of the table, written into
     the buffer of its depth.  At the last depth before the leaves, from
     depth 2 on, `key` is its parent's buffer, so it is multiplied by base
-    once, in place, and each leaf is one add; at depth 1 it is the table
+    once, in place, and each leaf is one add; at depth 1 it is the set
     itself, never written."""
     size, n = len(gaps), table.shape[1] // 2
     if depth == size:
         return _repeat(key, span)
     if span * base > _KEY_LIMIT:
-        # the root's key is the table itself; a deeper one is its parent's
+        # the root's key is the set itself; a deeper one is its parent's
         # buffer, rewritten for the next prefix only after this one returns
         out = key if depth > 1 else np.empty(key.shape, dtype=np.int64)
         key, span = out, _rerank(key, out)
@@ -592,7 +597,7 @@ def max_nontrivial(
             )
         if size == 1:  # the first test: the table is built after its checks
             table = _rotation_table(seqs)
-        hit = _collision(table, size)
+        hit = _collision(seqs, table, size)
         if hit is None:
             break
         i, j, t = hit

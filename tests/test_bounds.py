@@ -1,6 +1,7 @@
 import itertools
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 from math import ceil
 
@@ -165,12 +166,12 @@ def test_pf_sweep_matches_scalar_oracle(monkeypatch):
     # the suffix's own
     tile_fn = bounds._sweep_tile
 
-    def spy(n, count, ell, terms):
+    def spy(n, count, ell, terms, scratch):
         assert n.dtype == count.dtype == np.asarray(ell).dtype and np.ndim(ell) == 0
         assert count.size and (n * count >= ell).all()
         assert all(t.dtype == n.dtype for t in terms)
         assert all((t == want).all() for t, want in zip(terms, bounds._pair_terms(n, count)))
-        return tile_fn(n, count, ell, terms)
+        return tile_fn(n, count, ell, terms, scratch)
 
     monkeypatch.setattr(bounds, "_sweep_tile", spy)
     for int32_max_nn, tile in itertools.product(INT32_BOUNDS, (bounds._SWEEP_TILE, 7, 1)):
@@ -198,7 +199,6 @@ def test_int32_bound_is_the_largest_that_fits():
 @pytest.mark.parametrize("grid,dtype", [
     ((1, 46340, 1), "int32"),  # ell = 1 at the largest nN: a2 = nN(nN - 1) < M^2
     ((1, 46341, 1), "int64"),
-    ((2, 16383, 3), "int32"),
     ((2, 23170, 3), "int32"),
     ((2, 23171, 3), "int64"),
     ((181, 181, 2), "int32"),
@@ -208,13 +208,37 @@ def test_pf_sweep_on_each_side_of_the_int32_bound(monkeypatch, grid, dtype):
     dtypes = set()
     tile = bounds._sweep_tile
 
-    def spy(n, count, ell, terms):
+    def spy(n, count, ell, terms, scratch):
         dtypes.add(count.dtype)
-        return tile(n, count, ell, terms)
+        return tile(n, count, ell, terms, scratch)
 
     monkeypatch.setattr(bounds, "_sweep_tile", spy)
     report = pf_identity_sweep(*grid)
     assert dtypes == {np.dtype(dtype)}
+    assert (report.triples_checked, report.counterexamples) == scalar_pf_sweep(*grid)
+
+
+@pytest.mark.parametrize("int32_max_nn", INT32_BOUNDS, ids=["int32", "int64"])
+@pytest.mark.parametrize("extra", [0, 1], ids=["one-chunk", "one-chunk-and-a-pair"])
+def test_pf_sweep_on_each_side_of_a_full_chunk(monkeypatch, int32_max_nn, extra):
+    # N = 2..N_max at n = 1: exactly one chunk's pairs, or one pair more,
+    # which the next chunk checks alone; the tiles fill the scratch buffers
+    # and every value they hold is right
+    monkeypatch.setattr(bounds, "_SWEEP_INT32_MAX_NN", int32_max_nn)
+    dtype, step = (np.int32, bounds._SWEEP_TILE) if int32_max_nn else \
+        (np.int64, bounds._SWEEP_TILE // 2)
+    sizes = []
+    tile = bounds._sweep_tile
+
+    def spy(n, count, ell, terms, scratch):
+        assert count.dtype == dtype and all(s.size == step for s in scratch)
+        sizes.append(count.size)
+        return tile(n, count, ell, terms, scratch)
+
+    monkeypatch.setattr(bounds, "_sweep_tile", spy)
+    grid = (1, step + 1 + extra, 3)
+    report = pf_identity_sweep(*grid)
+    assert sizes == [step, step, step - 1] + [1, 1, 1] * extra
     assert (report.triples_checked, report.counterexamples) == scalar_pf_sweep(*grid)
 
 
@@ -244,20 +268,36 @@ def test_pf_tile_extreme_cells_agree_in_both_dtypes():
         results = []
         for dtype in (np.int32, np.int64):
             n, count = np.array(inside, dtype=dtype).T
-            results.append(
-                bounds._sweep_tile(n, count, dtype(ell), bounds._pair_terms(n, count)))
+            results.append(bounds._sweep_tile(
+                n, count, dtype(ell), bounds._pair_terms(n, count),
+                bounds._sweep_scratch(dtype, n.size)))
         assert results[0] == results[1] == (len(inside), []), ell
 
 
 @pytest.mark.parametrize("dtype", [np.int32, np.int64])
 def test_pf_tile_terms_keep_the_tile_dtype(dtype):
     # an int32 tile silently widened to int64 would pass every oracle test
-    # and only run slower
-    n = np.array([1, 2, 3, 7], dtype=dtype)
-    count = np.array([2, 5, 1, 3], dtype=dtype)
+    # and only run slower.  The terms and every buffer keep the tile's
+    # dtype, the fractions are written into their buffers, and a tile
+    # allocates less than a byte per cell: a ufunc whose operands differ
+    # in dtype, an int64 scalar among int32 arrays say, fills a cast buffer
+    # of its own of 8,192 values.
+    n = np.arange(1, 8193, dtype=dtype) % 7 + 1
+    count = np.arange(8192, dtype=dtype) % 5 + 2
+    ell = dtype(2)
     terms = bounds._pair_terms(n, count)
-    fractions = bounds._pf_fractions(n, count, dtype(2), terms)
-    assert [t.dtype for t in (*terms, *fractions)] == [np.dtype(dtype)] * 9
+    scratch = bounds._sweep_scratch(dtype, n.size)
+    fractions = bounds._pf_fractions(n, count, ell, terms, scratch[:4])
+    assert all(f is s for f, s in zip(fractions, scratch[:4])) and fractions[4] is terms[3]
+    assert [t.dtype for t in (*terms, *fractions, *scratch[:7])] == [np.dtype(dtype)] * 16
+    assert [s.dtype for s in scratch[7:]] == [np.dtype(bool)] * 2
+    tracemalloc.start()
+    try:
+        assert bounds._sweep_tile(n, count, ell, terms, scratch) == (n.size, [])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n.size
 
 
 @pytest.mark.parametrize("int32_max_nn", INT32_BOUNDS, ids=["int32", "int64"])
@@ -276,8 +316,8 @@ def test_pf_sweep_reports_the_oracles_counterexamples(monkeypatch, int32_max_nn,
     monkeypatch.setattr(bounds, "_SWEEP_INT32_MAX_NN", int32_max_nn)
     fractions = bounds._pf_fractions
 
-    def mutated(n, count, ell, terms):
-        big_i, *rest = fractions(n, count, ell, terms)
+    def mutated(n, count, ell, terms, out=None):
+        big_i, *rest = fractions(n, count, ell, terms, out)
         return (big_i, *mutate(*rest))
 
     monkeypatch.setattr(bounds, "_pf_fractions", mutated)
@@ -288,6 +328,31 @@ def test_pf_sweep_reports_the_oracles_counterexamples(monkeypatch, int32_max_nn,
             want = scalar_pf_sweep(*grid, mutate=mutate)
             assert want[1] and not report.ok
             assert (report.triples_checked, report.counterexamples) == want
+
+
+@pytest.mark.parametrize("int32_max_nn", INT32_BOUNDS, ids=["int32", "int64"])
+def test_pf_sweep_makes_no_per_tile_temporaries(monkeypatch, int32_max_nn):
+    # M = 40,000: three chunks of 2^14 pairs in int32, five of 2^13 in
+    # int64, and 60 tiles in each.  The peak is one chunk's arrays (the
+    # pair index, n, N, nN, the four pair terms and the int64 sort order)
+    # with the last chunk's pair terms, which the new ones replace, beside
+    # the sweep's nine scratch buffers, and a slack of half of one more
+    # array of a chunk's pairs
+    monkeypatch.setattr(bounds, "_SWEEP_INT32_MAX_NN", int32_max_nn)
+    monkeypatch.setattr(bounds, "_SWEEP_TILE", 1 << 14)
+    itemsize, step = (4, 1 << 14) if int32_max_nn else (8, 1 << 13)
+    grid = (5, 8000, 60)
+    assert (40_000 <= bounds._SWEEP_INT32_MAX_NN) == (itemsize == 4)
+    tracemalloc.start()
+    try:
+        report = pf_identity_sweep(*grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok
+    chunk = (12 * itemsize + 8) * step
+    scratch = (7 * itemsize + 2) * step
+    assert peak <= chunk + scratch + itemsize * step // 2
 
 
 def test_pf_sweep_benchmark_grid_count():

@@ -441,7 +441,7 @@ def test_collision_test_decides_m_at_least_l():
         rows = fset.seqs.tolist()
         m = scalar_max_nontrivial(rows)
         for size in range(1, fset.n + 2):
-            hit = _collision(_rotation_table(fset.seqs), size)
+            hit = _collision(fset.seqs, _rotation_table(fset.seqs), size)
             assert hit == full_collision_walk(fset.seqs, size)
             assert (hit is not None) == (m >= size)
             if hit is not None:
@@ -467,7 +467,7 @@ def test_necklace_walk_matches_full_walk(monkeypatch):
     fast = [max_nontrivial(fset, budget=None) for fset in sets]
     monkeypatch.setattr(
         fhs, "_collision",
-        lambda table, size: full_collision_walk(table[:, :table.shape[1] // 2], size),
+        lambda seqs, table, size: full_collision_walk(seqs, size),
     )
     for fset, survey in zip(sets, fast):
         full = max_nontrivial(fset, budget=None)
@@ -484,8 +484,8 @@ def test_periodic_position_class(agree):
     fset = FhsSet([x, y], 12)
     table = _rotation_table(fset.seqs)
     size = len(agree)
-    assert _collision(table, size) == full_collision_walk(fset.seqs, size) == (0, 1, 0)
-    assert _collision(table, size + 1) is None
+    assert _collision(fset.seqs, table, size) == full_collision_walk(fset.seqs, size) == (0, 1, 0)
+    assert _collision(fset.seqs, table, size + 1) is None
     survey = max_nontrivial(fset)
     assert (survey.value, survey.witness) == (size, (0, 1, 0))
     assert scalar_max_nontrivial(fset.seqs.tolist()) == size
@@ -497,14 +497,15 @@ def test_each_rotation_class_keyed_once(monkeypatch):
     keyed = []
     monkeypatch.setattr(fhs, "_repeat", lambda key, span: keyed.append(1))
     for n in range(1, 13):
-        table = _rotation_table(np.arange(n, dtype=np.uint32)[None, :])
+        seqs = np.arange(n, dtype=np.uint32)[None, :]
+        table = _rotation_table(seqs)
         for size in range(1, n + 1):
             classes = {
                 min(tuple(sorted((p - s) % n for p in subset)) for s in range(n))
                 for subset in itertools.combinations(range(n), size)
             }
             keyed.clear()
-            assert _collision(table, size) is None
+            assert _collision(seqs, table, size) is None
             assert len(keyed) == len(classes) == _rotation_classes(n, size)
 
 
@@ -520,10 +521,10 @@ def test_budget_counts_the_rotations_a_test_keys(monkeypatch):
         fset = FhsSet(sorted(rows), ell)
         tests, keyed = [], []
 
-        def counting_collision(table, size):
+        def counting_collision(seqs, table, size):
             tests.append(size)
             keyed.clear()
-            return collision(table, size)
+            return collision(seqs, table, size)
 
         def counting_repeat(key, span):
             keyed.append(1)
@@ -556,9 +557,9 @@ def test_last_test_keys_one_set_per_rotation_class(monkeypatch, build, last, lea
     keyed = {}
     collision = fhs._collision
 
-    def counting_collision(table, size):
+    def counting_collision(seqs, table, size):
         keyed[size] = 0
-        return collision(table, size)
+        return collision(seqs, table, size)
 
     def counting_repeat(key, span):
         keyed[max(keyed)] += 1
@@ -723,6 +724,26 @@ def c512_rows():
     return family_c(512, 27, 0, budget=1).fhs.seqs.astype(np.int64)
 
 
+def test_collision_at_l_one_keys_the_set_in_place():
+    # At L = 1 each rotation is keyed by its first symbol, and C512's set
+    # has N * n = 262,143 rotations over 512 symbols, so a repeat is certain
+    # and one bincount locates it.  The set is C-ordered and keyed as it
+    # is: the peak is bincount's intp copy of the keys, 8 bytes per
+    # rotation, beside its bins, 8 bytes each.
+    fset = FhsSet(c512_rows(), 512)
+    assert fset.seqs.flags.c_contiguous
+    rotations = fset.size * fset.n
+    table = _rotation_table(fset.seqs)
+    tracemalloc.start()
+    try:
+        hit = _collision(fset.seqs, table, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert hit == full_collision_walk(fset.seqs, 1)
+    assert peak <= 8 * rotations + 8 * 512 + 4096
+
+
 @pytest.mark.parametrize("scale, shift, ell, branch", [
     (2, 0, 1024, "bincount"),  # 1023^2 bins, just under 4 * N * n
     (4096, 7, 2**21, "sort"),
@@ -745,9 +766,9 @@ def test_memory_estimate_bounds_the_peak(monkeypatch, scale, shift, ell, branch)
         reranked.append(key.dtype)
         return rerank(key, out)
 
-    def spying_collision(table, size):
+    def spying_collision(seqs, table, size):
         tests.append(size)
-        return collision(table, size)
+        return collision(seqs, table, size)
 
     monkeypatch.setattr(fhs, "_repeat", spying_repeat)
     monkeypatch.setattr(fhs, "_rerank", spying_rerank)
