@@ -278,7 +278,6 @@ def _add_code_args(sub):
                      help="comma-separated residues (a union of cosets)")
     sub.add_argument("--cosets-given", action="store_true",
                      help="treat --defining-set entries as coset representatives")
-    sub.add_argument("--json", action="store_true")
 
 
 class _Exit(Exception):
@@ -328,6 +327,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     s = subs.add_parser("code", help="build and inspect a cyclic code")
     _add_code_args(s)
+    s.add_argument("--json", action="store_true")
     s.set_defaults(func=cmd_code)
 
     s = subs.add_parser("mindist", help="exhaustive minimum distance")

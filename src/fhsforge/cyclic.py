@@ -204,7 +204,7 @@ class CyclicCode:
     defining_set: tuple[int, ...]
     generator: Polynomial
     check: Polynomial
-    # the minimum distance, once a walk has weighed it; see `_orbits`
+    # the minimum distance, once a partition has weighed it; see `_orbits`
     _min_distance: int | None = dataclasses.field(
         default=None, init=False, repr=False, compare=False
     )
@@ -341,8 +341,9 @@ def codeword_matrix(code: CyclicCode, cap: int = ENUMERATION_CAP) -> np.ndarray:
     """All q^k codewords as an array of shape (q^k, n), message order:
     row sum_i m_i q^(k-1-i) holds sum_i m_i x^i g(x).  Used only as the
     tests' message-order oracle and the trace's enumeration span."""
-    # 12 bytes per entry; the uint32 sum and, for m > 1, one uint32 digit take 8
-    _check_cap(code, cap, (BYTES_PER_KEY + 12 * code.n) * code.size)
+    # 9 bytes per entry: the traced peak is 5.0 to 8.4, on [15, 9] over GF(4)
+    # up to [26, 4] over GF(25)
+    _check_cap(code, cap, 9 * code.n * code.size)
     mat = np.zeros((1, code.n), dtype=np.uint32)
     if code.dimension == 0:  # the zero code: g = x^n - 1 has n + 1 coefficients
         return mat
@@ -384,12 +385,6 @@ def _walk(code: CyclicCode, nxt: np.ndarray, keys: np.ndarray) -> np.ndarray:
         raise AssertionError("the shift map does not regenerate g: "
                              "h is not this code's check polynomial")
     return words[:, :-1]
-
-
-def _least_weight(words: np.ndarray) -> int:
-    """The fewest nonzero digits in a nonzero column of a walk."""
-    weights = np.count_nonzero(words, axis=0)
-    return int(weights[weights > 0].min())
 
 
 def _least_keys(nxt: np.ndarray, n: int) -> np.ndarray:
@@ -435,7 +430,8 @@ def _orbits(code: CyclicCode, census: dict) -> tuple[np.ndarray, np.ndarray]:
         raise AssertionError(f"{len(least)} orbits of sizes {found}, "
                              f"not the census's {census}")
     walk = _walk(code, nxt, least)
-    object.__setattr__(code, "_min_distance", _least_weight(walk))
+    weights = np.count_nonzero(walk, axis=0)
+    object.__setattr__(code, "_min_distance", int(weights[weights > 0].min()))
     return walk, sizes
 
 
@@ -485,24 +481,12 @@ enumerate_classes = class_partition  # the partition under the trace's name
 
 
 def min_distance_exhaustive(code: CyclicCode, cap: int = ENUMERATION_CAP) -> int:
-    """Exact minimum Hamming weight over the nonzero codewords.
-
-    Every nonzero word has a rotation with c_0 != 0, and scaling it by
-    c_0^-1 gives c_0 = 1 at the same weight.  So only the q^(k-1) keys in
-    [q^(k-1), 2 q^(k-1)), leading digit 1, are weighed, spelt by `_walk`
-    with the two checks of `class_partition` in an (n, q^(k-1)) array.
-
-    The cap and memory checks come first, for this walk, whether or not
-    the code holds its distance.  Past them, a distance stored on the code
-    by an earlier `class_partition` or call of this function is returned
-    without a walk; otherwise the walk's result is stored.
-    """
+    """Exact minimum Hamming weight over the nonzero codewords: the
+    distance `class_partition` stores on the code, partitioning it first
+    when it holds none.  The cap check comes first either way."""
     if code.dimension == 0:
         raise ZeroCode("the zero code has no minimum distance")
-    lead = code.field.order ** (code.dimension - 1)
-    # the shift map, and 5 bytes per entry of the uint32 walk and its mask
-    _check_cap(code, cap, BYTES_PER_KEY * code.size + 5 * code.n * lead)
+    _check_cap(code, cap, 0)
     if code._min_distance is None:
-        words = _walk(code, _shift_map(code), np.arange(lead, 2 * lead))
-        object.__setattr__(code, "_min_distance", _least_weight(words))
+        class_partition(code, cap=cap)
     return code._min_distance

@@ -248,7 +248,8 @@ def _decode_record(raw: bytes) -> tuple[dict, np.ndarray] | None:
     count, n = fields.get("N"), fields.get("n")
     if type(count) is not int or type(n) is not int or count < 1 or n < 1:
         return None
-    # a number split by whitespace would read as one once it is deleted
+    # a number split by whitespace would read as one once it is deleted, and
+    # a digit outside the numbers would be a run past the count * n numbers
     if _digit_runs(np.frombuffer(raw, np.uint8, end - start, start)) != count * n:
         return None
     chars = np.frombuffer(raw[start:end].translate(None, _WHITESPACE), np.uint8)
@@ -274,7 +275,9 @@ def _decode_rows(chars: np.ndarray, count: int, n: int) -> np.ndarray | None:
     """The (count, n) int64 array that `chars`, the bytes of a JSON array
     without whitespace, holds when they are "[" then `count` rows "[d,...,d]"
     of n numbers joined by "," then "]", each number 1 to `_MAX_DIGITS`
-    digits without a leading zero; None when they are anything else.
+    digits without a leading zero; None when they are anything else.  The
+    caller has checked that `chars` holds no more than count * n runs of
+    digits, so none lies outside the numbers.
 
     Every byte that is no digit is a mark, and the marks must be exactly
     that "[", "," and "]" skeleton.  Rows are then read in blocks of about
@@ -298,18 +301,14 @@ def _decode_rows(chars: np.ndarray, count: int, n: int) -> np.ndarray | None:
     # marks in columns j and j + 1
     grid = at[1:].reshape(count, n + 2)
     values = np.empty((count, n), np.int64)
-    digits = 0
     step = max(1, _BLOCK // n)
     for r in range(0, count, step):
         ends = grid[r:r + step, 1:n + 1]
         widths = ends - grid[r:r + step, :n] - 1
         if widths.min() < 1 or widths.max() > _MAX_DIGITS:
             return None
-        digits += int(widths.sum(dtype=np.int64))
         if not _horner(chars, ends, widths, values[r:r + step]):
             return None
-    if digits != chars.size - marks:
-        return None  # digits outside the numbers
     return values
 
 

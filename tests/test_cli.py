@@ -722,7 +722,9 @@ def test_negative_budget_is_input_error(tmp_path, capsys, b5_record):
     ["no-such-command"],
     ["verify", "F", "--budget", "abc"],
     ["build", "--family", "A", "--m", "4", "--k", "8", "--params-only"],
-], ids=["sampled", "samples-seed", "threads", "subcommand", "budget", "params-only"])
+    ["mindist", "--n", "9", "--q", "8", "--defining-set", "3,4,5,6", "--json"],
+], ids=["sampled", "samples-seed", "threads", "subcommand", "budget", "params-only",
+        "mindist-json"])
 def test_usage_error_is_input_error(capsys, argv):
     # exit 2 would read as a claim mismatch
     code, out, err = run(capsys, *argv)

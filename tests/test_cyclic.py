@@ -621,8 +621,8 @@ def test_least_rotation_partition_matches_brute_force():
 def test_least_rotation_partition_checks_information_sets():
     # [7, 4] binary Hamming code, h = (x + 1)(x^3 + x^2 + 1) or its mirror:
     # the reversed recurrence walks the words of the mirror code, every
-    # one n-periodic, so only the walk from g's key catches it.  Both the
-    # partition and the minimum distance walk through the same two checks.
+    # one n-periodic, so only the walk from g's key catches it.  The
+    # minimum distance is the partition's, so it stops where that stops.
     def refused(code, message):
         for caller in (class_partition, min_distance_exhaustive):
             with pytest.raises(AssertionError, match=message):
@@ -630,15 +630,14 @@ def test_least_rotation_partition_checks_information_sets():
 
     def miscounted(code, found):
         # pointer jumping over a map that is not the shift finds orbit sizes
-        # the census does not count, and the partition stops there; given
-        # those sizes, its walk is refused as the distance's is
+        # the census does not count, and the partition, the distance's too,
+        # stops there; given those sizes, its walk is refused
         orbits = sum(found.values())
-        with pytest.raises(AssertionError, match=f"{orbits} orbits of sizes"):
-            class_partition(code)
+        for caller in (class_partition, min_distance_exhaustive):
+            with pytest.raises(AssertionError, match=f"{orbits} orbits of sizes"):
+                caller(code)
         with pytest.raises(AssertionError, match="is not the identity"):
             cyclic._orbits(code, found)
-        with pytest.raises(AssertionError, match="is not the identity"):
-            min_distance_exhaustive(code)
 
     code = build_code(7, make_field(2, 1), [1, 2, 4])
     h = code.check
@@ -787,6 +786,28 @@ def test_codeword_matrix_message_order():
             assert row == list(word.coeffs) + [0] * (n - len(word.coeffs))
 
 
+@pytest.mark.parametrize("q, n, nonzeros", [
+    (49, 50, (0, 1)), (25, 26, (1, 2)), (2, 31, (0, 1, 3, 5)), (4, 15, (0, 1, 2, 3, 6)),
+], ids=["50-3-GF49", "26-4-GF25", "31-16-GF2", "15-9-GF4"])
+def test_codeword_matrix_memory_rule(monkeypatch, q, n, nonzeros):
+    # the message-order fold peaks at 5.0 to 8.4 bytes per entry, under the
+    # rule's 9, and a machine one byte short of the rule refuses it before
+    # any work; the nonzeros are the union of the cosets of these members
+    keep = {j for c in cyclotomic_cosets(n, q) if c[0] in nonzeros for j in c}
+    code = build_code(n, field_from_order(q), [j for j in range(n) if j not in keep])
+    need = 9 * n * code.size
+    tracemalloc.start()
+    try:
+        codeword_matrix(code)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 4 * n * code.size < peak <= need  # the uint32 matrix itself takes 4
+    monkeypatch.setattr(cyclic, "_physical_memory", lambda: need - 1)
+    with pytest.raises(EnumerationTooLarge, match=f"{need} bytes, .* physical memory"):
+        codeword_matrix(code)
+
+
 def test_min_distance_matches_full_enumeration():
     dims = []
     for code in _small_codes():
@@ -798,10 +819,10 @@ def test_min_distance_matches_full_enumeration():
 
 def test_min_distance_sweep_against_the_codeword_matrix():
     # every code of dimension >= 1 over GF(2), GF(3), GF(4) and GF(5) with
-    # n <= 15 and at most 2^12 words, k up to 12: the walk weighs only the
-    # keys with leading digit 1, the message-order matrix every word.  The
-    # distance stored by a partition, or by a walk of every orbit, is read
-    # on fresh code objects beside the walk's own.
+    # n <= 15 and at most 2^12 words, k up to 12: the partition weighs one
+    # word per orbit, the message-order matrix every word.  The distance
+    # stored by a partition, or by a walk of every orbit, is read on fresh
+    # code objects beside the one that the distance partitions itself.
     dims = set()
     for q in (2, 3, 4, 5):
         F = field_from_order(q)
@@ -859,20 +880,17 @@ def test_enumeration_cap():
 
 def test_enumeration_past_physical_memory(monkeypatch):
     # [7, 4] Hamming code: the partition needs 32 bytes per window key (its
-    # walk of 4 orbits, 16 * 16 + 9 * 7 * 4 = 508 bytes, fits), the minimum
-    # distance also 5 bytes per entry of its (7, 2^3) walk
+    # walk of 4 orbits, 16 * 16 + 9 * 7 * 4 = 508 bytes, fits), and so does
+    # the minimum distance of a fresh code, which partitions it
     code = build_code(7, make_field(2, 1), [1, 2, 4])
-    partition_need, distance_need = 32 * 16, 32 * 16 + 5 * 7 * 8
-    monkeypatch.setattr(cyclic, "_physical_memory", lambda: partition_need - 1)
-    with pytest.raises(EnumerationTooLarge, match="physical memory"):
-        class_partition(code)
-    monkeypatch.setattr(cyclic, "_physical_memory", lambda: partition_need)
-    assert class_partition(code)[1].tolist() == [7, 7]
-    monkeypatch.setattr(cyclic, "_physical_memory", lambda: distance_need - 1)
-    with pytest.raises(EnumerationTooLarge, match="physical memory"):
-        min_distance_exhaustive(code)
-    monkeypatch.setattr(cyclic, "_physical_memory", lambda: distance_need)
+    need = 32 * 16
+    monkeypatch.setattr(cyclic, "_physical_memory", lambda: need - 1)
+    for caller in (class_partition, min_distance_exhaustive):
+        with pytest.raises(EnumerationTooLarge, match="physical memory"):
+            caller(code)
+    monkeypatch.setattr(cyclic, "_physical_memory", lambda: need)
     assert min_distance_exhaustive(code) == 3
+    assert class_partition(code)[1].tolist() == [7, 7]
 
 
 def test_short_orbit_walk_past_physical_memory(monkeypatch):
@@ -927,6 +945,24 @@ def test_stored_distance_is_read_after_the_cap_check():
     with pytest.raises(EnumerationTooLarge):
         min_distance_exhaustive(code, cap=1)
     assert min_distance_exhaustive(code) == 5
+
+
+def test_min_distance_partitions_a_fresh_code_once(monkeypatch):
+    # the distance is the partition's by-product: a fresh code is
+    # partitioned once, and the stored distance is read without another
+    calls = []
+
+    def spy(code, *args, **kwargs):
+        calls.append(code)
+        return class_partition(code, *args, **kwargs)
+
+    monkeypatch.setattr(cyclic, "class_partition", spy)
+    code = build_code(9, make_field(2, 3), [3, 4, 5, 6])
+    assert code._min_distance is None
+    assert min_distance_exhaustive(code) == 5
+    assert calls == [code] and code._min_distance == 5
+    assert min_distance_exhaustive(code) == 5
+    assert len(calls) == 1
 
 
 def test_stored_distance_is_not_part_of_the_code():

@@ -295,7 +295,8 @@ def layouts(fset):
 
 def test_record_bytes_read_as_their_parsed_json():
     # every one-byte substitution, insertion and deletion of a small record
-    # in each layout: the bytes give the set or the error of the list path
+    # in each layout, and a digit inserted beside a space: the bytes give
+    # the set or the error of the list path
     fset = FhsSet([[0, 1, 10], [2, 10, 1]], 11, {"family": "B", "q": 5}, 1)
     decoded = 0
     for layout, raw in layouts(fset).items():
@@ -305,6 +306,8 @@ def test_record_bytes_read_as_their_parsed_json():
             for byte in b'0123456789[], \n"-.eN\x0c':
                 mutants.add(raw[:i] + bytes([byte]) + raw[i + 1:])
                 mutants.add(raw[:i] + bytes([byte]) + raw[i:])
+            for insert in (b" 7", b"7 "):  # a stray digit is one digit run too many
+                mutants.add(raw[:i] + insert + raw[i:])
         for mutant in mutants:
             decoded += fhs._decode_record(mutant) is not None
             assert parsed(mutant) == parsed_as_list(mutant), mutant
