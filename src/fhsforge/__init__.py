@@ -25,7 +25,6 @@ from .cyclic import (
     class_partition,
     cyclotomic_cosets,
     factor_x_pow_n_minus_one,
-    has_full_orbits_outside_constants,
     min_distance_exhaustive,
     unit_coset_code,
 )
@@ -65,7 +64,6 @@ __all__ = [
     "family_c",
     "family_ding",
     "field_from_order",
-    "has_full_orbits_outside_constants",
     "largest_bad_m",
     "make_field",
     "max_nontrivial",

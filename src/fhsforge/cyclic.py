@@ -22,7 +22,6 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import (
-    DoesNotContainAllOnes,
     EnumerationTooLarge,
     FactorTableTooLarge,
     GcdConditionViolated,
@@ -297,11 +296,8 @@ def _short_constants(n: int, nonzeros) -> bool:
 
 
 def has_full_orbits_outside_constants(code: CyclicCode) -> bool:
-    """True iff every codeword outside the constant-word subcode has a full
-    shift orbit of size n.  Requires the constants to be codewords (0 not
-    in Z); see `_full_orbits`."""
-    if 0 in code.defining_set:
-        raise DoesNotContainAllOnes("defining set contains 0")
+    """True iff every codeword outside the constant words has a full shift
+    orbit of size n, whether or not 0 is in Z; see `_full_orbits`."""
     return _full_orbits(code.n, code.nonzeros)
 
 

@@ -41,10 +41,6 @@ class NotCosetClosed(FhsForgeError):
     pass
 
 
-class DoesNotContainAllOnes(FhsForgeError):
-    pass
-
-
 class ZeroCode(FhsForgeError):
     pass
 

@@ -408,33 +408,29 @@ _BINCOUNT_FLOOR = 1 << 20
 
 def _repeat(key: np.ndarray, span: int) -> tuple[int, int] | None:
     """Two flat indices of `key` (values in 0..span-1) holding the same
-    value, or None when all values are distinct.
+    value, or None when all values are distinct: the first two indices of
+    the most frequent value.
 
-    Over a narrow span a `span`-byte bitmap of the values seen decides
-    whether all are distinct; with more keys than values a repeat is
-    certain and the bitmap is skipped.  Only a test that has a repeat
-    counts the keys with bincount, 8 bytes per bin, to locate its pair:
-    the first two indices of the most frequent value.  Over a wide span
-    one sort both decides and locates: the first two indices of the least
-    repeated value."""
+    A span past max(4 * size, 2^20) is first re-ranked, into a new int64
+    array, to at most `key`'s size.  A `span`-byte bitmap of the values
+    seen then decides whether all are distinct; with more keys than values
+    a repeat is certain and the bitmap is skipped.  Only a test that has a
+    repeat counts the keys with bincount, 8 bytes per bin, to locate its
+    pair; a re-rank keeps the values' order, so the pair is the same."""
     flat = key.ravel()
-    if span <= max(4 * flat.size, _BINCOUNT_FLOOR):
-        if flat.size <= span:
-            seen = np.zeros(span, dtype=bool)
-            seen[flat] = True
-            if np.count_nonzero(seen) == flat.size:
-                return None
-            del seen
-        value = int(np.bincount(flat).argmax())
-        equal = flat == value  # a bool mask, not an 8-byte index of each match
-        equal[first := int(equal.argmax())] = False
-        return first, int(equal.argmax())
-    order = np.argsort(flat, kind="stable")
-    ranked = flat[order]
-    equal = np.flatnonzero(ranked[1:] == ranked[:-1])
-    if equal.size == 0:
-        return None
-    return int(order[equal[0]]), int(order[equal[0] + 1])
+    if span > max(4 * flat.size, _BINCOUNT_FLOOR):
+        ranks = np.empty(flat.size, dtype=np.int64)
+        flat, span = ranks, _rerank(flat, ranks)
+    if flat.size <= span:
+        seen = np.zeros(span, dtype=bool)
+        seen[flat] = True
+        if np.count_nonzero(seen) == flat.size:
+            return None
+        del seen
+    value = int(np.bincount(flat).argmax())
+    equal = flat == value  # a bool mask, not an 8-byte index of each match
+    equal[first := int(equal.argmax())] = False
+    return first, int(equal.argmax())
 
 
 def _rotation_table(seqs: np.ndarray) -> np.ndarray:
@@ -480,14 +476,13 @@ def _collision(
     so this walk meets it first, with the key and pair the walk over all
     sets would give.
 
-    Beside the table it holds `size` - 1 int64 key buffers of N * n
-    entries, re-ranks a partial key in its own buffer, or once, at the
-    root, into one more, and frees all of them when it returns.
+    Beside the table it holds `size` int64 key buffers of N * n entries,
+    one per depth, none at L = 1, and frees all of them when it returns.
     """
     n = seqs.shape[1]
     base = int(seqs.max()) + 1
-    # one buffer per depth below the root, reused by every prefix there
-    keys = np.empty((size - 1, *seqs.shape), dtype=np.int64)
+    # one buffer per depth, reused by every prefix there
+    keys = np.empty((size if size > 1 else 0, *seqs.shape), dtype=np.int64)
     gaps = [0] * size  # gaps[d] = p_d - p_{d-1}; gaps[0] sorts below all
     hit = _search(table, keys, gaps, base, seqs, base, 0, 1, 1)
     if hit is None:
@@ -501,25 +496,24 @@ def _search(table, keys, gaps, base, key, span, last, depth, period):
     p_0 = 0 < ... < p_{depth-1} = last, whose `key` holds values below
     `span`; gaps[1:depth] is a prenecklace of period `period`.
 
-    A child's key is key * base + its window of the table, written into
-    the buffer of its depth.  At the last depth before the leaves, from
-    depth 2 on, `key` is its parent's buffer, so it is multiplied by base
-    once, in place, and each leaf is one add; at depth 1 it is the set
-    itself, never written."""
+    A prefix writes key * base into its depth's buffer once: from depth 2
+    on in place, since `key` is that buffer, which the parent rewrites for
+    its next child only after this call returns; at the root, whose key is
+    the set itself, as a scaled copy.  A key whose product could pass
+    `_KEY_LIMIT` is first re-ranked into the same buffer.  Each child's key
+    is then one add of that buffer and its window of the table, into the
+    buffer of the child's depth."""
     size, n = len(gaps), table.shape[1] // 2
     if depth == size:
         return _repeat(key, span)
+    scaled = keys[depth - 1]
     if span * base > _KEY_LIMIT:
-        # the root's key is the set itself; a deeper one is its parent's
-        # buffer, rewritten for the next prefix only after this one returns
-        out = key if depth > 1 else np.empty(key.shape, dtype=np.int64)
-        key, span = out, _rerank(key, out)
+        key, span = scaled, _rerank(key, scaled)
+    # int64 whatever the key's width: the loop is picked from the inputs
+    np.multiply(key, base, out=scaled, dtype=np.int64)
     low = last + max(gaps[depth - period], 1)
     high = n - (size - depth) * gaps[1] if depth > 1 else n // size
     leaf = depth == size - 1
-    scaled = leaf and depth > 1
-    if scaled:  # in place, as the re-rank above
-        np.multiply(key, base, out=key)
     for p in range(low, high + 1):
         gap = gaps[depth] = p - last
         grown = period if gap == gaps[depth - period] else depth
@@ -527,12 +521,7 @@ def _search(table, keys, gaps, base, key, span, last, depth, period):
             end, back = n - p, gaps[size - grown]
             if end < back or (end == back and size % grown):
                 continue
-        if scaled:
-            child = np.add(key, table[:, p:p + n], out=keys[depth - 1])
-        else:
-            # int64 whatever the key's width: the loop is picked from the inputs
-            child = np.multiply(key, base, out=keys[depth - 1], dtype=np.int64)
-            child += table[:, p:p + n]
+        child = np.add(scaled, table[:, p:p + n], out=keys[depth])
         hit = _search(table, keys, gaps, base, child, span * base, p, depth + 1, grown)
         if hit is not None:
             return hit
@@ -561,9 +550,10 @@ def max_nontrivial(
     any budget it also refuses a set of more than 2^30 rotations, whose
     keys could overflow, and a test whose peak could exceed physical
     memory.  That peak is at most 8 * (L + 3) * N * n bytes plus 8 per
-    bin of the largest bincount, max(4 * N * n, 2^20): the table, each of
-    the L - 1 key buffers and a re-ranked root key take 8 bytes per
-    rotation, and the last step's temporaries, bins and all, the rest.
+    bin of the largest bincount, max(4 * N * n, 2^20): the table and each
+    of the L key buffers take 8 bytes per rotation, and the last step's
+    temporaries, a leaf's re-rank (25 bytes per rotation) or its bins, the
+    rest.
     Only a test with a repeat runs that bincount; one without holds a
     bitmap of one byte per bin, so the bound holds with room to spare.
     """

@@ -23,7 +23,6 @@ from fhsforge.cyclic import (
     unit_coset_code,
 )
 from fhsforge.errors import (
-    DoesNotContainAllOnes,
     EmptySet,
     EnumerationTooLarge,
     FactorTableTooLarge,
@@ -413,7 +412,7 @@ def small_period_witness(code: CyclicCode) -> tuple[int, ...] | None:
     """
     zset = set(code.defining_set)
     if 0 in zset:
-        raise DoesNotContainAllOnes("defining set contains 0")
+        raise ValueError("defining set contains 0")
     bad = [j for j in range(1, code.n) if j not in zset and math.gcd(j, code.n) > 1]
     if not bad:
         return None
@@ -443,11 +442,22 @@ def test_witness_none_when_predicate_holds():
     assert small_period_witness(build_code(9, F8, [3, 4, 5, 6])) is None
 
 
-def test_predicate_requires_all_ones():
-    F8 = make_field(2, 3)
-    code = build_code(9, F8, [0, 3, 6])
-    with pytest.raises(DoesNotContainAllOnes):
-        has_full_orbits_outside_constants(code)
+def test_predicate_with_zero_in_z_matches_the_partition():
+    # with 0 in Z the only constant word is zero, and the predicate answers
+    # for every other word as the partition's orbit sizes do
+    seen = set()
+    for n, p, m in [(9, 2, 3), (15, 2, 1), (13, 3, 1)]:
+        F = make_field(p, m)
+        others = cyclotomic_cosets(n, p**m)[1:]
+        for r in range(len(others)):  # some nonzero j != 0 is always left
+            for combo in itertools.combinations(others, r):
+                code = build_code(n, F, [0, *(j for c in combo for j in c)])
+                if code.size > 2**14:
+                    continue
+                full = bool((class_partition(code)[1] == n).all())
+                assert has_full_orbits_outside_constants(code) == full
+                seen.add(full)
+    assert seen == {False, True}
 
 
 def test_nonzero_orbit_predicate():

@@ -598,35 +598,34 @@ def test_memory_refusal_under_any_budget(monkeypatch):
     assert max_nontrivial(fset, budget=None).value == 1
 
 
-def repeat_reference(flat, least):
-    """The first two indices of the least repeated value, or of the most
-    frequent one, or None when all values are distinct."""
+def repeat_reference(flat):
+    """The first two indices of the most frequent value, or None when all
+    values are distinct."""
     counts = np.bincount(flat)
     if counts.max() < 2:
         return None
-    value = np.flatnonzero(counts >= 2)[0] if least else counts.argmax()
-    return tuple(int(i) for i in np.flatnonzero(flat == value)[:2])
+    return tuple(int(i) for i in np.flatnonzero(flat == counts.argmax())[:2])
 
 
-@pytest.mark.parametrize("sort_branch", [False, True])
-def test_repeat_matches_flatnonzero_reference(monkeypatch, sort_branch):
-    # the bincount branch gives the first two indices of the most frequent
-    # value, the sort branch those of the least repeated value, or None
-    if sort_branch:
+@pytest.mark.parametrize("wide", [False, True])
+def test_repeat_matches_flatnonzero_reference(monkeypatch, wide):
+    # the first two indices of the most frequent value, or None, whether the
+    # keys are counted as they are or, past the span bound, re-ranked first
+    if wide:
         monkeypatch.setattr(fhs, "_BINCOUNT_FLOOR", 0)
     rng = np.random.default_rng(17)
     found = []
     for _ in range(300):
         rows, cols = int(rng.integers(1, 5)), int(rng.integers(1, 40))
         size = rows * cols
-        span = 9 * size if sort_branch else int(rng.integers(1, 4 * size + 1))
+        span = 9 * size if wide else int(rng.integers(1, 4 * size + 1))
         if span >= size and rng.random() < 0.3:  # distinct keys
             flat = rng.choice(span, size=size, replace=False)
         else:
             pool = rng.choice(span, size=min(span, int(rng.integers(1, size + 1))),
                               replace=False)
             flat = rng.choice(pool, size=size)
-        want = repeat_reference(flat, sort_branch)
+        want = repeat_reference(flat)
         assert _repeat(flat.reshape(rows, cols).astype(np.int64), span) == want
         found.append(want is not None)
     assert 30 < sum(found) < 270
@@ -648,13 +647,12 @@ def test_repeat_matches_flatnonzero_reference(monkeypatch, sort_branch):
             span = int(rng.integers(1, size))
             cases.append((rng.integers(0, span, size=size), span))
         # distinct keys over a wider span
-        span = 9 * size if sort_branch else int(rng.integers(size, 4 * size + 1))
+        span = 9 * size if wide else int(rng.integers(size, 4 * size + 1))
         cases.append((rng.choice(span, size=size, replace=False), span))
     for flat, span in cases:
         rows = 2 if flat.size % 2 == 0 else 1
         key = flat.reshape(rows, -1).astype(np.int64)
-        least = span > max(4 * flat.size, fhs._BINCOUNT_FLOOR)  # the sort branch
-        assert _repeat(key, span) == repeat_reference(flat, least), (flat, span)
+        assert _repeat(key, span) == repeat_reference(flat), (flat, span)
 
 
 def test_repeat_of_distinct_keys_holds_only_a_bitmap():
@@ -749,7 +747,7 @@ def test_collision_at_l_one_keys_the_set_in_place():
 
 @pytest.mark.parametrize("scale, shift, ell, branch", [
     (2, 0, 1024, "bincount"),  # 1023^2 bins, just under 4 * N * n
-    (4096, 7, 2**21, "sort"),
+    (4096, 7, 2**21, "sort"),  # each leaf key past the bound: re-ranked
     (2**23, 5, 2**32, "rerank"),  # (2^32 - 2^23 + 6)^2 > 2^62 at depth 1
 ], ids=["bincount", "sort", "rerank"])
 def test_memory_estimate_bounds_the_peak(monkeypatch, scale, shift, ell, branch):
@@ -786,9 +784,13 @@ def test_memory_estimate_bounds_the_peak(monkeypatch, scale, shift, ell, branch)
     bincount = [span <= max(4 * rotations, 1 << 20) for span in spans]
     if branch == "bincount":
         assert 2 * rotations < spans[-1] <= 4 * rotations
+        assert reranked == []
     else:
+        # every leaf key is re-ranked: the set's uint32 key at L = 1, then
+        # the int64 buffers at L = 2, after the root's in "rerank"
         assert not any(bincount)
-    assert reranked == ([np.uint32] if branch == "rerank" else [])
+        root = [np.uint32] if branch == "rerank" else []
+        assert reranked == [np.uint32, *root] + [np.int64] * (len(spans) - 1)
     assert peak <= need
 
     monkeypatch.setattr(fhs, "_collision", spying_collision)

@@ -24,8 +24,9 @@ from collections import Counter
 
 from fhsforge.bounds import optimality_report, singleton_max_size
 from fhsforge.constructions import (
-    _claimed, family_a, family_b, family_c, largest_bad_m)
-from fhsforge.cyclic import _full_orbits, _orbit_census, cyclotomic_cosets
+    _claimed, family_a, family_b, family_c, family_ding, largest_bad_m)
+from fhsforge.cyclic import (
+    FACTOR_LENGTH_CAP, _full_orbits, _orbit_census, cyclotomic_cosets)
 from fhsforge.errors import BoundTooLarge
 from fhsforge.intmath import is_prime, is_prime_power, smallest_prime_factor
 
@@ -175,3 +176,31 @@ def check_every_code(n_max, q_max, limit):
 
 def test_theorem_on_every_cyclic_code():
     assert check_every_code(40, 32, 2**8) == 44228
+
+
+def ding_lengths(cap):
+    """(q, m, n) for every prime power q and m >= 2 with gcd(m, q - 1) = 1
+    and n = (q^m - 1)/(q - 1) <= cap: the unit-coset codes of Ding et al."""
+    m = 2
+    while 2**m - 1 <= cap:
+        q = 2
+        while (n := (q**m - 1) // (q - 1)) <= cap:
+            if math.gcd(m, q - 1) == 1 and is_prime_power(q):
+                yield q, m, n
+            q += 1
+        m += 1
+
+
+def test_ding_family_from_its_nonzeros():
+    # the nonzeros are Z_n less the coset of 1, the powers of q, which are
+    # units, so the residue test alone, with no field or factor table, says
+    # every orbit outside the constants is full exactly when n is prime
+    lengths = list(ding_lengths(FACTOR_LENGTH_CAP))
+    for q, m, n in lengths:
+        nonzeros = set(range(n)) - {pow(q, i, n) for i in range(m)}
+        assert _full_orbits(n, nonzeros) == is_prime(n), (q, m, n)
+        if n < 100:  # the builder's code has these nonzeros
+            build = family_ding(q, m)
+            assert set(build.code.nonzeros) == nonzeros, (q, m, n)
+            assert build.claims["predicate_matches_primality"] == (is_prime(n),) * 2
+    assert (len(lengths), sum(is_prime(n) for _, _, n in lengths)) == (96, 29)
