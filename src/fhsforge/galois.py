@@ -441,22 +441,38 @@ def _ben_or(f: Polynomial) -> ExtensionField | None:
 
     f of degree d is irreducible iff it shares no root with x^(q^i) - x for
     any 1 <= i <= d // 2, since a proper factorization forces a factor of
-    degree at most d // 2.  x^q mod f is taken on `Polynomial`s, which
-    rejects the many f with a root in GF(q) before any kernel table is
-    built; the later Frobenius powers run on the kernel that is returned.
+    degree at most d // 2.  The first test, i = 1, rejects the many f with
+    a root in GF(q) before any kernel table is built, in one of two forms.
+    When q < d, x^q is its own remainder mod f, and gcd(x^q - x, f) != 1
+    says only that f vanishes somewhere in GF(q), at a nonzero element
+    since f(0) != 0: so f is evaluated by Horner at a = 1, ..., q - 1, at
+    most (q - 1)d scalar steps, fewer than one gcd.  When q >= d, x^q mod f
+    and the gcd are taken on `Polynomial`s.  The later Frobenius powers
+    run on the kernel that is returned.
     """
     d = f.degree
     if d < 1 or (d > 1 and f.coeffs[0] == 0):
         return None
     F, f = f.field, f.monic()
     x = Polynomial(F, (0, 1))
-    r = pow_mod(x, F.order, f)
-    if d > 1 and poly_gcd(r - x, f).degree > 0:
-        return None
+    q = F.order
+    if q < d:
+        add, mul, high_first = F.add, F.mul, f.coeffs[::-1]
+        for a in range(1, q):
+            value = 0
+            for c in high_first:
+                value = add(mul(value, a), c)
+            if value == 0:
+                return None
+        r = Polynomial(F, (0,) * q + (1,))
+    else:
+        r = pow_mod(x, q, f)
+        if d > 1 and poly_gcd(r - x, f).degree > 0:
+            return None
     ext = ExtensionField(f)
     s = ext.element(r)
     for _ in range(d // 2 - 1):
-        s = ext.pow(s, F.order)
+        s = ext.pow(s, q)
         if poly_gcd(ext.polynomial(s) - x, f).degree > 0:
             return None
     return ext

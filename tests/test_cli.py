@@ -52,6 +52,38 @@ def test_factor_json(capsys):
     assert degrees == [1, 2, 2, 2, 2]
 
 
+TEXT_STDOUT = {
+    ("factor", "--n", "7", "--q", "2"): """\
+x^7 - 1 over GF(2):
+  C_0: 1 + x
+  C_1: 1 + x + x^3
+  C_3: 1 + x^2 + x^3
+""",
+    ("factor", "--n", "13", "--q", "3"): """\
+x^13 - 1 over GF(3):
+  C_0: 2 + x
+  C_1: 2 + 2*x + x^3
+  C_2: 2 + x + x^2 + x^3
+  C_4: 2 + x^2 + x^3
+  C_7: 2 + 2*x + 2*x^2 + x^3
+""",
+    ("code", "--n", "8", "--q", "3", "--defining-set", "1,3"): """\
+[8, 6] cyclic code over GF(3)
+  defining set: [1, 3]
+  g(x) = 2 + x + x^2
+  h(x) = 1 + x + 2*x^2 + 2*x^4 + 2*x^5 + x^6
+  full_orbits_outside_constants: False
+  full_orbits_nonzero: False
+""",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(TEXT_STDOUT), ids=" ".join)
+def test_text_output_is_pinned(capsys, argv):
+    # the text forms of factor and code, and the polynomial printer
+    assert run(capsys, *argv) == (0, TEXT_STDOUT[argv], "")
+
+
 def test_code_inspection(capsys):
     code, out, _ = run(capsys, "code", "--n", "9", "--q", "8",
                        "--defining-set", "3,4,5,6", "--json")
@@ -695,6 +727,18 @@ def test_verify_unreadable_record_is_input_error(tmp_path, capsys, content):
     code, out, err = run(capsys, "verify", str(path))
     assert code == 4 and out == ""
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_verify_refuses_a_record_without_lambda(tmp_path, capsys, b5_record):
+    path = tmp_path / "fhs_set.json"
+    path.write_text(json.dumps(dict(b5_record, **{"lambda": None})))
+    assert run(capsys, "verify", str(path)) == (
+        4, "", "error: stored record has no lambda to verify against\n")
+
+
+def test_bad_residue_list_is_input_error(capsys):
+    assert run(capsys, "code", "--n", "7", "--q", "2", "--defining-set", "x") == (
+        4, "", "error: bad residue list 'x'\n")
 
 
 def test_verify_rejects_fractional_lambda(tmp_path, capsys, b5_record):

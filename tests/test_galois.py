@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from fhsforge import galois
+from fhsforge import cyclic, galois
 from fhsforge.errors import (
     DivisionByZeroPolynomial,
     FieldMismatch,
@@ -242,6 +242,112 @@ def test_is_irreducible_small():
     F5 = make_field(5, 1)
     assert _ben_or(Polynomial(F5, (1, 0, 1))) is None  # roots +-2
     assert _ben_or(Polynomial(F5, (2, 0, 1))) is not None
+
+
+def gauss_count(q: int, d: int) -> int:
+    """The number of monic irreducibles of degree d over GF(q):
+    (1/d) sum_(e | d) mu(e) q^(d/e), over the squarefree e."""
+    radicals = prime_factors(d)
+    total = sum((-1) ** k * q ** (d // math.prod(rs))
+                for k in range(len(radicals) + 1)
+                for rs in itertools.combinations(radicals, k))
+    return total // d
+
+
+def nonzero_at_zero(F: FiniteField, d: int) -> list[Polynomial]:
+    """Every monic f of degree d over F with f(0) != 0, in packed order."""
+    q = F.order
+    return [Polynomial.from_packed(F, q**d + low) for low in range(q**d) if low % q]
+
+
+def ben_or_counts(max_size: int) -> dict[tuple[int, int], int]:
+    """{(q, d): how many f of `nonzero_at_zero` Ben-Or accepts}, for q in
+    {2, 3, 4, 5} and every d > q with q^d <= max_size: Gauss's count each,
+    all through the root test."""
+    return {(q, d): sum(_ben_or(f) is not None for f in nonzero_at_zero(F, d))
+            for q in (2, 3, 4, 5) for F in [field_from_order(q)]
+            for d in range(q + 1, max_size.bit_length()) if q**d <= max_size}
+
+
+def ben_or_on(monkeypatch, candidates):
+    """[(accepted, root_rejected)] of `_ben_or` on each candidate, where
+    root_rejected means it refused before building any kernel; fails if a
+    candidate so refused calls `pow_mod` or `poly_gcd`."""
+    calls, out = [], []
+    with monkeypatch.context() as patch:
+        for name in ("pow_mod", "poly_gcd", "ExtensionField"):
+            real = getattr(galois, name)
+            patch.setattr(galois, name,
+                          lambda *a, _name=name, _real=real: calls.append(_name) or _real(*a))
+        for f in candidates:
+            calls.clear()
+            accepted = _ben_or(f) is not None
+            root_rejected = "ExtensionField" not in calls
+            assert not (root_rejected and calls), (f, calls)
+            out.append((accepted, root_rejected))
+    return out
+
+
+def has_root_by_gcd(f: Polynomial) -> bool:
+    x = Polynomial(f.field, (0, 1))
+    return poly_gcd(pow_mod(x, f.field.order, f) - x, f).degree > 0
+
+
+def test_root_test_is_the_first_gcd_when_q_below_d(monkeypatch):
+    # every monic f with f(0) != 0 of degree d > q on a small grid: 1,978
+    # polynomials.  When q < d, Ben-Or's first step evaluates f on GF(q)*;
+    # it refuses f, with no pow_mod and no gcd, exactly when
+    # gcd(x^q - x, f) != 1, and Ben-Or accepts exactly Gauss's count
+    polys = 0
+    for q, degrees in [(2, range(3, 10)), (3, range(4, 7)), (4, [5])]:
+        F = field_from_order(q)
+        for d in degrees:
+            candidates = nonzero_at_zero(F, d)
+            verdicts = ben_or_on(monkeypatch, candidates)
+            assert [rejected for _, rejected in verdicts] == [
+                has_root_by_gcd(f) for f in candidates], (q, d)
+            assert sum(accepted for accepted, _ in verdicts) == gauss_count(q, d), (q, d)
+            polys += len(candidates)
+    assert polys == 1978
+
+
+def test_ben_or_counts_every_irreducible_below_2_to_the_10():
+    # CI runs the same count up to q^d <= 2^16: 26 (q, d), 2.0 * 10^5 polynomials
+    got = ben_or_counts(2**10)
+    assert got == {key: gauss_count(*key) for key in got}
+    assert sorted(got) == [(2, 3), (2, 4), (2, 5), (2, 6), (2, 7), (2, 8), (2, 9),
+                           (2, 10), (3, 4), (3, 5), (3, 6), (4, 5)]
+
+
+def test_root_test_on_the_stream_of_degree_14_over_gf9(monkeypatch):
+    # the first 40 candidates of the (9, 29) table's stream search: the
+    # 27th is the stream field, and 18 of the 26 before it have a root
+    candidates = list(itertools.islice(galois._stream(make_field(3, 2), 14), 40))
+    verdicts = ben_or_on(monkeypatch, candidates)
+    rejected = [root_rejected for _, root_rejected in verdicts]
+    assert rejected == [has_root_by_gcd(f) for f in candidates]
+    assert [accepted for accepted, _ in verdicts].index(True) == 26
+    assert sum(rejected[:26]) == 18
+
+
+def test_stream_field_below_its_degree_needs_no_pow_mod(monkeypatch):
+    # GF(9) is built first, since its canonical modulus search (p = 3 >= 2
+    # = m) takes x^p mod f; the table of x^29 - 1 over GF(9), d = 14, then
+    # runs Ben-Or's first step as the root test alone, with the same output
+    F = make_field(3, 2)
+
+    def refuse(*_):
+        raise AssertionError("pow_mod ran")
+
+    monkeypatch.setattr(galois, "pow_mod", refuse)
+    monkeypatch.setattr(galois, "_STREAM_FIELDS", {})
+    cyclic._factor_table.cache_clear()
+    factors = cyclic.factor_x_pow_n_minus_one(F, 29)
+    assert {c[0]: list(mj.coeffs) for c, mj in factors} == {
+        0: [2, 1],
+        1: [1, 4, 1, 5, 6, 2, 5, 5, 5, 2, 6, 5, 1, 4, 1],
+        2: [1, 6, 1, 7, 4, 2, 7, 7, 7, 2, 4, 7, 1, 6, 1],
+    }
 
 
 # -- extensions GF(q)[y]/(f) ----------------------------------------------------
