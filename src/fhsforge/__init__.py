@@ -41,7 +41,6 @@ from .galois import (
     field_from_order,
     make_field,
     poly_gcd,
-    pow_mod,
 )
 from .intmath import smallest_prime_factor
 
@@ -73,7 +72,6 @@ __all__ = [
     "peng_fan_2",
     "pf_identity_sweep",
     "poly_gcd",
-    "pow_mod",
     "singleton_max_size",
     "smallest_prime_factor",
     "unit_coset_code",

@@ -10,9 +10,11 @@ is the designated primitive element.
 
 `Polynomial` is GF(q)[x]: generators, x^n - 1, remainders and gcds.  An
 extension GF(q^d) = GF(q)[y]/(f) has no tables: `ExtensionField` multiplies
-its elements as numpy digit planes, and `root_field` gives one with an n-th
-root of unity: f is Phi_n when Rabin's test on monomials proves it
-irreducible, else one seeded stream field per degree.  `berlekamp_massey`
+its elements as numpy digit planes, and every product modulo f, Ben-Or's
+powers among them, is one of its products.  `root_field` gives one with an
+n-th root of unity: f is Phi_n when Rabin's test on monomials, each one
+long division, proves it irreducible, else one seeded stream field per
+degree, the first that Ben-Or accepts.  `berlekamp_massey`
 gives the minimal polynomial over GF(q) of a linear recurring sequence.
 """
 
@@ -414,46 +416,26 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     return Polynomial(a.field, x).monic()
 
 
-def pow_mod(base: Polynomial, e: int, mod: Polynomial) -> Polynomial:
-    """base**e reduced mod `mod` (e >= 0)."""
-    if e < 0:
-        raise ValueError("negative exponent")
-    base._match(mod)
-    if mod.is_zero():
-        raise DivisionByZeroPolynomial("polynomial division by zero")
-    F, f = base.field, mod.coeffs
-    result, square = [1], list(base.coeffs)
-    _reduce(F, result, f)
-    _reduce(F, square, f)
-    while e:
-        if e & 1:
-            result = _product(F, result, square)
-            _reduce(F, result, f)
-        e >>= 1
-        if e:
-            square = _product(F, square, square)
-            _reduce(F, square, f)
-    return Polynomial(F, result)
-
-
 def _ben_or(f: Polynomial) -> ExtensionField | None:
     """The kernel GF(q)[y]/(f) of the monic f if f is irreducible, else None.
 
     f of degree d is irreducible iff it shares no root with x^(q^i) - x for
     any 1 <= i <= d // 2, since a proper factorization forces a factor of
-    degree at most d // 2.  The first test, i = 1, rejects the many f with
-    a root in GF(q) before any kernel table is built, in one of two forms.
-    When q < d, x^q is its own remainder mod f, and gcd(x^q - x, f) != 1
-    says only that f vanishes somewhere in GF(q), at a nonzero element
-    since f(0) != 0: so f is evaluated by Horner at a = 1, ..., q - 1, at
-    most (q - 1)d scalar steps, fewer than one gcd.  When q >= d, x^q mod f
-    and the gcd are taken on `Polynomial`s.  The later Frobenius powers
-    run on the kernel that is returned.
+    degree at most d // 2; a linear f needs no test.  The first test, i = 1,
+    rejects the many f with a root in GF(q), in one of two forms.  When
+    q < d, x^q is its own remainder mod f, and gcd(x^q - x, f) != 1 says
+    only that f vanishes somewhere in GF(q), at a nonzero element since
+    f(0) != 0: so f is evaluated by Horner at a = 1, ..., q - 1, at most
+    (q - 1)d scalar steps, fewer than one gcd, before any kernel is built.
+    When q >= d, x^q is taken on the kernel, then the gcd.  Every later
+    Frobenius power runs on the kernel that is returned.
     """
     d = f.degree
     if d < 1 or (d > 1 and f.coeffs[0] == 0):
         return None
     F, f = f.field, f.monic()
+    if d == 1:
+        return ExtensionField(f)
     x = Polynomial(F, (0, 1))
     q = F.order
     if q < d:
@@ -464,13 +446,13 @@ def _ben_or(f: Polynomial) -> ExtensionField | None:
                 value = add(mul(value, a), c)
             if value == 0:
                 return None
-        r = Polynomial(F, (0,) * q + (1,))
+        ext = ExtensionField(f)
+        s = ext.element(Polynomial(F, (0,) * q + (1,)))
     else:
-        r = pow_mod(x, q, f)
-        if d > 1 and poly_gcd(r - x, f).degree > 0:
+        ext = ExtensionField(f)
+        s = ext.pow(ext.element(x), q)
+        if poly_gcd(ext.polynomial(s) - x, f).degree > 0:
             return None
-    ext = ExtensionField(f)
-    s = ext.element(r)
     for _ in range(d // 2 - 1):
         s = ext.pow(s, q)
         if poly_gcd(ext.polynomial(s) - x, f).degree > 0:
@@ -609,12 +591,17 @@ def _monomial_rabin(f: Polynomial, n: int) -> bool:
     """Whether f, monic of degree D >= 1 with q^D = 1 mod n, divides x^n - 1
     and is irreducible with y of order n.  Modulo f, x^k = x^(k mod n), so
     x^(q^D) = x, and Rabin's test (1980) needs one gcd of a monomial per
-    prime s | D; y then has order n iff x^(n/r) != 1 for each prime r | n."""
+    prime s | D; y then has order n iff x^(n/r) != 1 for each prime r | n.
+    Every exponent is below n, so each x^e mod f is one long division."""
     F, D, x = f.field, f.degree, Polynomial(f.field, (0, 1))
+
+    def monomial(e: int) -> Polynomial:  # x^e mod f
+        return Polynomial(F, (0,) * e + (1,)) % f
+
     return (D >= 1 and f.leading() == 1 and pow(F.order, D, n) == 1 % n
             and (Polynomial.x_pow_n_minus_one(F, n) % f).is_zero()
-            and all(pow_mod(x, n // r, f).coeffs != (1,) for r in prime_factors(n))
-            and all(poly_gcd(pow_mod(x, pow(F.order, D // s, n), f) - x, f).degree == 0
+            and all(monomial(n // r).coeffs != (1,) for r in prime_factors(n))
+            and all(poly_gcd(monomial(pow(F.order, D // s, n)) - x, f).degree == 0
                     for s in prime_factors(D)))
 
 

@@ -21,9 +21,9 @@ from fhsforge.galois import (
     field_from_order,
     make_field,
     poly_gcd,
-    pow_mod,
 )
 from fhsforge.intmath import multiplicative_order, smallest_prime_factor
+from test_galois import pow_mod
 
 
 # -- parameter helpers ---------------------------------------------------------

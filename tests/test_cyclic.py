@@ -39,11 +39,10 @@ from fhsforge.galois import (
     _ben_or,
     field_from_order,
     make_field,
-    pow_mod,
     root_field,
 )
 from fhsforge.intmath import is_prime, multiplicative_order, prime_factors
-from test_galois import horner
+from test_galois import horner, pow_mod
 
 
 def rotations(word):

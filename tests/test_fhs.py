@@ -747,9 +747,9 @@ def test_collision_at_l_one_keys_the_set_in_place():
 
 @pytest.mark.parametrize("scale, shift, ell, branch", [
     (2, 0, 1024, "bincount"),  # 1023^2 bins, just under 4 * N * n
-    (4096, 7, 2**21, "sort"),  # each leaf key past the bound: re-ranked
+    (4096, 7, 2**21, "leaf-rerank"),  # each leaf key past the bound: re-ranked
     (2**23, 5, 2**32, "rerank"),  # (2^32 - 2^23 + 6)^2 > 2^62 at depth 1
-], ids=["bincount", "sort", "rerank"])
+], ids=["bincount", "leaf-rerank", "rerank"])
 def test_memory_estimate_bounds_the_peak(monkeypatch, scale, shift, ell, branch):
     # M = 1, so the last test is at L = 2, whose estimate is the walk's
     # largest; tracemalloc sees every numpy buffer

@@ -24,7 +24,6 @@ from fhsforge.galois import (
     field_from_order,
     make_field,
     poly_gcd,
-    pow_mod,
     root_field,
 )
 from fhsforge.intmath import is_prime, multiplicative_order, prime_factors, totient
@@ -224,6 +223,19 @@ def test_poly_field_mismatch_and_zero_division():
         divmod(a, Polynomial.zero(a.field))
 
 
+def pow_mod(base: Polynomial, e: int, mod: Polynomial) -> Polynomial:
+    """Oracle: base**e mod `mod`, e >= 0, by square and multiply on
+    `Polynomial`s alone, with no kernel."""
+    result, square = Polynomial.one(base.field) % mod, base % mod
+    while e:
+        if e & 1:
+            result = result * square % mod
+        e >>= 1
+        if e:
+            square = square * square % mod
+    return result
+
+
 def test_pow_mod_matches_repeated_multiplication():
     F = make_field(3, 1)
     x = Polynomial(F, (0, 1))
@@ -244,6 +256,18 @@ def test_is_irreducible_small():
     assert _ben_or(Polynomial(F5, (2, 0, 1))) is not None
 
 
+def test_linear_f_is_accepted_with_no_power(monkeypatch):
+    # every monic f of degree 1, x among them, is irreducible: the kernel
+    # comes with no power and no gcd, where gcd(x^q - x, f) would be f
+    fields = [field_from_order(q) for q in (2, 5, 9)]
+    monkeypatch.setattr(galois, "poly_gcd", lambda *_: pytest.fail("poly_gcd ran"))
+    monkeypatch.setattr(ExtensionField, "pow", lambda *_: pytest.fail("pow ran"))
+    for F in fields:
+        for c in range(F.order):
+            ext = _ben_or(Polynomial(F, (c, 1)))
+            assert ext is not None and ext.modulus.coeffs == (c, 1)
+
+
 def gauss_count(q: int, d: int) -> int:
     """The number of monic irreducibles of degree d over GF(q):
     (1/d) sum_(e | d) mu(e) q^(d/e), over the squarefree e."""
@@ -260,22 +284,26 @@ def nonzero_at_zero(F: FiniteField, d: int) -> list[Polynomial]:
     return [Polynomial.from_packed(F, q**d + low) for low in range(q**d) if low % q]
 
 
-def ben_or_counts(max_size: int) -> dict[tuple[int, int], int]:
-    """{(q, d): how many f of `nonzero_at_zero` Ben-Or accepts}, for q in
-    {2, 3, 4, 5} and every d > q with q^d <= max_size: Gauss's count each,
-    all through the root test."""
+def ben_or_counts(max_size: int, orders=(2, 3, 4, 5), on_kernel=False):
+    """{(q, d): how many f of `nonzero_at_zero` Ben-Or accepts}, for each q
+    in `orders` and every d with q^d <= max_size: d > q, where Ben-Or's
+    first step is the root test, or 2 <= d <= q when `on_kernel`, where it
+    takes x^q on the kernel.  Each count should be Gauss's."""
+    def degrees(q):
+        return range(2, q + 1) if on_kernel else range(q + 1, max_size.bit_length())
+
     return {(q, d): sum(_ben_or(f) is not None for f in nonzero_at_zero(F, d))
-            for q in (2, 3, 4, 5) for F in [field_from_order(q)]
-            for d in range(q + 1, max_size.bit_length()) if q**d <= max_size}
+            for q in orders for F in [field_from_order(q)]
+            for d in degrees(q) if q**d <= max_size}
 
 
 def ben_or_on(monkeypatch, candidates):
     """[(accepted, root_rejected)] of `_ben_or` on each candidate, where
     root_rejected means it refused before building any kernel; fails if a
-    candidate so refused calls `pow_mod` or `poly_gcd`."""
+    candidate so refused calls `poly_gcd`."""
     calls, out = [], []
     with monkeypatch.context() as patch:
-        for name in ("pow_mod", "poly_gcd", "ExtensionField"):
+        for name in ("poly_gcd", "ExtensionField"):
             real = getattr(galois, name)
             patch.setattr(galois, name,
                           lambda *a, _name=name, _real=real: calls.append(_name) or _real(*a))
@@ -296,7 +324,7 @@ def has_root_by_gcd(f: Polynomial) -> bool:
 def test_root_test_is_the_first_gcd_when_q_below_d(monkeypatch):
     # every monic f with f(0) != 0 of degree d > q on a small grid: 1,978
     # polynomials.  When q < d, Ben-Or's first step evaluates f on GF(q)*;
-    # it refuses f, with no pow_mod and no gcd, exactly when
+    # it refuses f, with no kernel and no gcd, exactly when
     # gcd(x^q - x, f) != 1, and Ben-Or accepts exactly Gauss's count
     polys = 0
     for q, degrees in [(2, range(3, 10)), (3, range(4, 7)), (4, [5])]:
@@ -319,6 +347,17 @@ def test_ben_or_counts_every_irreducible_below_2_to_the_10():
                            (2, 10), (3, 4), (3, 5), (3, 6), (4, 5)]
 
 
+def test_ben_or_counts_every_irreducible_of_degree_at_most_q():
+    # the first step takes x^q on the kernel when q >= d: every monic f
+    # with f(0) != 0 of degree 2 <= d <= q and q^d <= 2^10, 2,458
+    # polynomials in 15 (q, d).  CI runs q in {4, 5, 7, 8, 9, 11, 13, 16}
+    # up to q^d <= 2^16: 28 (q, d), 220,670 polynomials
+    got = ben_or_counts(2**10, (2, 3, 4, 5, 7, 8, 9), on_kernel=True)
+    assert got == {key: gauss_count(*key) for key in got}
+    assert len(got) == 15
+    assert sum((q - 1) * q ** (d - 1) for q, d in got) == 2458
+
+
 def test_root_test_on_the_stream_of_degree_14_over_gf9(monkeypatch):
     # the first 40 candidates of the (9, 29) table's stream search: the
     # 27th is the stream field, and 18 of the 26 before it have a root
@@ -331,15 +370,12 @@ def test_root_test_on_the_stream_of_degree_14_over_gf9(monkeypatch):
 
 
 def test_stream_field_below_its_degree_needs_no_pow_mod(monkeypatch):
-    # GF(9) is built first, since its canonical modulus search (p = 3 >= 2
-    # = m) takes x^p mod f; the table of x^29 - 1 over GF(9), d = 14, then
-    # runs Ben-Or's first step as the root test alone, with the same output
+    # the table of x^29 - 1 over GF(9), d = 14, runs Ben-Or's first step as
+    # the root test, with its x^9 free; a first step with q >= d takes x^q
+    # on the kernel, so the library has no square and multiply on
+    # `Polynomial`s at all
+    assert not hasattr(galois, "pow_mod")
     F = make_field(3, 2)
-
-    def refuse(*_):
-        raise AssertionError("pow_mod ran")
-
-    monkeypatch.setattr(galois, "pow_mod", refuse)
     monkeypatch.setattr(galois, "_STREAM_FIELDS", {})
     cyclic._factor_table.cache_clear()
     factors = cyclic.factor_x_pow_n_minus_one(F, 29)
