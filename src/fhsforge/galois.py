@@ -8,10 +8,11 @@ canonical (the monic primitive polynomial of degree m whose packed digit
 value is smallest), so two runs always build identical tables, and x itself
 is the designated primitive element.
 
-`Polynomial` is GF(q)[x]: generators, x^n - 1, remainders and gcds.  An
-extension GF(q^d) = GF(q)[y]/(f) has no tables: `ExtensionField` multiplies
-its elements as numpy digit planes, and every product modulo f, Ben-Or's
-powers among them, is one of its products.  `root_field` gives one with an
+`Polynomial` is GF(q)[x]: generators, x^n - 1, remainders and gcds, whose
+division, product and Berlekamp-Massey share one log-domain row
+operation, `_row`.  An extension GF(q^d) = GF(q)[y]/(f) has no tables:
+`ExtensionField` multiplies its elements as numpy digit planes, and every
+product modulo f, Ben-Or's powers among them, is one of its products.  `root_field` gives one with an
 n-th root of unity: f is Phi_n when Rabin's test on monomials, each one
 long division, proves it irreducible, else one seeded stream field per
 degree, the first that Ben-Or accepts.  `berlekamp_massey`
@@ -369,51 +370,105 @@ class Polynomial:
         return f"Polynomial(GF({self.field.order}), {list(self.coeffs)})"
 
 
+def _row(F: FiniteField, dst: list, o: int, lc: int, logs: list) -> None:
+    """dst[o + j] += c * src[j] for each j, over GF(q): the inner loop of
+    the division, product and Berlekamp-Massey of GF(q)[x].  c = x^lc,
+    0 <= lc < q - 1, and logs[j] = log src[j], -1 for a zero, taken once
+    per operand by the caller.  A term is exp[l + lc - (q - 1)], whose
+    index lies in [-(q - 1), q - 1), so the list wraps it with no modulo;
+    the sum is an XOR for p = 2, mod p for m = 1 and Zech's logarithm
+    otherwise: x^a + x^t = x^(a + z(t - a))."""
+    exp, n1 = F.exp, F.order - 1
+    lc -= n1
+    if F.p == 2:
+        for j, l in enumerate(logs, o):
+            if l >= 0:
+                dst[j] ^= exp[l + lc]
+    elif F.m == 1:
+        p = F.p
+        for j, l in enumerate(logs, o):
+            if l >= 0:
+                dst[j] = (dst[j] + exp[l + lc]) % p
+    else:
+        log, zech = F.log, F._zech
+        for j, l in enumerate(logs, o):
+            if l >= 0:
+                t = l + lc
+                a = dst[j]
+                if a:
+                    a = log[a]
+                    z = zech[(t - a) % n1]
+                    dst[j] = exp[a + z - n1] if z >= 0 else 0
+                else:
+                    dst[j] = exp[t]
+
+
+def _minus_one_log(F: FiniteField) -> int:
+    """log(-1): (q - 1)/2 for odd q, 0 for q = 2^m."""
+    return (F.order - 1) // 2 if F.p != 2 else 0
+
+
 def _product(F: FiniteField, a, b) -> list:
-    """The coefficients of the product of two coefficient sequences."""
+    """The coefficients of the product of two coefficient sequences: one
+    row per nonzero coefficient of the shorter, over the longer's logs."""
     if not a or not b:
         return []
-    add, mul = F.add, F.mul
-    out = [0] * (len(a) + len(b) - 1)
+    if len(a) > len(b):
+        a, b = b, a
+    log = F.log
+    out, logs = [0] * (len(a) + len(b) - 1), [log[y] for y in b]
     for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b, i):
-            if y:
-                out[j] = add(out[j], mul(x, y))
+        if x:
+            _row(F, out, i, log[x], logs)
     return out
 
 
-def _reduce(F: FiniteField, rem: list, divisor: tuple) -> list:
+def _reduce(F: FiniteField, rem: list, divisor) -> list:
     """Long division of the coefficient list `rem` by the nonzero `divisor`:
     leaves the remainder in `rem`, trailing zeros stripped, and returns the
-    quotient's coefficients."""
+    quotient's coefficients.  The divisor's logs are taken once, and each
+    quotient digit c subtracts its row as -c times the divisor by `_row`."""
+    log, exp, n1 = F.log, F.exp, F.order - 1
     db = len(divisor) - 1
-    inv_lead = F.inv(divisor[-1])
+    lead, minus = log[divisor[-1]], _minus_one_log(F)
+    logs = [log[b] for b in divisor[:-1]]
     quot = [0] * max(len(rem) - db, 0)
-    add, mul, lower = F.add, F.mul, divisor[:-1]
     for i in range(len(rem) - db - 1, -1, -1):
-        c = mul(rem[i + db], inv_lead)
-        if c == 0:
-            continue
-        quot[i] = c
-        c = F.neg(c)
-        for j, b in enumerate(lower, i):
-            rem[j] = add(rem[j], mul(c, b))
+        r = rem[i + db]
+        if r:
+            lc = (log[r] - lead) % n1
+            quot[i] = exp[lc]
+            _row(F, rem, i, (lc + minus) % n1, logs)
     del rem[db:]
     while rem and rem[-1] == 0:
         rem.pop()
     return quot
 
 
+def _euclid(F: FiniteField, a: list, b) -> list:
+    """The last nonzero remainder of Euclid's algorithm on the coefficient
+    lists a and b, a gcd up to a unit: empty when both are zero."""
+    while b:
+        _reduce(F, a, b)
+        a, b = list(b), a
+    return a
+
+
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     """Monic greatest common divisor."""
     a._match(b)
-    x, y = list(a.coeffs), b.coeffs
-    while y:
-        _reduce(a.field, x, y)
-        x, y = list(y), tuple(x)
-    return Polynomial(a.field, x).monic()
+    return Polynomial(a.field, _euclid(a.field, list(a.coeffs), b.coeffs)).monic()
+
+
+def _coprime_minus_x(F: FiniteField, s: list, f: tuple) -> bool:
+    """Whether gcd(s - x, f) = 1, for f of degree d >= 2 and s the
+    coefficients of a remainder mod f: Ben-Or's and Rabin's test, by Euclid
+    on coefficient lists."""
+    s = s + [0] * (2 - len(s))
+    s[1] = F.sub(s[1], 1)
+    while s and s[-1] == 0:
+        s.pop()
+    return len(_euclid(F, list(f), s)) == 1
 
 
 def _ben_or(f: Polynomial) -> ExtensionField | None:
@@ -428,7 +483,9 @@ def _ben_or(f: Polynomial) -> ExtensionField | None:
     f(0) != 0: so f is evaluated by Horner at a = 1, ..., q - 1, at most
     (q - 1)d scalar steps, fewer than one gcd, before any kernel is built.
     When q >= d, x^q is taken on the kernel, then the gcd.  Every later
-    Frobenius power runs on the kernel that is returned.
+    Frobenius power runs on the kernel that is returned.  Each gcd is
+    decided by Euclid on coefficient lists (`_coprime_minus_x`), so no
+    step builds a `Polynomial`.
     """
     d = f.degree
     if d < 1 or (d > 1 and f.coeffs[0] == 0):
@@ -436,7 +493,6 @@ def _ben_or(f: Polynomial) -> ExtensionField | None:
     F, f = f.field, f.monic()
     if d == 1:
         return ExtensionField(f)
-    x = Polynomial(F, (0, 1))
     q = F.order
     if q < d:
         add, mul, high_first = F.add, F.mul, f.coeffs[::-1]
@@ -450,12 +506,12 @@ def _ben_or(f: Polynomial) -> ExtensionField | None:
         s = ext.element(Polynomial(F, (0,) * q + (1,)))
     else:
         ext = ExtensionField(f)
-        s = ext.pow(ext.element(x), q)
-        if poly_gcd(ext.polynomial(s) - x, f).degree > 0:
+        s = ext.pow(ext.element(Polynomial(F, (0, 1))), q)
+        if not _coprime_minus_x(F, ext.coefficients(s), f.coeffs):
             return None
     for _ in range(d // 2 - 1):
         s = ext.pow(s, q)
-        if poly_gcd(ext.polynomial(s) - x, f).degree > 0:
+        if not _coprime_minus_x(F, ext.coefficients(s), f.coeffs):
             return None
     return ext
 
@@ -517,8 +573,12 @@ class ExtensionField:
         idx[: len(poly.coeffs)] = poly.coeffs
         return self._digits(idx)
 
+    def coefficients(self, a: np.ndarray) -> list:
+        """The element indices of a's coefficients, low degree first."""
+        return (a @ self._weights).tolist()
+
     def polynomial(self, a: np.ndarray) -> Polynomial:
-        return Polynomial(self.base, (a @ self._weights).tolist())
+        return Polynomial(self.base, self.coefficients(a))
 
     def is_one(self, a: np.ndarray) -> bool:
         return np.array_equal(a, self.one)
@@ -592,16 +652,19 @@ def _monomial_rabin(f: Polynomial, n: int) -> bool:
     and is irreducible with y of order n.  Modulo f, x^k = x^(k mod n), so
     x^(q^D) = x, and Rabin's test (1980) needs one gcd of a monomial per
     prime s | D; y then has order n iff x^(n/r) != 1 for each prime r | n.
-    Every exponent is below n, so each x^e mod f is one long division."""
-    F, D, x = f.field, f.degree, Polynomial(f.field, (0, 1))
+    Every exponent is below n, so each x^e mod f is one long division of
+    a coefficient list, and each gcd is Euclid on coefficient lists."""
+    F, D = f.field, f.degree
 
-    def monomial(e: int) -> Polynomial:  # x^e mod f
-        return Polynomial(F, (0,) * e + (1,)) % f
+    def monomial(e: int) -> list:  # x^e mod f
+        rem = [0] * e + [1]
+        _reduce(F, rem, f.coeffs)
+        return rem
 
     return (D >= 1 and f.leading() == 1 and pow(F.order, D, n) == 1 % n
             and (Polynomial.x_pow_n_minus_one(F, n) % f).is_zero()
-            and all(monomial(n // r).coeffs != (1,) for r in prime_factors(n))
-            and all(poly_gcd(monomial(pow(F.order, D // s, n)) - x, f).degree == 0
+            and all(monomial(n // r) != [1] for r in prime_factors(n))
+            and all(_coprime_minus_x(F, monomial(pow(F.order, D // s, n)), f.coeffs)
                     for s in prime_factors(D)))
 
 
@@ -641,24 +704,31 @@ def _stream(base: FiniteField, d: int):
 def berlekamp_massey(field: FiniteField, seq) -> Polynomial:
     """The monic minimal polynomial of the shortest linear recurrence that
     generates `seq` (Massey 1969): x^L + c_1 x^(L-1) + ... + c_L, where
-    s_k + c_1 s_(k-1) + ... + c_L s_(k-L) = 0 for every L <= k < len(seq)."""
+    s_k + c_1 s_(k-1) + ... + c_L s_(k-L) = 0 for every L <= k < len(seq).
+
+    Step k's discrepancy is term k of the product c * seq, which is kept
+    beside the connection polynomial c from term k on: each update
+    c -= (disc / last) x^shift b is one `_row` on c and one on that product,
+    from b * seq, so no step takes a dot product."""
     F = field
-    c, b = [1], [1]  # connection polynomials, now and at the last length change
-    length, shift, last = 0, 1, 1
-    for k, s in enumerate(seq):
-        disc = s
-        for i in range(1, length + 1):
-            disc = F.add(disc, F.mul(c[i], seq[k - i]))
+    log, n1, minus = F.log, F.order - 1, _minus_one_log(F)
+    cs = list(seq)  # c * seq, exact from the current step on
+    c, b, bs = [1], [0], [log[s] for s in cs]  # b, and b * seq past b's step, as logs
+    length, shift, last = 0, 1, 0  # last: the log of b's discrepancy
+    for k in range(len(cs)):
+        disc = cs[k]
         if disc == 0:
             shift += 1
             continue
-        coef = F.div(disc, last)
-        prev = list(c)
-        c += [0] * (len(b) + shift - len(c))
-        for i, bi in enumerate(b):
-            c[i + shift] = F.sub(c[i + shift], F.mul(coef, bi))
+        coef = (log[disc] - last + minus) % n1  # the log of -disc / last
         if 2 * length <= k:
-            length, b, last, shift = k + 1 - length, prev, disc, 1
+            prev, prev_s = [log[a] for a in c], [log[a] for a in cs[k + 1:]]
+        c += [0] * (len(b) + shift - len(c))
+        _row(F, c, shift, coef, b)
+        if k + 1 < len(cs):
+            _row(F, cs, k + 1, coef, bs[: len(cs) - k - 1])
+        if 2 * length <= k:
+            length, b, bs, last, shift = k + 1 - length, prev, prev_s, log[disc], 1
             c += [0] * (length + 1 - len(c))
         else:
             shift += 1

@@ -5,6 +5,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fhsforge import cyclic, galois
 from fhsforge.errors import (
@@ -20,6 +22,10 @@ from fhsforge.galois import (
     Polynomial,
     _ben_or,
     _canonical_modulus,
+    _coprime_minus_x,
+    _euclid,
+    _product,
+    _reduce,
     berlekamp_massey,
     field_from_order,
     make_field,
@@ -223,6 +229,163 @@ def test_poly_field_mismatch_and_zero_division():
         divmod(a, Polynomial.zero(a.field))
 
 
+# -- the row kernel against one F.add and F.mul per coefficient ---------------
+
+
+def reference_product(F, a, b) -> list:
+    """Oracle: the coefficients of a * b, one `F.add(., F.mul(., .))` per
+    pair of coefficients."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b, i):
+            out[j] = F.add(out[j], F.mul(x, y))
+    return out
+
+
+def reference_reduce(F, rem: list, divisor) -> list:
+    """Oracle: long division of `rem` by `divisor` in place, one
+    `F.add(., F.mul(., .))` per coefficient of each row, as `_reduce`."""
+    db, inv_lead = len(divisor) - 1, F.inv(divisor[-1])
+    quot = [0] * max(len(rem) - db, 0)
+    for i in range(len(rem) - db - 1, -1, -1):
+        c = quot[i] = F.mul(rem[i + db], inv_lead)
+        for j, b in enumerate(divisor, i):
+            rem[j] = F.sub(rem[j], F.mul(c, b))
+    del rem[db:]
+    while rem and rem[-1] == 0:
+        rem.pop()
+    return quot
+
+
+def reference_berlekamp_massey(F, seq) -> list:
+    """Oracle: Massey's algorithm with each discrepancy a dot product and
+    each update a loop of `F.sub(., F.mul(., .))`: the coefficients of
+    the minimal polynomial, low degree first."""
+    c, b = [1], [1]
+    length, shift, last = 0, 1, 1
+    for k, s in enumerate(seq):
+        disc = s
+        for i in range(1, length + 1):
+            disc = F.add(disc, F.mul(c[i], seq[k - i]))
+        if disc == 0:
+            shift += 1
+            continue
+        coef, prev = F.div(disc, last), list(c)
+        c += [0] * (len(b) + shift - len(c))
+        for i, bi in enumerate(b):
+            c[i + shift] = F.sub(c[i + shift], F.mul(coef, bi))
+        if 2 * length <= k:
+            length, b, last, shift = k + 1 - length, prev, disc, 1
+            c += [0] * (length + 1 - len(c))
+        else:
+            shift += 1
+    return c[: length + 1][::-1]
+
+
+# every branch of the row kernel: XOR for p = 2, mod p for m = 1, Zech's
+# logarithm for odd p^m; GF(2) has a log table of one entry
+ROW_FIELDS = [(2, 1), (2, 3), (2, 4), (3, 1), (5, 1), (13, 1), (3, 2), (5, 2), (3, 3)]
+row_fields = st.sampled_from(ROW_FIELDS).map(lambda pm: make_field(*pm))
+ROW_SETTINGS = settings(max_examples=150, deadline=None)
+
+
+def coefficients(F, min_size=0, max_size=12, leading=False):
+    """Coefficient lists over F, zero in about half the places; with
+    `leading`, the last coefficient is nonzero and need not be 1."""
+    element = st.one_of(st.just(0), st.integers(0, F.order - 1))
+    body = st.lists(element, min_size=min_size, max_size=max_size)
+    if not leading:
+        return body
+    return st.tuples(body, st.integers(1, F.order - 1)).map(lambda t: t[0] + [t[1]])
+
+
+@ROW_SETTINGS
+@given(st.data())
+def test_row_product_matches_the_reference(data):
+    F = data.draw(row_fields)
+    a, b = data.draw(coefficients(F)), data.draw(coefficients(F))
+    assert _product(F, a, b) == reference_product(F, a, b)
+
+
+@ROW_SETTINGS
+@given(st.data())
+def test_row_division_matches_the_reference(data):
+    F = data.draw(row_fields)
+    rem = data.draw(coefficients(F, max_size=20))
+    divisor = data.draw(coefficients(F, max_size=9, leading=True))
+    want = list(rem)
+    assert _reduce(F, rem, divisor) == reference_reduce(F, want, divisor)
+    assert rem == want
+
+
+@ROW_SETTINGS
+@given(st.data())
+def test_euclid_chain_of_degree_one_quotients(data):
+    # r_(i-1) = q_i r_i + r_(i+1) with every q_i linear, from a unit r_k:
+    # Euclid on (r_0, r_1) takes k steps, each a quotient of degree 1 whose
+    # remainder is the next r, and ends at r_k
+    F = data.draw(row_fields)
+    unit, steps = data.draw(st.integers(1, F.order - 1)), data.draw(st.integers(1, 12))
+    chain = [[], [unit]]
+    for _ in range(steps):
+        q = data.draw(coefficients(F, min_size=1, max_size=1, leading=True))
+        high = reference_product(F, q, chain[-1])
+        for j, c in enumerate(chain[-2]):
+            high[j] = F.add(high[j], c)
+        chain.append(high)
+    for high, low, nxt in zip(chain[:1:-1], chain[-2:0:-1], chain[-3::-1]):
+        rem, want = list(high), list(high)
+        quot = _reduce(F, rem, low)
+        assert quot == reference_reduce(F, want, low) and len(quot) == 2
+        assert rem == want == nxt
+    assert _euclid(F, list(chain[-1]), chain[-2]) == [unit]
+
+
+@ROW_SETTINGS
+@given(st.data())
+def test_list_coprimality_matches_poly_gcd(data):
+    # gcd(s - x, f) = 1 on coefficient lists, as Ben-Or and Rabin ask it,
+    # against `poly_gcd`; half the f share the factor s - x by construction
+    F = data.draw(row_fields)
+    s = data.draw(coefficients(F, max_size=8))
+    if data.draw(st.booleans()):
+        f = data.draw(coefficients(F, min_size=2, max_size=9, leading=True))
+    else:
+        cofactor = data.draw(coefficients(F, min_size=1, max_size=4, leading=True))
+        f = _product(F, (Polynomial(F, s) - Polynomial(F, (0, 1))).coeffs, cofactor)
+    f = Polynomial(F, f)
+    if f.degree < max(2, len(Polynomial(F, s).coeffs)):
+        return
+    want = poly_gcd(Polynomial(F, s) - Polynomial(F, (0, 1)), f).degree == 0
+    assert _coprime_minus_x(F, list(Polynomial(F, s).coeffs), f.coeffs) == want
+
+
+@ROW_SETTINGS
+@given(st.data())
+def test_berlekamp_massey_matches_the_reference(data):
+    F = data.draw(row_fields)
+    seq = data.draw(coefficients(F, max_size=16))
+    want = Polynomial(F, reference_berlekamp_massey(F, seq))
+    assert berlekamp_massey(F, seq) == want
+
+
+def test_row_kernel_calls_no_scalar_arithmetic(monkeypatch):
+    # no loop of the division, the product or Berlekamp-Massey calls the
+    # field's scalar add, sub or mul
+    F = make_field(3, 2)
+    a, b = [1, 0, 5, 7, 2, 8], [3, 0, 4, 1]
+    want_rem = list(a)
+    want = (reference_product(F, a, b), reference_reduce(F, want_rem, b),
+            tuple(reference_berlekamp_massey(F, a)))
+    for name in ("add", "sub", "mul"):
+        monkeypatch.setattr(FiniteField, name, lambda *_, _n=name: pytest.fail(_n))
+    rem = list(a)
+    got = (_product(F, a, b), _reduce(F, rem, b), berlekamp_massey(F, a).coeffs)
+    assert got == want and rem == want_rem
+
+
 def pow_mod(base: Polynomial, e: int, mod: Polynomial) -> Polynomial:
     """Oracle: base**e mod `mod`, e >= 0, by square and multiply on
     `Polynomial`s alone, with no kernel."""
@@ -258,9 +421,10 @@ def test_is_irreducible_small():
 
 def test_linear_f_is_accepted_with_no_power(monkeypatch):
     # every monic f of degree 1, x among them, is irreducible: the kernel
-    # comes with no power and no gcd, where gcd(x^q - x, f) would be f
+    # comes with no power and no gcd, where gcd(x^q - x, f) would be f.
+    # `_euclid` is the one gcd loop, under Ben-Or's and `poly_gcd` alike
     fields = [field_from_order(q) for q in (2, 5, 9)]
-    monkeypatch.setattr(galois, "poly_gcd", lambda *_: pytest.fail("poly_gcd ran"))
+    monkeypatch.setattr(galois, "_euclid", lambda *_: pytest.fail("a gcd ran"))
     monkeypatch.setattr(ExtensionField, "pow", lambda *_: pytest.fail("pow ran"))
     for F in fields:
         for c in range(F.order):
@@ -300,10 +464,10 @@ def ben_or_counts(max_size: int, orders=(2, 3, 4, 5), on_kernel=False):
 def ben_or_on(monkeypatch, candidates):
     """[(accepted, root_rejected)] of `_ben_or` on each candidate, where
     root_rejected means it refused before building any kernel; fails if a
-    candidate so refused calls `poly_gcd`."""
+    candidate so refused runs a gcd, that is, calls `_euclid`."""
     calls, out = [], []
     with monkeypatch.context() as patch:
-        for name in ("poly_gcd", "ExtensionField"):
+        for name in ("_euclid", "ExtensionField"):
             real = getattr(galois, name)
             patch.setattr(galois, name,
                           lambda *a, _name=name, _real=real: calls.append(_name) or _real(*a))
