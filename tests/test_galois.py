@@ -233,26 +233,37 @@ def test_poly_field_mismatch_and_zero_division():
 
 
 def reference_product(F, a, b) -> list:
-    """Oracle: the coefficients of a * b, one `F.add(., F.mul(., .))` per
-    pair of coefficients."""
+    """Oracle: the scalar loop `_product` ran before the row kernel, one
+    `F.add(., F.mul(., .))` per pair of nonzero coefficients."""
     if not a or not b:
         return []
+    add, mul = F.add, F.mul
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
+        if x == 0:
+            continue
         for j, y in enumerate(b, i):
-            out[j] = F.add(out[j], F.mul(x, y))
+            if y:
+                out[j] = add(out[j], mul(x, y))
     return out
 
 
 def reference_reduce(F, rem: list, divisor) -> list:
-    """Oracle: long division of `rem` by `divisor` in place, one
-    `F.add(., F.mul(., .))` per coefficient of each row, as `_reduce`."""
-    db, inv_lead = len(divisor) - 1, F.inv(divisor[-1])
+    """Oracle: the scalar loop `_reduce` ran before the row kernel, long
+    division of `rem` by `divisor` in place with one `F.add(., F.mul(., .))`
+    per coefficient of each row."""
+    db = len(divisor) - 1
+    inv_lead = F.inv(divisor[-1])
     quot = [0] * max(len(rem) - db, 0)
+    add, mul, lower = F.add, F.mul, divisor[:-1]
     for i in range(len(rem) - db - 1, -1, -1):
-        c = quot[i] = F.mul(rem[i + db], inv_lead)
-        for j, b in enumerate(divisor, i):
-            rem[j] = F.sub(rem[j], F.mul(c, b))
+        c = mul(rem[i + db], inv_lead)
+        if c == 0:
+            continue
+        quot[i] = c
+        c = F.neg(c)
+        for j, b in enumerate(lower, i):
+            rem[j] = add(rem[j], mul(c, b))
     del rem[db:]
     while rem and rem[-1] == 0:
         rem.pop()
@@ -260,9 +271,10 @@ def reference_reduce(F, rem: list, divisor) -> list:
 
 
 def reference_berlekamp_massey(F, seq) -> list:
-    """Oracle: Massey's algorithm with each discrepancy a dot product and
-    each update a loop of `F.sub(., F.mul(., .))`: the coefficients of
-    the minimal polynomial, low degree first."""
+    """Oracle: the scalar `berlekamp_massey` of before the row kernel, each
+    discrepancy a dot product and each update a loop of
+    `F.sub(., F.mul(., .))`: the minimal polynomial's coefficients, low
+    degree first."""
     c, b = [1], [1]
     length, shift, last = 0, 1, 1
     for k, s in enumerate(seq):
