@@ -40,7 +40,6 @@ from .galois import (
     Polynomial,
     field_from_order,
     make_field,
-    poly_gcd,
 )
 from .intmath import smallest_prime_factor
 
@@ -71,7 +70,6 @@ __all__ = [
     "peng_fan_1",
     "peng_fan_2",
     "pf_identity_sweep",
-    "poly_gcd",
     "singleton_max_size",
     "smallest_prime_factor",
     "unit_coset_code",

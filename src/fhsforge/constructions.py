@@ -17,8 +17,8 @@ Builders report the bounds first, then prove what fits the enumeration cap
 and correlation budget, orbit counts and sizes exactly, then the exact
 correlation certificate, and record each claim beside its proof in
 `FamilyBuild.claims`.  Every builder refuses a field order above the table
-cap before any factoring, and a report past its printable digits before
-any code is built.
+cap before any factoring, and a report past its printable digits or a
+length past the factor table's cap before any field or code is built.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from .cyclic import (
     CyclicCode,
     _full_orbits,
     build_code,
+    check_factor_length,
     class_partition,
     unit_coset_code,
     ENUMERATION_CAP,
@@ -49,7 +50,7 @@ from .fhs import (
     classes_to_fhs,
     max_nontrivial,
 )
-from .galois import FIELD_ORDER_CAP, FiniteField, check_field_order, make_field
+from .galois import FIELD_ORDER_CAP, check_field_order, make_field
 from .intmath import is_prime, is_prime_power, smallest_prime_factor
 
 
@@ -106,17 +107,19 @@ def _claimed(q: int, n: int, nonzeros) -> tuple[int, int]:
     return (q**K - (q if 0 in nonzeros else 1)) // n, K - 1
 
 
-def _materialize(params: dict, field: FiniteField, n: int, nonzeros: set,
+def _materialize(params: dict, pm: tuple[int, int], n: int, nonzeros: set,
                  enum_cap: int, budget: int | None) -> FamilyBuild:
     """Check and, within the caps, build and certify the family's set from
-    the code of length n over `field` with these nonzeros, Z = Z_n less
-    them: one sequence per orbit outside the code's constant words, which
-    are the zero word alone when 0 is in Z.  The bound report comes first,
-    so an instance whose report is refused builds no code."""
-    q = field.order
+    the code of length n over GF(p^m), (p, m) = pm, with these nonzeros,
+    Z = Z_n less them: one sequence per orbit outside the code's constant
+    words, which are the zero word alone when 0 is in Z.  The bound report
+    comes first, then the length cap of the factor table, so an instance
+    refused by either builds no field and no code."""
+    q = params["q"]
     N, lam = _claimed(q, n, nonzeros)
     report = optimality_report(n, N, q, lam)
-    code = build_code(n, field, set(range(n)) - nonzeros)
+    check_factor_length(n)
+    code = build_code(n, make_field(*pm), set(range(n)) - nonzeros)
     fhs = survey = count = all_full = measured = None
     if code.size <= enum_cap:
         reps, sizes = class_partition(code, cap=enum_cap)
@@ -155,7 +158,7 @@ def family_a(
     if not 1 <= k <= k_cap:
         raise KOutOfRange(f"k must satisfy 1 <= k <= {k_cap}, got {k}")
     params = {"family": "A", "q": q, "n": n, "m": m, "k": k, "p": p}
-    return _materialize(params, make_field(2, m), n,
+    return _materialize(params, (2, m), n,
                         {j % n for j in range(-k, k + 1)}, enum_cap, budget)
 
 
@@ -171,7 +174,7 @@ def family_b(
         raise NotOddPrimePower(f"{q} is not an odd prime power")
     n = q + 1
     params = {"family": "B", "q": q, "n": n}
-    return _materialize(params, make_field(*pe), n, {q, 0, 1}, enum_cap, budget)
+    return _materialize(params, pe, n, {q, 0, 1}, enum_cap, budget)
 
 
 def family_c(
@@ -194,7 +197,7 @@ def family_c(
         raise KOutOfRange(f"k must satisfy 0 <= k <= {k_cap}, got {k}")
     lo = (n - 1) // 2 - k
     params = {"family": "C", "q": q, "n": n, "k": k, "M": bad_m}
-    return _materialize(params, make_field(*pe), n, set(range(lo, n - lo + 1)),
+    return _materialize(params, pe, n, set(range(lo, n - lo + 1)),
                         enum_cap, budget)
 
 

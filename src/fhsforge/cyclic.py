@@ -56,6 +56,15 @@ FACTOR_DEGREE_CAP = 64
 _CHECK_BLOCK = 1 << 14
 
 
+def check_factor_length(n: int) -> None:
+    """Refuse (`FactorTableTooLarge`) a length past FACTOR_LENGTH_CAP."""
+    if n > FACTOR_LENGTH_CAP:
+        raise FactorTableTooLarge(
+            f"the factor table of x^{n} - 1 exceeds the length cap "
+            f"{FACTOR_LENGTH_CAP}"
+        )
+
+
 def cyclotomic_cosets(n: int, q: int) -> list[tuple[int, ...]]:
     """All distinct q-cyclotomic cosets mod n, sorted by representative.
     Each is the sorted tuple of its members, so coset[0] is its
@@ -63,11 +72,7 @@ def cyclotomic_cosets(n: int, q: int) -> list[tuple[int, ...]]:
     n > FACTOR_LENGTH_CAP."""
     if n < 1:
         raise NonPositiveLength(f"length must be positive, got {n}")
-    if n > FACTOR_LENGTH_CAP:
-        raise FactorTableTooLarge(
-            f"the factor table of x^{n} - 1 exceeds the length cap "
-            f"{FACTOR_LENGTH_CAP}"
-        )
+    check_factor_length(n)
     if math.gcd(n, q) != 1:
         raise NotCoprime(f"gcd({n}, {q}) != 1")
     seen = [False] * n

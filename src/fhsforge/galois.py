@@ -8,15 +8,17 @@ canonical (the monic primitive polynomial of degree m whose packed digit
 value is smallest), so two runs always build identical tables, and x itself
 is the designated primitive element.
 
-`Polynomial` is GF(q)[x]: generators, x^n - 1, remainders and gcds, whose
-division, product and Berlekamp-Massey share one log-domain row
-operation, `_row`.  An extension GF(q^d) = GF(q)[y]/(f) has no tables:
-`ExtensionField` multiplies its elements as numpy digit planes, and every
-product modulo f, Ben-Or's powers among them, is one of its products.  `root_field` gives one with an
-n-th root of unity: f is Phi_n when Rabin's test on monomials, each one
-long division, proves it irreducible, else one seeded stream field per
-degree, the first that Ben-Or accepts.  `berlekamp_massey`
-gives the minimal polynomial over GF(q) of a linear recurring sequence.
+`Polynomial` is GF(q)[x]: generators, x^n - 1 and remainders.  Its
+division and product, Euclid's gcd on coefficient lists and Berlekamp-Massey
+share one log-domain row operation, `_row`.  An extension GF(q^d) =
+GF(q)[y]/(f) has no tables: `ExtensionField` multiplies its elements as
+numpy digit planes, and every product modulo f, Ben-Or's powers among them,
+is one of its products.  `root_field` gives one with an n-th root of unity:
+f is Phi_n when Rabin's test on monomials, each one long division, proves
+it irreducible, else the stream field of its degree, the first seeded
+candidate that Ben-Or accepts, whose kernel is kept for the next length of
+that degree.  `berlekamp_massey` gives the minimal polynomial over GF(q) of
+a linear recurring sequence.
 """
 
 from __future__ import annotations
@@ -97,8 +99,7 @@ class FiniteField:
             raise AssertionError("modulus is not primitive: antilog table collides")
         self.exp: list[int] = exp.tolist()
         self.log: list[int] = log.tolist()
-        self._np_exp = exp.astype(np.uint32)
-        self._np_log = np.maximum(log, 0)
+        self._exp_u32, self._log_i64 = exp.astype(np.uint32), log
         if p != 2 and m > 1:
             # 1 + x^k steps digit 0 of x^k; it is 0 (log -1) at k = (q - 1)/2
             one_plus = exp + 1 - p * (digits[:, 0] == p - 1)
@@ -144,16 +145,6 @@ class FiniteField:
             raise ZeroElement("0 has no multiplicative inverse")
         return self.exp[-self.log[a] % (self.order - 1)]
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
-    def pow(self, a: int, e: int) -> int:
-        if a == 0:
-            if e < 0:
-                raise ZeroElement("0 cannot be raised to a negative power")
-            return 1 if e == 0 else 0
-        return self.exp[self.log[a] * e % (self.order - 1)]
-
     # -- vectorized arithmetic on numpy index arrays -------------------------
 
     def sums(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -174,8 +165,10 @@ class FiniteField:
         return out
 
     def products(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """a * b, broadcast, by one log/antilog gather."""
-        out = self._np_exp[(self._np_log[a] + self._np_log[b]) % (self.order - 1)]
+        """a * b, broadcast, by one log/antilog gather.  log 0 = -1 sends a
+        zero factor's sum to some exp entry, which the mask then zeroes."""
+        log = self._log_i64
+        out = self._exp_u32[(log[a] + log[b]) % (self.order - 1)]
         out[(a == 0) | (b == 0)] = 0
         return out
 
@@ -186,7 +179,7 @@ class FiniteField:
 
 
 _FIELD_CACHE: dict[tuple[int, int], FiniteField] = {}
-_STREAM_FIELDS: dict[tuple[int, int, int], Polynomial] = {}  # see `root_field`
+_STREAM_FIELDS: dict[tuple[int, int, int], ExtensionField] = {}  # see `root_field`
 
 
 def make_field(p: int, m: int) -> FiniteField:
@@ -270,10 +263,6 @@ class Polynomial:
             field.check(c)
         self.field = field
         self.coeffs = tuple(cs)
-
-    @classmethod
-    def zero(cls, field) -> "Polynomial":
-        return cls(field, ())
 
     @classmethod
     def one(cls, field) -> "Polynomial":
@@ -454,12 +443,6 @@ def _euclid(F: FiniteField, a: list, b) -> list:
     return a
 
 
-def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic greatest common divisor."""
-    a._match(b)
-    return Polynomial(a.field, _euclid(a.field, list(a.coeffs), b.coeffs)).monic()
-
-
 def _coprime_minus_x(F: FiniteField, s: list, f: tuple) -> bool:
     """Whether gcd(s - x, f) = 1, for f of degree d >= 2 and s the
     coefficients of a remainder mod f: Ben-Or's and Rabin's test, by Euclid
@@ -577,9 +560,6 @@ class ExtensionField:
         """The element indices of a's coefficients, low degree first."""
         return (a @ self._weights).tolist()
 
-    def polynomial(self, a: np.ndarray) -> Polynomial:
-        return Polynomial(self.base, self.coefficients(a))
-
     def is_one(self, a: np.ndarray) -> bool:
         return np.array_equal(a, self.one)
 
@@ -625,9 +605,10 @@ def root_field(base: FiniteField, n: int) -> tuple[ExtensionField, np.ndarray]:
     candidate i is monic of degree d, its lower coefficients the base-q
     digits of SHAKE-256("p:m:d:i") mod q^d, skipped if f(0) = 0.  f depends
     on (p, m, d) alone, not on n, the Python version or PYTHONHASHSEED, and
-    is kept per process.  beta = g^((q^d - 1)/n) for the first nonzero g in
-    packed order from y, reduced mod f, that gives beta order n; GF(q^d)* is
-    cyclic, so the search ends at a generator.
+    the kernel Ben-Or accepted is kept per process, so a second n of the
+    same degree builds none.  beta = g^((q^d - 1)/n) for the first nonzero
+    g in packed order from y, reduced mod f, that gives beta order n;
+    GF(q^d)* is cyclic, so the search ends at a generator.
     """
     q = base.order
     d = multiplicative_order(q, n)
@@ -637,9 +618,10 @@ def root_field(base: FiniteField, n: int) -> tuple[ExtensionField, np.ndarray]:
             raise AssertionError(f"Phi_{n} over GF({q}) fails the field or the order test")
         ext = ExtensionField(phi)
         return ext, ext.element(Polynomial(base, (0, 1)))
-    f = _STREAM_FIELDS.get((base.p, base.m, d))
-    ext = ExtensionField(f) if f else next(filter(None, map(_ben_or, _stream(base, d))))
-    _STREAM_FIELDS[base.p, base.m, d] = ext.modulus
+    key = (base.p, base.m, d)
+    if key not in _STREAM_FIELDS:
+        _STREAM_FIELDS[key] = next(filter(None, map(_ben_or, _stream(base, d))))
+    ext = _STREAM_FIELDS[key]
     for packed in range(q, q ** (d + 1)):
         g = ext.element(Polynomial.from_packed(base, packed))
         if g.any() and _has_order(ext, beta := ext.pow(g, (q**d - 1) // n), n):
@@ -652,8 +634,9 @@ def _monomial_rabin(f: Polynomial, n: int) -> bool:
     and is irreducible with y of order n.  Modulo f, x^k = x^(k mod n), so
     x^(q^D) = x, and Rabin's test (1980) needs one gcd of a monomial per
     prime s | D; y then has order n iff x^(n/r) != 1 for each prime r | n.
-    Every exponent is below n, so each x^e mod f is one long division of
-    a coefficient list, and each gcd is Euclid on coefficient lists."""
+    No exponent passes n, so each x^e mod f is one long division of a
+    coefficient list, f | x^n - 1 among them as x^n = 1, and each gcd is
+    Euclid on coefficient lists."""
     F, D = f.field, f.degree
 
     def monomial(e: int) -> list:  # x^e mod f
@@ -662,7 +645,7 @@ def _monomial_rabin(f: Polynomial, n: int) -> bool:
         return rem
 
     return (D >= 1 and f.leading() == 1 and pow(F.order, D, n) == 1 % n
-            and (Polynomial.x_pow_n_minus_one(F, n) % f).is_zero()
+            and monomial(n) == [1]
             and all(monomial(n // r) != [1] for r in prime_factors(n))
             and all(_coprime_minus_x(F, monomial(pow(F.order, D // s, n)), f.coeffs)
                     for s in prime_factors(D)))

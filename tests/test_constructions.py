@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from fhsforge import constructions
@@ -14,16 +16,21 @@ from fhsforge.cyclic import (
     has_full_orbits_outside_constants,
     min_distance_exhaustive,
 )
-from fhsforge.errors import BoundTooLarge, KOutOfRange, NotOddDivisor, NotOddPrimePower
+from fhsforge.errors import (
+    BoundTooLarge,
+    FactorTableTooLarge,
+    KOutOfRange,
+    NotOddDivisor,
+    NotOddPrimePower,
+)
 from fhsforge.galois import (
     Polynomial,
     _ben_or,
     field_from_order,
     make_field,
-    poly_gcd,
 )
 from fhsforge.intmath import multiplicative_order, smallest_prime_factor
-from test_galois import pow_mod
+from test_galois import pow_mod, reference_gcd
 
 
 # -- parameter helpers ---------------------------------------------------------
@@ -127,6 +134,22 @@ def test_family_a_params_only():
     assert build.verdicts()["class_count"] is None
     assert build.report.meets_singleton
     assert build.survey is None
+
+
+def test_over_long_family_is_refused_before_its_field(monkeypatch):
+    # n = 2^20 + 1 is past the factor table's length cap: the refusal comes
+    # after the bound report and before GF(2^20), 131 MiB of tables, or any
+    # set of 2^20 residues exists
+    monkeypatch.setattr(constructions, "make_field",
+                        lambda *_: pytest.fail("the field was built"))
+    tracemalloc.start()
+    try:
+        with pytest.raises(FactorTableTooLarge, match="length cap 131072"):
+            family_a(20, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 # -- family B -------------------------------------------------------------------
@@ -296,7 +319,8 @@ def least_packed_phi_factor(field, n, degree):
     for packed in range(q**degree):
         coeffs = [packed // q**i % q for i in range(degree)] + [1]
         f = Polynomial(field, coeffs)
-        if (xn1 % f).is_zero() and all(poly_gcd(f, g).degree == 0 for g in lower):
+        if (xn1 % f).is_zero() and all(reference_gcd(field, f.coeffs, g.coeffs) == [1]
+                                       for g in lower):
             return coeffs
     raise AssertionError("no divisor of Phi_n found")
 
@@ -332,7 +356,7 @@ def test_factor_table_over_extension_fields(q):
         x_pows = [pow_mod(x, e, m1) for e in range(n + 1)]
         assert x_pows[n] == x_pows[0], n
         for j, mj in enumerate(factor_of):
-            value = Polynomial.zero(F)
+            value = Polynomial(F)
             for i, c in enumerate(mj.coeffs):
                 value = value + x_pows[i * j % n].scale(c)
             assert value.is_zero(), (n, j)

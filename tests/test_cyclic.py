@@ -318,7 +318,7 @@ def canonical_root(F, n):
     the table's factor of the coset of 1, among the powers of root_field's
     n-th root of unity modulo f."""
     ext, beta = root_field(F, n)
-    f, beta = ext.modulus, ext.polynomial(beta)
+    f, beta = ext.modulus, Polynomial(F, ext.coefficients(beta))
     m1 = next(mj for coset, mj in factor_x_pow_n_minus_one(F, n) if 1 % n in coset)
     alpha = next(a for a in (pow_mod(beta, s, f) for s in range(n))
                  if evaluate(m1, a, f).is_zero())
@@ -327,7 +327,7 @@ def canonical_root(F, n):
 
 def evaluate(poly, a, f):
     """poly(a) modulo f, by Horner's rule."""
-    acc = Polynomial.zero(poly.field)
+    acc = Polynomial(poly.field)
     for c in reversed(poly.coeffs):
         acc = (acc * a + Polynomial(poly.field, (c,))) % f
     return acc
@@ -788,7 +788,7 @@ def test_codeword_matrix_message_order():
         mat = codeword_matrix(code)
         assert mat.shape == (F.order**k, n) and mat.dtype == np.uint32
         for r, row in enumerate(mat.tolist()):
-            word = Polynomial.zero(F)
+            word = Polynomial(F)
             for i in range(k):
                 m_i = r // F.order ** (k - 1 - i) % F.order
                 word = word + Polynomial(F, (0,) * i + (m_i,)) * code.generator

@@ -29,7 +29,6 @@ from fhsforge.galois import (
     berlekamp_massey,
     field_from_order,
     make_field,
-    poly_gcd,
     root_field,
 )
 from fhsforge.intmath import is_prime, multiplicative_order, prime_factors, totient
@@ -83,7 +82,7 @@ def test_gf25_primitive_element_order():
     # exhaustive order check over all 24 exponents
     F = make_field(5, 2)
     x = F.exp[1]  # the designated primitive element x
-    powers = [F.pow(x, k) for k in range(1, 25)]
+    powers = list(itertools.accumulate([x] * 24, F.mul))  # x^1, ..., x^24
     assert powers[-1] == 1
     assert all(p != 1 for p in powers[:-1])
 
@@ -109,7 +108,7 @@ def test_field_axioms_exhaustive(p, m):
         assert F.mul(a, b) == F.mul(b, a)
         assert F.add(a, F.neg(a)) == 0
         if b != 0:
-            assert F.mul(F.div(a, b), b) == a
+            assert F.mul(F.mul(a, F.inv(b)), b) == a
     for a, b, c in itertools.product(elems, repeat=3):
         assert F.add(F.add(a, b), c) == F.add(a, F.add(b, c))
         assert F.mul(F.mul(a, b), c) == F.mul(a, F.mul(b, c))
@@ -134,8 +133,8 @@ def test_element_order_against_brute_force():
             if (F.order - 1) % n == 0:
                 ext, beta = root_field(F, n)
                 assert ext.d == 1
-                assert ext.polynomial(beta).degree == 0
-                assert brute_force_order(F, ext.polynomial(beta).coeffs[0]) == n
+                (b,) = ext.coefficients(beta)
+                assert b != 0 and brute_force_order(F, b) == n
 
 
 def test_nth_root_of_unity():
@@ -148,7 +147,7 @@ def test_nth_root_of_unity():
             if math.gcd(n, F.order) != 1:
                 continue
             ext, beta = root_field(F, n)
-            f, b = ext.modulus, ext.polynomial(beta)
+            f, b = ext.modulus, Polynomial(F, ext.coefficients(beta))
             assert f.degree == multiplicative_order(F.order, n) and f.leading() == 1
             assert _ben_or(f) is not None
             acc, order = b, 1
@@ -161,10 +160,6 @@ def test_zero_division_and_inverse():
     F = make_field(3, 2)
     with pytest.raises(ZeroElement):
         F.inv(0)
-    assert F.pow(0, 0) == 1
-    assert F.pow(0, 5) == 0
-    with pytest.raises(ZeroElement):
-        F.pow(0, -1)
 
 
 # -- polynomials --------------------------------------------------------------
@@ -201,7 +196,7 @@ def test_xn_minus_one_squarefree():
         derivative = Polynomial(
             F, [F.mul(c, i % F.p) for i, c in enumerate(f.coeffs)][1:]
         )
-        assert poly_gcd(f, derivative).coeffs == (1,)
+        assert reference_gcd(F, f.coeffs, derivative.coeffs) == [1]
 
 
 def test_poly_mul_degree_and_eval():
@@ -226,7 +221,7 @@ def test_poly_field_mismatch_and_zero_division():
     with pytest.raises(FieldMismatch):
         _ = a + b
     with pytest.raises(DivisionByZeroPolynomial):
-        divmod(a, Polynomial.zero(a.field))
+        divmod(a, Polynomial(a.field))
 
 
 # -- the row kernel against one F.add and F.mul per coefficient ---------------
@@ -284,7 +279,7 @@ def reference_berlekamp_massey(F, seq) -> list:
         if disc == 0:
             shift += 1
             continue
-        coef, prev = F.div(disc, last), list(c)
+        coef, prev = F.mul(disc, F.inv(last)), list(c)
         c += [0] * (len(b) + shift - len(c))
         for i, bi in enumerate(b):
             c[i + shift] = F.sub(c[i + shift], F.mul(coef, bi))
@@ -294,6 +289,17 @@ def reference_berlekamp_massey(F, seq) -> list:
         else:
             shift += 1
     return c[: length + 1][::-1]
+
+
+def reference_gcd(F, a, b) -> list:
+    """Oracle: the monic gcd of two coefficient sequences with no trailing
+    zeros, by Euclid on `reference_reduce`, so sharing no code with
+    `_euclid` or `_row`: empty when both are zero."""
+    a, b = list(a), list(b)
+    while b:
+        reference_reduce(F, a, b)
+        a, b = b, a
+    return [F.mul(c, F.inv(a[-1])) for c in a]
 
 
 # every branch of the row kernel: XOR for p = 2, mod p for m = 1, Zech's
@@ -357,9 +363,10 @@ def test_euclid_chain_of_degree_one_quotients(data):
 
 @ROW_SETTINGS
 @given(st.data())
-def test_list_coprimality_matches_poly_gcd(data):
+def test_list_coprimality_matches_the_reference_gcd(data):
     # gcd(s - x, f) = 1 on coefficient lists, as Ben-Or and Rabin ask it,
-    # against `poly_gcd`; half the f share the factor s - x by construction
+    # against `reference_gcd`; half the f share the factor s - x by
+    # construction
     F = data.draw(row_fields)
     s = data.draw(coefficients(F, max_size=8))
     if data.draw(st.booleans()):
@@ -370,7 +377,8 @@ def test_list_coprimality_matches_poly_gcd(data):
     f = Polynomial(F, f)
     if f.degree < max(2, len(Polynomial(F, s).coeffs)):
         return
-    want = poly_gcd(Polynomial(F, s) - Polynomial(F, (0, 1)), f).degree == 0
+    want = reference_gcd(F, (Polynomial(F, s) - Polynomial(F, (0, 1))).coeffs,
+                         f.coeffs) == [1]
     assert _coprime_minus_x(F, list(Polynomial(F, s).coeffs), f.coeffs) == want
 
 
@@ -434,7 +442,7 @@ def test_is_irreducible_small():
 def test_linear_f_is_accepted_with_no_power(monkeypatch):
     # every monic f of degree 1, x among them, is irreducible: the kernel
     # comes with no power and no gcd, where gcd(x^q - x, f) would be f.
-    # `_euclid` is the one gcd loop, under Ben-Or's and `poly_gcd` alike
+    # `_euclid` is the library's one gcd loop
     fields = [field_from_order(q) for q in (2, 5, 9)]
     monkeypatch.setattr(galois, "_euclid", lambda *_: pytest.fail("a gcd ran"))
     monkeypatch.setattr(ExtensionField, "pow", lambda *_: pytest.fail("pow ran"))
@@ -494,7 +502,8 @@ def ben_or_on(monkeypatch, candidates):
 
 def has_root_by_gcd(f: Polynomial) -> bool:
     x = Polynomial(f.field, (0, 1))
-    return poly_gcd(pow_mod(x, f.field.order, f) - x, f).degree > 0
+    return reference_gcd(f.field, (pow_mod(x, f.field.order, f) - x).coeffs,
+                         f.coeffs) != [1]
 
 
 def test_root_test_is_the_first_gcd_when_q_below_d(monkeypatch):
@@ -588,7 +597,7 @@ def test_poly_ext_field_axioms_random():
 def test_poly_ext_root_of_unity():
     F2 = make_field(2, 1)
     ext, beta = root_field(F2, 29)
-    f, alpha = ext.modulus, ext.polynomial(beta)
+    f, alpha = ext.modulus, Polynomial(F2, ext.coefficients(beta))
     assert f.degree == 28
     acc = alpha
     seen = {alpha}
@@ -663,17 +672,19 @@ def test_monomial_rabin_decides_phi_n():
 
 def test_second_length_of_a_degree_runs_no_ben_or(monkeypatch):
     # the stream field of degree d is kept per (p, m, d): n = 21 and n = 63
-    # both have d = ord_n(2) = 6 < phi(n), and the second takes the kept f
+    # both have d = ord_n(2) = 6 < phi(n), and the second takes the kept
+    # kernel, with no Ben-Or and no kernel built
     monkeypatch.setattr(galois, "_STREAM_FIELDS", {})
     F = make_field(2, 1)
-    f = root_field(F, 21)[0].modulus
+    kept = root_field(F, 21)[0]
 
-    def refuse(poly):
-        raise AssertionError("Ben-Or ran for a kept degree")
+    def refuse(*_):
+        raise AssertionError("Ben-Or ran or a kernel was built for a kept degree")
 
     monkeypatch.setattr(galois, "_ben_or", refuse)
+    monkeypatch.setattr(galois, "ExtensionField", refuse)
     ext, beta = root_field(F, 63)
-    assert ext.modulus == f and galois._has_order(ext, beta, 63)
+    assert ext is kept and galois._has_order(ext, beta, 63)
 
 
 def test_element_search_moves_past_y():
@@ -682,7 +693,7 @@ def test_element_search_moves_past_y():
     for p, m, n in [(2, 3, 9), (5, 2, 26)]:
         F = make_field(p, m)
         ext, beta = root_field(F, n)
-        f, b = ext.modulus, ext.polynomial(beta)
+        f, b = ext.modulus, Polynomial(F, ext.coefficients(beta))
         y_power = pow_mod(Polynomial(F, (0, 1)), (F.order**ext.d - 1) // n, f)
         assert b != y_power
         acc, order = b, 1
@@ -847,13 +858,14 @@ def test_kernel_matches_polynomial_arithmetic(p, m):
     for d in KERNEL_DEGREES:
         f = Polynomial(F, [rng.randrange(F.order) for _ in range(d)] + [1])
         ext = ExtensionField(f)
+        poly = lambda plane: Polynomial(F, ext.coefficients(plane))
         for _ in range(3 if d < 28 else 1):
             a, b = rand(d), rand(d)
-            assert ext.polynomial(ext.element(a)) == a
-            assert ext.polynomial(ext.mul(ext.element(a), ext.element(b))) == a * b % f
+            assert poly(ext.element(a)) == a
+            assert poly(ext.mul(ext.element(a), ext.element(b))) == a * b % f
             e = rng.randrange(1 << (40 if d < 28 else 12))
-            assert ext.polynomial(ext.pow(ext.element(a), e)) == pow_mod(a, e, f)
-        assert ext.polynomial(ext.pow(ext.element(rand(d)), 0)) == Polynomial.one(F)
+            assert poly(ext.pow(ext.element(a), e)) == pow_mod(a, e, f)
+        assert poly(ext.pow(ext.element(rand(d)), 0)) == Polynomial.one(F)
 
 
 def horner(ext, poly, a):
@@ -876,10 +888,11 @@ def test_kernel_evaluates_polynomials():
     for _ in range(20):
         g = Polynomial(F, [rng.randrange(9) for _ in range(7)] + [1])
         a = Polynomial(F, [rng.randrange(9) for _ in range(5)])
-        direct = Polynomial.zero(F)
+        direct = Polynomial(F)
         for i, c in enumerate(g.coeffs):
             direct = direct + pow_mod(a, i, f).scale(c)
-        assert ext.polynomial(horner(ext, g, ext.element(a))) == direct % f
+        got = horner(ext, g, ext.element(a))
+        assert Polynomial(F, ext.coefficients(got)) == direct % f
 
 
 def _unfiltered_modulus(base, d):

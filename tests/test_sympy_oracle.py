@@ -1,5 +1,6 @@
 """sympy as an independent oracle for the factor table over prime fields
-and over GF(p^m), m >= 2, and for `is_prime`.
+and over GF(p^m), m >= 2, for the fields GF(p^m) themselves, and for
+`is_prime`.
 
 sympy factors x^n - 1 and Phi_n(x) mod p with its own algorithms, so it
 shares no code with `factor_x_pow_n_minus_one`, which finds each factor by
@@ -211,6 +212,39 @@ def test_extension_factor_tables_match_sympy():
     for q, n in EXTENSION_TABLES:
         field = field_from_order(q)
         check_extension_table(field, n, factor_x_pow_n_minus_one(field, n))
+
+
+# -- the fields GF(p^m), m >= 2, themselves ---------------------------------------
+
+
+def _primitive(f, p, radicals):
+    """Whether the monic f, a galoistools list of degree m over GF(p), is
+    irreducible with t of order p^m - 1 modulo it; `radicals` are the
+    primes dividing p^m - 1."""
+    order = p ** (len(f) - 1) - 1
+    return gt.gf_irreducible_p(f, p, ZZ) and all(
+        gt.gf_pow_mod([1, 0], order // r, f, p, ZZ) != [1] for r in radicals)
+
+
+def test_fields_match_sympy():
+    # every prime power q <= 2^12 with m >= 2: the modulus is irreducible
+    # and primitive, no monic primitive polynomial of degree m packs
+    # smaller, and F.exp[k] is t^k modulo it, each by sympy's galoistools
+    fields = [next(iter(f.items())) for q in range(4, (1 << 12) + 1)
+              if len(f := sympy.factorint(q)) == 1 and max(f.values()) >= 2]
+    assert len(fields) == 40
+    for p, m in fields:
+        F, q = make_field(p, m), p**m
+        mod, radicals = list(F.modulus)[::-1], sympy.primefactors(q - 1)
+        assert _primitive(mod, p, radicals), q
+        for packed in range(q, _packed(F.modulus, p)):
+            smaller = [packed // p**i % p for i in range(m, -1, -1)]
+            assert not _primitive(smaller, p, radicals), (q, smaller)
+        power, want = [1], []
+        for _ in range(q - 1):
+            want.append(_packed(power[::-1], p))
+            power = gt.gf_rem(gt.gf_lshift(power, 1, ZZ), mod, p, ZZ)
+        assert F.exp == want, q
 
 
 def test_root_field_is_phi_n_when_ord_is_phi():
