@@ -124,6 +124,15 @@ def _below_printable(a: int, x: int, n: int) -> bool:
     return a**x < printable * n
 
 
+def check_printable(n: int, ell: int, lam: int, count: int = 1) -> None:
+    """Refuse (`BoundTooLarge`) an nN or Singleton's N of over D digits,
+    D = `_printable_digits()`.  The families call it at N = 1, before
+    their claimed N's power is taken."""
+    digits = _printable_digits()
+    if n * count >= 10**digits or not _below_printable(ell, lam + 1, n):
+        raise BoundTooLarge(f"nN or Singleton's N has over {digits} digits")
+
+
 @dataclass(frozen=True)
 class BoundReport:
     n: int
@@ -167,11 +176,8 @@ def optimality_report(n: int, count: int, ell: int, lam: int) -> BoundReport:
         raise InconsistentParameters(
             f"parameters ({n}, {count}, {lam}; {ell}) are out of range"
         )
-    nn = n * count
-    digits = _printable_digits()
-    if nn >= 10**digits or not _below_printable(ell, lam + 1, n):
-        raise BoundTooLarge(f"nN or Singleton's N has over {digits} digits")
-    big_i, j = divmod(nn, ell)
+    check_printable(n, ell, lam, count)
+    big_i, j = divmod(n * count, ell)
     pf1 = peng_fan_1(n, count, ell)
     pf2 = peng_fan_2(n, count, ell)
     singleton = singleton_max_size(n, lam, ell)

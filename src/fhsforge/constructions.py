@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .bounds import BoundReport, optimality_report
+from .bounds import BoundReport, check_printable, optimality_report
 from .cyclic import (
     CyclicCode,
     _full_orbits,
@@ -112,10 +112,12 @@ def _materialize(params: dict, pm: tuple[int, int], n: int, nonzeros: set,
     """Check and, within the caps, build and certify the family's set from
     the code of length n over GF(p^m), (p, m) = pm, with these nonzeros,
     Z = Z_n less them: one sequence per orbit outside the code's constant
-    words, which are the zero word alone when 0 is in Z.  The bound report
-    comes first, then the length cap of the factor table, so an instance
-    refused by either builds no field and no code."""
+    words, which are the zero word alone when 0 is in Z.  Singleton's
+    printable-digits rule comes first, before the claimed N's q^K, then the
+    bound report, then the length cap of the factor table, so an instance
+    refused by any of them builds no field and no code."""
     q = params["q"]
+    check_printable(n, q, len(nonzeros) - 1)
     N, lam = _claimed(q, n, nonzeros)
     report = optimality_report(n, N, q, lam)
     check_factor_length(n)

@@ -62,9 +62,10 @@ def _json_int(value, what: str) -> int:
 class FhsSet:
     """A set of N distinct length-n sequences over the alphabet 0..ell-1.
 
-    The symbols are checked once, as given, before they become uint32.
-    `seqs` keeps the rows in the order given; `order` indexes them in
-    lexicographic order, the order a record is written in."""
+    ell must be a Python or numpy integer, not a bool, and is stored as an
+    int; then the symbols are checked once, as given, before they become
+    uint32.  `seqs` keeps the rows in the order given; `order` indexes them
+    in lexicographic order, the order `to_json_bytes` writes a record in."""
 
     def __init__(
         self,
@@ -73,6 +74,9 @@ class FhsSet:
         provenance: dict | None = None,
         max_correlation: int | None = None,
     ):
+        if isinstance(alphabet_size, bool) \
+                or not isinstance(alphabet_size, (int, np.integer)):
+            raise LengthAlphabetViolation(f"ell must be an integer, got {alphabet_size!r}")
         arr = np.asarray(sequences)
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise EmptySet("an FHS set needs at least one nonempty sequence")
@@ -108,26 +112,18 @@ class FhsSet:
     def size(self) -> int:
         return self.seqs.shape[0]
 
-    def _json_head(self) -> dict:
-        """The record's fields other than `sequences`."""
-        return {
-            "n": self.n,
-            "ell": self.alphabet_size,
-            "N": self.size,
-            "lambda": self.max_correlation,
-            "provenance": self.provenance,
-        }
-
     def to_json_dict(self) -> dict:
-        return {**self._json_head(), "sequences": self.seqs[self.order].tolist()}
+        """The record as parsed JSON: what `to_json_bytes` writes, read back."""
+        return json.loads(self.to_json_bytes())
 
     def to_json_bytes(self) -> bytes:
         """The record as `json.dumps(indent=2, sort_keys=True)` writes it,
         with a final newline, except that each sequence takes one line:
         C512's 9,709 sequences take 9,725 lines, not 281,577.  Its
         `sequences` is the plain array that `_decode_record` reads."""
-        head = json.dumps(self._json_head(), indent=2, sort_keys=True)
-        head = head[:-2]  # up to the last "\n}"
+        head = {"n": self.n, "ell": self.alphabet_size, "N": self.size,
+                "lambda": self.max_correlation, "provenance": self.provenance}
+        head = json.dumps(head, indent=2, sort_keys=True)[:-2]  # up to the last "\n}"
         rows = _format_rows(self.seqs[self.order], b"[", b"]", b",\n    ")
         return f'{head},\n  "sequences": [\n    '.encode() + rows + b"\n  ]\n}\n"
 
@@ -154,7 +150,7 @@ class FhsSet:
                 data, arr = decoded
         try:
             seqs = data["sequences"]
-            ell = _json_int(data["ell"], "ell")
+            ell = data["ell"]
             n = _json_int(data["n"], "n")
             count = _json_int(data["N"], "N")
             lam = data.get("lambda")

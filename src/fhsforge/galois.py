@@ -56,7 +56,10 @@ class FiniteField:
     """GF(p^m) with precomputed log/antilog tables.
 
     Not constructed directly: use :func:`make_field`, which searches for the
-    canonical modulus and caches one instance per (p, m).
+    canonical modulus and caches one instance per (p, m).  The scalar
+    operations take element indices unchecked (`Polynomial` checks its
+    coefficients); -a = a x^((q-1)/2) for every odd q, and a - b is
+    a + (-b) for every q.
     """
 
     def __init__(self, p: int, m: int, modulus: tuple[int, ...]):
@@ -107,11 +110,6 @@ class FiniteField:
 
     # -- scalar arithmetic on element indices -------------------------------
 
-    def check(self, e: int) -> int:
-        if not 0 <= e < self.order:
-            raise ValueError(f"{e} is not an element index of GF({self.order})")
-        return e
-
     def add(self, a: int, b: int) -> int:
         if self.p == 2:
             return a ^ b
@@ -127,13 +125,11 @@ class FiniteField:
     def neg(self, a: int) -> int:
         if self.p == 2 or a == 0:
             return a
-        if self.m == 1:
-            return self.p - a
-        # -1 = x^((q-1)/2) for odd p
+        # -1 = x^((q-1)/2) for odd q
         return self.exp[(self.log[a] + (self.order - 1) // 2) % (self.order - 1)]
 
     def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b)) if self.p != 2 else a ^ b
+        return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
@@ -260,7 +256,8 @@ class Polynomial:
         while cs and cs[-1] == 0:
             cs.pop()
         for c in cs:
-            field.check(c)
+            if not 0 <= c < field.order:
+                raise ValueError(f"{c} is not an element index of GF({field.order})")
         self.field = field
         self.coeffs = tuple(cs)
 
@@ -392,11 +389,6 @@ def _row(F: FiniteField, dst: list, o: int, lc: int, logs: list) -> None:
                     dst[j] = exp[t]
 
 
-def _minus_one_log(F: FiniteField) -> int:
-    """log(-1): (q - 1)/2 for odd q, 0 for q = 2^m."""
-    return (F.order - 1) // 2 if F.p != 2 else 0
-
-
 def _product(F: FiniteField, a, b) -> list:
     """The coefficients of the product of two coefficient sequences: one
     row per nonzero coefficient of the shorter, over the longer's logs."""
@@ -419,7 +411,7 @@ def _reduce(F: FiniteField, rem: list, divisor) -> list:
     quotient digit c subtracts its row as -c times the divisor by `_row`."""
     log, exp, n1 = F.log, F.exp, F.order - 1
     db = len(divisor) - 1
-    lead, minus = log[divisor[-1]], _minus_one_log(F)
+    lead, minus = log[divisor[-1]], log[F.neg(1)]
     logs = [log[b] for b in divisor[:-1]]
     quot = [0] * max(len(rem) - db, 0)
     for i in range(len(rem) - db - 1, -1, -1):
@@ -694,7 +686,7 @@ def berlekamp_massey(field: FiniteField, seq) -> Polynomial:
     c -= (disc / last) x^shift b is one `_row` on c and one on that product,
     from b * seq, so no step takes a dot product."""
     F = field
-    log, n1, minus = F.log, F.order - 1, _minus_one_log(F)
+    log, n1, minus = F.log, F.order - 1, F.log[F.neg(1)]
     cs = list(seq)  # c * seq, exact from the current step on
     c, b, bs = [1], [0], [log[s] for s in cs]  # b, and b * seq past b's step, as logs
     length, shift, last = 0, 1, 0  # last: the log of b's discrepancy

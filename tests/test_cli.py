@@ -1,5 +1,7 @@
+import contextlib
 import gzip
 import hashlib
+import io
 import json
 import os
 import random
@@ -13,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fhsforge import cli, constructions, cyclic
+from fhsforge import cli, constructions, cyclic, fhs
 from fhsforge.cli import main, make_parser
 from fhsforge.fhs import CorrelationSurvey, FhsSet, correlation
 
@@ -222,15 +224,17 @@ def drawn_sets(seed):
 
 def test_dump_set_matches_per_row_encoder():
     for fset in drawn_sets(41):
-        record = fset.to_json_dict()
         text = fset.to_json_bytes()
+        record = json.loads(text)
         assert text == per_row_dump_set(record).encode()
-        assert json.loads(text) == record
+        assert record == {"n": fset.n, "ell": fset.alphabet_size, "N": fset.size,
+                          "lambda": fset.max_correlation, "provenance": fset.provenance,
+                          "sequences": fset.seqs[fset.order].tolist()}
 
 
 def test_dump_csv_matches_per_row_encoder():
     for fset in drawn_sets(43):
-        rows = fset.to_json_dict()["sequences"]
+        rows = json.loads(fset.to_json_bytes())["sequences"]
         assert fset.to_csv_bytes() == "".join(
             ",".join(map(str, row)) + "\n" for row in rows
         ).encode()
@@ -553,6 +557,9 @@ def test_build_claims_record_what_was_proved(tmp_path, capsys, argv, exit_code, 
     assert checks == check_lines(family)
     assert {line[6:-6] for line in checks if line.endswith(": None")} == unproved
     assert not any(line.startswith("observed ") for line in out.splitlines())
+    # the sweep's line is printed only for a proved lambda_match
+    if claims.get("lambda_match", {"proved": None})["proved"] is None:
+        assert not any(line.startswith("correlation sweep:") for line in out.splitlines())
 
 
 @pytest.mark.parametrize("patch, argv, lines", [
@@ -727,6 +734,17 @@ def test_verify_unreadable_record_is_input_error(tmp_path, capsys, content):
     code, out, err = run(capsys, "verify", str(path))
     assert code == 4 and out == ""
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("ell, shown", [(2.5, "2.5"), (True, "True"), ("3", "'3'"),
+                                       (None, "None")],
+                         ids=["float", "bool", "string", "null"])
+def test_verify_rejects_a_non_integer_ell(tmp_path, capsys, b5_record, ell, shown):
+    # the set refuses ell, and verify reports its message as an input error
+    path = tmp_path / "fhs_set.json"
+    path.write_text(json.dumps(dict(b5_record, ell=ell)))
+    assert run(capsys, "verify", str(path)) == (
+        4, "", f"error: ell must be an integer, got {shown}\n")
 
 
 def test_verify_refuses_a_record_without_lambda(tmp_path, capsys, b5_record):
@@ -904,6 +922,45 @@ def test_verify_prints_witness(tmp_path, capsys, b5_record):
     i, j, t = map(int, match.groups())
     seqs = b5_record["sequences"]
     assert (i, t) != (j, 0) and correlation(seqs[i], seqs[j], t) == 2
+
+
+def check_wide_verify(rows, lam: int, path) -> str:
+    """`verify` through the CLI on `rows` * 4096 + 7 over ell = 2^21, a set
+    with the rows' lambda whose leaf keys span past max(4*N*n, 2^20) from
+    L = 2 on, or from L = 1 for C512's rows, so the walk re-ranks them
+    before the bitmap and bincount.  The record is written by
+    `to_json_bytes` to `path`; verify must measure `lam` and print a
+    nontrivial witness that `correlation()` confirms.  Returns stdout."""
+    wide = np.asarray(rows, dtype=np.int64) * 4096 + 7
+    Path(path).write_bytes(FhsSet(wide, 2**21, None, lam).to_json_bytes())
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["verify", str(path)])
+    lines = out.getvalue().splitlines()
+    assert code == 0, lines
+    assert lines[0] == f"stored lambda = {lam}; measured (exhaustive) = {lam}"
+    match = re.fullmatch(
+        rf"witness: correlation\(sequences\[(\d+)\], sequences\[(\d+)\], (\d+)\) = {lam}",
+        lines[1])
+    i, j, t = map(int, match.groups())
+    seqs = FhsSet.from_json_dict(Path(path).read_bytes()).seqs.tolist()
+    assert (i, t) != (j, 0) and correlation(seqs[i], seqs[j], t) == lam
+    return out.getvalue()
+
+
+def test_wide_alphabet_verify_reranks(tmp_path, monkeypatch):
+    # B5's rows: symbols up to 16,391, so the keys from L = 2 on pass 2^20;
+    # CI runs the same check on C512's rows
+    reranked, rerank = [], fhs._rerank
+
+    def spying_rerank(key, out):
+        reranked.append(key.dtype)
+        return rerank(key, out)
+
+    monkeypatch.setattr(fhs, "_rerank", spying_rerank)
+    rows = constructions.family_b(5, budget=1).fhs.seqs
+    check_wide_verify(rows, 2, tmp_path / "wide.json")
+    assert reranked
 
 
 def test_verify_large_m_exits_on_budget(tmp_path, capsys):

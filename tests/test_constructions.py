@@ -240,6 +240,18 @@ def test_unprintable_report_is_refused_before_the_code(monkeypatch):
         family_c(2557, 1279, 630, enum_cap=1)
 
 
+def test_unprintable_singleton_is_refused_before_the_claimed_count(monkeypatch):
+    # K = 524,286 nonzeros over GF(1048573): q^K has over 3 million digits,
+    # so Singleton's half of the printable-digits rule refuses the instance
+    # before the claimed N takes that power
+    def no_claim(*args):
+        raise AssertionError("the claimed count ran before the printable-digits rule")
+
+    monkeypatch.setattr(constructions, "_claimed", no_claim)
+    with pytest.raises(BoundTooLarge, match="Singleton.s N has over"):
+        family_c(1048573, 524287, 262142, enum_cap=1)
+
+
 # -- the unit-coset demo ----------------------------------------------------------
 
 

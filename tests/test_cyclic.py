@@ -929,12 +929,12 @@ def test_short_orbit_walk_past_physical_memory(monkeypatch):
     assert len(class_partition(code)[1]) == kept
 
 
-@pytest.mark.parametrize("q", [401, 101, 25])
-def test_partition_memory_rule_holds_for_odd_q(monkeypatch, q):
-    # [q + 1, 2] over GF(q), Z = all but {1, n - 1}: the feedback adds digit
-    # by digit, so no allocation outlives the rule's 32 bytes per key by
-    # more than numpy's bookkeeping, and a machine 4 KiB short of the traced
-    # peak refuses the partition before any work
+def check_partition_memory_rule(q: int) -> int:
+    """[q + 1, 2] over GF(q), Z = all but {1, n - 1}: the feedback adds
+    digit by digit, so no allocation outlives the rule's 32 bytes per key
+    by more than numpy's bookkeeping, and a machine 4 KiB short of the
+    traced peak refuses the partition before any work.  Patches
+    `cyclic._physical_memory` and restores it; returns the peak."""
     n = q + 1
     code = build_code(n, field_from_order(q), [j for j in range(n) if j not in (1, n - 1)])
     tracemalloc.start()
@@ -943,9 +943,19 @@ def test_partition_memory_rule_holds_for_odd_q(monkeypatch, q):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    monkeypatch.setattr(cyclic, "_physical_memory", lambda: peak - 4096)
-    with pytest.raises(EnumerationTooLarge, match="physical memory"):
-        class_partition(code)
+    physical_memory = cyclic._physical_memory
+    cyclic._physical_memory = lambda: peak - 4096
+    try:
+        with pytest.raises(EnumerationTooLarge, match="physical memory"):
+            class_partition(code)
+    finally:
+        cyclic._physical_memory = physical_memory
+    return peak
+
+
+@pytest.mark.parametrize("q", [401, 101, 25])
+def test_partition_memory_rule_holds_for_odd_q(q):
+    check_partition_memory_rule(q)
 
 
 def test_stored_distance_is_read_after_the_cap_check():

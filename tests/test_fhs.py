@@ -206,13 +206,27 @@ def test_fhs_set_freezes_a_private_copy():
 
 def test_fhs_set_json_round_trip():
     fset = FhsSet([[2, 0, 1], [0, 0, 0]], 3, {"family": "B", "q": 5}, 2)
-    data = fset.to_json_dict()
+    data = json.loads(fset.to_json_bytes())
     # export sorts sequences lexicographically
     assert data["sequences"] == [[0, 0, 0], [2, 0, 1]]
     back = FhsSet.from_json_dict(data)
     assert (back.n, back.size, back.max_correlation, back.alphabet_size) == \
         (fset.n, fset.size, fset.max_correlation, fset.alphabet_size)
     assert back.provenance["family"] == "B"
+
+
+@pytest.mark.parametrize("ell", [2.5, True, "3", np.float64(3.0)],
+                         ids=["float", "bool", "str", "np-float"])
+def test_fhs_set_refuses_a_non_integer_alphabet(ell):
+    # 2.5 passes the symbol check, 2 < 2.5, and int(2.5) = 2 is below the
+    # symbol 2: so ell is checked first, and must be an integer
+    with pytest.raises(LengthAlphabetViolation, match="ell must be an integer"):
+        FhsSet([[0, 2], [1, 0]], ell)
+
+
+def test_fhs_set_stores_a_numpy_integer_alphabet_as_int():
+    fset = FhsSet([[0, 2], [1, 0]], np.int64(3))
+    assert type(fset.alphabet_size) is int and fset.alphabet_size == 3
 
 
 def test_export_follows_lexsort_order():
@@ -230,15 +244,15 @@ def test_export_follows_lexsort_order():
         assert expected == sorted(rows.tolist())
         fset = FhsSet(rows, 2**32)
         assert np.array_equal(fset.seqs, rows)  # the input order is kept
-        assert fset.to_json_dict()["sequences"] == expected
+        assert json.loads(fset.to_json_bytes())["sequences"] == expected
         shuffled = rng.permutation(rows)
         again = FhsSet(shuffled, 2**32)
         assert np.array_equal(again.seqs, shuffled)
-        assert again.to_json_dict()["sequences"] == expected
+        assert json.loads(again.to_json_bytes())["sequences"] == expected
 
 
 def test_fhs_set_parse_errors():
-    good = FhsSet([[0, 1]], 2, None, 1).to_json_dict()
+    good = json.loads(FhsSet([[0, 1]], 2, None, 1).to_json_bytes())
     for mutate in (
         lambda d: d.pop("ell"),
         lambda d: d.update(N=5),
@@ -251,6 +265,9 @@ def test_fhs_set_parse_errors():
         lambda d: d.update(sequences=[[0, 2**70]]),
         lambda d: d.update(sequences=[0, 1]),
         lambda d: d.update(ell=2.9),
+        lambda d: d.update(ell=True),
+        lambda d: d.update(ell="3"),
+        lambda d: d.update(ell=None),
         lambda d: d.update({"lambda": 1.5}),
         lambda d: d.update(provenance=5),
         lambda d: d.update(provenance=["family", "B"]),
@@ -285,7 +302,7 @@ def parsed_as_list(raw: bytes):
 def layouts(fset):
     """A set's record in the stored compact layout, the indented one of
     `json.dumps(indent=2)`, and build's one row per line."""
-    record = fset.to_json_dict()
+    record = json.loads(fset.to_json_bytes())
     return {
         "compact": json.dumps(record, separators=(",", ":"), sort_keys=True).encode(),
         "indented": (json.dumps(record, indent=2, sort_keys=True) + "\n").encode(),

@@ -224,6 +224,14 @@ def test_poly_field_mismatch_and_zero_division():
         divmod(a, Polynomial(a.field))
 
 
+@pytest.mark.parametrize("c", [-1, 8, 9])
+def test_poly_refuses_a_coefficient_outside_the_field(c):
+    F = make_field(2, 3)
+    with pytest.raises(ValueError, match=f"^{c} is not an element index of GF\\(8\\)$"):
+        Polynomial(F, (1, c, 1))
+    assert Polynomial(F, (1, 7, 0)).coeffs == (1, 7)
+
+
 # -- the row kernel against one F.add and F.mul per coefficient ---------------
 
 
@@ -817,10 +825,14 @@ def _digitwise(p, m, a, b, sign):
     return out
 
 
-@pytest.mark.parametrize("p,m", [(3, 2), (5, 2), (3, 3), (7, 2), (3, 5)])
+@pytest.mark.parametrize("p,m", [(2, 1), (2, 3), (3, 1), (7, 1), (101, 1), (3, 2),
+                                 (5, 2), (3, 3), (7, 2), (3, 5)])
 def test_zech_addition_matches_digits(p, m):
-    # addition, negation and subtraction against the base-p digit definition
+    # addition, negation and subtraction against the base-p digit definition:
+    # negation's one rule, -a = a x^((q - 1)/2) for odd q, gives p - a on a
+    # prime field, and log(-1) is (q - 1)/2, or 0 for q = 2^m
     F = make_field(p, m)
+    assert F.log[F.neg(1)] == (0 if p == 2 else (F.order - 1) // 2)
     q = F.order
     for a in range(q):
         assert F.neg(a) == _digitwise(p, m, 0, a, -1)
