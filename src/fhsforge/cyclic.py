@@ -5,7 +5,9 @@ defining set Z (a union of q-cyclotomic cosets mod n): the generator is
 g(x) = prod_{j in Z} (x - alpha^j) for the canonical primitive n-th root of
 unity alpha.  A coset is the sorted tuple of its members, and
 `_factor_table`, the one cache, holds each coset's factor of x^n - 1 per
-(p, m, n), with one vectorized check that each vanishes where it should.
+(p, m, n), computed when first asked for: Phi_d for a coset that holds
+every residue of order d, and the split cosets' factors together in a root field,
+with one vectorized check that each vanishes where it should.
 Codewords fall into orbits under the cyclic shift.  `_orbit_census`, the
 residue test `_full_orbits` and the constant-word rule `_short_constants`
 work from (n, q, nonzeros) alone, the nonzeros being the j outside Z.
@@ -16,6 +18,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import os
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -33,6 +36,8 @@ from .errors import (
 from .galois import (
     FiniteField,
     Polynomial,
+    _cyclotomic,
+    _monomial_rabin,
     berlekamp_massey,
     field_from_order,
     make_field,
@@ -91,35 +96,26 @@ def cyclotomic_cosets(n: int, q: int) -> list[tuple[int, ...]]:
 
 
 @lru_cache(maxsize=None)
-def _factor_table(p: int, m: int, n: int) -> tuple[tuple[tuple[int, ...], Polynomial], ...]:
-    """The canonical primitive n-th root of unity alpha for GF(q), and the
-    minimal polynomial over GF(q) of each of its powers.
+def _factor_table(p: int, m: int, n: int) -> _FactorTable:
+    """The factors of x^n - 1 over GF(q), one per cyclotomic coset, under
+    the canonical primitive n-th root of unity alpha, each computed on the
+    first request for it (`_FactorTable.factor`) and kept by this
+    per-(p, m, n) cache.
 
-    The table is computed in GF(q^d) = GF(q)[y]/(f), d = ord_n(q), on the
-    `ExtensionField` kernel, under the root beta of order n that
-    `galois.root_field` gives with f: f = Phi_n and beta = y when
-    d = phi(n), else the stream field of degree d.  alpha is fixed by its
-    minimal polynomial, not by f or beta: alpha is a root of m_1, the monic
-    irreducible factor of Phi_n(x) over GF(q) whose packed value
-    sum_i c_i q^i is smallest.  Conjugate roots give the same labelling, so
-    any root of m_1 will do.  The factors are computed once under beta and
-    relabelled: with s the least unit whose factor under beta is m_1,
-    alpha = beta^s, and the factor of coset j is beta's factor of coset
-    s*j mod n.
+    alpha is a root of m_1, the monic irreducible factor of Phi_n over
+    GF(q) whose packed value sum_i c_i q^i is smallest; conjugate roots
+    give the same labelling.  alpha^j has order d = n/gcd(j, n), so C_j
+    lies among the phi(d) residues of order d.  When it holds them all,
+    Phi_d is irreducible and is the factor of C_j whatever alpha is (Lidl
+    & Niederreiter, Thm 2.47).  It is still proved so: `_monomial_rabin`
+    finds it irreducible with y of order d, or the table raises.  Only the
+    split cosets need alpha, and `_FactorTable._split_factors` computes
+    them together in a root field.  When ord_n(q) = phi(n), every Phi_d
+    with d | n is irreducible, and the table builds no extension field.
 
-    The factor m_j of a coset C_j is the minimal polynomial, by
-    Berlekamp-Massey over GF(q), of u_k = the constant coefficient of
-    beta^(jk), k < 2|C_j|.  The table checks, in near-linear time, that
-    beta^n = 1 and beta^(n/r) != 1 for every prime r | n, and that each
-    m_j is monic of degree |C_j| with m_j(beta^j) = 0, the last for all
-    cosets in one pass, `_values_at_powers`.  Then beta has order n, m_j
-    vanishes on the |C_j| distinct conjugates beta^c, c in C_j, so
-    m_j = prod_(c in C_j) (x - beta^c), and since the cosets partition
-    0..n-1, the factors multiply to prod_(s<n) (x - beta^s) = x^n - 1.
-
-    A table is refused (`FactorTableTooLarge`) before any work when n
-    exceeds FACTOR_LENGTH_CAP or d exceeds FACTOR_DEGREE_CAP.  Under them,
-    the (n, d) uint32 table of the powers of beta takes n*d*4 <= 32 MiB.
+    Both caps are checked here, before any factor is asked for: a table
+    whose n exceeds FACTOR_LENGTH_CAP or whose ord_n(q) exceeds
+    FACTOR_DEGREE_CAP is refused (`FactorTableTooLarge`) before any work.
     """
     field = make_field(p, m)
     q = field.order
@@ -130,38 +126,98 @@ def _factor_table(p: int, m: int, n: int) -> tuple[tuple[tuple[int, ...], Polyno
             f"x^{n} - 1 splits over GF({q}^{d}), past the degree cap "
             f"{FACTOR_DEGREE_CAP}"
         )
-    ext, beta = root_field(field, n)
-    checkpoints = {n // r for r in prime_factors(n)}
-    weights = field.p ** np.arange(field.m)
-    powers = np.empty((n, ext.d), dtype=np.uint32)
-    power = ext.one
-    for k in range(n):
-        if k in checkpoints and ext.is_one(power):
-            raise AssertionError(f"beta^{k} = 1: beta does not have order {n}")
-        powers[k] = power @ weights
-        power = ext.mul(power, beta)
-    if not ext.is_one(power):
-        raise AssertionError(f"beta^{n} != 1")
-    u = powers[:, 0].tolist()
-    under_beta, packed, factors = [None] * n, [0] * n, []
-    for coset in cosets:
-        j, size = coset[0], len(coset)
-        mj = berlekamp_massey(field, [u[j * k % n] for k in range(2 * size)])
-        if mj.degree != size or mj.leading() != 1:
+    return _FactorTable(field, n, cosets)
+
+
+class _FactorTable:
+    """The cyclotomic cosets mod n and, on request, each one's factor of
+    x^n - 1 over `field`; see `_factor_table`."""
+
+    def __init__(self, field: FiniteField, n: int, cosets: list[tuple[int, ...]]):
+        self.field, self.n, self.cosets = field, n, cosets
+        # the phi(d) residues of order d form one coset exactly when the
+        # coset holds them all
+        orders = [n // math.gcd(c[0], n) for c in cosets]
+        count = Counter(orders)
+        self._phi_orders = {c[0]: d for c, d in zip(cosets, orders) if count[d] == 1}
+        self._factors: dict[int, Polynomial] = {}  # by representative
+
+    def factor(self, coset: tuple[int, ...]) -> Polynomial:
+        """The factor of `coset`, one of `cosets`: Phi_d when the coset
+        holds every residue of order d, else from the split cosets' factors, all
+        computed on the first request for one of them."""
+        j = coset[0]
+        if j in self._factors:
+            return self._factors[j]
+        d = self._phi_orders.get(j)
+        if d is None:
+            self._factors.update(self._split_factors())
+            return self._factors[j]
+        phi = _cyclotomic(self.field, d, prime_factors(d))
+        if phi.degree != len(coset) or not _monomial_rabin(phi, d):
             raise AssertionError(
-                f"the factor of C_{j} is not monic of degree {size}"
+                f"Phi_{d} over GF({self.field.order}) fails the field or the order test"
             )
-        factors.append(mj)
-        key = sum(c * q**i for i, c in enumerate(mj.coeffs))
-        for i in coset:
-            under_beta[i] = mj
-            packed[i] = key
-    nonzero = _values_at_powers(field, powers, [c[0] for c in cosets], factors)
-    if nonzero.any():
-        j = cosets[int(nonzero.any(axis=1).argmax())][0]
-        raise AssertionError(f"the factor of C_{j} does not vanish at beta^{j}")
-    s = min((j for j in range(n) if math.gcd(j, n) == 1), key=packed.__getitem__)
-    return tuple((c, under_beta[s * c[0] % n]) for c in cosets)
+        self._factors[j] = phi
+        return phi
+
+    def _split_factors(self) -> dict[int, Polynomial]:
+        """The factor of each split coset, by representative, computed in
+        GF(q^d) = GF(q)[y]/(f), d = ord_n(q), on the `ExtensionField`
+        kernel, under the root beta of order n that `galois.root_field`
+        gives with its stream field f.  They are computed under beta and
+        relabelled: with s the least unit whose factor under beta is m_1,
+        alpha = beta^s, and the factor of C_j is beta's factor of C_(s*j),
+        split as C_j is, since s*j has the order of j.  A coset splits only
+        when Phi_n does, so the units are split and s is among them.
+
+        The factor m_j of C_j is the minimal polynomial, by Berlekamp-Massey
+        over GF(q), of u_k = the constant coefficient of beta^(jk),
+        k < 2|C_j|.  The table checks, in near-linear time, that beta^n = 1
+        and beta^(n/r) != 1 for every prime r | n, and that each m_j is
+        monic of degree |C_j| with m_j(beta^j) = 0, the last for all split
+        cosets in one pass, `_values_at_powers`.  Then beta has order n, and
+        m_j vanishes on the |C_j| distinct conjugates beta^c, c in C_j, so
+        m_j = prod_(c in C_j) (x - beta^c).  Each Phi_d is the product of
+        x - beta^c over the c of order d, and the cosets partition 0..n-1,
+        so all the factors multiply to x^n - 1.  Under the caps, the (n, d)
+        uint32 table of the powers of beta takes n*d*4 <= 32 MiB.
+        """
+        field, n = self.field, self.n
+        q = field.order
+        split = [c for c in self.cosets if c[0] not in self._phi_orders]
+        ext, beta = root_field(field, n)
+        checkpoints = {n // r for r in prime_factors(n)}
+        weights = field.p ** np.arange(field.m)
+        powers = np.empty((n, ext.d), dtype=np.uint32)
+        power = ext.one
+        for k in range(n):
+            if k in checkpoints and ext.is_one(power):
+                raise AssertionError(f"beta^{k} = 1: beta does not have order {n}")
+            powers[k] = power @ weights
+            power = ext.mul(power, beta)
+        if not ext.is_one(power):
+            raise AssertionError(f"beta^{n} != 1")
+        u = powers[:, 0].tolist()
+        under_beta, packed, factors = [None] * n, [0] * n, []
+        for coset in split:
+            j, size = coset[0], len(coset)
+            mj = berlekamp_massey(field, [u[j * k % n] for k in range(2 * size)])
+            if mj.degree != size or mj.leading() != 1:
+                raise AssertionError(
+                    f"the factor of C_{j} is not monic of degree {size}"
+                )
+            factors.append(mj)
+            key = sum(c * q**i for i, c in enumerate(mj.coeffs))
+            for i in coset:
+                under_beta[i] = mj
+                packed[i] = key
+        nonzero = _values_at_powers(field, powers, [c[0] for c in split], factors)
+        if nonzero.any():
+            j = split[int(nonzero.any(axis=1).argmax())][0]
+            raise AssertionError(f"the factor of C_{j} does not vanish at beta^{j}")
+        s = min((j for j in range(n) if math.gcd(j, n) == 1), key=packed.__getitem__)
+        return {c[0]: under_beta[s * c[0] % n] for c in split}
 
 
 def _values_at_powers(field: FiniteField, powers: np.ndarray, exponents,
@@ -196,7 +252,8 @@ def factor_x_pow_n_minus_one(
 ) -> list[tuple[tuple[int, ...], Polynomial]]:
     """Irreducible factors of x^n - 1 over GF(q), one per cyclotomic coset,
     as (coset, factor) pairs in coset order; see `_factor_table`."""
-    return list(_factor_table(field.p, field.m, n))
+    table = _factor_table(field.p, field.m, n)
+    return [(coset, table.factor(coset)) for coset in table.cosets]
 
 
 @dataclass(frozen=True)
@@ -228,8 +285,9 @@ class CyclicCode:
 
     def export_dict(self) -> dict:
         field = self.field
+        table = _factor_table(field.p, field.m, self.n)
         # cosets are ordered by least member: the coset of 1 is second when n > 1
-        alpha_factor = _factor_table(field.p, field.m, self.n)[1 % self.n][1]
+        alpha_factor = table.factor(table.cosets[1 % self.n])
         return {
             "n": self.n,
             "p": field.p,
@@ -246,7 +304,10 @@ class CyclicCode:
 
 
 def build_code(n: int, field: FiniteField, defining_set) -> CyclicCode:
-    """Cyclic code of length n over `field` with the given defining set."""
+    """Cyclic code of length n over `field` with the given defining set.
+    Only the factors of the smaller of g and h are asked of the factor
+    table, so a code whose smaller side is all Phi_d factors, such as a
+    repetition code's h = x - 1, builds no root field."""
     if math.gcd(n, field.order) != 1:
         raise NotCoprime(f"gcd({n}, {field.order}) != 1")
     zset = set()
@@ -258,12 +319,14 @@ def build_code(n: int, field: FiniteField, defining_set) -> CyclicCode:
     if {j * field.order % n for j in zset} != zset:
         raise NotCosetClosed(f"{sorted(zset)} is not a union of cosets mod {n}")
     # multiply out the factors of the smaller of g and h, an O(min(|Z|, k)^2)
-    # product, and divide x^n - 1 by it for the other
+    # product, and divide x^n - 1 by it for the other; only that side's
+    # factors are asked for, so a side of Phi_d factors needs no root field
     small_is_g = 2 * len(zset) <= n
+    table = _factor_table(field.p, field.m, n)
     small = Polynomial.one(field)
-    for coset, factor in _factor_table(field.p, field.m, n):
+    for coset in table.cosets:
         if (coset[0] in zset) == small_is_g:
-            small = small * factor
+            small = small * table.factor(coset)
     xn1 = Polynomial.x_pow_n_minus_one(field, n)
     large, rem = divmod(xn1, small)
     if not rem.is_zero():

@@ -13,12 +13,13 @@ division and product, Euclid's gcd on coefficient lists and Berlekamp-Massey
 share one log-domain row operation, `_row`.  An extension GF(q^d) =
 GF(q)[y]/(f) has no tables: `ExtensionField` multiplies its elements as
 numpy digit planes, and every product modulo f, Ben-Or's powers among them,
-is one of its products.  `root_field` gives one with an n-th root of unity:
-f is Phi_n when Rabin's test on monomials, each one long division, proves
-it irreducible, else the stream field of its degree, the first seeded
-candidate that Ben-Or accepts, whose kernel is kept for the next length of
-that degree.  `berlekamp_massey` gives the minimal polynomial over GF(q) of
-a linear recurring sequence.
+is one of its products.  `root_field` gives one with an n-th root of unity,
+the stream field of its degree: the first seeded candidate that Ben-Or
+accepts, whose kernel is kept for the next length of that degree.
+`_cyclotomic` gives Phi_n, and Rabin's test on monomials, each one long
+division, proves it irreducible with a root of order n.
+`berlekamp_massey` gives the minimal polynomial over GF(q) of a linear
+recurring sequence.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from .errors import (
     ZeroElement,
 )
 from .intmath import is_prime, is_prime_power, multiplicative_order, prime_factors
-from .intmath import totient
 
 FIELD_ORDER_CAP = 1 << 20
 _TABLE_CHUNK = 1 << 12
@@ -590,9 +590,6 @@ def root_field(base: FiniteField, n: int) -> tuple[ExtensionField, np.ndarray]:
     """(GF(q)[y]/(f), beta) with f monic irreducible of degree d = ord_n(q)
     and beta a root of unity of order exactly n, for n >= 1 coprime to q.
 
-    When d = phi(n), f is the cyclotomic polynomial Phi_n and beta = y,
-    proved by `_monomial_rabin` with no Ben-Or and no kernel power, so not
-    resting on Lidl & Niederreiter's Thm 2.47: a failure raises.  Otherwise
     f is the first candidate that Ben-Or accepts from a fixed dense stream:
     candidate i is monic of degree d, its lower coefficients the base-q
     digits of SHAKE-256("p:m:d:i") mod q^d, skipped if f(0) = 0.  f depends
@@ -600,16 +597,11 @@ def root_field(base: FiniteField, n: int) -> tuple[ExtensionField, np.ndarray]:
     the kernel Ben-Or accepted is kept per process, so a second n of the
     same degree builds none.  beta = g^((q^d - 1)/n) for the first nonzero
     g in packed order from y, reduced mod f, that gives beta order n;
-    GF(q^d)* is cyclic, so the search ends at a generator.
+    GF(q^d)* is cyclic, so the search ends at a generator.  The factor
+    table asks for a root field only when Phi_n splits over GF(q), d < phi(n).
     """
     q = base.order
     d = multiplicative_order(q, n)
-    if totient(n) == d:
-        phi = _cyclotomic(base, n, prime_factors(n))
-        if phi.degree != d or not _monomial_rabin(phi, n):
-            raise AssertionError(f"Phi_{n} over GF({q}) fails the field or the order test")
-        ext = ExtensionField(phi)
-        return ext, ext.element(Polynomial(base, (0, 1)))
     key = (base.p, base.m, d)
     if key not in _STREAM_FIELDS:
         _STREAM_FIELDS[key] = next(filter(None, map(_ben_or, _stream(base, d))))

@@ -870,6 +870,30 @@ def test_oversized_factor_table_is_refused_at_once(capsys, tmp_path, monkeypatch
     assert "FactorTableTooLarge" in err and "Traceback" not in err
 
 
+DEGREE_CAP_ERR = ("error: FactorTableTooLarge: x^131 - 1 splits over GF(2^130), "
+                  "past the degree cap 64\n")
+LENGTH_CAP_ERR = ("error: FactorTableTooLarge: the factor table of x^131075 - 1 "
+                  "exceeds the length cap 131072\n")
+
+
+@pytest.mark.parametrize("argv,want", [
+    (["mindist", "--n", "131", "--q", "2", "--defining-set", "1", "--cosets-given"],
+     DEGREE_CAP_ERR),
+    (["code", "--n", "131", "--q", "2", "--defining-set", "1", "--cosets-given"],
+     DEGREE_CAP_ERR),
+    (["mindist", "--n", "131", "--q", "2", "--defining-set", "0"], DEGREE_CAP_ERR),
+    (["code", "--n", "131075", "--q", "2", "--defining-set", "0"], LENGTH_CAP_ERR),
+    (["mindist", "--n", "131075", "--q", "2", "--defining-set", "0"], LENGTH_CAP_ERR),
+], ids=["mindist-h", "code-h", "mindist-g", "code-length", "mindist-length"])
+def test_caps_hold_when_the_smaller_side_needs_no_root_field(capsys, argv, want):
+    # the smaller side is h or g = x - 1, Phi_1 alone, which the lazy table
+    # could give at once; both caps still refuse first, with these bytes
+    start = time.monotonic()
+    code, out, err = run(capsys, *argv)
+    assert time.monotonic() - start < 1.0
+    assert (code, out, err) == (3, "", want)
+
+
 @pytest.mark.parametrize("argv", [
     ["mindist", "--n", "35", "--q", "2", "--defining-set", "0",
      "--cap", "100000000000"],

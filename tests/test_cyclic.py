@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fhsforge import cyclic
+from fhsforge import cyclic, galois
 from fhsforge.cyclic import (
     CyclicCode,
     build_code,
@@ -41,7 +41,7 @@ from fhsforge.galois import (
     make_field,
     root_field,
 )
-from fhsforge.intmath import is_prime, multiplicative_order, prime_factors
+from fhsforge.intmath import is_prime, multiplicative_order, prime_factors, totient
 from test_galois import horner, pow_mod
 
 
@@ -176,6 +176,12 @@ def test_factor_tables_are_frozen():
     assert hashlib.sha256(text.encode()).hexdigest() == TABLES_DIGEST
 
 
+def uncached(p, m, n):
+    """Every (coset, factor) of a table built afresh, past the cache."""
+    table = cyclic._factor_table.__wrapped__(p, m, n)
+    return [(coset, table.factor(coset)) for coset in table.cosets]
+
+
 def packed_root_field(F, n):
     """Reference: (GF(q)[y]/(f), beta) for the least-packed monic irreducible
     f of degree ord_n(q) under which beta = y^((q^d - 1)/n) has order n."""
@@ -204,8 +210,7 @@ def test_tables_do_not_depend_on_the_root_field(monkeypatch):
     moved = 0
     for (q, n), table in streamed.items():
         F = field_from_order(q)
-        packed = cyclic._factor_table.__wrapped__(F.p, F.m, n)
-        assert list(packed) == table, (q, n)
+        assert uncached(F.p, F.m, n) == table, (q, n)
         moved += root_field(F, n)[0].modulus != packed_root_field(F, n)[0].modulus
     assert moved > len(pairs) // 2  # the two searches mostly pick different f
 
@@ -221,7 +226,7 @@ def test_factor_table_self_check_catches_a_wrong_factor(monkeypatch):
 
     monkeypatch.setattr(cyclic, "berlekamp_massey", off_by_one)
     with pytest.raises(AssertionError, match="does not vanish"):
-        cyclic._factor_table.__wrapped__(3, 1, 13)
+        uncached(3, 1, 13)
 
 
 @pytest.mark.parametrize("block", [1, cyclic._CHECK_BLOCK])
@@ -254,7 +259,7 @@ def test_one_coset_blocks_give_the_same_table(monkeypatch):
     # check forced to one coset per block
     table = factor_x_pow_n_minus_one(make_field(3, 2), 7381)
     monkeypatch.setattr(cyclic, "_CHECK_BLOCK", 1)
-    assert list(cyclic._factor_table.__wrapped__(3, 2, 7381)) == table
+    assert uncached(3, 2, 7381) == table
 
 
 def test_factor_table_memory_bound():
@@ -273,14 +278,20 @@ def test_factor_table_memory_bound():
 
 def test_factor_table_size_caps():
     # refused at once: n past the length cap before the cosets are listed,
-    # ord_n(q) past the degree cap before any field work
+    # ord_n(q) past the degree cap before any field work; so too a code
+    # whose smaller side, h or g = x - 1, needs only Phi_1
     start = time.monotonic()
     with pytest.raises(FactorTableTooLarge, match="length cap"):
         factor_x_pow_n_minus_one(make_field(2, 3), 19_173_961)
     with pytest.raises(FactorTableTooLarge, match="length cap"):
         cyclotomic_cosets(10**12 + 1, 2)
+    with pytest.raises(FactorTableTooLarge, match="length cap"):
+        build_code(cyclic.FACTOR_LENGTH_CAP + 3, make_field(2, 1), [0])
     with pytest.raises(FactorTableTooLarge, match="degree cap"):
         factor_x_pow_n_minus_one(make_field(2, 1), 131)
+    for z in (range(1, 131), [0]):
+        with pytest.raises(FactorTableTooLarge, match="degree cap"):
+            build_code(131, make_field(2, 1), z)
     assert time.monotonic() - start < 1.0
     assert cyclic.FACTOR_LENGTH_CAP >= 19_531  # family_ding(5, 7) is accepted
     assert cyclic.FACTOR_DEGREE_CAP >= 58  # so is the sympy oracle's d = 58
@@ -288,7 +299,8 @@ def test_factor_table_size_caps():
 
 def test_one_cached_table_per_field_and_length(monkeypatch):
     # the per-(p, m, n) table is the only cache: the factors, a code built
-    # from them and the code's export share one root-field search
+    # from them and the code's export share one root-field search, and a
+    # code whose smaller side is Phi_1 and Phi_3 asks for none
     cyclic._factor_table.cache_clear()
     searches = []
 
@@ -298,9 +310,87 @@ def test_one_cached_table_per_field_and_length(monkeypatch):
 
     monkeypatch.setattr(cyclic, "root_field", counted)
     F = make_field(2, 3)
+    build_code(9, F, [0, 3, 6])
+    assert searches == []
     factor_x_pow_n_minus_one(F, 9)
     build_code(9, F, [3, 4, 5, 6]).export_dict()
     assert searches == [(8, 9)]
+
+
+PHI_PAIRS = [(q, n) for q in (2, 3, 4, 5, 7, 8, 9) for n in range(1, 31)
+             if math.gcd(q, n) == 1 and multiplicative_order(q, n) == totient(n)]
+# SHA-256 of the compact JSON of the PHI_PAIRS tables, as TABLES_DIGEST
+PHI_TABLES_DIGEST = "ed573d7754d0cef54d76c209158eaa70e74bf27fb74b60a4f49d7d140ab22956"
+
+
+def forbid_root_fields(monkeypatch):
+    """Every table cold, no stream field kept, and any `ExtensionField`
+    construction refused, once the fields GF(q), q <= 9, exist."""
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        field_from_order(q)
+    cyclic._factor_table.cache_clear()
+    monkeypatch.setattr(galois, "_STREAM_FIELDS", {})
+
+    def refuse(*_):
+        raise AssertionError("an ExtensionField was built")
+
+    monkeypatch.setattr(galois, "ExtensionField", refuse)
+
+
+def test_phi_tables_build_no_root_field(monkeypatch):
+    # when ord_n(q) = phi(n), every factor is a Phi_d, proved by Rabin's
+    # test on coefficient lists, and the tables are the pinned ones
+    forbid_root_fields(monkeypatch)
+    assert len(PHI_PAIRS) == 52 and (5, 6) in PHI_PAIRS
+    tables = [[q, n, [[list(c), list(mj.coeffs)]
+                      for c, mj in factor_x_pow_n_minus_one(field_from_order(q), n)]]
+              for q, n in PHI_PAIRS]
+    text = json.dumps(tables, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == PHI_TABLES_DIGEST
+
+
+def phi_sided(code):
+    """Whether every coset of the code's smaller side, g's or h's, holds all
+    the residues of its order d: |C| = phi(d)."""
+    n, small_is_g = code.n, 2 * len(code.defining_set) <= code.n
+    side = code.defining_set if small_is_g else code.nonzeros
+    return all(len(c) == totient(n // math.gcd(c[0], n))
+               for c in cyclotomic_cosets(n, code.field.order) if c[0] in side)
+
+
+def test_phi_sided_codes_build_no_root_field(monkeypatch):
+    # every orbit-oracle code whose smaller side is all Phi_d factors, the
+    # [29, 1] repetition code over GF(9) among them (h = x - 1, its table
+    # split over GF(9^14)), gets the same g and h with no root field
+    universe = list(_universe(1 << 14))
+    codes = [code for code in universe if phi_sided(code)]
+    assert len(universe) == 1668 and len(codes) == 284
+    assert any((c.field.order, c.n, c.dimension) == (9, 29, 1) for c in codes)
+    forbid_root_fields(monkeypatch)
+    for code in codes:
+        built = build_code(code.n, code.field, code.defining_set)
+        assert (built.generator, built.check) == (code.generator, code.check), code
+
+
+@pytest.mark.parametrize("p,m,n", [(2, 1, 29), (3, 1, 5), (5, 1, 6), (2, 1, 5),
+                                   (2, 3, 5)])
+def test_factor_table_checks_phi_d(monkeypatch, p, m, n):
+    # Phi_n is not taken on the theorem alone: a reducible stand-in of
+    # degree phi(n), or an irreducible one whose root y has order 15
+    # (x^4 + x + 1 over GF(2) or GF(8)), fails the field or the order test,
+    # and the table raises rather than returning it
+    base = make_field(p, m)
+    d = multiplicative_order(base.order, n)
+    assert d == totient(n)
+    real = cyclic._cyclotomic
+    stand_ins = [Polynomial.x_pow_n_minus_one(base, d)]
+    if d == 4 and p == 2:
+        stand_ins.append(Polynomial(base, (1, 1, 0, 0, 1)))
+    for f in stand_ins:
+        monkeypatch.setattr(cyclic, "_cyclotomic",
+                            lambda F, e, radicals: f if e == n else real(F, e, radicals))
+        with pytest.raises(AssertionError, match=f"Phi_{n} "):
+            uncached(p, m, n)
 
 
 def test_build_mds_code_9_5_5():

